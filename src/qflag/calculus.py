@@ -36,7 +36,7 @@ from qflag.freealg import (
 )
 from qflag.oq import OqElement, left_act, rep_span
 from qflag.scalars import ONE, RatQ, ZERO
-from qflag.uqsl import UqAlgebra, UqElement, adjoint, coproduct, root_vectors
+from qflag.uqsl import UqAlgebra, UqElement, _acc, adjoint, coproduct, root_vectors
 from qflag.weyl import Root
 
 
@@ -176,9 +176,9 @@ def coideal_check(t: TangentSpace) -> CoidealReport:
         left_groups: dict = {}
         for (m1, m2), c in delta.terms.items():
             g = right_groups.setdefault(m2, {})
-            _acc_dict(g, _strip_k(m1), c)
+            _acc(g, _strip_k(m1), c)
             g = left_groups.setdefault(m1, {})
-            _acc_dict(g, _strip_k(m2), c)
+            _acc(g, _strip_k(m2), c)
         for side, groups in (("right", right_groups), ("left", left_groups)):
             if side in witnesses:
                 continue
@@ -202,14 +202,6 @@ def coideal_check(t: TangentSpace) -> CoidealReport:
     else:
         verdict = "right_only"
     return CoidealReport(verdict, witnesses)
-
-
-def _acc_dict(d, k, c):
-    s = d.get(k, ZERO) + c
-    if s:
-        d[k] = s
-    else:
-        d.pop(k, None)
 
 
 # -- quadratic relations -------------------------------------------------------
@@ -504,7 +496,7 @@ def _strip_k_phased(alg: UqAlgebra, terms: dict) -> dict:
             for l in e:
                 mu[l - 1] += 1
             c = c * RatQ.q_power(_cartan_pair(n, kv, mu))
-        _acc_dict(out, (f, zero, e), c)
+        _acc(out, (f, zero, e), c)
     return out
 
 

@@ -213,7 +213,6 @@ class TruncatedGB:
         self.alphabet = alphabet
         self.order = order
         self.rules: dict[int, RewriteRule] = {}
-        self._alive: set[int] = set()
         self._next_id = 0
         self._pending: list[tuple[int, int, int, int, Word]] = []  # (deg, id1, id2, seq, word)
         self._seq = 0
@@ -269,8 +268,6 @@ class TruncatedGB:
         lead = self.rules[rid].lead
         for other, oid in list(self._lead_index.items()):
             for a, b, la, lb in ((lead, other, rid, oid), (other, lead, oid, rid)):
-                if la == lb and a == b:
-                    pass  # self-overlaps still valid below
                 m = min(len(a), len(b))
                 for t in range(1, m):
                     if a[-t:] == b[:t]:
@@ -291,7 +288,6 @@ class TruncatedGB:
         rid = self._next_id
         self._next_id += 1
         self.rules[rid] = RewriteRule(lead, tail)
-        self._alive.add(rid)
         self._lead_index[lead] = rid
         # inclusion ambiguities: any existing lead containing the new lead
         stale = []
@@ -301,7 +297,6 @@ class TruncatedGB:
                     stale.append(oid)
         for oid in stale:
             rule = self.rules.pop(oid)
-            self._alive.discard(oid)
             del self._lead_index[rule.lead]
             self._insert(rule.as_element())
         self._push_overlaps(rid)
@@ -310,7 +305,7 @@ class TruncatedGB:
         """Resolve all pending overlap ambiguities of degree <= dmax."""
         while self._pending and self._pending[0][0] <= dmax:
             deg, r1, r2, _, word = heapq.heappop(self._pending)
-            if r1 not in self._alive or r2 not in self._alive:
+            if r1 not in self.rules or r2 not in self.rules:
                 continue
             a, b = self.rules[r1], self.rules[r2]
             # word = a.lead glued with b.lead over an overlap of length t
@@ -325,7 +320,7 @@ class TruncatedGB:
     # -- queries ---------------------------------------------------------------
 
     def live_rules(self) -> list[RewriteRule]:
-        return [self.rules[i] for i in sorted(self._alive)]
+        return [self.rules[i] for i in sorted(self.rules)]
 
     def is_normal(self, word: Word) -> bool:
         return self._find_redex(word) is None

@@ -24,19 +24,9 @@ matrix until the span stabilizes.
 from __future__ import annotations
 
 from qflag.scalars import NU, ONE, RatQ, ZERO, qpow
-from qflag.uqsl import UqElement
+from qflag.uqsl import UqElement, _acc
 
 OqWord = tuple  # tuple[(row, col), ...]
-
-
-def _acc(d, k, c):
-    if not c:
-        return
-    s = d.get(k, ZERO) + c
-    if s:
-        d[k] = s
-    else:
-        d.pop(k, None)
 
 
 class OqElement:

@@ -9,6 +9,13 @@ canonical form:
 * the integer contents of num and den are coprime,
 * den has positive leading coefficient.
 
+`_canonical` computes the gcd by pseudo-remainders only when both num and
+den have two or more terms.  When either is a single term c*q^k, the gcd
+over Q is q^m with m the lower of the two lowest powers present, so the
+pair is shifted down by m instead.  A product or an equal-denominator sum
+of values with denominator 1 is canonical as it stands and skips
+`_canonical` altogether.
+
 Canonical form makes equality and hashing structural: two values are equal
 iff their tuples coincide.  q is treated as transcendental; the only
 specialization is `ratq_eval`, which evaluates at a rational point and is
@@ -90,6 +97,14 @@ def _primitive(a):
     if a[-1] < 0:
         c = -c
     return tuple(x // c for x in a)
+
+
+def _low(a) -> int:
+    """Lowest power of q present in the nonzero polynomial a."""
+    i = 0
+    while not a[i]:
+        i += 1
+    return i
 
 
 def _prem(a, b):
@@ -205,7 +220,10 @@ class RatQ:
         if other is NotImplemented:
             return NotImplemented
         if self.den == other.den:
-            return _make_canonical(_padd(self.num, other.num), self.den)
+            num = _padd(self.num, other.num)
+            if self.den == _ONEPOL:
+                return _mk(num, _ONEPOL)
+            return _make_canonical(num, self.den)
         return _make_canonical(
             _padd(_pmul(self.num, other.den), _pmul(other.num, self.den)),
             _pmul(self.den, other.den),
@@ -231,6 +249,8 @@ class RatQ:
             return NotImplemented
         if not self.num or not other.num:
             return ZERO
+        if self.den == _ONEPOL and other.den == _ONEPOL:
+            return _mk(_pmul(self.num, other.num), _ONEPOL)
         return _make_canonical(_pmul(self.num, other.num), _pmul(self.den, other.den))
 
     __rmul__ = __mul__
@@ -326,10 +346,15 @@ def _canonical(num, den):
         raise ZeroDivisionError("zero denominator in Q(q)")
     if not num:
         return _ZPOL, _ONEPOL
-    g = _pgcd(num, den)
-    if len(g) > 1 or g != _ONEPOL:
-        num = _pdiv_exact(num, g)
-        den = _pdiv_exact(den, g)
+    if len(num) - num.count(0) == 1 or len(den) - den.count(0) == 1:
+        m = min(_low(num), _low(den))
+        if m:
+            num, den = num[m:], den[m:]
+    else:
+        g = _pgcd(num, den)
+        if len(g) > 1 or g != _ONEPOL:
+            num = _pdiv_exact(num, g)
+            den = _pdiv_exact(den, g)
     cn, cd = _content(num), _content(den)
     r = math.gcd(cn, cd)
     if den[-1] < 0:

@@ -553,12 +553,7 @@ def build_Eji(algebra: UqAlgebra, i: int, j: int) -> UqElement:
     return out
 
 
-def _eword_order(n: int) -> DegLex:
-    return DegLex(size=n)
-
-
 def leading_eword(x: UqElement):
-    order = _eword_order(x.algebra.n)
     coords = x.eword_coords()
     lead = max(coords, key=lambda w: (len(w), tuple(w)))
     return lead, coords[lead]

@@ -1,11 +1,29 @@
 """Field arithmetic in Q(q): canonical forms, axioms, evaluation."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from qflag.scalars import NU, ONE, Q, QINV, RatQ, ZERO, qpow, ratq_arith, ratq_eval
+from qflag.scalars import (
+    NU,
+    ONE,
+    Q,
+    QINV,
+    RatQ,
+    ZERO,
+    _canonical,
+    _content,
+    _padd,
+    _pdiv_exact,
+    _pgcd,
+    _pmul,
+    _trim,
+    qpow,
+    ratq_arith,
+    ratq_eval,
+)
 
 
 def test_inverse_pair():
@@ -97,3 +115,58 @@ def test_power_and_int_coercion():
     assert Q**-2 == QINV * QINV
     assert 2 * Q - Q == Q
     assert (1 + Q) * (1 - Q) == 1 - Q**2
+
+
+def _canonical_by_gcd(num, den):
+    """Oracle: the general gcd branch of `_canonical`, taken for every input."""
+    num, den = _trim(list(num)), _trim(list(den))
+    if not num:
+        return (), (1,)
+    g = _pgcd(num, den)
+    num, den = _pdiv_exact(num, g), _pdiv_exact(den, g)
+    r = math.gcd(_content(num), _content(den))
+    if den[-1] < 0:
+        r = -r
+    return tuple(x // r for x in num), tuple(x // r for x in den)
+
+
+def _random_poly(rng, zero_ok=True):
+    """Random integer polynomial tuple, possibly with leading zeros (low
+    powers absent), untrimmed trailing zeros and a shared integer content."""
+    while True:
+        body = [rng.randint(-5, 5) for _ in range(rng.randint(1, 4))]
+        p = [0] * rng.randint(0, 3) + [x * rng.choice((1, 1, 2, 6)) for x in body]
+        p += [0] * rng.randint(0, 2)
+        if zero_ok or any(p):
+            return tuple(p)
+
+
+def _random_monomial(rng):
+    """c*q^k with c of either sign, possibly with trailing zeros."""
+    c = rng.choice((-1, 1)) * rng.choice((1, 2, 3, 4, 6, 12))
+    return (0,) * rng.randint(0, 4) + (c,) + (0,) * rng.randint(0, 2)
+
+
+def test_canonical_fast_path_matches_gcd():
+    rng = random.Random(4242)
+    cases = [((), (1,)), ((0, 0), (0, 3)), ((4, 0, -6), (2,)), ((0, 0, 6), (0, -4, 0))]
+    for _ in range(3000):
+        mono, poly = _random_monomial(rng), _random_poly(rng)
+        cases.append((poly, mono))
+        if any(poly):
+            cases.append((mono, poly))
+        cases.append((poly, rng.choice(((1,), (-1,), (2,), (1, 0)))))
+        cases.append((poly, _random_poly(rng, zero_ok=False)))  # either path
+    for num, den in cases:
+        assert _canonical(num, den) == _canonical_by_gcd(num, den), (num, den)
+
+
+def test_add_mul_shortcuts_match_gcd_path():
+    """Sums and products of values with denominator 1 skip `_canonical`."""
+    rng = random.Random(4244)
+    for _ in range(2000):
+        a = RatQ(_random_poly(rng))
+        b = RatQ(_random_poly(rng)) if rng.random() < 0.8 else -a
+        assert ((a + b).num, (a + b).den) == _canonical_by_gcd(_padd(a.num, b.num), (1,))
+        assert ((a * b).num, (a * b).den) == _canonical_by_gcd(_pmul(a.num, b.num), (1,))
+
