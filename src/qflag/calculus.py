@@ -9,7 +9,10 @@ tested tensor leg (K_i acts there as the counit).  The degree-two relations
 of the maximal prolongation are computed per weight as the annihilator of
 the coefficient tensors c with sum c_kl X_k X_l inside span(T): functionals
 on the coordinate algebra vanishing on the classifying ideal are exactly
-span(T) + C eps, so this is the exact relation space.  On top of the
+span(T) + C eps, so this is the exact relation space.  Those tensors are the
+kernel of the residue map c -> sum c_kl X_k X_l mod span(T), and the
+annihilator of a kernel is the row space of the map, so one RREF of the
+residue rows gives the relations.  On top of the
 relations sit the graded dimensions (diamond-lemma counting), the
 associated-graded leading relations, the Frobenius/Nakayama data, the
 line-module weights, the Grassmannian restriction with its ad-closure
@@ -19,6 +22,7 @@ check, and the antiholomorphic-kernel computation on spans of u-words.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 from math import comb
 
 from qflag import oq, weyl
@@ -30,13 +34,12 @@ from qflag.freealg import (
     Span,
     annihilator,
     complete_truncated,
-    nullspace_combinations,
     rank,
     rref,
 )
 from qflag.oq import OqElement, left_act, rep_span
 from qflag.scalars import ONE, RatQ, ZERO
-from qflag.uqsl import UqAlgebra, UqElement, _acc, adjoint, coproduct, root_vectors
+from qflag.uqsl import UqAlgebra, UqElement, _acc, _mono_str, adjoint, coproduct, root_vectors
 from qflag.weyl import Root
 
 
@@ -185,8 +188,6 @@ def coideal_check(t: TangentSpace) -> CoidealReport:
             for key, vec in sorted(groups.items()):
                 residue = member.reduce(dict(vec))
                 if residue:
-                    from qflag.uqsl import _mono_str
-
                     witnesses[side] = CoidealWitness(
                         basis_label=label,
                         group_monomial=_mono_str(key, alg.n),
@@ -225,12 +226,6 @@ class RelationSpace:
     def total_dim(self) -> int:
         return sum(len(v) for v in self.by_weight.values())
 
-    def render(self) -> dict[str, list[str]]:
-        return {
-            "+".join(map(str, w)) or "0": [r.render(self.alphabet, self.order) for r in rels]
-            for w, rels in sorted(self.by_weight.items())
-        }
-
 
 def cotangent_alphabet(t: TangentSpace) -> Alphabet:
     return Alphabet(tuple(t.labels), tuple(t.weights))
@@ -239,7 +234,12 @@ def cotangent_alphabet(t: TangentSpace) -> Alphabet:
 def quadratic_relations(t: TangentSpace) -> RelationSpace:
     """The degree-two ideal of the maximal prolongation: per weight mu, the
     annihilator of C_mu = {c : sum c_kl X_k X_l in span(T)} under the
-    pairing matching e_k (x) e_l with X_k X_l."""
+    pairing matching e_k (x) e_l with X_k X_l.
+
+    C_mu is the kernel of the residue map A_mu sending c to
+    sum c_kl X_k X_l reduced modulo span(T_mu), so its annihilator is the
+    row space of A_mu: the RREF of the residue rows, one per E-word
+    coordinate, over the pairs (k, l)."""
     if t._relations is not None:
         return t._relations
     d = t.dim
@@ -251,25 +251,30 @@ def quadratic_relations(t: TangentSpace) -> RelationSpace:
     by_weight = {}
     for mu in sorted(pair_weights):
         pairs = pair_weights[mu]
-        rows = []
-        for (k, l) in pairs:
-            rows.append((t.basis[k] * t.basis[l]).eword_coords())
-        members = [m for m in range(d) if t.weights[m] == mu]
-        for m in members:
-            rows.append(t.basis[m].eword_coords())
-        combos = nullspace_combinations(rows)
-        c_mu = []
-        for combo in combos:
-            vec = {pairs[i]: c for i, c in combo.items() if i < len(pairs)}
-            if vec:
-                c_mu.append(vec)
-        ann = annihilator(c_mu, pairs)
-        rels = [FreeElement(vec) for vec in rref(ann, pairs)]
+        member = Span()
+        for m in range(d):
+            if t.weights[m] == mu:
+                member.add(t.basis[m].eword_coords())
+        residue_rows: dict = {}  # E-word coordinate -> row of A_mu over pairs
+        for k, l in pairs:
+            residue = member.reduce((t.basis[k] * t.basis[l]).eword_coords())
+            for w, c in residue.items():
+                residue_rows.setdefault(w, {})[k, l] = c
+        rels = [FreeElement(vec) for vec in rref(list(residue_rows.values()), pairs)]
         if rels:
             by_weight[mu] = rels
     alphabet = cotangent_alphabet(t)
     t._relations = RelationSpace(alphabet, DegLex(size=d), by_weight)
     return t._relations
+
+
+def classical_verdict(dims: list[int], d: int) -> bool | None:
+    """Whether dims (degrees 0, 1, ...) are the binomials C(d, k) followed by
+    zeros; None when they stop before degree d + 1, too early to certify
+    either way."""
+    if len(dims) < d + 2:
+        return None
+    return dims[: d + 1] == [comb(d, k) for k in range(d + 1)] and not any(dims[d + 1 :])
 
 
 def exterior_dims(
@@ -291,23 +296,14 @@ def exterior_dims(
     rel = quadratic_relations(t)
     gb = complete_truncated(rel.all_relations(), rel.order, 0, rel.alphabet)
     dims = []
-    classical: bool | None = None
     truncated = None
     for k in range(kmax + 1):
         gb.extend_to(k)
         dims.append(len(gb.normal_words(k)))
         if early_stop and dims[k] != comb(d, k):
-            classical = False
             truncated = k
             break
-    if classical is None:
-        if kmax >= d + 1:
-            classical = all(dims[k] == comb(d, k) for k in range(d + 1)) and all(
-                x == 0 for x in dims[d + 1 :]
-            )
-        else:
-            classical = None  # not enough degrees to certify either way
-    gb.extend_to(len(dims))
+    classical = False if truncated is not None else classical_verdict(dims, d)
     table = DimensionTable(dims, classical, truncated)
     if truncated is None and kmax >= d + 1:
         t._dim_table = table
@@ -323,7 +319,6 @@ def cotangent_action(t: TangentSpace, a: int, b: int) -> list[list[RatQ]]:
     Requires root-labelled bases (each e_gamma realized by the word u_gamma)."""
     if t.roots is None:
         raise ValueError("cotangent_action needs a root-labelled tangent space")
-    n = t.n
     cols = []
     for r in t.roots:
         word = ((r.j, r.i), (a, b))
@@ -459,8 +454,6 @@ def line_decomposition(t: TangentSpace, k: int) -> list[tuple[int, ...]]:
     table = exterior_dims(t)
     if not table.classical:
         raise ValueError("line decomposition requires a calculus of classical dimension")
-    from itertools import combinations
-
     out = []
     for combo in combinations(range(t.dim), k):
         out.append(tuple(sum(t.weights[i][a] for i in combo) for a in range(t.n)))

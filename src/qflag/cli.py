@@ -12,6 +12,7 @@ import json
 import sys
 
 from qflag import calculus, oq, weyl
+from qflag.freealg import graded_dims
 from qflag.parser import ParseError, parse_oq, parse_scalar, parse_tangent_exprs, parse_uq, parse_word
 from qflag.scalars import RatQ
 from qflag.uqsl import UqAlgebra, coproduct, root_vectors
@@ -54,6 +55,24 @@ def _weight_str(w) -> str:
         elif c:
             parts.append(f"{c}*a{i}")
     return "+".join(parts) if parts else "0"
+
+
+def _rendered_by_weight(rel: calculus.RelationSpace) -> dict[str, list[str]]:
+    return {
+        _weight_str(wt): [r.render(rel.alphabet, rel.order) for r in rels]
+        for wt, rels in sorted(rel.by_weight.items())
+    }
+
+
+def _non_negative(text: str) -> int:
+    """argparse type of the size flags: a non-negative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
 
 
 def cmd_roots(args):
@@ -115,10 +134,7 @@ def cmd_relations(args):
     alg = UqAlgebra(args.rank)
     t = _tangent(args, alg)
     rel = calculus.quadratic_relations(t)
-    rendered = {
-        _weight_str(wt): [r.render(rel.alphabet, rel.order) for r in rels]
-        for wt, rels in sorted(rel.by_weight.items())
-    }
+    rendered = _rendered_by_weight(rel)
     if args.format == "json":
         _emit_json({"relations": rendered, "total": rel.total_dim()})
     else:
@@ -134,17 +150,10 @@ def cmd_exterior(args):
     alg = UqAlgebra(args.rank)
     t = _tangent(args, alg)
     if args.reverse_order:
-        from math import comb
-
-        from qflag.freealg import graded_dims
-
         rel = calculus.quadratic_relations(t)
         kmax = args.kmax if args.kmax is not None else t.dim + 1
         table = graded_dims(rel.all_relations(), rel.order.reversed(), kmax, rel.alphabet)
-        if kmax >= t.dim + 1:
-            table.classical = table.dims[: t.dim + 1] == [
-                comb(t.dim, k) for k in range(t.dim + 1)
-            ] and not any(table.dims[t.dim + 1 :])
+        table.classical = calculus.classical_verdict(table.dims, t.dim)
     else:
         table = calculus.exterior_dims(t, kmax=args.kmax)
     if args.format == "json":
@@ -163,10 +172,7 @@ def cmd_gr(args):
     alg = UqAlgebra(args.rank)
     t = _tangent(args, alg)
     rel = calculus.gr_leading_relations(t)
-    rendered = {
-        _weight_str(wt): [r.render(rel.alphabet, rel.order) for r in rels]
-        for wt, rels in sorted(rel.by_weight.items())
-    }
+    rendered = _rendered_by_weight(rel)
     if args.format == "json":
         _emit_json({"relations": rendered})
     else:
@@ -326,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--tangent", default=None, metavar="'E1; E2; ...'")
         sp.add_argument("--set", action="append", metavar="name=value")
         if name == "exterior":
-            sp.add_argument("--kmax", type=int, default=None)
+            sp.add_argument("--kmax", type=_non_negative, default=None)
             sp.add_argument("--reverse-order", action="store_true",
                             help="count with the reversed generator precedence")
             sp.add_argument("--expect", choices=("classical", "non-classical"), default=None)
@@ -339,21 +345,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = add("lines", cmd_lines, help="line-module weights in one degree")
     sp.add_argument("--word", default="nice")
-    sp.add_argument("--k", type=int, required=True)
+    sp.add_argument("--k", type=_non_negative, required=True)
 
     sp = add("grassmann", cmd_grassmann, help="restriction to a quantum Grassmannian")
     sp.add_argument("--r", type=int, required=True, help="crossed simple node")
 
     sp = add("dbar-kernel", cmd_dbar_kernel, help="antiholomorphic kernel on degree-k words")
     sp.add_argument("--word", default="nice")
-    sp.add_argument("--degree", type=int, default=1)
+    sp.add_argument("--degree", type=_non_negative, default=1)
 
     sp = add("classes", cmd_classes, help="commutation-class graph")
     sp.add_argument("--involution", action="store_true")
 
     sp = add("survey", cmd_survey, help="classify every commutation class")
     sp.add_argument("--full-dims", action="store_true")
-    sp.add_argument("--max-classes", type=int, default=None,
+    sp.add_argument("--max-classes", type=_non_negative, default=None,
                     help="partial survey: stop after this many classes")
     return p
 

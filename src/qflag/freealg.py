@@ -8,9 +8,9 @@ system, degree-truncated completion of homogeneous relation systems
 homogeneous two-sided ideals), and graded dimension counting by
 normal-word enumeration.
 
-Exact linear algebra over Q(q) (echelon spans, nullspaces, annihilators,
-RREF) lives here too, since rank computations back both the dimension
-oracle and the relation-space calculus.
+Exact linear algebra over Q(q) (echelon spans, annihilators, RREF) lives
+here too, since rank computations back both the dimension oracle and the
+relation-space calculus.
 """
 
 from __future__ import annotations
@@ -308,8 +308,7 @@ class TruncatedGB:
             if r1 not in self.rules or r2 not in self.rules:
                 continue
             a, b = self.rules[r1], self.rules[r2]
-            # word = a.lead glued with b.lead over an overlap of length t
-            t = len(a.lead) + len(b.lead) - len(word)
+            # word = a.lead glued with b.lead over a proper overlap
             left = a.tail * FreeElement.monomial(word[len(a.lead) :])
             right = FreeElement.monomial(word[: len(word) - len(b.lead)]) * b.tail
             diff = self.reduce(left - right)
@@ -454,6 +453,15 @@ class Span:
         return len(self.pivots)
 
 
+def _span_over(rows: list[dict], coords: list) -> Span:
+    """Span of rows with each coordinate renamed to its position in `coords`."""
+    cindex = {k: i for i, k in enumerate(coords)}
+    sp = Span()
+    for r in rows:
+        sp.add({cindex[k]: c for k, c in r.items() if c})
+    return sp
+
+
 def rank(rows: list[dict]) -> int:
     sp = Span()
     for r in rows:
@@ -461,50 +469,9 @@ def rank(rows: list[dict]) -> int:
     return sp.dim
 
 
-def nullspace_combinations(rows: list[dict]) -> list[dict]:
-    """Vectors c (dicts index -> RatQ) with sum_i c_i rows[i] = 0."""
-    combos = []
-    echelon: dict = {}  # pivot coord -> (residue row, combination)
-    for i, r in enumerate(rows):
-        vec = {k: c for k, c in r.items() if c}
-        combo = {i: ONE}
-        while vec:
-            hits = sorted(k for k in vec if k in echelon)
-            if not hits:
-                break
-            k = hits[0]
-            res, cmb = echelon[k]
-            c = vec[k]
-            for kk, x in res.items():
-                s = vec.get(kk, ZERO) - c * x
-                if s:
-                    vec[kk] = s
-                else:
-                    vec.pop(kk, None)
-            for jj, x in cmb.items():
-                s = combo.get(jj, ZERO) - c * x
-                if s:
-                    combo[jj] = s
-                else:
-                    combo.pop(jj, None)
-        if vec:
-            piv = min(vec)
-            c = vec[piv]
-            echelon[piv] = (
-                {k: x / c for k, x in vec.items()},
-                {j: x / c for j, x in combo.items()},
-            )
-        else:
-            combos.append(combo)
-    return combos
-
-
 def annihilator(rows: list[dict], coords: list) -> list[dict]:
     """Canonical basis (RREF over `coords` order) of {r : r . row = 0 for all rows}."""
-    cindex = {k: i for i, k in enumerate(coords)}
-    sp = Span()
-    for r in rows:
-        sp.add({cindex[k]: c for k, c in r.items() if c})
+    sp = _span_over(rows, coords)
     pivs = sorted(sp.pivots)
     free = [i for i in range(len(coords)) if i not in sp.pivots]
     out = []
@@ -520,10 +487,7 @@ def annihilator(rows: list[dict], coords: list) -> list[dict]:
 
 def rref(rows: list[dict], coords: list) -> list[dict]:
     """Canonical reduced row-echelon form with columns ordered by `coords`."""
-    cindex = {k: i for i, k in enumerate(coords)}
-    sp = Span()
-    for r in rows:
-        sp.add({cindex[k]: c for k, c in r.items() if c})
+    sp = _span_over(rows, coords)
     out = []
     for p in sorted(sp.pivots):
         out.append({coords[i]: c for i, c in sp.pivots[p].items()})

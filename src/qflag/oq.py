@@ -23,6 +23,7 @@ matrix until the span stabilizes.
 
 from __future__ import annotations
 
+from qflag.freealg import Span
 from qflag.scalars import NU, ONE, RatQ, ZERO, qpow
 from qflag.uqsl import UqElement, _acc
 
@@ -238,7 +239,6 @@ def rep_span(n: int, k: int) -> list[dict]:
     hit = _span_cache.get((n, k))
     if hit is not None:
         return hit
-    from qflag.freealg import Span
 
     tokens = (
         [("E", i) for i in range(1, n + 1)]

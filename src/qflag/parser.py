@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import re
 
+from qflag import weyl
 from qflag.oq import OqElement
 from qflag.scalars import NU, ONE, Q, RatQ
 from qflag.uqsl import UqAlgebra, UqElement, qcomm
@@ -313,8 +314,6 @@ def parse_oq(text: str, n: int, params: dict[str, RatQ] | None = None) -> OqElem
 def parse_word(text: str, n: int) -> tuple[int, ...]:
     """Reduced-word syntax: digit string for n <= 9, else comma-separated;
     'nice' and 'nice-op' aliases."""
-    from qflag import weyl
-
     t = text.strip().lower()
     if t == "nice":
         return weyl.nice_word(n)

@@ -4,10 +4,10 @@ structure of the quantum exterior algebras."""
 import pytest
 
 from qflag import calculus as C
-from qflag.freealg import FreeElement, Span, rank
+from qflag.freealg import FreeElement, Span, annihilator, rank, rref
 from qflag.scalars import NU, ONE, Q, QINV, ZERO, qpow
 from qflag.uqsl import UqAlgebra, build_Eji, qcomm
-from qflag.weyl import Root, nice_word
+from qflag.weyl import Root, commutation_classes, nice_word
 
 
 def nice_tangent(n):
@@ -114,6 +114,48 @@ def test_relations_dimension_identity():
                     quot_rank += 1
             c_dim = len(pairs) - quot_rank
             assert len(rels) + c_dim == len(pairs)
+
+
+def _relations_via_nullspace(t):
+    """Relations by the route that tracks combinations: C_mu is the pair
+    part of the nullspace of the product and member rows, and the
+    relations are the RREF of its annihilator."""
+    d = t.dim
+    pair_weights = {}
+    for k in range(d):
+        for l in range(d):
+            mu = tuple(a + b for a, b in zip(t.weights[k], t.weights[l]))
+            pair_weights.setdefault(mu, []).append((k, l))
+    by_weight = {}
+    for mu, pairs in pair_weights.items():
+        rows = [(t.basis[k] * t.basis[l]).eword_coords() for k, l in pairs]
+        rows += [t.basis[m].eword_coords() for m in range(d) if t.weights[m] == mu]
+        columns = {}
+        for i, row in enumerate(rows):
+            for w, c in row.items():
+                columns.setdefault(w, {})[i] = c
+        combos = annihilator(list(columns.values()), list(range(len(rows))))
+        c_mu = [{pairs[i]: c for i, c in combo.items() if i < len(pairs)} for combo in combos]
+        rels = rref(annihilator([v for v in c_mu if v], pairs), pairs)
+        if rels:
+            by_weight[mu] = rels
+    return by_weight
+
+
+def _differential_tangents():
+    for n in (2, 3):
+        A = UqAlgebra(n)
+        for rep in commutation_classes(n).reps:
+            yield C.tangent_from_word(A, rep)
+    for theta in (ZERO, ONE, Q, QINV, Q**2):
+        yield theta_tangent(theta)
+
+
+def test_relations_match_nullspace_route():
+    for t in _differential_tangents():
+        rel = C.quadratic_relations(t)
+        got = {mu: [r.terms for r in rels] for mu, rels in rel.by_weight.items()}
+        assert got == _relations_via_nullspace(t), t.word or t.source_exprs
 
 
 def test_sl4_nested_relation_present():

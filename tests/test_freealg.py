@@ -14,7 +14,6 @@ from qflag.freealg import (
     complete_truncated,
     graded_dims,
     nf_reduce,
-    nullspace_combinations,
     rank,
 )
 from qflag.scalars import NU, ONE, Q, QINV, TWO_Q, ZERO, qpow
@@ -172,11 +171,6 @@ def test_dims_against_bruteforce_linear_algebra():
 
 
 def test_span_nullspace_annihilator():
-    rows = [{0: ONE, 1: Q}, {0: Q, 1: Q * Q}, {2: ONE}]
-    combos = nullspace_combinations(rows)
-    assert len(combos) == 1
-    c = combos[0]
-    assert c[0] * ONE + c[1] * Q == ZERO  # first coordinate cancels
     ann = annihilator([{0: ONE, 1: Q}], [0, 1, 2])
     assert len(ann) == 2
     for v in ann:

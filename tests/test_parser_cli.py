@@ -161,6 +161,22 @@ def test_cli_exterior_reverse_order(capsys):
     assert out1 == out2 == "dims: 1 3 3 1 0  classical: yes\n"
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["survey", "--rank", "2", "--max-classes", "-1"], "--max-classes"),
+        (["exterior", "--rank", "2", "--kmax", "-1"], "--kmax"),
+        (["dbar-kernel", "--rank", "1", "--degree", "-1"], "--degree"),
+        (["lines", "--rank", "2", "--k", "-1"], "--k"),
+    ],
+)
+def test_cli_rejects_negative_sizes(capsys, argv, flag):
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {flag}: must be non-negative, got -1" in captured.err
+
+
 def test_cli_rank_cap_env(capsys, monkeypatch):
     monkeypatch.setenv("QFLAG_RANK_CAP", "2")
     code = run(["roots", "--rank", "3", "--word", "nice"])
