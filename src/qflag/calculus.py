@@ -282,6 +282,8 @@ def exterior_dims(
 ) -> DimensionTable:
     """Graded dimensions of the quantum exterior algebra (quotient of the
     tensor algebra on the cotangent space by the degree-two relations).
+    Degree k counts the normal words of the completion extended to degree k,
+    by DP rather than by listing them (TruncatedGB.normal_counts).
 
     With early_stop, counting aborts at the first degree whose dimension
     differs from the classical binomial; the table is then marked
@@ -299,7 +301,7 @@ def exterior_dims(
     truncated = None
     for k in range(kmax + 1):
         gb.extend_to(k)
-        dims.append(len(gb.normal_words(k)))
+        dims.append(gb.normal_counts(k)[k])
         if early_stop and dims[k] != comb(d, k):
             truncated = k
             break

@@ -2,13 +2,15 @@
 pipeline, and emit deterministic text, JSON, or DOT reports.
 
 Exit codes: 0 success; 2 argument/parse/validation errors; 1 when an
---expect assertion is supplied and the computed verdict violates it.
+--expect assertion is supplied and the computed verdict violates it, or
+when the reader closes stdout early (no traceback then).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from qflag import calculus, oq, weyl
@@ -378,7 +380,13 @@ def run(argv) -> int:
 
 
 def main():
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:  # reader gone: stdout to devnull keeps the exit flush quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

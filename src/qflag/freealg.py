@@ -5,8 +5,9 @@ a sparse map word -> RatQ with zero coefficients pruned.  The engine
 supplies degree-lexicographic monomial orders, reduction modulo a rewrite
 system, degree-truncated completion of homogeneous relation systems
 (overlap ambiguities resolved up to a validity degree, which is sound for
-homogeneous two-sided ideals), and graded dimension counting by
-normal-word enumeration.
+homogeneous two-sided ideals), and graded dimension counting: normal words
+are paths in Ufnarovski's graph of the leads, counted by DP over their last
+m-1 letters (m the longest lead length; they decide every extension).
 
 Exact linear algebra over Q(q) (echelon spans, annihilators, RREF) lives
 here too, since rank computations back both the dimension oracle and the
@@ -218,19 +219,18 @@ class TruncatedGB:
         self._seq = 0
         self.valid_degree = 0
         self._lead_index: dict[Word, int] = {}
+        self._lengths: list[int] = []  # distinct lead lengths, ascending
 
     # -- reduction -----------------------------------------------------------
 
     def _find_redex(self, word: Word, choice=None):
-        """Return (pos, rule_id) for a factor match, or None."""
+        """Return (pos, rule_id) for a factor match (by window lookup), or None."""
         cands = []
-        n = len(word)
-        for lead, rid in self._lead_index.items():
-            L = len(lead)
-            if L > n:
-                continue
+        index, n = self._lead_index, len(word)
+        for L in self._lengths:
             for p in range(n - L + 1):
-                if word[p : p + L] == lead:
+                rid = index.get(word[p : p + L])
+                if rid is not None:
                     if choice is None:
                         return (p, rid)
                     cands.append((p, rid))
@@ -289,6 +289,7 @@ class TruncatedGB:
         self._next_id += 1
         self.rules[rid] = RewriteRule(lead, tail)
         self._lead_index[lead] = rid
+        self._lengths = sorted({len(w) for w in self._lead_index})
         # inclusion ambiguities: any existing lead containing the new lead
         stale = []
         for other, oid in self._lead_index.items():
@@ -298,6 +299,7 @@ class TruncatedGB:
         for oid in stale:
             rule = self.rules.pop(oid)
             del self._lead_index[rule.lead]
+            self._lengths = sorted({len(w) for w in self._lead_index})
             self._insert(rule.as_element())
         self._push_overlaps(rid)
 
@@ -321,8 +323,13 @@ class TruncatedGB:
     def live_rules(self) -> list[RewriteRule]:
         return [self.rules[i] for i in sorted(self.rules)]
 
-    def is_normal(self, word: Word) -> bool:
-        return self._find_redex(word) is None
+    def _extensions(self, word: Word):
+        """The normal words word + (g,) of a normal word: only a suffix can be a lead."""
+        index, lengths = self._lead_index, self._lengths
+        for g in range(self.alphabet.size):
+            cand = word + (g,)
+            if all(cand[-L:] not in index for L in lengths):
+                yield cand
 
     def normal_words(self, k: int) -> list[Word]:
         """All normal words of degree k (requires valid_degree >= k)."""
@@ -330,18 +337,25 @@ class TruncatedGB:
             raise ValueError(f"degree {k} above valid_degree {self.valid_degree}")
         words = [()]
         for _ in range(k):
-            nxt = []
-            for w in words:
-                for g in range(self.alphabet.size):
-                    cand = w + (g,)
-                    # only suffix factors can be new
-                    if all(
-                        cand[len(cand) - L :] not in self._lead_index
-                        for L in range(1, len(cand) + 1)
-                    ):
-                        nxt.append(cand)
-            words = nxt
+            words = [c for w in words for c in self._extensions(w)]
         return words
+
+    def normal_counts(self, k: int) -> list[int]:
+        """Number of normal words in each degree 0..k (requires valid_degree
+        >= k), by DP over states: the last m-1 letters, m the longest lead."""
+        if k > self.valid_degree:
+            raise ValueError(f"degree {k} above valid_degree {self.valid_degree}")
+        m = max(self._lengths, default=1)
+        states, out = {(): 1}, [1]
+        for _ in range(k):
+            nxt: dict[Word, int] = {}
+            for s, c in states.items():
+                for cand in self._extensions(s):
+                    t = cand[1:] if len(cand) == m else cand
+                    nxt[t] = nxt.get(t, 0) + c
+            states = nxt
+            out.append(sum(states.values()))
+        return out
 
 
 def complete_truncated(
@@ -390,9 +404,10 @@ class DimensionTable:
 def graded_dims(
     relations: list[FreeElement], order: DegLex, kmax: int, alphabet: Alphabet
 ) -> DimensionTable:
-    """Dimensions of the graded quotient of the free algebra, degrees 0..kmax."""
+    """Dimensions of the graded quotient of the free algebra, degrees 0..kmax,
+    counted as normal words of the truncated completion."""
     gb = complete_truncated(relations, order, kmax + 1, alphabet)
-    return DimensionTable([len(gb.normal_words(k)) for k in range(kmax + 1)])
+    return DimensionTable(gb.normal_counts(kmax))
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,14 @@
 """Tangent spaces, coideal verdicts, relation spaces, and the derived
 structure of the quantum exterior algebras."""
 
+import random
+from itertools import product
+from math import comb
+
 import pytest
 
 from qflag import calculus as C
-from qflag.freealg import FreeElement, Span, annihilator, rank, rref
+from qflag.freealg import FreeElement, Span, annihilator, complete_truncated, rank, rref
 from qflag.scalars import NU, ONE, Q, QINV, ZERO, qpow
 from qflag.uqsl import UqAlgebra, build_Eji, qcomm
 from qflag.weyl import Root, commutation_classes, nice_word
@@ -184,6 +188,87 @@ def test_exterior_dims_theta():
     assert t.dims == [1, 3, 3, 1, 0] and t.classical
     t = C.exterior_dims(theta_tangent(Q))
     assert t.dims == [1, 3, 3, 1, 0] and t.classical
+
+
+def test_exterior_dims_nice_rank5():
+    """The paper's main result at rank 5: the nice calculus on 15 generators
+    has the classical dimensions C(15, k), and nothing above degree 15."""
+    table = C.exterior_dims(nice_tangent(5))
+    assert table.dims == [comb(15, k) for k in range(16)] + [0]
+    assert table.classical
+
+
+def _avoids_leads(word, leads):
+    return not any(word[i:j] in leads for i in range(len(word)) for j in range(i + 1, len(word) + 1))
+
+
+def test_normal_counts_match_enumeration():
+    """Counting normal words agrees with listing them, under the relation
+    order and its reverse; the listing agrees with an oracle that keeps the
+    words with no lead as a factor, in lexicographic order."""
+    for t in _differential_tangents():
+        rel = C.quadratic_relations(t)
+        kmax = t.dim + 1
+        for order in (rel.order, rel.order.reversed()):
+            gb = complete_truncated(rel.all_relations(), order, kmax, rel.alphabet)
+            counts = gb.normal_counts(kmax)
+            assert counts == [len(gb.normal_words(k)) for k in range(kmax + 1)]
+            leads = {r.lead for r in gb.live_rules()}
+            for k in range(4):
+                oracle = [w for w in product(range(t.dim), repeat=k) if _avoids_leads(w, leads)]
+                assert gb.normal_words(k) == oracle
+
+
+def _tensor_quotient_dim(rels, d, k):
+    """d^k minus the rank of the sum of V^a (x) R (x) V^(k-2-a): the
+    degree-k dimension of the tensor algebra modulo the ideal of the
+    quadratic relations R, with no rewriting involved."""
+    rows = [
+        {u + w + v: c for w, c in r.terms.items()}
+        for r in rels
+        for a in range(k - 1)
+        for u in product(range(d), repeat=a)
+        for v in product(range(d), repeat=k - 2 - a)
+    ]
+    return d**k - rank(rows)
+
+
+def test_exterior_dims_match_tensor_ranks():
+    """exterior_dims agrees with brute-force ranks in the tensor algebra for
+    every rank-2 class through degree 5 and every rank-3 class through 4."""
+    for n, kmax in ((2, 5), (3, 4)):
+        A = UqAlgebra(n)
+        for rep in commutation_classes(n).reps:
+            t = C.tangent_from_word(A, rep)
+            rels = C.quadratic_relations(t).all_relations()
+            want = [_tensor_quotient_dim(rels, t.dim, k) for k in range(kmax + 1)]
+            assert C.exterior_dims(t, kmax=kmax).dims == want, rep
+
+
+def test_window_redex_matches_random_strategy():
+    """Reduction by the first window hit equals reduction that picks among
+    all redexes at random, on the rank-3 Serre system (leads of lengths 2-5)
+    and on a rank-3 relation completion."""
+    rng = random.Random(3)
+    t = C.tangent_from_word(UqAlgebra(3), (2, 3, 1, 2, 1, 3))
+    rel = C.quadratic_relations(t)
+    systems = [
+        UqAlgebra(3)._serre,
+        complete_truncated(rel.all_relations(), rel.order.reversed(), 5, rel.alphabet),
+    ]
+    for gb in systems:
+        size, leads = gb.alphabet.size, {r.lead for r in gb.live_rules()}
+        for _ in range(8):
+            elem = FreeElement(
+                {
+                    tuple(rng.randrange(size) for _ in range(rng.randint(2, gb.valid_degree))): c
+                    for c in (ONE, Q, NU, QINV)
+                }
+            )
+            base = gb.reduce(elem)
+            assert all(_avoids_leads(w, leads) for w in base.terms)
+            for _ in range(4):
+                assert gb.reduce(elem, choice=rng.choice) == base
 
 
 def test_exterior_early_stop():

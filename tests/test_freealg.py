@@ -17,6 +17,7 @@ from qflag.freealg import (
     rank,
 )
 from qflag.scalars import NU, ONE, Q, QINV, TWO_Q, ZERO, qpow
+from qflag.uqsl import UqAlgebra
 
 
 def _simple_alphabet(m, dim=None):
@@ -51,6 +52,24 @@ def test_serre_sl3_completion_and_degree4_count():
     brute = sum(1 for w in product(range(2), repeat=4) if normal(w))
     assert brute == 9
     assert len(gb.normal_words(4)) == brute
+
+
+def test_normal_counts_on_serre_systems():
+    """Counting, listing and a no-lead-factor oracle agree on Serre systems,
+    whose leads come in one length (3, rank 2) or several (2-5, rank 3)."""
+    alph, rels = _serre_sl3()
+    for gb in (complete_truncated(rels, DegLex(size=2), 8, alph), UqAlgebra(3)._serre):
+        kmax, leads = gb.valid_degree, {r.lead for r in gb.live_rules()}
+        assert gb.normal_counts(kmax) == [len(gb.normal_words(k)) for k in range(kmax + 1)]
+        for k in range(6):
+            oracle = [
+                w
+                for w in product(range(gb.alphabet.size), repeat=k)
+                if not any(w[i:j] in leads for i in range(k) for j in range(i + 1, k + 1))
+            ]
+            assert gb.normal_words(k) == oracle
+        with pytest.raises(ValueError):
+            gb.normal_counts(kmax + 1)
 
 
 def test_serre_reduce_single_step():

@@ -1,10 +1,13 @@
 """Expression grammar and the command-line surface."""
 
+import io
 import json
+import os
+import sys
 
 import pytest
 
-from qflag.cli import run
+from qflag.cli import main, run
 from qflag.oq import OqElement
 from qflag.parser import ParseError, parse_oq, parse_scalar, parse_uq, parse_word
 from qflag.scalars import NU, ONE, Q, QINV, RatQ
@@ -183,3 +186,37 @@ def test_cli_rank_cap_env(capsys, monkeypatch):
     assert code == 2
     monkeypatch.delenv("QFLAG_RANK_CAP")
     assert run(["roots", "--rank", "3", "--word", "nice"]) == 0
+
+
+class _ClosedPipe(io.StringIO):
+    """A stdout whose reader has gone: flushing raises BrokenPipeError, and
+    so does writing unless the output still fits in the buffer; fileno()
+    is the descriptor of a temporary file."""
+
+    def __init__(self, fd, buffered):
+        super().__init__()
+        self.fd, self.buffered = fd, buffered
+
+    def write(self, text):
+        if self.buffered:
+            return super().write(text)
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def fileno(self):
+        return self.fd
+
+
+@pytest.mark.parametrize("buffered", [False, True])
+def test_cli_closed_stdout_exits_quietly(capsys, monkeypatch, tmp_path, buffered):
+    monkeypatch.setattr(sys, "argv", ["qflag", "dbar-kernel", "--rank", "2", "--degree", "2"])
+    with open(tmp_path / "stdout", "w") as f:
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe(f.fileno(), buffered))
+        with pytest.raises(SystemExit) as exit_:
+            main()
+        # the descriptor behind stdout now writes to devnull
+        assert os.path.samestat(os.fstat(f.fileno()), os.stat(os.devnull))
+    assert exit_.value.code == 1
+    assert capsys.readouterr().err == ""
