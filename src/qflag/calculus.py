@@ -32,6 +32,7 @@ from qflag.freealg import (
     DimensionTable,
     FreeElement,
     Span,
+    _acc,
     annihilator,
     complete_truncated,
     rank,
@@ -39,7 +40,7 @@ from qflag.freealg import (
 )
 from qflag.oq import OqElement, left_act, rep_span
 from qflag.scalars import ONE, RatQ, ZERO
-from qflag.uqsl import UqAlgebra, UqElement, _acc, _mono_str, adjoint, coproduct, root_vectors
+from qflag.uqsl import UqAlgebra, UqElement, _mono_str, adjoint, coproduct, root_vectors
 from qflag.weyl import Root
 
 
@@ -465,32 +466,15 @@ def line_decomposition(t: TangentSpace, k: int) -> list[tuple[int, ...]]:
 # -- Grassmannian restriction ---------------------------------------------------------
 
 
-def _cartan_pair(n: int, kv, mu) -> int:
-    out = 0
-    for i in range(n):
-        v = kv[i]
-        if v:
-            for j in range(n):
-                m = mu[j]
-                if m:
-                    a = 2 if i == j else (-1 if abs(i - j) == 1 else 0)
-                    out += v * a * m
-    return out
-
-
 def _strip_k_phased(alg: UqAlgebra, terms: dict) -> dict:
     """Project onto K-free coordinates modulo right multiplication by
     K^v - 1: the monomial f K^v e equals q^{(v, wt e)} f e K^v, so its
     class is q^{(v, wt e)} (f, 0, e)."""
-    n = alg.n
-    zero = (0,) * n
+    zero = (0,) * alg.n
     out: dict = {}
     for (f, kv, e), c in terms.items():
         if any(kv):
-            mu = [0] * n
-            for l in e:
-                mu[l - 1] += 1
-            c = c * RatQ.q_power(_cartan_pair(n, kv, mu))
+            c = c * RatQ.q_power(alg._ad_sum(kv, e))
         _acc(out, (f, zero, e), c)
     return out
 

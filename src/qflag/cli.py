@@ -20,6 +20,7 @@ from qflag.scalars import RatQ
 from qflag.uqsl import UqAlgebra, coproduct, root_vectors
 
 USAGE_ERROR, EXPECT_ERROR = 2, 1
+_DBAR_MAX_WORDS = 4096  # dbar-kernel builds all (n+1)^(2*degree) u-words up front
 
 
 def _emit(text: str):
@@ -233,9 +234,12 @@ def cmd_grassmann(args):
 
 
 def cmd_dbar_kernel(args):
-    alg = UqAlgebra(args.rank)
-    t = _tangent(args, alg)
     n = args.rank
+    weyl.check_rank(n)
+    count = (n + 1) ** (2 * args.degree)
+    if count > _DBAR_MAX_WORDS:
+        raise ValueError(f"dbar-kernel would span {count} u-words (at most {_DBAR_MAX_WORDS})")
+    t = _tangent(args, UqAlgebra(n))
     words = [()]
     for _ in range(args.degree):
         words = [w + ((a, b),) for w in words for a in range(1, n + 2) for b in range(1, n + 2)]

@@ -12,6 +12,11 @@ m-1 letters (m the longest lead length; they decide every extension).
 Exact linear algebra over Q(q) (echelon spans, annihilators, RREF) lives
 here too, since rank computations back both the dimension oracle and the
 relation-space calculus.
+
+So do the rules every sparse combination above this layer shares: `_acc`
+adds a term to a coefficient dict and prunes zeros, and `_term` and
+`_signed_sum` print one (UqElement and OqElement as FreeElement does;
+TensorSquare joins its `_term`s with '  +  ').
 """
 
 from __future__ import annotations
@@ -22,6 +27,45 @@ from dataclasses import dataclass, field
 from qflag.scalars import ONE, RatQ, ZERO
 
 Word = tuple  # tuple[int, ...]
+
+
+def _acc(d: dict, key, c: RatQ):
+    """d[key] += c, keeping only nonzero coefficients."""
+    if not c:
+        return
+    s = d.get(key, ZERO) + c
+    if s:
+        d[key] = s
+    else:
+        d.pop(key, None)
+
+
+def _term(c: RatQ, mono: str) -> str:
+    """One rendered term c*mono: a unit monomial shows the bare coefficient,
+    a coefficient of +-1 the bare monomial, and a coefficient with an inner
+    sign or a fraction bar is parenthesised."""
+    cs = str(c)
+    if mono == "1":
+        return cs
+    if cs == "1":
+        return mono
+    if cs == "-1":
+        return f"-{mono}"
+    if any(s in cs[1:] for s in "+-") or "/" in cs:
+        cs = f"({cs})"
+    return f"{cs}*{mono}"
+
+
+def _signed_sum(terms) -> str:
+    """Rendered terms joined as 'a + b - c' (a term's leading minus becomes
+    the joining sign); '0' when there are none."""
+    parts = []
+    for t in terms:
+        if not parts:
+            parts.append(t)
+        else:
+            parts.append(f"- {t[1:]}" if t.startswith("-") else f"+ {t}")
+    return " ".join(parts) or "0"
 
 
 @dataclass(frozen=True)
@@ -107,19 +151,10 @@ class FreeElement:
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
 
-    def copy(self) -> "FreeElement":
-        e = FreeElement()
-        e.terms = dict(self.terms)
-        return e
-
     def __add__(self, other):
         out = dict(self.terms)
         for w, c in other.terms.items():
-            s = out.get(w, ZERO) + c
-            if s:
-                out[w] = s
-            else:
-                out.pop(w, None)
+            _acc(out, w, c)
         e = FreeElement()
         e.terms = out
         return e
@@ -143,12 +178,7 @@ class FreeElement:
         out: dict[Word, RatQ] = {}
         for w1, c1 in self.terms.items():
             for w2, c2 in other.terms.items():
-                w = w1 + w2
-                s = out.get(w, ZERO) + c1 * c2
-                if s:
-                    out[w] = s
-                else:
-                    out.pop(w, None)
+                _acc(out, w1 + w2, c1 * c2)
         e = FreeElement()
         e.terms = out
         return e
@@ -165,29 +195,8 @@ class FreeElement:
         return len(degs) <= 1 and len(wts) <= 1
 
     def render(self, alphabet: Alphabet, order: DegLex | None = None) -> str:
-        if not self.terms:
-            return "0"
         words = sorted(self.terms, key=(order or DegLex(size=alphabet.size)).key, reverse=True)
-        parts = []
-        for w in words:
-            c = self.terms[w]
-            cs = str(c)
-            mono = alphabet.word_str(w)
-            if mono == "1":
-                body = cs
-            elif cs == "1":
-                body = mono
-            elif cs == "-1":
-                body = f"-{mono}"
-            else:
-                if any(s in cs[1:] for s in "+-") or "/" in cs:
-                    cs = f"({cs})"
-                body = f"{cs}*{mono}"
-            if not parts:
-                parts.append(body)
-            else:
-                parts.append(f"- {body[1:]}" if body.startswith("-") else f"+ {body}")
-        return " ".join(parts)
+        return _signed_sum(_term(self.terms[w], alphabet.word_str(w)) for w in words)
 
     def __repr__(self):
         return f"FreeElement({self.terms!r})"
@@ -247,11 +256,7 @@ class TruncatedGB:
             word, coeff = work.pop()
             hit = self._find_redex(word, choice)
             if hit is None:
-                s = out.get(word, ZERO) + coeff
-                if s:
-                    out[word] = s
-                else:
-                    out.pop(word, None)
+                _acc(out, word, coeff)
                 continue
             p, rid = hit
             rule = self.rules[rid]
@@ -429,14 +434,10 @@ class Span:
             c = out.pop(k, None)
             if not c:
                 continue
+            c = -c
             for kk, x in self.pivots[k].items():
-                if kk == k:
-                    continue
-                s = out.get(kk, ZERO) - c * x
-                if s:
-                    out[kk] = s
-                else:
-                    out.pop(kk, None)
+                if kk != k:
+                    _acc(out, kk, c * x)
         return out
 
     def add(self, vec: dict) -> bool:
@@ -450,13 +451,9 @@ class Span:
         # back-eliminate the new pivot from existing rows
         for r in self.pivots.values():
             if piv in r:
-                cc = r[piv]
+                cc = -r[piv]
                 for k, x in row.items():
-                    s = r.get(k, ZERO) - cc * x
-                    if s:
-                        r[k] = s
-                    else:
-                        r.pop(k, None)
+                    _acc(r, k, cc * x)
         self.pivots[piv] = row
         return True
 

@@ -23,9 +23,9 @@ matrix until the span stabilizes.
 
 from __future__ import annotations
 
-from qflag.freealg import Span
+from qflag.freealg import Span, _acc, _signed_sum, _term
 from qflag.scalars import NU, ONE, RatQ, ZERO, qpow
-from qflag.uqsl import UqElement, _acc
+from qflag.uqsl import UqElement
 
 OqWord = tuple  # tuple[(row, col), ...]
 
@@ -111,26 +111,10 @@ class OqElement:
         return ls.pop()
 
     def render(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for w in sorted(self.terms):
-            c = self.terms[w]
-            cs = str(c)
-            ws = "".join(f"u[{a},{b}]" for a, b in w) or "1"
-            if cs == "1":
-                body = ws
-            elif cs == "-1":
-                body = f"-{ws}"
-            else:
-                if any(s in cs[1:] for s in "+-") or "/" in cs:
-                    cs = f"({cs})"
-                body = f"{cs}*{ws}" if ws != "1" else cs
-            parts.append(body)
-        out = parts[0]
-        for p in parts[1:]:
-            out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return out
+        return _signed_sum(
+            _term(self.terms[w], "".join(f"u[{a},{b}]" for a, b in w) or "1")
+            for w in sorted(self.terms)
+        )
 
     def __repr__(self):
         return f"<Oq {self.render()}>"

@@ -38,7 +38,8 @@ _ZPOL = ()
 _ONEPOL = (1,)
 
 
-def _trim(c: list[int]) -> tuple[int, ...]:
+def _trim(c) -> tuple[int, ...]:
+    """c without trailing zeros, as a tuple (a trimmed tuple is returned as is)."""
     n = len(c)
     while n and c[n - 1] == 0:
         n -= 1
@@ -58,10 +59,6 @@ def _pneg(a):
     return tuple(-x for x in a)
 
 
-def _psub(a, b):
-    return _padd(a, _pneg(b))
-
-
 def _pmul(a, b):
     if not a or not b:
         return _ZPOL
@@ -72,12 +69,6 @@ def _pmul(a, b):
                 if y:
                     c[i + j] += x * y
     return _trim(c)
-
-
-def _pscale(a, k: int):
-    if k == 0:
-        return _ZPOL
-    return tuple(x * k for x in a)
 
 
 def _content(a) -> int:
@@ -109,19 +100,15 @@ def _low(a) -> int:
 
 def _prem(a, b):
     """Pseudo-remainder of a by b (b nonzero), fraction-free."""
-    a = list(a)
+    a = _trim(a)
     db, lb = len(b) - 1, b[-1]
-    while len(a) - 1 >= db and _trim(a):
-        da = len(_trim(a)) - 1
-        a = list(_trim(a))
-        if da < db:
-            break
-        la = a[-1]
-        a = [x * lb for x in a]
+    while len(a) - 1 >= db:
+        da, la = len(a) - 1, a[-1]
+        c = [x * lb for x in a]
         for i, y in enumerate(b):
-            a[da - db + i] -= la * y
-        a = list(_trim(a))
-    return _trim(a)
+            c[da - db + i] -= la * y
+        a = _trim(c)
+    return a
 
 
 def _pgcd(a, b):
@@ -287,9 +274,6 @@ class RatQ:
     def __bool__(self):
         return bool(self.num)
 
-    def is_one(self):
-        return self.num == _ONEPOL and self.den == _ONEPOL
-
     def __eq__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
@@ -341,7 +325,7 @@ class RatQ:
 
 
 def _canonical(num, den):
-    num, den = _trim(list(num)), _trim(list(den))
+    num, den = _trim(num), _trim(den)
     if not den:
         raise ZeroDivisionError("zero denominator in Q(q)")
     if not num:

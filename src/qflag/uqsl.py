@@ -29,13 +29,13 @@ simple E's, rescaled so the deg-lex-leading monomial has coefficient one.
 from __future__ import annotations
 
 from qflag import weyl
-from qflag.freealg import Alphabet, DegLex, FreeElement, complete_truncated
+from qflag.freealg import Alphabet, DegLex, FreeElement, _acc, _signed_sum, _term, complete_truncated
 from qflag.scalars import NU, ONE, RatQ, TWO_Q, ZERO, qpow
 
 Mono = tuple  # (fword, kvec, eword)
 
 
-def _cartan(n: int, i: int, j: int) -> int:
+def _cartan(i: int, j: int) -> int:
     if i == j:
         return 2
     return -1 if abs(i - j) == 1 else 0
@@ -74,7 +74,6 @@ class UqAlgebra:
         self._serre = complete_truncated(rels, self._order, 2 * n, self._alphabet)
         self._word_nf_cache: dict[tuple, tuple] = {}
         self._straighten_cache: dict[tuple, dict] = {}
-        self._move_cache: dict[tuple, dict] = {}
 
     # -- generators ------------------------------------------------------------
 
@@ -122,38 +121,16 @@ class UqAlgebra:
     # -- multiplication ----------------------------------------------------------
 
     def _ad_sum(self, kvec, letters) -> int:
-        """sum_{i,l} kvec_i a_{i,letter_l}, the K-past-word commutation exponent."""
-        s = 0
+        """sum_{i,l} kvec_i a_{i,letter_l}, the K-past-word commutation
+        exponent: letter l contributes 2 k_l - k_{l-1} - k_{l+1}."""
+        n, s = self.n, 0
         for l in letters:
-            for i in range(1, self.n + 1):
-                v = kvec[i - 1]
-                if v:
-                    s += v * _cartan(self.n, i, l)
+            s += 2 * kvec[l - 1]
+            if l > 1:
+                s -= kvec[l - 2]
+            if l < n:
+                s -= kvec[l]
         return s
-
-    def _move_past_Fj(self, eword: tuple, j: int) -> dict:
-        """E-word times F_j as sum of (fpart, kvec, eword) monomials."""
-        key = (eword, j)
-        hit = self._move_cache.get(key)
-        if hit is not None:
-            return hit
-        if not eword:
-            out = {((j,), (0,) * self.n, ()): ONE}
-            self._move_cache[key] = out
-            return out
-        head, i = eword[:-1], eword[-1]
-        out: dict = {}
-        for (fp, kv, ew), c in self._move_past_Fj(head, j).items():
-            _acc(out, (fp, kv, ew + (i,)), c)
-        if i == j:
-            # head * (K_i - K_i^{-1}) / nu, moving the K to the front
-            ph = sum(_cartan(self.n, i, l) for l in head)
-            kplus = tuple((1 if a == i - 1 else 0) for a in range(self.n))
-            kminus = tuple((-1 if a == i - 1 else 0) for a in range(self.n))
-            _acc(out, ((), kplus, head), qpow(-ph) / NU)
-            _acc(out, ((), kminus, head), -(qpow(ph) / NU))
-        self._move_cache[key] = out
-        return out
 
     def _straighten(self, eword: tuple, fword: tuple) -> dict:
         """E-word times F-word as sum of normal-ordered monomials."""
@@ -161,12 +138,24 @@ class UqAlgebra:
         hit = self._straighten_cache.get(key)
         if hit is not None:
             return hit
+        out: dict = {}
         if not eword or not fword:
-            out = {(fword, (0,) * self.n, eword): ONE}
+            out[fword, (0,) * self.n, eword] = ONE
+        elif len(fword) == 1:
+            # head E_i F_j = (head F_j) E_i + delta_ij head (K_i - K_i^{-1}) / nu,
+            # the K moved to the front of head
+            head, i = eword[:-1], eword[-1]
+            for (fp, kv, ew), c in self._straighten(head, fword).items():
+                _acc(out, (fp, kv, ew + (i,)), c)
+            if i == fword[0]:
+                kplus = tuple((1 if a == i - 1 else 0) for a in range(self.n))
+                kminus = tuple(-a for a in kplus)
+                ph = self._ad_sum(kplus, head)
+                _acc(out, ((), kplus, head), qpow(-ph) / NU)
+                _acc(out, ((), kminus, head), -(qpow(ph) / NU))
         else:
-            j, frest = fword[0], fword[1:]
-            out = {}
-            for (fp, kv, ew), c in self._move_past_Fj(eword, j).items():
+            frest = fword[1:]
+            for (fp, kv, ew), c in self._straighten(eword, fword[:1]).items():
                 for (f3, k3, e3), c3 in self._straighten(ew, frest).items():
                     phase = qpow(-self._ad_sum(kv, f3))
                     kt = tuple(a + b for a, b in zip(kv, k3))
@@ -218,20 +207,11 @@ class UqAlgebra:
             out = out * self.gen_coproduct("E", l)
         return out
 
-    def antipode_gen(self, kind: str, i: int, exp: int = 1) -> "UqElement":
-        if kind == "E":
-            return -(self.E(i) * self.K(i, -1))
-        if kind == "F":
-            return -(self.K(i) * self.F(i))
-        if kind == "K":
-            return self.K(i, -exp)
-        raise ValueError(kind)
-
     # -- braid operators ------------------------------------------------------------
 
     def braid_gen(self, i: int, kind: str, l: int, exp: int = 1) -> "UqElement":
         if kind == "K":
-            return self.K(l, exp) * self.K(i, -exp * _cartan(self.n, i, l))
+            return self.K(l, exp) * self.K(i, -exp * _cartan(i, l))
         if kind == "E":
             if l == i:
                 return -(self.F(i) * self.K(i))
@@ -245,16 +225,6 @@ class UqAlgebra:
                 return -qcomm(self.F(l), self.F(i), qpow(1))
             return self.F(l)
         raise ValueError(kind)
-
-
-def _acc(d: dict, key, c: RatQ):
-    if not c:
-        return
-    s = d.get(key, ZERO) + c
-    if s:
-        d[key] = s
-    else:
-        d.pop(key, None)
 
 
 class UqElement:
@@ -349,28 +319,10 @@ class UqElement:
         return {e: c for (_f, _kv, e), c in self.terms.items()}
 
     def render(self) -> str:
-        if not self.terms:
-            return "0"
         n = self.algebra.n
-        parts = []
-        for m in sorted(self.terms, key=lambda m: (_mono_sort_key(m))):
-            c = self.terms[m]
-            cs, ms = str(c), _mono_str(m, n)
-            if ms == "1":
-                body = cs
-            elif cs == "1":
-                body = ms
-            elif cs == "-1":
-                body = f"-{ms}"
-            else:
-                if any(s in cs[1:] for s in "+-") or "/" in cs:
-                    cs = f"({cs})"
-                body = f"{cs}*{ms}"
-            if not parts:
-                parts.append(body)
-            else:
-                parts.append(f"- {body[1:]}" if body.startswith("-") else f"+ {body}")
-        return " ".join(parts)
+        return _signed_sum(
+            _term(self.terms[m], _mono_str(m, n)) for m in sorted(self.terms, key=_mono_sort_key)
+        )
 
     def __repr__(self):
         return f"<Uq {self.render()}>"
@@ -453,25 +405,14 @@ class TensorSquare:
         return UqElement(alg, out)
 
     def render(self) -> str:
+        """Terms joined by '  +  ', each sign kept with its coefficient."""
         n = self.algebra.n
-        if not self.terms:
-            return "0"
-        parts = []
-        for (m1, m2) in sorted(
-            self.terms, key=lambda p: (_mono_sort_key(p[0]), _mono_sort_key(p[1]))
-        ):
-            c = self.terms[(m1, m2)]
-            cs = str(c)
-            if any(s in cs[1:] for s in "+-") or "/" in cs:
-                cs = f"({cs})"
-            body = f"{_mono_str(m1, n)} (x) {_mono_str(m2, n)}"
-            if cs == "1":
-                parts.append(body)
-            elif cs == "-1":
-                parts.append(f"-{body}")
-            else:
-                parts.append(f"{cs}*{body}")
-        return "  +  ".join(parts)
+        return "  +  ".join(
+            _term(self.terms[m1, m2], f"{_mono_str(m1, n)} (x) {_mono_str(m2, n)}")
+            for m1, m2 in sorted(
+                self.terms, key=lambda p: (_mono_sort_key(p[0]), _mono_sort_key(p[1]))
+            )
+        ) or "0"
 
     def __repr__(self):
         return f"<Uq^2 {self.render()}>"

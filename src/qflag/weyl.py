@@ -45,10 +45,6 @@ def check_rank(n: int, cap: int | None = None):
         raise ValueError(f"rank must satisfy 1 <= n <= {cap} (got {n})")
 
 
-def simple_roots(n: int) -> list[Root]:
-    return [Root(i, i + 1) for i in range(1, n + 1)]
-
-
 def positive_roots(n: int) -> list[Root]:
     return [Root(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 2)]
 

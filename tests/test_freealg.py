@@ -16,8 +16,9 @@ from qflag.freealg import (
     nf_reduce,
     rank,
 )
+from qflag.oq import OqElement
 from qflag.scalars import NU, ONE, Q, QINV, TWO_Q, ZERO, qpow
-from qflag.uqsl import UqAlgebra
+from qflag.uqsl import TensorSquare, UqAlgebra
 
 
 def _simple_alphabet(m, dim=None):
@@ -200,3 +201,46 @@ def test_span_nullspace_annihilator():
     assert not sp.add({0: Q, 1: Q})
     assert sp.contains({0: -ONE, 1: -ONE})
     assert not sp.contains({0: ONE})
+
+
+def test_render_rules():
+    """The shared printing rules: zero, +-1 coefficients, a minus folded into
+    the joining sign, q^-k and fractions parenthesised, and a unit monomial
+    shown as its bare coefficient (TensorSquare joins with '  +  ' instead)."""
+    A = UqAlgebra(2)
+    frac = ONE / (Q + 1)
+    x = A.E(1) - A.F(2) * A.K(1, -1) + A.scalar(Q + 1) + A.E(2).scale(qpow(-2))
+    x = x - A.E(1) * A.E(2) * frac
+    assert A.zero().render() == "0"
+    assert x.render() == "q + 1 + E1 + (q^-2)*E2 - F2 K1^-1 + (-1/(q + 1))*E1 E2"
+    assert (-A.E(1) + A.E(2).scale(-2 * Q)).render() == "-E1 - 2*q*E2"
+    assert A.scalar(-1).render() == "-1"
+
+    al = Alphabet(("a", "b"), ((1, 0), (0, 1)))
+    f = FreeElement({(): Q + 1, (0,): -ONE, (1, 0): qpow(-1), (0, 1): frac, (1, 1): ONE})
+    assert FreeElement().render(al) == "0"
+    assert f.render(al) == "bb + (q^-1)*ba + (1/(q + 1))*ab - a + q + 1"
+
+    o = OqElement(
+        1, {(): Q + 1, ((1, 1),): -ONE, ((1, 2), (2, 1)): qpow(-3), ((2, 2),): frac, ((2, 1),): ONE}
+    )
+    assert OqElement(1).render() == "0"
+    assert o.render() == "q + 1 - u[1,1] + (q^-3)*u[1,2]u[2,1] + u[2,1] + (1/(q + 1))*u[2,2]"
+    assert OqElement.unit(1).scale(-ONE).render() == "-1"
+
+    one = A.one()
+    t = TensorSquare.from_pairs(
+        A,
+        [
+            (one, one.scale(Q + 1)),
+            (A.E(1), A.K(1)),
+            (A.F(1), -A.E(2)),
+            (A.K(2, -1), A.E(1).scale(frac)),
+            (A.E(2), A.F(1).scale(qpow(-1))),
+        ],
+    )
+    assert TensorSquare(A, {}).render() == "0"
+    assert t.render() == (
+        "(1/(q + 1))*K2^-1 (x) E1  +  (q + 1)*1 (x) 1  +  E1 (x) K1"
+        "  +  (q^-1)*E2 (x) F1  +  -F1 (x) E2"
+    )

@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from qflag import calculus
 from qflag.cli import main, run
 from qflag.oq import OqElement
 from qflag.parser import ParseError, parse_oq, parse_scalar, parse_uq, parse_word
@@ -178,6 +179,28 @@ def test_cli_rejects_negative_sizes(capsys, argv, flag):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"argument {flag}: must be non-negative, got -1" in captured.err
+
+
+@pytest.mark.parametrize("rank, degree, count", [(6, 5, 282475249), (3, 4, 65536), (1, 7, 16384)])
+def test_cli_dbar_kernel_rejects_oversized_span(capsys, rank, degree, count):
+    # the (n+1)^(2*degree) u-words are refused before any is built
+    assert run(["dbar-kernel", "--rank", str(rank), "--degree", str(degree)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"dbar-kernel would span {count} u-words (at most 4096)" in captured.err
+
+
+def test_cli_dbar_kernel_accepts_the_word_cap(capsys, monkeypatch):
+    sizes = []
+
+    def kernel(words, t):  # the real kernel on 4096 words takes about a minute
+        sizes.append(len(words))
+        return 0, []
+
+    monkeypatch.setattr(calculus, "dbar_kernel", kernel)
+    assert run(["dbar-kernel", "--rank", "3", "--degree", "3"]) == 0
+    assert sizes == [4096]
+    assert capsys.readouterr().out == "dimension: 0\n"
 
 
 def test_cli_rank_cap_env(capsys, monkeypatch):

@@ -2,9 +2,11 @@
 root vectors, adjoint action."""
 
 import random
+from itertools import product
 
 import pytest
 
+from qflag.freealg import _acc
 from qflag.scalars import NU, ONE, Q, QINV, TWO_Q, qpow
 from qflag.uqsl import (
     TensorSquare,
@@ -281,3 +283,75 @@ def test_serre_truncation_extends_on_demand():
     # degree-6 weight-(3,3) component has the PBW dimension 4
     words = {e for (_f, _kv, e) in x.terms if sum(1 for l in e if l == 1) == 3}
     assert len(words) == 4
+
+
+def _cartan_entry(i, j):
+    return 2 if i == j else (-1 if abs(i - j) == 1 else 0)
+
+
+def _ad_sum_oracle(n, kvec, letters):
+    """The double Cartan loop sum_{i,l} kvec_i a_{i,letter_l}."""
+    return sum(kvec[i - 1] * _cartan_entry(i, l) for l in letters for i in range(1, n + 1))
+
+
+class _StraightenOracle:
+    """E-word times F-word by two memos: E-word times one F_j (peel the
+    last E), then the F-word one letter at a time from the left."""
+
+    def __init__(self, n):
+        self.n, self.moves, self.products = n, {}, {}
+
+    def move_past_Fj(self, eword, j):
+        key = (eword, j)
+        if key in self.moves:
+            return self.moves[key]
+        n, out = self.n, {}
+        if not eword:
+            out[(j,), (0,) * n, ()] = ONE
+        else:
+            head, i = eword[:-1], eword[-1]
+            for (fp, kv, ew), c in self.move_past_Fj(head, j).items():
+                _acc(out, (fp, kv, ew + (i,)), c)
+            if i == j:
+                ph = sum(_cartan_entry(i, l) for l in head)
+                kplus = tuple((1 if a == i - 1 else 0) for a in range(n))
+                kminus = tuple((-1 if a == i - 1 else 0) for a in range(n))
+                _acc(out, ((), kplus, head), qpow(-ph) / NU)
+                _acc(out, ((), kminus, head), -(qpow(ph) / NU))
+        self.moves[key] = out
+        return out
+
+    def straighten(self, eword, fword):
+        key = (eword, fword)
+        if key in self.products:
+            return self.products[key]
+        out = {}
+        if not eword or not fword:
+            out[fword, (0,) * self.n, eword] = ONE
+        else:
+            for (fp, kv, ew), c in self.move_past_Fj(eword, fword[0]).items():
+                for (f3, k3, e3), c3 in self.straighten(ew, fword[1:]).items():
+                    phase = qpow(-_ad_sum_oracle(self.n, kv, f3))
+                    kt = tuple(a + b for a, b in zip(kv, k3))
+                    _acc(out, (fp + f3, kt, e3), c * c3 * phase)
+        self.products[key] = out
+        return out
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_straighten_matches_two_memo_oracle(n):
+    A, oracle = UqAlgebra(n), _StraightenOracle(n)
+    words = [w for k in range(4) for w in product(range(1, n + 1), repeat=k)]
+    for e in words:
+        for f in words:
+            assert A._straighten(e, f) == oracle.straighten(e, f), (e, f)
+
+
+def test_ad_sum_matches_double_cartan_loop():
+    rng = random.Random(5)
+    for n in (1, 2, 3, 4):
+        A = UqAlgebra(n)
+        for _ in range(200):
+            kvec = tuple(rng.randint(-3, 3) for _ in range(n))
+            letters = tuple(rng.randint(1, n) for _ in range(rng.randint(0, 6)))
+            assert A._ad_sum(kvec, letters) == _ad_sum_oracle(n, kvec, letters)
