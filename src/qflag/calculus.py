@@ -38,7 +38,7 @@ from qflag.freealg import (
     rank,
     rref,
 )
-from qflag.oq import OqElement, left_act, rep_span
+from qflag.oq import OqElement, _contractions, left_act, rep_span
 from qflag.scalars import ONE, RatQ, ZERO
 from qflag.uqsl import UqAlgebra, UqElement, _mono_str, adjoint, coproduct, root_vectors
 from qflag.weyl import Root
@@ -56,7 +56,6 @@ class TangentSpace:
     roots: list[Root] | None = None  # per-entry root when the weight is a root
     word: tuple[int, ...] | None = None
     source_exprs: list[str] | None = None
-    _dim_table: DimensionTable | None = field(default=None, repr=False)
     _relations: "RelationSpace | None" = field(default=None, repr=False)
 
     @property
@@ -293,9 +292,6 @@ def exterior_dims(
     d = t.dim
     if kmax is None:
         kmax = d + 1
-    cached = t._dim_table
-    if cached is not None and cached.truncated_at is None and len(cached.dims) - 1 == kmax:
-        return cached
     rel = quadratic_relations(t)
     gb = complete_truncated(rel.all_relations(), rel.order, 0, rel.alphabet)
     dims = []
@@ -307,10 +303,7 @@ def exterior_dims(
             truncated = k
             break
     classical = False if truncated is not None else classical_verdict(dims, d)
-    table = DimensionTable(dims, classical, truncated)
-    if truncated is None and kmax >= d + 1:
-        t._dim_table = table
-    return table
+    return DimensionTable(dims, classical, truncated)
 
 
 # -- module structure of the cotangent space ------------------------------------
@@ -599,18 +592,10 @@ def dbar_kernel(span_words, t: TangentSpace) -> tuple[int, list[OqElement]]:
 
     def zero_conditions(images: list[OqElement]) -> list[dict]:
         """Rows of the system <condition matrix> . x = 0 over word indices."""
+        cols = [list(_contractions(img, span_mats)) for img in images]
         rows = []
-        for mat in span_mats:
-            row = {}
-            for j, img in enumerate(images):
-                s = ZERO
-                for w, c in img.terms.items():
-                    key = (tuple(a for a, _ in w), tuple(b for _, b in w))
-                    m = mat.get(key)
-                    if m:
-                        s = s + c * m
-                if s:
-                    row[j] = s
+        for i in range(len(span_mats)):
+            row = {j: col[i] for j, col in enumerate(cols) if col[i]}
             if row:
                 rows.append(row)
         return rows

@@ -13,8 +13,11 @@ Exact linear algebra over Q(q) (echelon spans, annihilators, RREF) lives
 here too, since rank computations back both the dimension oracle and the
 relation-space calculus.
 
-So do the rules every sparse combination above this layer shares: `_acc`
-adds a term to a coefficient dict and prunes zeros, and `_term` and
+So does the sparse-sum arithmetic every combination type shares.  `_Sum`
+holds the term dict and the linear structure (sum, difference, negation,
+scaling, equality, hashing) of FreeElement here, UqElement and TensorSquare
+in uqsl and OqElement in oq; each subclass adds its product and rendering.
+`_acc` adds a term to a coefficient dict and prunes zeros, and `_term` and
 `_signed_sum` print one (UqElement and OqElement as FreeElement does;
 TensorSquare joins its `_term`s with '  +  ').
 """
@@ -123,10 +126,59 @@ class DegLex:
         return DegLex(tuple(m - p for p in self.precedence))
 
 
-class FreeElement:
-    """Sparse noncommutative polynomial; terms: dict word -> RatQ."""
+class _Sum:
+    """Sparse linear combination: `terms` maps a key to a nonzero RatQ.
+
+    Subclasses rebuild a sum in their own context (an algebra, a rank, or
+    none) through `_like(terms)`, whose terms are already pruned, and name
+    in `_compared` the context attributes that equality checks besides the
+    terms."""
 
     __slots__ = ("terms",)
+    _compared: tuple[str, ...] = ()
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def __eq__(self, other):
+        return (
+            type(other) is type(self)
+            and all(getattr(self, a) == getattr(other, a) for a in self._compared)
+            and self.terms == other.terms
+        )
+
+    def __hash__(self):
+        return hash(frozenset(self.terms.items()))
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        for k, c in other.terms.items():
+            _acc(out, k, c)
+        return self._like(out)
+
+    def __sub__(self, other):
+        out = dict(self.terms)
+        for k, c in other.terms.items():
+            _acc(out, k, -c)
+        return self._like(out)
+
+    def __neg__(self):
+        return self._like({k: -c for k, c in self.terms.items()})
+
+    def scale(self, c):
+        c = c if isinstance(c, RatQ) else RatQ(c)
+        return self._like({k: c * x for k, x in self.terms.items()} if c else {})
+
+    def __rmul__(self, c):
+        if isinstance(c, (RatQ, int)):
+            return self.scale(c)
+        return NotImplemented
+
+
+class FreeElement(_Sum):
+    """Sparse noncommutative polynomial; terms: dict word -> RatQ."""
+
+    __slots__ = ()
 
     def __init__(self, terms=None):
         self.terms: dict[Word, RatQ] = {}
@@ -135,6 +187,11 @@ class FreeElement:
                 if c:
                     self.terms[tuple(w)] = c
 
+    def _like(self, terms: dict) -> "FreeElement":
+        e = FreeElement()
+        e.terms = terms
+        return e
+
     @staticmethod
     def monomial(word: Word, coeff: RatQ = ONE) -> "FreeElement":
         e = FreeElement()
@@ -142,46 +199,12 @@ class FreeElement:
             e.terms[tuple(word)] = coeff
         return e
 
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        return isinstance(other, FreeElement) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            _acc(out, w, c)
-        e = FreeElement()
-        e.terms = out
-        return e
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        e = FreeElement()
-        e.terms = {w: -c for w, c in self.terms.items()}
-        return e
-
-    def scale(self, c: RatQ) -> "FreeElement":
-        if not c:
-            return FreeElement()
-        e = FreeElement()
-        e.terms = {w: c * x for w, x in self.terms.items()}
-        return e
-
     def __mul__(self, other):
         out: dict[Word, RatQ] = {}
         for w1, c1 in self.terms.items():
             for w2, c2 in other.terms.items():
                 _acc(out, w1 + w2, c1 * c2)
-        e = FreeElement()
-        e.terms = out
-        return e
+        return self._like(out)
 
     def lead(self, order: DegLex) -> Word:
         return max(self.terms, key=order.key)
@@ -263,9 +286,7 @@ class TruncatedGB:
             pre, post = word[:p], word[p + len(rule.lead) :]
             for tw, tc in rule.tail.terms.items():
                 work.append((pre + tw + post, coeff * tc))
-        e = FreeElement()
-        e.terms = out
-        return e
+        return elem._like(out)
 
     # -- completion ----------------------------------------------------------
 
@@ -288,8 +309,7 @@ class TruncatedGB:
             return
         lead = elem.lead(self.order)
         lc = elem.terms[lead]
-        tail = FreeElement()
-        tail.terms = {w: -(c / lc) for w, c in elem.terms.items() if w != lead}
+        tail = elem._like({w: -(c / lc) for w, c in elem.terms.items() if w != lead})
         rid = self._next_id
         self._next_id += 1
         self.rules[rid] = RewriteRule(lead, tail)

@@ -23,18 +23,19 @@ matrix until the span stabilizes.
 
 from __future__ import annotations
 
-from qflag.freealg import Span, _acc, _signed_sum, _term
+from qflag.freealg import Span, _acc, _signed_sum, _Sum, _term
 from qflag.scalars import NU, ONE, RatQ, ZERO, qpow
 from qflag.uqsl import UqElement
 
 OqWord = tuple  # tuple[(row, col), ...]
 
 
-class OqElement:
+class OqElement(_Sum):
     """Sparse combination of free u-words; words may have mixed lengths,
     but the functional-equality oracle works per length."""
 
-    __slots__ = ("n", "terms")
+    __slots__ = ("n",)
+    _compared = ("n",)
 
     def __init__(self, n: int, terms=None):
         self.n = n
@@ -43,6 +44,11 @@ class OqElement:
             for w, c in dict(terms).items():
                 if c:
                     self.terms[tuple(tuple(p) for p in w)] = c
+
+    def _like(self, terms: dict) -> "OqElement":
+        e = OqElement(self.n)
+        e.terms = terms
+        return e
 
     @staticmethod
     def unit(n: int) -> "OqElement":
@@ -54,37 +60,6 @@ class OqElement:
             raise ValueError(f"matrix indices must lie in 1..{n + 1}")
         return OqElement(n, {((a, b),): ONE})
 
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, OqElement)
-            and self.n == other.n
-            and self.terms == other.terms
-        )
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            _acc(out, w, c)
-        e = OqElement(self.n)
-        e.terms = out
-        return e
-
-    def __sub__(self, other):
-        return self + other.scale(-ONE)
-
-    def __neg__(self):
-        return self.scale(-ONE)
-
-    def scale(self, c) -> "OqElement":
-        c = c if isinstance(c, RatQ) else RatQ(c)
-        e = OqElement(self.n)
-        if c:
-            e.terms = {w: c * x for w, x in self.terms.items()}
-        return e
-
     def __mul__(self, other):
         if isinstance(other, (RatQ, int)):
             return self.scale(other)
@@ -92,14 +67,7 @@ class OqElement:
         for w1, c1 in self.terms.items():
             for w2, c2 in other.terms.items():
                 _acc(out, w1 + w2, c1 * c2)
-        e = OqElement(self.n)
-        e.terms = out
-        return e
-
-    def __rmul__(self, other):
-        if isinstance(other, (RatQ, int)):
-            return self.scale(other)
-        return NotImplemented
+        return self._like(out)
 
     def lengths(self) -> set[int]:
         return {len(w) for w in self.terms}
@@ -206,9 +174,7 @@ def left_act(x: UqElement, e: OqElement) -> OqElement:
         for m, c in x.terms.items():
             for newcols, cc in _apply_mono(n, m, {cols: ONE}).items():
                 _acc(out, tuple(zip(rows, newcols)), wc * c * cc)
-    res = OqElement(n)
-    res.terms = out
-    return res
+    return e._like(out)
 
 
 # -- functional equality -----------------------------------------------------
@@ -219,7 +185,7 @@ _span_cache: dict[tuple[int, int], list[dict]] = {}
 def rep_span(n: int, k: int) -> list[dict]:
     """Basis (echelon, as sparse (rows, cols) -> coeff dicts) of the span of
     rho_k images of the enveloping algebra, closed degree by degree until
-    two consecutive rounds add no rank."""
+    a round adds no rank."""
     hit = _span_cache.get((n, k))
     if hit is not None:
         return hit
@@ -244,25 +210,17 @@ def rep_span(n: int, k: int) -> list[dict]:
 
     ident = {(b, b): ONE for b in _all_indices(n, k)}
     span = Span()
-    span.add(dict(ident))
-    basis = [ident]
+    span.add(ident)
     frontier = [ident]
-    stale_rounds = 0
-    while stale_rounds < 2:
+    while frontier:
         new_frontier = []
-        grew = False
         for mat in frontier:
             for tok in tokens:
                 cand = apply_to_matrix(tok, mat)
-                if cand and span.add(dict(cand)):
-                    basis.append(cand)
+                if cand and span.add(cand):
                     new_frontier.append(cand)
-                    grew = True
         frontier = new_frontier
-        stale_rounds = 0 if grew else stale_rounds + 1
-        if not frontier:
-            stale_rounds = 2
-    out = [dict(sp) for sp in (span.pivots[p] for p in sorted(span.pivots))]
+    out = [span.pivots[p] for p in sorted(span.pivots)]
     _span_cache[(n, k)] = out
     return out
 
@@ -276,24 +234,26 @@ def _all_indices(n: int, k: int):
     return out
 
 
+def _contractions(e: OqElement, mats):
+    """Sum of c * mat[(rows, cols)] over the u-words of e, for each span
+    matrix in turn (lazily)."""
+    keyed = [((tuple(a for a, _ in w), tuple(b for _, b in w)), c) for w, c in e.terms.items()]
+    for mat in mats:
+        s = ZERO
+        for key, c in keyed:
+            m = mat.get(key)
+            if m:
+                s = s + c * m
+        yield s
+
+
 def functional_is_zero(e: OqElement, k: int) -> bool:
     """True iff e (length-k homogeneous) kills every rho_k image."""
     if not e:
         return True
     if e.homogeneous_length() != k:
         raise ValueError("length mismatch")
-    coeffs = {
-        (tuple(a for a, _ in w), tuple(b for _, b in w)): c for w, c in e.terms.items()
-    }
-    for mat in rep_span(e.n, k):
-        s = ZERO
-        for key, c in coeffs.items():
-            m = mat.get(key)
-            if m:
-                s = s + c * m
-        if s:
-            return False
-    return True
+    return not any(_contractions(e, rep_span(e.n, k)))
 
 
 def oq_equal(e1: OqElement, e2: OqElement, k: int) -> bool:

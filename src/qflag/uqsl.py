@@ -29,7 +29,7 @@ simple E's, rescaled so the deg-lex-leading monomial has coefficient one.
 from __future__ import annotations
 
 from qflag import weyl
-from qflag.freealg import Alphabet, DegLex, FreeElement, _acc, _signed_sum, _term, complete_truncated
+from qflag.freealg import Alphabet, DegLex, FreeElement, _acc, _signed_sum, _Sum, _term, complete_truncated
 from qflag.scalars import NU, ONE, RatQ, TWO_Q, ZERO, qpow
 
 Mono = tuple  # (fword, kvec, eword)
@@ -227,43 +227,20 @@ class UqAlgebra:
         raise ValueError(kind)
 
 
-class UqElement:
+class UqElement(_Sum):
     """Sparse linear combination of normal monomials (F-word, K-vec, E-word)."""
 
-    __slots__ = ("algebra", "terms")
+    __slots__ = ("algebra",)
+    _compared = ("algebra",)  # by identity: UqAlgebra has no __eq__
 
     def __init__(self, algebra: UqAlgebra, terms: dict):
         self.algebra = algebra
         self.terms = {m: c for m, c in terms.items() if c}
 
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, UqElement)
-            and self.algebra is other.algebra
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            _acc(out, m, c)
-        return UqElement(self.algebra, out)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return UqElement(self.algebra, {m: -c for m, c in self.terms.items()})
-
-    def scale(self, c) -> "UqElement":
-        c = c if isinstance(c, RatQ) else RatQ(c)
-        return UqElement(self.algebra, {m: c * x for m, x in self.terms.items()})
+    def _like(self, terms: dict) -> "UqElement":
+        e = UqElement(self.algebra, {})
+        e.terms = terms
+        return e
 
     def __mul__(self, other):
         if isinstance(other, (RatQ, int)):
@@ -273,12 +250,7 @@ class UqElement:
             for m2, c2 in other.terms.items():
                 for m, c in self.algebra.mono_mul(m1, m2).items():
                     _acc(out, m, c1 * c2 * c)
-        return UqElement(self.algebra, out)
-
-    def __rmul__(self, other):
-        if isinstance(other, (RatQ, int)):
-            return self.scale(other)
-        return NotImplemented
+        return self._like(out)
 
     # -- queries ---------------------------------------------------------------
 
@@ -346,15 +318,20 @@ def _mono_str(m: Mono, n: int) -> str:
     return " ".join(out) if out else "1"
 
 
-class TensorSquare:
+class TensorSquare(_Sum):
     """Element of Uq x Uq: sparse map (monomial, monomial) -> coefficient,
     each leg in canonical form."""
 
-    __slots__ = ("algebra", "terms")
+    __slots__ = ("algebra",)
 
     def __init__(self, algebra: UqAlgebra, terms: dict):
         self.algebra = algebra
         self.terms = {m: c for m, c in terms.items() if c}
+
+    def _like(self, terms: dict) -> "TensorSquare":
+        e = TensorSquare(self.algebra, {})
+        e.terms = terms
+        return e
 
     @staticmethod
     def from_pairs(algebra: UqAlgebra, pairs) -> "TensorSquare":
@@ -365,24 +342,6 @@ class TensorSquare:
                     _acc(out, (m1, m2), c1 * c2)
         return TensorSquare(algebra, out)
 
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        return isinstance(other, TensorSquare) and self.terms == other.terms
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            _acc(out, m, c)
-        return TensorSquare(self.algebra, out)
-
-    def __sub__(self, other):
-        return self + other.scale(-ONE)
-
-    def scale(self, c: RatQ) -> "TensorSquare":
-        return TensorSquare(self.algebra, {m: c * x for m, x in self.terms.items()})
-
     def __mul__(self, other: "TensorSquare") -> "TensorSquare":
         alg = self.algebra
         out: dict = {}
@@ -392,7 +351,7 @@ class TensorSquare:
                 for ma, ca in alg.mono_mul(a1, a2).items():
                     for mb, cb in alg.mono_mul(b1, b2).items():
                         _acc(out, (ma, mb), c12 * ca * cb)
-        return TensorSquare(alg, out)
+        return self._like(out)
 
     def apply_counit(self, leg: int) -> UqElement:
         alg = self.algebra

@@ -39,8 +39,8 @@ def rank_cap() -> int:
     return int(os.environ.get("QFLAG_RANK_CAP", DEFAULT_RANK_CAP))
 
 
-def check_rank(n: int, cap: int | None = None):
-    cap = rank_cap() if cap is None else cap
+def check_rank(n: int):
+    cap = rank_cap()
     if not 1 <= n <= cap:
         raise ValueError(f"rank must satisfy 1 <= n <= {cap} (got {n})")
 
@@ -171,6 +171,9 @@ def reduced_words(n: int):
     return out
 
 
+_MAX_REDUCED_WORDS = 10**6  # rank 5 has 292,864 reduced words, rank 6 1,100,742,656
+
+
 def _commutation_neighbors(w):
     for p in range(len(w) - 1):
         if abs(w[p] - w[p + 1]) >= 2:
@@ -215,13 +218,15 @@ class ClassGraph:
         return sorted(out)
 
 
-def commutation_classes(n: int, cap: int | None = None) -> ClassGraph:
+def commutation_classes(n: int) -> ClassGraph:
+    """Every reduced word is listed, so ranks with more than
+    _MAX_REDUCED_WORDS of them (rank 6 and up) are refused."""
     check_rank(n)
-    cap = rank_cap() if cap is None else cap
-    if n > cap:
+    count = reduced_word_count(n)
+    if count > _MAX_REDUCED_WORDS:
         raise ValueError(
-            f"rank {n} above the class-enumeration cap {cap}: "
-            f"{reduced_word_count(n)} reduced words would be required"
+            f"class enumeration at rank {n} would list {count} reduced words "
+            f"(at most {_MAX_REDUCED_WORDS})"
         )
     words = reduced_words(n)
     class_of: dict[tuple[int, ...], int] = {}

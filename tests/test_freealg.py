@@ -18,7 +18,7 @@ from qflag.freealg import (
 )
 from qflag.oq import OqElement
 from qflag.scalars import NU, ONE, Q, QINV, TWO_Q, ZERO, qpow
-from qflag.uqsl import TensorSquare, UqAlgebra
+from qflag.uqsl import TensorSquare, UqAlgebra, UqElement, coproduct
 
 
 def _simple_alphabet(m, dim=None):
@@ -244,3 +244,52 @@ def test_render_rules():
         "(1/(q + 1))*K2^-1 (x) E1  +  (q + 1)*1 (x) 1  +  E1 (x) K1"
         "  +  (q^-1)*E2 (x) F1  +  -F1 (x) E2"
     )
+
+
+def _free_pair():
+    return (
+        FreeElement({(0, 1): ONE, (1,): Q, (): TWO_Q}),
+        FreeElement({(0, 1): -ONE, (2, 0): QINV}),
+    )
+
+
+def _uq_pair():
+    A = UqAlgebra(2)
+    return A.E(1) + A.F(2).scale(Q), A.E(1) * A.K(1) - A.E(1)
+
+
+def _tensor_pair():
+    A = UqAlgebra(2)
+    return coproduct(A.E(1) * A.E(2)), coproduct(A.E(1)).scale(NU) - coproduct(A.F(2))
+
+
+def _oq_pair():
+    u = lambda a, b: OqElement.u(2, a, b)
+    return u(1, 2) + u(2, 1) * u(3, 3), u(1, 2).scale(-Q) + OqElement.unit(2)
+
+
+@pytest.mark.parametrize("pair", [_free_pair, _uq_pair, _tensor_pair, _oq_pair])
+def test_sum_arithmetic(pair):
+    """The linear structure shared by all four sparse-sum types."""
+    a, b = pair()
+    assert a and b and a != b
+    assert a + b - b == a
+    assert -(-a) == a
+    assert not (a - a)
+    assert not a.scale(0)
+    assert 2 * a == a + a == a.scale(2)
+    assert ONE * a == a
+    assert hash(a + b - b) == hash(a)
+    assert len({a, a + b - b, b}) == 2
+
+
+def test_sum_equality_compares_context():
+    """UqElement compares its algebra by identity and OqElement its rank;
+    sums of different types never compare equal, whatever their terms."""
+    A, B = UqAlgebra(2), UqAlgebra(2)
+    assert A.E(1) == A.E(1) and A.E(1) != B.E(1)
+    assert OqElement.u(1, 1, 1) != OqElement.u(2, 1, 1)
+    f = FreeElement.monomial(())  # the same terms as each sum it is compared with
+    assert f.terms == OqElement.unit(1).terms == UqElement(A, {(): ONE}).terms
+    assert f != UqElement(A, {(): ONE}) and UqElement(A, {(): ONE}) != f
+    assert f != OqElement.unit(1) and OqElement.unit(1) != f

@@ -203,6 +203,14 @@ def test_cli_dbar_kernel_accepts_the_word_cap(capsys, monkeypatch):
     assert capsys.readouterr().out == "dimension: 0\n"
 
 
+def test_cli_classes_refuses_rank_6(capsys):
+    # rank 6 passes the default rank cap; its reduced words are refused by count
+    assert run(["classes", "--rank", "6"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "would list 1100742656 reduced words (at most 1000000)" in captured.err
+
+
 def test_cli_rank_cap_env(capsys, monkeypatch):
     monkeypatch.setenv("QFLAG_RANK_CAP", "2")
     code = run(["roots", "--rank", "3", "--word", "nice"])
