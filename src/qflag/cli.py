@@ -1,5 +1,9 @@
 """Command-line surface: parse words and expressions, run the calculus
-pipeline, and emit deterministic text, JSON, or DOT reports.
+pipeline, and print deterministic text, JSON, or DOT reports.
+
+Each `cmd_*` returns its report: the JSON object and the text lines, plus
+an exit code for the `--expect` commands.  `run` alone picks the format
+and writes stdout, so a command that fails writes nothing there.
 
 Exit codes: 0 success; 2 argument/parse/validation errors; 1 when an
 --expect assertion is supplied and the computed verdict violates it, or
@@ -23,14 +27,6 @@ USAGE_ERROR, EXPECT_ERROR = 2, 1
 _DBAR_MAX_WORDS = 4096  # dbar-kernel builds all (n+1)^(2*degree) u-words up front
 
 
-def _emit(text: str):
-    sys.stdout.write(text if text.endswith("\n") else text + "\n")
-
-
-def _emit_json(obj):
-    _emit(json.dumps(obj, sort_keys=True, separators=(", ", ": ")))
-
-
 def _params(args) -> dict[str, RatQ]:
     out = {}
     for item in getattr(args, "set", None) or []:
@@ -41,7 +37,8 @@ def _params(args) -> dict[str, RatQ]:
     return out
 
 
-def _tangent(args, alg):
+def _tangent(args):
+    alg = UqAlgebra(args.rank)
     if getattr(args, "tangent", None):
         return calculus.tangent_from_exprs(
             alg, parse_tangent_exprs(args.tangent, alg, _params(args))
@@ -87,71 +84,46 @@ def cmd_roots(args):
         {"k": k + 1, "root": str(b), "weight": list(b.weight(args.rank)), "vector": v.render()}
         for k, (b, v) in enumerate(zip(betas, vecs))
     ]
-    if args.format == "json":
-        _emit_json({"word": weyl.word_str(word), "roots": rows})
-    else:
-        for r in rows:
-            _emit(f"beta_{r['k']} = {r['root']}  {r['vector']}")
-    return 0
+    lines = [f"beta_{r['k']} = {r['root']}  {r['vector']}" for r in rows]
+    return {"word": weyl.word_str(word), "roots": rows}, lines
 
 
 def cmd_coproduct(args):
-    alg = UqAlgebra(args.rank)
-    x = parse_uq(args.expr, alg, _params(args))
-    d = coproduct(x)
-    if args.format == "json":
-        _emit_json({"expr": x.render(), "coproduct": d.render()})
-    else:
-        _emit(d.render())
-    return 0
+    x = parse_uq(args.expr, UqAlgebra(args.rank), _params(args))
+    d = coproduct(x).render()
+    return {"expr": x.render(), "coproduct": d}, [d]
 
 
 def cmd_pair(args):
-    alg = UqAlgebra(args.rank)
-    x = parse_uq(args.expr, alg, _params(args))
+    x = parse_uq(args.expr, UqAlgebra(args.rank), _params(args))
     e = parse_oq(args.with_word, args.rank, _params(args))
-    val = oq.pair(x, e)
-    if args.format == "json":
-        _emit_json({"value": str(val)})
-    else:
-        _emit(str(val))
-    return 0
+    val = str(oq.pair(x, e))
+    return {"value": val}, [val]
 
 
 def cmd_coideal(args):
-    alg = UqAlgebra(args.rank)
-    t = _tangent(args, alg)
-    rep = calculus.coideal_check(t)
-    if args.format == "json":
-        _emit_json(rep.as_json_dict())
-    else:
-        _emit(f"verdict: {rep.verdict.replace('_only', '')}")
-        for side, w in sorted(rep.witnesses.items()):
-            _emit(f"  {side} fails at {w.basis_label}: component {w.group_monomial}, residue {w.residue}")
-    if args.expect and args.expect.replace("-", "_") not in (rep.verdict, rep.verdict.replace("_only", "")):
-        return EXPECT_ERROR
-    return 0
+    rep = calculus.coideal_check(_tangent(args))
+    verdicts = (rep.verdict, rep.verdict.replace("_only", ""))
+    lines = [f"verdict: {verdicts[1]}"] + [
+        f"  {side} fails at {w.basis_label}: component {w.group_monomial}, residue {w.residue}"
+        for side, w in sorted(rep.witnesses.items())
+    ]
+    failed = args.expect and args.expect.replace("-", "_") not in verdicts
+    return rep.as_json_dict(), lines, EXPECT_ERROR if failed else 0
 
 
 def cmd_relations(args):
-    alg = UqAlgebra(args.rank)
-    t = _tangent(args, alg)
-    rel = calculus.quadratic_relations(t)
+    rel = calculus.quadratic_relations(_tangent(args))
     rendered = _rendered_by_weight(rel)
-    if args.format == "json":
-        _emit_json({"relations": rendered, "total": rel.total_dim()})
-    else:
-        for wt, rels in rendered.items():
-            _emit(f"weight {wt}:")
-            for r in rels:
-                _emit(f"  {r}")
-        _emit(f"total: {rel.total_dim()}")
-    return 0
+    lines = []
+    for wt, rels in rendered.items():
+        lines += [f"weight {wt}:"] + [f"  {r}" for r in rels]
+    total = rel.total_dim()
+    return {"relations": rendered, "total": total}, lines + [f"total: {total}"]
 
 
 def cmd_exterior(args):
-    alg = UqAlgebra(args.rank)
-    t = _tangent(args, alg)
+    t = _tangent(args)
     if args.reverse_order:
         rel = calculus.quadratic_relations(t)
         kmax = args.kmax if args.kmax is not None else t.dim + 1
@@ -159,78 +131,46 @@ def cmd_exterior(args):
         table.classical = calculus.classical_verdict(table.dims, t.dim)
     else:
         table = calculus.exterior_dims(t, kmax=args.kmax)
-    if args.format == "json":
-        _emit_json(table.as_json_dict())
-    else:
-        flag = {True: "yes", False: "no", None: "undetermined"}[table.classical]
-        _emit("dims: " + " ".join(str(d) for d in table.dims) + f"  classical: {flag}")
-    if args.expect:
-        want = args.expect == "classical"
-        if table.classical is not want:
-            return EXPECT_ERROR
-    return 0
+    flag = {True: "yes", False: "no", None: "undetermined"}[table.classical]
+    line = "dims: " + " ".join(str(d) for d in table.dims) + f"  classical: {flag}"
+    failed = args.expect and table.classical is not (args.expect == "classical")
+    return table.as_json_dict(), [line], EXPECT_ERROR if failed else 0
 
 
 def cmd_gr(args):
-    alg = UqAlgebra(args.rank)
-    t = _tangent(args, alg)
-    rel = calculus.gr_leading_relations(t)
-    rendered = _rendered_by_weight(rel)
-    if args.format == "json":
-        _emit_json({"relations": rendered})
-    else:
-        for wt, rels in rendered.items():
-            for r in rels:
-                _emit(f"{wt}:  {r}")
-    return 0
+    rendered = _rendered_by_weight(calculus.gr_leading_relations(_tangent(args)))
+    lines = [f"{wt}:  {r}" for wt, rels in rendered.items() for r in rels]
+    return {"relations": rendered}, lines
 
 
 def cmd_frobenius(args):
-    alg = UqAlgebra(args.rank)
-    t = _tangent(args, alg)
-    rep = calculus.frobenius_report(t)
-    if args.format == "json":
-        _emit_json(rep.as_json_dict())
-    else:
-        _emit(f"top degree: {rep.top_degree}  top dimension: {rep.top_dimension}")
-        nd = all(rep.pairing_nondegenerate.values()) if rep.pairing_nondegenerate else False
-        _emit(f"pairing nondegenerate in all complementary degrees: {'yes' if nd else 'no'}")
-        signs = sorted(set(rep.nakayama_sign.values()))
-        _emit(f"nakayama_sign: {signs[0] if len(signs) == 1 else dict(sorted(rep.nakayama_sign.items()))}")
-        if rep.note:
-            _emit(f"note: {rep.note}")
-    return 0
+    rep = calculus.frobenius_report(_tangent(args))
+    nd = all(rep.pairing_nondegenerate.values()) if rep.pairing_nondegenerate else False
+    signs = sorted(set(rep.nakayama_sign.values()))
+    sign = signs[0] if len(signs) == 1 else dict(sorted(rep.nakayama_sign.items()))
+    lines = [
+        f"top degree: {rep.top_degree}  top dimension: {rep.top_dimension}",
+        f"pairing nondegenerate in all complementary degrees: {'yes' if nd else 'no'}",
+        f"nakayama_sign: {sign}",
+    ]
+    if rep.note:
+        lines.append(f"note: {rep.note}")
+    return rep.as_json_dict(), lines
 
 
 def cmd_lines(args):
-    alg = UqAlgebra(args.rank)
-    t = _tangent(args, alg)
-    weights = calculus.line_decomposition(t, args.k)
-    if args.format == "json":
-        _emit_json({"k": args.k, "weights": [list(w) for w in weights]})
-    else:
-        _emit(" ".join(_weight_str(w) for w in weights))
-    return 0
+    weights = calculus.line_decomposition(_tangent(args), args.k)
+    line = " ".join(_weight_str(w) for w in weights)
+    return {"k": args.k, "weights": [list(w) for w in weights]}, [line]
 
 
 def cmd_grassmann(args):
-    alg = UqAlgebra(args.rank)
-    t = calculus.tangent_from_word(alg, weyl.nice_word(args.rank))
+    t = calculus.tangent_from_word(UqAlgebra(args.rank), weyl.nice_word(args.rank))
     sub, closed = calculus.grassmann_restriction(t, args.r)
-    if args.format == "json":
-        _emit_json(
-            {
-                "r": args.r,
-                "basis": [x.render() for x in sub.basis],
-                "size": sub.dim,
-                "ad_closed": closed,
-            }
-        )
-    else:
-        _emit(f"size: {sub.dim}  ad-closed: {'yes' if closed else 'no'}")
-        for lab, x in zip(sub.labels, sub.basis):
-            _emit(f"  {lab}: {x.render()}")
-    return 0
+    basis = [x.render() for x in sub.basis]
+    lines = [f"size: {sub.dim}  ad-closed: {'yes' if closed else 'no'}"]
+    lines += [f"  {lab}: {x}" for lab, x in zip(sub.labels, basis)]
+    return {"r": args.r, "basis": basis, "size": sub.dim, "ad_closed": closed}, lines
 
 
 def cmd_dbar_kernel(args):
@@ -239,41 +179,30 @@ def cmd_dbar_kernel(args):
     count = (n + 1) ** (2 * args.degree)
     if count > _DBAR_MAX_WORDS:
         raise ValueError(f"dbar-kernel would span {count} u-words (at most {_DBAR_MAX_WORDS})")
-    t = _tangent(args, UqAlgebra(n))
+    t = _tangent(args)
     words = [()]
     for _ in range(args.degree):
         words = [w + ((a, b),) for w in words for a in range(1, n + 2) for b in range(1, n + 2)]
     dim, basis = calculus.dbar_kernel(words, t)
-    if args.format == "json":
-        _emit_json({"degree": args.degree, "dimension": dim, "basis": [b.render() for b in basis]})
-    else:
-        _emit(f"dimension: {dim}")
-        for b in basis:
-            _emit(f"  {b.render()}")
-    return 0
+    basis = [b.render() for b in basis]
+    lines = [f"dimension: {dim}"] + [f"  {b}" for b in basis]
+    return {"degree": args.degree, "dimension": dim, "basis": basis}, lines
 
 
 def cmd_classes(args):
     g = weyl.commutation_classes(args.rank)
+    classes = [{"word": weyl.word_str(rep), "size": size} for rep, size in zip(g.reps, g.sizes)]
     if args.format == "dot":
-        _emit(weyl.class_graph_dot(g, involution=args.involution))
-    elif args.format == "json":
-        _emit_json(
-            {
-                "classes": [
-                    {"word": weyl.word_str(rep), "size": size}
-                    for rep, size in zip(g.reps, g.sizes)
-                ],
-                "edges": [list(e) for e in g.edges],
-                "involution": weyl.involution_on_classes(g) if args.involution else None,
-            }
-        )
+        lines = weyl.class_graph_dot(g, involution=args.involution).splitlines()
     else:
-        _emit(f"classes: {g.num_classes}")
-        for c, (rep, size) in enumerate(zip(g.reps, g.sizes)):
-            _emit(f"  C{c}: {weyl.word_str(rep)} ({size} words)")
-        _emit("edges: " + " ".join(f"C{a}-C{b}" for a, b in g.edges))
-    return 0
+        lines = [f"classes: {g.num_classes}"]
+        lines += [f"  C{c}: {d['word']} ({d['size']} words)" for c, d in enumerate(classes)]
+        lines.append("edges: " + " ".join(f"C{a}-C{b}" for a, b in g.edges))
+    return {
+        "classes": classes,
+        "edges": [list(e) for e in g.edges],
+        "involution": weyl.involution_on_classes(g) if args.involution else None,
+    }, lines
 
 
 def cmd_survey(args):
@@ -281,23 +210,20 @@ def cmd_survey(args):
     rows, total = calculus.survey_rows(
         alg, early_stop=not args.full_dims, max_classes=args.max_classes
     )
-    if args.format == "json":
-        out = {"rows": [r.as_json_dict() for r in rows], "total_classes": total}
-        if len(rows) < total:
-            out["truncated"] = True
-        _emit_json(out)
-    else:
-        for r in rows:
-            dims = " ".join(str(d) for d in r.dims) if r.dims is not None else "-"
-            flag = {True: "yes", False: "no", None: "-"}[r.classical]
-            trunc = " (truncated)" if r.truncated_at is not None else ""
-            _emit(
-                f"{weyl.word_str(r.representative)}  verdict: {r.verdict.replace('_only', '')}"
-                f"  dims: {dims}{trunc}  classical: {flag}"
-            )
-        if len(rows) < total:
-            _emit(f"... truncated after {len(rows)} of {total} classes")
-    return 0
+    out = {"rows": [r.as_json_dict() for r in rows], "total_classes": total}
+    lines = []
+    for r in rows:
+        dims = " ".join(str(d) for d in r.dims) if r.dims is not None else "-"
+        flag = {True: "yes", False: "no", None: "-"}[r.classical]
+        trunc = " (truncated)" if r.truncated_at is not None else ""
+        lines.append(
+            f"{weyl.word_str(r.representative)}  verdict: {r.verdict.replace('_only', '')}"
+            f"  dims: {dims}{trunc}  classical: {flag}"
+        )
+    if len(rows) < total:
+        out["truncated"] = True
+        lines.append(f"... truncated after {len(rows)} of {total} classes")
+    return out, lines
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -307,11 +233,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, **kw):
+    def add(name, fn, formats=("text", "json"), **kw):
         sp = sub.add_parser(name, **kw)
         sp.set_defaults(fn=fn)
         sp.add_argument("--rank", type=int, required=True, help="rank n (Weyl group S_{n+1})")
-        sp.add_argument("--format", choices=("text", "json", "dot"), default="text")
+        sp.add_argument("--format", choices=formats, default="text")
         return sp
 
     sp = add("roots", cmd_roots, help="beta sequence and root vectors of a reduced word")
@@ -360,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--word", default="nice")
     sp.add_argument("--degree", type=_non_negative, default=1)
 
-    sp = add("classes", cmd_classes, help="commutation-class graph")
+    sp = add("classes", cmd_classes, ("text", "json", "dot"), help="commutation-class graph")
     sp.add_argument("--involution", action="store_true")
 
     sp = add("survey", cmd_survey, help="classify every commutation class")
@@ -377,10 +303,14 @@ def run(argv) -> int:
     except SystemExit as e:
         return USAGE_ERROR if e.code not in (0, None) else 0
     try:
-        return args.fn(args)
+        obj, lines, *code = args.fn(args)
     except (ParseError, ValueError, KeyError) as e:
         sys.stderr.write(f"error: {e}\n")
         return USAGE_ERROR
+    if args.format == "json":
+        lines = [json.dumps(obj, sort_keys=True, separators=(", ", ": "))]
+    sys.stdout.write("".join(line + "\n" for line in lines))
+    return code[0] if code else 0
 
 
 def main():

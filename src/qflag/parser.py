@@ -79,16 +79,39 @@ class _Stream:
         return self.i >= len(self.toks)
 
 
+def _parse_all(text: str, what: str, parse):
+    """parse(stream) over the whole text; trailing input is an error."""
+    s = _Stream(tokenize(text))
+    out = parse(s)
+    if not s.done():
+        raise ParseError(f"trailing input after {what}: {s.peek()[1]!r}")
+    return out
+
+
+def _sum(term, s: _Stream, *args):
+    """term (('+' | '-') term)*, folded from the left."""
+    out = term(s, *args)
+    while s.at_sym("+", "-"):
+        op = s.next()[1]
+        rhs = term(s, *args)
+        out = out + rhs if op == "+" else out - rhs
+    return out
+
+
+def _negated(s: _Stream) -> bool:
+    """Consume leading minus signs; True when there is an odd number."""
+    neg = False
+    while s.at_sym("-"):
+        s.next()
+        neg = not neg
+    return neg
+
+
 # -- scalar expressions -------------------------------------------------------
 
 
 def _scalar_expr(s: _Stream, params) -> RatQ:
-    out = _scalar_term(s, params)
-    while s.at_sym("+", "-"):
-        op = s.next()[1]
-        rhs = _scalar_term(s, params)
-        out = out + rhs if op == "+" else out - rhs
-    return out
+    return _sum(_scalar_term, s, params)
 
 
 def _scalar_term(s: _Stream, params) -> RatQ:
@@ -101,25 +124,20 @@ def _scalar_term(s: _Stream, params) -> RatQ:
 
 
 def _signed_int(s: _Stream) -> int:
-    sign = 1
-    while s.at_sym("-"):
-        s.next()
-        sign = -sign
+    neg = _negated(s)
     k, v = s.next()
     if k != "int":
         raise ParseError(f"expected integer exponent, got {v!r}")
-    return sign * v
+    return -v if neg else v
 
 
 def _scalar_factor(s: _Stream, params) -> RatQ:
-    if s.at_sym("-"):
-        s.next()
-        return -_scalar_factor(s, params)
+    neg = _negated(s)
     out = _scalar_atom(s, params)
     if s.at_sym("^"):
         s.next()
         out = out ** _signed_int(s)
-    return out
+    return -out if neg else out
 
 
 def _scalar_atom(s: _Stream, params) -> RatQ:
@@ -142,30 +160,18 @@ def _scalar_atom(s: _Stream, params) -> RatQ:
 
 
 def parse_scalar(text: str, params: dict[str, RatQ] | None = None) -> RatQ:
-    s = _Stream(tokenize(text))
-    out = _scalar_expr(s, params or {})
-    if not s.done():
-        raise ParseError(f"trailing input after scalar: {s.peek()[1]!r}")
-    return out
+    return _parse_all(text, "scalar", lambda s: _scalar_expr(s, params or {}))
 
 
 # -- Uq expressions -----------------------------------------------------------
 
 
 def _uq_expr(s: _Stream, alg: UqAlgebra, params) -> UqElement:
-    out = _uq_term(s, alg, params)
-    while s.at_sym("+", "-"):
-        op = s.next()[1]
-        rhs = _uq_term(s, alg, params)
-        out = out + rhs if op == "+" else out - rhs
-    return out
+    return _sum(_uq_term, s, alg, params)
 
 
 def _uq_term(s: _Stream, alg: UqAlgebra, params) -> UqElement:
-    neg = False
-    while s.at_sym("-"):
-        s.next()
-        neg = not neg
+    neg = _negated(s)
     out = alg.one()
     saw = False
     while True:
@@ -237,11 +243,7 @@ def _uq_primary(s: _Stream, alg: UqAlgebra, params):
 
 
 def parse_uq(text: str, alg: UqAlgebra, params: dict[str, RatQ] | None = None) -> UqElement:
-    s = _Stream(tokenize(text))
-    out = _uq_expr(s, alg, params or {})
-    if not s.done():
-        raise ParseError(f"trailing input after expression: {s.peek()[1]!r}")
-    return out
+    return _parse_all(text, "expression", lambda s: _uq_expr(s, alg, params or {}))
 
 
 def parse_tangent_exprs(
@@ -270,45 +272,32 @@ def _u_letter(s: _Stream, n: int):
     return (a, b)
 
 
+def _oq_term(s: _Stream, n: int, params) -> OqElement:
+    neg = _negated(s)
+    coeff = ONE
+    word = []
+    saw = False
+    while True:
+        k, v = s.peek()
+        if k == "u":
+            word.append(_u_letter(s, n))
+            saw = True
+        elif k == "sym" and v == "*":
+            s.next()
+        elif k in ("int", "name") or (k == "sym" and v == "("):
+            coeff = coeff * _scalar_factor(s, params)
+            saw = True
+        else:
+            break
+    if not saw:
+        raise ParseError("empty term in word expression")
+    out = OqElement(n, {tuple(word): coeff})
+    return -out if neg else out
+
+
 def parse_oq(text: str, n: int, params: dict[str, RatQ] | None = None) -> OqElement:
     """Sums of scalar multiples of u-words, e.g. 'u[1,1]u[2,2] - q*u[1,2]u[2,1]'."""
-    s = _Stream(tokenize(text))
-    params = params or {}
-    total = OqElement(n)
-
-    def term():
-        neg = False
-        while s.at_sym("-"):
-            s.next()
-            neg = not neg
-        coeff = ONE
-        word = []
-        saw = False
-        while True:
-            k, v = s.peek()
-            if k == "u":
-                word.append(_u_letter(s, n))
-                saw = True
-            elif k == "sym" and v == "*":
-                s.next()
-            elif k in ("int", "name") or (k == "sym" and v == "("):
-                coeff = coeff * _scalar_factor(s, params)
-                saw = True
-            else:
-                break
-        if not saw:
-            raise ParseError("empty term in word expression")
-        out = OqElement(n, {tuple(word): coeff})
-        return out.scale(-ONE) if neg else out
-
-    total = total + term()
-    while s.at_sym("+", "-"):
-        op = s.next()[1]
-        t = term()
-        total = total + (t if op == "+" else t.scale(-ONE))
-    if not s.done():
-        raise ParseError(f"trailing input after word: {s.peek()[1]!r}")
-    return total
+    return _parse_all(text, "word", lambda s: _sum(_oq_term, s, n, params or {}))
 
 
 def parse_word(text: str, n: int) -> tuple[int, ...]:

@@ -71,7 +71,8 @@ class UqAlgebra:
                     )
                 elif i > j:
                     rels.append(FreeElement({(i - 1, j - 1): ONE, (j - 1, i - 1): -ONE}))
-        self._serre = complete_truncated(rels, self._order, 2 * n, self._alphabet)
+        # completed on demand: word_nf extends it to the length of each new word
+        self._serre = complete_truncated(rels, self._order, 0, self._alphabet)
         self._word_nf_cache: dict[tuple, tuple] = {}
         self._straighten_cache: dict[tuple, dict] = {}
 
@@ -112,7 +113,7 @@ class UqAlgebra:
         hit = self._word_nf_cache.get(word)
         if hit is None:
             if len(word) > self._serre.valid_degree:
-                self._serre.extend_to(len(word) + 2)
+                self._serre.extend_to(len(word))
             nf = self._serre.reduce(FreeElement.monomial(tuple(g - 1 for g in word)))
             hit = tuple((tuple(g + 1 for g in w), c) for w, c in sorted(nf.terms.items()))
             self._word_nf_cache[word] = hit
@@ -323,6 +324,7 @@ class TensorSquare(_Sum):
     each leg in canonical form."""
 
     __slots__ = ("algebra",)
+    _compared = ("algebra",)
 
     def __init__(self, algebra: UqAlgebra, terms: dict):
         self.algebra = algebra

@@ -252,8 +252,10 @@ def test_window_redex_matches_random_strategy():
     rng = random.Random(3)
     t = C.tangent_from_word(UqAlgebra(3), (2, 3, 1, 2, 1, 3))
     rel = C.quadratic_relations(t)
+    serre = UqAlgebra(3)._serre
+    serre.extend_to(6)  # the algebra completes on demand; 6 is 2n
     systems = [
-        UqAlgebra(3)._serre,
+        serre,
         complete_truncated(rel.all_relations(), rel.order.reversed(), 5, rel.alphabet),
     ]
     for gb in systems:

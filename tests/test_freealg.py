@@ -59,7 +59,9 @@ def test_normal_counts_on_serre_systems():
     """Counting, listing and a no-lead-factor oracle agree on Serre systems,
     whose leads come in one length (3, rank 2) or several (2-5, rank 3)."""
     alph, rels = _serre_sl3()
-    for gb in (complete_truncated(rels, DegLex(size=2), 8, alph), UqAlgebra(3)._serre):
+    serre = UqAlgebra(3)._serre
+    serre.extend_to(6)  # the algebra completes on demand; 6 is 2n
+    for gb in (complete_truncated(rels, DegLex(size=2), 8, alph), serre):
         kmax, leads = gb.valid_degree, {r.lead for r in gb.live_rules()}
         assert gb.normal_counts(kmax) == [len(gb.normal_words(k)) for k in range(kmax + 1)]
         for k in range(6):
@@ -284,10 +286,12 @@ def test_sum_arithmetic(pair):
 
 
 def test_sum_equality_compares_context():
-    """UqElement compares its algebra by identity and OqElement its rank;
-    sums of different types never compare equal, whatever their terms."""
+    """UqElement and TensorSquare compare their algebra by identity and
+    OqElement its rank; sums of different types never compare equal,
+    whatever their terms."""
     A, B = UqAlgebra(2), UqAlgebra(2)
     assert A.E(1) == A.E(1) and A.E(1) != B.E(1)
+    assert coproduct(A.E(1)) == coproduct(A.E(1)) and coproduct(A.E(1)) != coproduct(B.E(1))
     assert OqElement.u(1, 1, 1) != OqElement.u(2, 1, 1)
     f = FreeElement.monomial(())  # the same terms as each sum it is compared with
     assert f.terms == OqElement.unit(1).terms == UqElement(A, {(): ONE}).terms

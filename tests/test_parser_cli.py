@@ -88,10 +88,34 @@ def test_cli_parse_error_exit_code(capsys):
     assert code == 2
     code = run(["roots", "--rank", "99", "--word", "nice"])
     assert code == 2
+    # dot is a format of `classes` only
+    code, out = _out(capsys, ["roots", "--rank", "2", "--format", "dot"])
+    assert code == 2 and out == ""
 
 
-def test_cli_json_roundtrip_and_determinism(capsys):
-    argv = ["survey", "--rank", "2", "--format", "json"]
+# one cheap rank-2 request per subcommand, with the top-level keys of its JSON
+JSON_REQUESTS = {
+    "roots": (["--word", "212"], {"roots", "word"}),
+    "coproduct": (["--expr", "[E2,E1]_{q^-1}"], {"coproduct", "expr"}),
+    "pair": (["--expr", "[E2,E1]_{q^-1}", "--with-word", "u[3,1]"], {"value"}),
+    "coideal": (["--word", "121"], {"verdict", "witness"}),
+    "relations": ([], {"relations", "total"}),
+    "exterior": (["--kmax", "4"], {"classical", "dims"}),
+    "gr": ([], {"relations"}),
+    "frobenius": ([], {"nakayama_sign", "note", "pairing_nondegenerate", "top_degree",
+                       "top_dimension"}),
+    "lines": (["--k", "1"], {"k", "weights"}),
+    "grassmann": (["--r", "1"], {"ad_closed", "basis", "r", "size"}),
+    "dbar-kernel": (["--degree", "1"], {"basis", "degree", "dimension"}),
+    "classes": (["--involution"], {"classes", "edges", "involution"}),
+    "survey": ([], {"rows", "total_classes"}),
+}
+
+
+@pytest.mark.parametrize("command", sorted(JSON_REQUESTS))
+def test_cli_json_roundtrip_and_determinism(capsys, command):
+    extra, keys = JSON_REQUESTS[command]
+    argv = [command, "--rank", "2", "--format", "json", *extra]
     code, out1 = _out(capsys, argv)
     assert code == 0
     code, out2 = _out(capsys, argv)
@@ -99,7 +123,7 @@ def test_cli_json_roundtrip_and_determinism(capsys):
     parsed = json.loads(out1)
     again = json.dumps(parsed, sort_keys=True, separators=(", ", ": ")) + "\n"
     assert again == out1
-    assert parsed["rows"][0]["verdict"] == "two_sided"
+    assert set(parsed) == keys
 
 
 def test_cli_classes_dot(capsys):
@@ -148,6 +172,8 @@ def test_cli_survey_text(capsys):
     lines = out.strip().splitlines()
     assert len(lines) == 2
     assert all("two_sided" in l or "two sided" in l.replace("_", " ") for l in lines)
+    code, out = _out(capsys, ["survey", "--rank", "2", "--format", "json"])
+    assert [r["verdict"] for r in json.loads(out)["rows"]] == ["two_sided", "two_sided"]
 
 
 def test_cli_survey_truncation_marker(capsys):
@@ -209,6 +235,14 @@ def test_cli_classes_refuses_rank_6(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "would list 1100742656 reduced words (at most 1000000)" in captured.err
+
+
+def test_cli_survey_refuses_rank_6(capsys):
+    # refused by the reduced-word count before any class or Serre completion work
+    assert run(["survey", "--rank", "6"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "1100742656" in captured.err
 
 
 def test_cli_rank_cap_env(capsys, monkeypatch):
