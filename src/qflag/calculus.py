@@ -174,6 +174,8 @@ def coideal_check(t: TangentSpace) -> CoidealReport:
 
     witnesses: dict[str, CoidealWitness] = {}
     for x, label in zip(t.basis, t.labels):
+        if len(witnesses) == 2:  # later witnesses would never be reported
+            break
         delta = coproduct(x)
         right_groups: dict = {}
         left_groups: dict = {}
@@ -447,6 +449,8 @@ def line_decomposition(t: TangentSpace, k: int) -> list[tuple[int, ...]]:
     """Weights of the line modules in degree k: sums over increasing
     k-tuples of basis weights (multiset, sorted).  Requires a classical
     calculus so that wedge labels are valid."""
+    if k > t.dim:
+        raise ValueError(f"k={k} exceeds the tangent dimension {t.dim}")
     table = exterior_dims(t)
     if not table.classical:
         raise ValueError("line decomposition requires a calculus of classical dimension")

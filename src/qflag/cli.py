@@ -192,16 +192,19 @@ def cmd_dbar_kernel(args):
 def cmd_classes(args):
     g = weyl.commutation_classes(args.rank)
     classes = [{"word": weyl.word_str(rep), "size": size} for rep, size in zip(g.reps, g.sizes)]
+    involution = weyl.involution_on_classes(g) if args.involution else None
     if args.format == "dot":
         lines = weyl.class_graph_dot(g, involution=args.involution).splitlines()
     else:
         lines = [f"classes: {g.num_classes}"]
         lines += [f"  C{c}: {d['word']} ({d['size']} words)" for c, d in enumerate(classes)]
         lines.append("edges: " + " ".join(f"C{a}-C{b}" for a, b in g.edges))
+        if involution is not None:
+            lines.append("involution: " + " ".join(f"C{c}->C{d}" for c, d in enumerate(involution)))
     return {
         "classes": classes,
         "edges": [list(e) for e in g.edges],
-        "involution": weyl.involution_on_classes(g) if args.involution else None,
+        "involution": involution,
     }, lines
 
 

@@ -24,6 +24,16 @@ The braid operators T_i act by
 fixing generators with distant indices; root vectors attached to a reduced
 word of the longest element are the usual iterated braid images of the
 simple E's, rescaled so the deg-lex-leading monomial has coefficient one.
+
+The T_i satisfy the braid relations, so T_w = T_{i_1} ... T_{i_r} does not
+depend on the reduced expression of w (Matsumoto; Lusztig, Introduction to
+Quantum Groups, 39.4).  Every suffix s_{i_t} ... s_{i_{k-1}} of a reduced
+word is reduced, so the braid image of E_{i_k} along it is a function of
+the permutation and i_k alone, and since elements are canonical, equal
+images have equal terms.  A `UqAlgebra` therefore memoises these images
+per (permutation, letter) across all words, and the coproduct per element;
+both memos hold plain term dicts, never elements, which would point back
+at the algebra.
 """
 
 from __future__ import annotations
@@ -75,6 +85,10 @@ class UqAlgebra:
         self._serre = complete_truncated(rels, self._order, 0, self._alphabet)
         self._word_nf_cache: dict[tuple, tuple] = {}
         self._straighten_cache: dict[tuple, dict] = {}
+        # (one-line permutation w, letter i) -> terms of T_w(E_i)
+        self._braid_memo: dict[tuple, dict] = {}
+        # frozenset of an element's terms -> terms of its coproduct
+        self._coproduct_memo: dict[frozenset, dict] = {}
 
     # -- generators ------------------------------------------------------------
 
@@ -170,11 +184,15 @@ class UqAlgebra:
         out: dict = {}
         for (fm, km, em), c in self._straighten(e1, f2).items():
             # f1 K^{k1} fm K^{km} em K^{k2} e2
-            phase = qpow(-self._ad_sum(k1, fm) - self._ad_sum(k2, em))
+            ph = -self._ad_sum(k1, fm) - self._ad_sum(k2, em)
+            if ph:
+                c = c * qpow(ph)
             ktot = tuple(a + b + c2 for a, b, c2 in zip(k1, km, k2))
+            enf = self.word_nf(em + e2)
             for fw, cf in self.word_nf(f1 + fm).items():
-                for ew, ce in self.word_nf(em + e2).items():
-                    _acc(out, (fw, ktot, ew), c * phase * cf * ce)
+                ccf = c * cf
+                for ew, ce in enf.items():
+                    _acc(out, (fw, ktot, ew), ccf * ce)
         return out
 
     # -- structure maps -----------------------------------------------------------
@@ -249,8 +267,9 @@ class UqElement(_Sum):
         out: dict = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
+                c12 = c1 * c2
                 for m, c in self.algebra.mono_mul(m1, m2).items():
-                    _acc(out, m, c1 * c2 * c)
+                    _acc(out, m, c12 * c)
         return self._like(out)
 
     # -- queries ---------------------------------------------------------------
@@ -406,10 +425,14 @@ def uq_normal_form(algebra: UqAlgebra, gen_terms) -> UqElement:
 
 def coproduct(x: UqElement) -> TensorSquare:
     alg = x.algebra
-    out: dict = {}
-    for m, c in x.terms.items():
-        for mm, cc in alg.coproduct_mono(m).terms.items():
-            _acc(out, mm, c * cc)
+    key = frozenset(x.terms.items())
+    out = alg._coproduct_memo.get(key)
+    if out is None:
+        out = {}
+        for m, c in x.terms.items():
+            for mm, cc in alg.coproduct_mono(m).terms.items():
+                _acc(out, mm, c * cc)
+        alg._coproduct_memo[key] = out
     return TensorSquare(alg, out)
 
 
@@ -466,11 +489,21 @@ def root_vectors(algebra: UqAlgebra, word) -> list[UqElement]:
     longest element; entry k is weight-homogeneous of weight beta_k."""
     word = tuple(word)
     betas = weyl.beta_sequence(word, algebra.n)  # validates the word
+    memo = algebra._braid_memo
     out = []
-    for k in range(len(word)):
-        x = algebra.E(word[k])
+    for k, i in enumerate(word):
+        terms = algebra.E(i).terms
+        perm = list(range(1, algebra.n + 2))  # one-line form of s_{i_t} ... s_{i_{k-1}}
         for t in range(k - 1, -1, -1):
-            x = braid_T(word[t], x)
+            j = word[t]
+            a, b = perm.index(j), perm.index(j + 1)
+            perm[a], perm[b] = j + 1, j
+            key = (tuple(perm), i)
+            hit = memo.get(key)
+            if hit is None:
+                hit = memo[key] = braid_T(j, UqElement(algebra, terms)).terms
+            terms = hit
+        x = UqElement(algebra, terms)
         if not x.is_positive_part():
             raise AssertionError(
                 f"root vector {k} of {word} has F or K factors after normalization"

@@ -1,7 +1,9 @@
 """Tangent spaces, coideal verdicts, relation spaces, and the derived
 structure of the quantum exterior algebras."""
 
+import gc
 import random
+import weakref
 from itertools import product
 from math import comb
 
@@ -462,6 +464,23 @@ def test_survey_rank2():
     rows, total = C.survey_rows(UqAlgebra(2))
     assert len(rows) == total == 2
     assert all(r.verdict == "two_sided" and r.classical for r in rows)
+
+
+def test_algebra_is_freed_without_the_cycle_collector():
+    """No memo or cache on a UqAlgebra points back at it, so dropping the
+    last reference frees it at once, with the cyclic collector off."""
+    gc.disable()
+    try:
+        A = UqAlgebra(3)
+        C.survey_rows(A)
+        t = C.tangent_from_word(A, (1, 2, 1, 3, 2, 1))
+        C.coideal_check(t)
+        C.exterior_dims(t)
+        ref = weakref.ref(A)
+        del A, t
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_duality_preserved_rank3():

@@ -135,6 +135,21 @@ def test_cli_classes_dot(capsys):
     assert out.count("{") == out.count("}")
 
 
+def test_cli_classes_text_involution(capsys):
+    code, plain = _out(capsys, ["classes", "--rank", "3"])
+    assert code == 0 and "involution" not in plain
+    code, out = _out(capsys, ["classes", "--rank", "3", "--involution"])
+    assert code == 0
+    assert out == plain + "involution: C0->C7 C1->C6 C2->C2 C3->C5 C4->C4 C5->C3 C6->C1 C7->C0\n"
+
+
+def test_cli_lines_refuses_degree_above_dimension(capsys):
+    assert run(["lines", "--rank", "2", "--k", "9"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "k=9 exceeds the tangent dimension 3" in captured.err
+
+
 def test_cli_theta_tangent(capsys):
     code, out = _out(
         capsys,

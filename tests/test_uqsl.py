@@ -11,17 +11,19 @@ from qflag.scalars import NU, ONE, Q, QINV, TWO_Q, qpow
 from qflag.uqsl import (
     TensorSquare,
     UqAlgebra,
+    UqElement,
     adjoint,
     braid_T,
     build_Eji,
     coproduct,
     counit,
+    leading_eword,
     qcomm,
     root_vectors,
     uq_normal_form,
     weight,
 )
-from qflag.weyl import beta_sequence, nice_word, reduced_words
+from qflag.weyl import beta_sequence, commutation_classes, nice_word, reduced_words
 
 
 def test_mixed_relation():
@@ -242,6 +244,41 @@ def test_root_vector_sets_class_invariant():
     same_class = (3, 2, 3, 1, 2, 3)  # one commutation move away
     other = {frozenset(v.terms.items()) for v in root_vectors(A, same_class)}
     assert base == other
+
+
+def _root_vectors_per_word(algebra, word):
+    """Root-vector terms with every braid image recomputed for this word."""
+    out = []
+    for k in range(len(word)):
+        x = algebra.E(word[k])
+        for t in range(k - 1, -1, -1):
+            x = braid_T(word[t], x)
+        out.append(x.scale(leading_eword(x)[1].inverse()).terms)
+    return out
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_root_vectors_memo_matches_per_word_loop(n):
+    # one shared algebra, so later words reuse the (w, i) images of earlier ones
+    A, oracle = UqAlgebra(n), UqAlgebra(n)
+    words = list(commutation_classes(n).reps)
+    if n <= 3:
+        words += list(reduced_words(n))
+    for w in words:
+        assert [v.terms for v in root_vectors(A, w)] == _root_vectors_per_word(oracle, w), w
+    assert A._braid_memo and all(type(v) is dict for v in A._braid_memo.values())
+
+
+def test_coproduct_memo_matches_fresh_algebra():
+    A = UqAlgebra(3)
+    vecs = {frozenset(v.terms.items()): v for w in reduced_words(3) for v in root_vectors(A, w)}
+    for v in vecs.values():
+        shared = coproduct(v)
+        assert coproduct(v).terms == shared.terms  # second call is a memo hit
+        fresh = UqAlgebra(3)
+        assert shared.terms == coproduct(UqElement(fresh, v.terms)).terms
+    assert len(A._coproduct_memo) == len(vecs)
+    assert all(type(v) is dict for v in A._coproduct_memo.values())
 
 
 def test_adjoint_k_conjugation_and_unit():
