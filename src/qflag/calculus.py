@@ -12,7 +12,9 @@ on the coordinate algebra vanishing on the classifying ideal are exactly
 span(T) + C eps, so this is the exact relation space.  Those tensors are the
 kernel of the residue map c -> sum c_kl X_k X_l mod span(T), and the
 annihilator of a kernel is the row space of the map, so one RREF of the
-residue rows gives the relations.  On top of the
+residue rows gives the relations.  The products X_k X_l lie in U+, where a
+product is the Serre normal form of the concatenation, so they are formed
+on E-word coordinates (`UqAlgebra.eword_mul`).  On top of the
 relations sit the graded dimensions (diamond-lemma counting), the
 associated-graded leading relations, the Frobenius/Nakayama data, the
 line-module weights, the Grassmannian restriction with its ad-closure
@@ -245,6 +247,7 @@ def quadratic_relations(t: TangentSpace) -> RelationSpace:
     if t._relations is not None:
         return t._relations
     d = t.dim
+    coords = [x.eword_coords() for x in t.basis]
     pair_weights: dict[tuple[int, ...], list[tuple[int, int]]] = {}
     for k in range(d):
         for l in range(d):
@@ -256,10 +259,10 @@ def quadratic_relations(t: TangentSpace) -> RelationSpace:
         member = Span()
         for m in range(d):
             if t.weights[m] == mu:
-                member.add(t.basis[m].eword_coords())
+                member.add(coords[m])
         residue_rows: dict = {}  # E-word coordinate -> row of A_mu over pairs
         for k, l in pairs:
-            residue = member.reduce((t.basis[k] * t.basis[l]).eword_coords())
+            residue = member.reduce(t.algebra.eword_mul(coords[k], coords[l]))
             for w, c in residue.items():
                 residue_rows.setdefault(w, {})[k, l] = c
         rels = [FreeElement(vec) for vec in rref(list(residue_rows.values()), pairs)]

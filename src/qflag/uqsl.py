@@ -13,7 +13,11 @@ antipode S(E_i) = -E_i K_i^{-1}, S(F_i) = -K_i F_i, S(K_i) = K_i^{-1}.
 Every element is held in triangular normal form: a sparse sum of monomials
 (F-word, K-exponent vector, E-word), the E- and F-words reduced modulo a
 shared degree-truncated Serre rewriting system (extended on demand).
-Equality of elements is literal equality of this canonical form.
+Equality of elements is literal equality of this canonical form.  In the
+positive part U+ (E-words only) a product is the Serre normal form of the
+concatenation, so `UqAlgebra.eword_mul` multiplies U+ elements on their
+E-word coordinates; products involving F or K go through the triangular
+straightening.
 
 The braid operators T_i act by
 
@@ -31,12 +35,15 @@ Quantum Groups, 39.4).  Every suffix s_{i_t} ... s_{i_{k-1}} of a reduced
 word is reduced, so the braid image of E_{i_k} along it is a function of
 the permutation and i_k alone, and since elements are canonical, equal
 images have equal terms.  A `UqAlgebra` therefore memoises these images
-per (permutation, letter) across all words, and the coproduct per element;
-both memos hold plain term dicts, never elements, which would point back
-at the algebra.
+per (permutation, letter) across all words, the image of each generator
+under each T_i, and the coproduct per element; the memos hold plain term
+dicts, never elements, which would point back at the algebra.
 """
 
 from __future__ import annotations
+
+from functools import reduce
+from operator import mul
 
 from qflag import weyl
 from qflag.freealg import Alphabet, DegLex, FreeElement, _acc, _signed_sum, _Sum, _term, complete_truncated
@@ -85,6 +92,8 @@ class UqAlgebra:
         self._serre = complete_truncated(rels, self._order, 0, self._alphabet)
         self._word_nf_cache: dict[tuple, tuple] = {}
         self._straighten_cache: dict[tuple, dict] = {}
+        # (i, kind, l, exp) -> terms of T_i of one generator
+        self._braid_gen_memo: dict[tuple, dict] = {}
         # (one-line permutation w, letter i) -> terms of T_w(E_i)
         self._braid_memo: dict[tuple, dict] = {}
         # frozenset of an element's terms -> terms of its coproduct
@@ -122,8 +131,9 @@ class UqAlgebra:
 
     # -- Serre normal form on single words --------------------------------------
 
-    def word_nf(self, word: tuple) -> dict[tuple, RatQ]:
-        """Normal form of a word in the letters 1..n (shared by E and F sides)."""
+    def word_nf(self, word: tuple) -> tuple[tuple[tuple, RatQ], ...]:
+        """Normal form of a word in the letters 1..n (shared by E and F sides),
+        as the cached tuple of its (normal word, coefficient) pairs."""
         hit = self._word_nf_cache.get(word)
         if hit is None:
             if len(word) > self._serre.valid_degree:
@@ -131,7 +141,7 @@ class UqAlgebra:
             nf = self._serre.reduce(FreeElement.monomial(tuple(g - 1 for g in word)))
             hit = tuple((tuple(g + 1 for g in w), c) for w, c in sorted(nf.terms.items()))
             self._word_nf_cache[word] = hit
-        return dict(hit)
+        return hit
 
     # -- multiplication ----------------------------------------------------------
 
@@ -189,10 +199,26 @@ class UqAlgebra:
                 c = c * qpow(ph)
             ktot = tuple(a + b + c2 for a, b, c2 in zip(k1, km, k2))
             enf = self.word_nf(em + e2)
-            for fw, cf in self.word_nf(f1 + fm).items():
+            for fw, cf in self.word_nf(f1 + fm):
                 ccf = c * cf
-                for ew, ce in enf.items():
+                for ew, ce in enf:
                     _acc(out, (fw, ktot, ew), ccf * ce)
+        return out
+
+    def eword_mul(self, a: dict, b: dict) -> dict:
+        """Product in U+ on E-word coordinates (as given by eword_coords):
+        the sum of c1 c2 times the Serre normal form of each concatenation."""
+        out: dict = {}
+        for e1, c1 in a.items():
+            for e2, c2 in b.items():
+                c12 = c1 * c2
+                e = e1 + e2
+                nf = self.word_nf(e)
+                if len(nf) == 1 and nf[0][0] == e:  # a normal word, coefficient one
+                    _acc(out, e, c12)
+                    continue
+                for ew, ce in nf:
+                    _acc(out, ew, c12 * ce)
         return out
 
     # -- structure maps -----------------------------------------------------------
@@ -229,6 +255,14 @@ class UqAlgebra:
     # -- braid operators ------------------------------------------------------------
 
     def braid_gen(self, i: int, kind: str, l: int, exp: int = 1) -> "UqElement":
+        """T_i of one generator (K_l^exp for kind "K"), memoised per
+        (i, kind, l, exp)."""
+        key = (i, kind, l, exp)
+        if key not in self._braid_gen_memo:
+            self._braid_gen_memo[key] = self._braid_gen_image(i, kind, l, exp).terms
+        return UqElement(self, self._braid_gen_memo[key])
+
+    def _braid_gen_image(self, i: int, kind: str, l: int, exp: int) -> "UqElement":
         if kind == "K":
             return self.K(l, exp) * self.K(i, -exp * _cartan(i, l))
         if kind == "E":
@@ -444,18 +478,15 @@ def braid_T(i: int, x: UqElement) -> UqElement:
     """Lusztig's braid automorphism T_i, extended multiplicatively."""
     alg = x.algebra
     alg._check_index(i)
-    out = alg.zero()
+    out: dict = {}
     for (f, kv, e), c in x.terms.items():
-        acc = alg.scalar(c)
-        for l in f:
-            acc = acc * alg.braid_gen(i, "F", l)
-        for a, v in enumerate(kv):
-            if v:
-                acc = acc * alg.braid_gen(i, "K", a + 1, v)
-        for l in e:
-            acc = acc * alg.braid_gen(i, "E", l)
-        out = out + acc
-    return out
+        images = [alg.braid_gen(i, "F", l) for l in f]
+        images += [alg.braid_gen(i, "K", a + 1, v) for a, v in enumerate(kv) if v]
+        images += [alg.braid_gen(i, "E", l) for l in e]
+        acc = reduce(mul, images) if images else alg.one()
+        for m, cc in acc.terms.items():
+            _acc(out, m, c * cc)
+    return UqElement(alg, out)
 
 
 def weight(x: UqElement) -> tuple[int, ...]:

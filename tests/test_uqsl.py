@@ -6,6 +6,7 @@ from itertools import product
 
 import pytest
 
+from qflag.calculus import tangent_from_exprs
 from qflag.freealg import _acc
 from qflag.scalars import NU, ONE, Q, QINV, TWO_Q, qpow
 from qflag.uqsl import (
@@ -23,7 +24,7 @@ from qflag.uqsl import (
     uq_normal_form,
     weight,
 )
-from qflag.weyl import beta_sequence, commutation_classes, nice_word, reduced_words
+from qflag.weyl import beta_sequence, commutation_classes, nice_word, opposite_word, reduced_words
 
 
 def test_mixed_relation():
@@ -279,6 +280,86 @@ def test_coproduct_memo_matches_fresh_algebra():
         assert shared.terms == coproduct(UqElement(fresh, v.terms)).terms
     assert len(A._coproduct_memo) == len(vecs)
     assert all(type(v) is dict for v in A._coproduct_memo.values())
+
+
+def _assert_eword_mul_matches_product(algebra, elems):
+    """eword_mul on `algebra` against the general product on the elements'
+    own algebra, for every ordered pair."""
+    coords = [x.eword_coords() for x in elems]
+    for x, cx in zip(elems, coords):
+        for y, cy in zip(elems, coords):
+            assert algebra.eword_mul(cx, cy) == (x * y).eword_coords(), (x, y)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_eword_mul_matches_general_product(n):
+    # every class at ranks 2-3; the nice and nice-op classes at rank 4
+    A = UqAlgebra(n)
+    words = commutation_classes(n).reps if n <= 3 else [nice_word(n), opposite_word(nice_word(n), n)]
+    for w in words:
+        _assert_eword_mul_matches_product(A, root_vectors(A, w))
+
+
+def test_eword_mul_rational_coefficient_and_fresh_algebra():
+    A = UqAlgebra(2)
+    t = (Q + ONE).inverse()
+    basis = tangent_from_exprs(A, [A.E(1), A.E(2), qcomm(A.E(2), A.E(1), t)]).basis
+    _assert_eword_mul_matches_product(A, basis)
+    # a fresh algebra has no Serre rules beyond degree 0: eword_mul must extend them
+    vecs = root_vectors(UqAlgebra(3), nice_word(3))  # highest root has degree 3
+    fresh = UqAlgebra(3)
+    assert fresh._serre.valid_degree < 2
+    _assert_eword_mul_matches_product(fresh, vecs)
+    assert fresh._serre.valid_degree == 6
+
+
+def _braid_T_oracle(i, x):
+    """T_i as a chain of general products from the scalar, with every
+    generator image built afresh."""
+    A = x.algebra
+
+    def image(kind, l, exp):
+        if kind == "K":
+            return A.K(l, exp) * A.K(i, -exp * _cartan_entry(i, l))
+        if kind == "E":
+            if l == i:
+                return -(A.F(i) * A.K(i))
+            return -qcomm(A.E(i), A.E(l), QINV) if abs(l - i) == 1 else A.E(l)
+        if l == i:
+            return -(A.K(i, -1) * A.E(i))
+        return -qcomm(A.F(l), A.F(i), Q) if abs(l - i) == 1 else A.F(l)
+
+    out = A.zero()
+    for (f, kv, e), c in x.terms.items():
+        acc = A.scalar(c)
+        for l in f:
+            acc = acc * image("F", l, 1)
+        for a, v in enumerate(kv):
+            if v:
+                acc = acc * image("K", a + 1, v)
+        for l in e:
+            acc = acc * image("E", l, 1)
+        out = out + acc
+    return out
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_braid_T_memo_matches_product_chain(n):
+    rng = random.Random(n)
+    A = UqAlgebra(n)
+    gens = [g(i) for i in range(1, n + 1) for g in (A.E, A.F)]
+    gens += [A.K(i, k) for i in range(1, n + 1) for k in (-2, -1, 1, 2)]
+    coeffs = [ONE, -TWO_Q, QINV, (Q + ONE).inverse()]
+    for _ in range(30):
+        x = A.zero()
+        for _ in range(rng.randint(1, 3)):
+            m = A.scalar(rng.choice(coeffs))
+            for _ in range(rng.randint(0, 4)):
+                m = m * rng.choice(gens)
+            x = x + m
+        for i in range(1, n + 1):
+            assert braid_T(i, x) == _braid_T_oracle(i, x), (i, x)
+    assert A._braid_gen_memo and all(type(v) is dict for v in A._braid_gen_memo.values())
 
 
 def test_adjoint_k_conjugation_and_unit():
