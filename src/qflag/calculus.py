@@ -40,7 +40,7 @@ from qflag.freealg import (
     rank,
     rref,
 )
-from qflag.oq import OqElement, _contractions, left_act, rep_span
+from qflag.oq import OqElement, _normal_coords, left_act
 from qflag.scalars import ONE, RatQ, ZERO
 from qflag.uqsl import UqAlgebra, UqElement, _mono_str, adjoint, coproduct, root_vectors
 from qflag.weyl import Root
@@ -49,7 +49,7 @@ from qflag.weyl import Root
 @dataclass
 class TangentSpace:
     """Ordered basis of weight-homogeneous positive-part elements, tagged
-    with its provenance (a Weyl word, or the expressions it was built from)."""
+    with the Weyl word it came from, if any."""
 
     algebra: UqAlgebra
     basis: list[UqElement]
@@ -57,7 +57,6 @@ class TangentSpace:
     labels: list[str]
     roots: list[Root] | None = None  # per-entry root when the weight is a root
     word: tuple[int, ...] | None = None
-    source_exprs: list[str] | None = None
     _relations: "RelationSpace | None" = field(default=None, repr=False)
 
     @property
@@ -90,7 +89,7 @@ def tangent_from_word(algebra: UqAlgebra, word) -> TangentSpace:
     )
 
 
-def tangent_from_exprs(algebra: UqAlgebra, elems, names=None) -> TangentSpace:
+def tangent_from_exprs(algebra: UqAlgebra, elems) -> TangentSpace:
     """Tangent space from explicit positive-part elements."""
     basis = list(elems)
     weights = []
@@ -118,7 +117,6 @@ def tangent_from_exprs(algebra: UqAlgebra, elems, names=None) -> TangentSpace:
         weights=weights,
         labels=labels,
         roots=list(roots) if have_roots else None,
-        source_exprs=[x.render() for x in basis] if names is None else list(names),
     )
 
 
@@ -529,7 +527,6 @@ def grassmann_restriction(t: TangentSpace, r: int) -> tuple[TangentSpace, bool]:
         labels=[t.labels[k] for k in keep],
         roots=[t.roots[k] for k in keep],
         word=None,
-        source_exprs=[t.basis[k].render() for k in keep],
     )
     levi = [("K", i, 1) for i in range(1, n + 1)] + [("K", i, -1) for i in range(1, n + 1)]
     for j in range(1, n + 1):
@@ -595,17 +592,15 @@ def dbar_kernel(span_words, t: TangentSpace) -> tuple[int, list[OqElement]]:
     k = len(words[0])
     if any(len(w) != k for w in words):
         raise ValueError("span words must share one length")
-    span_mats = rep_span(n, k)
 
     def zero_conditions(images: list[OqElement]) -> list[dict]:
-        """Rows of the system <condition matrix> . x = 0 over word indices."""
-        cols = [list(_contractions(img, span_mats)) for img in images]
-        rows = []
-        for i in range(len(span_mats)):
-            row = {j: col[i] for j, col in enumerate(cols) if col[i]}
-            if row:
-                rows.append(row)
-        return rows
+        """Rows of the system <condition matrix> . x = 0 over word indices,
+        one per normal word of the FRT system."""
+        rows: dict = {}
+        for j, img in enumerate(images):
+            for w, c in _normal_coords(img, k).items():
+                rows.setdefault(w, {})[j] = c
+        return list(rows.values())
 
     basis_elems = [OqElement(n, {w: ONE}) for w in words]
     conditions: list[dict] = []

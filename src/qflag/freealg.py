@@ -118,9 +118,6 @@ class DegLex:
     def key(self, word: Word):
         return (len(word), tuple(self.precedence[g] for g in word))
 
-    def greater(self, a: Word, b: Word) -> bool:
-        return self.key(a) > self.key(b)
-
     def reversed(self) -> "DegLex":
         m = max(self.precedence)
         return DegLex(tuple(m - p for p in self.precedence))

@@ -1,10 +1,10 @@
 """The coordinate-algebra side of the duality.
 
 O_q elements are free words in the matrix generators u[a,b] (a = row,
-b = column, 1-based); the FRT and determinant relations are never imposed
-syntactically.  Instead everything factors through the evaluation pairing
-with the enveloping algebra: a length-k word pairs with X as the matrix
-entry of the k-th tensor power of the vector representation,
+b = column, 1-based); no relation is imposed on the words themselves.
+Everything factors through the evaluation pairing with the enveloping
+algebra: a length-k word pairs with X as the matrix entry of the k-th
+tensor power of the vector representation,
 
     <X, u[a1,b1]...u[ak,bk]> = rho_k(X)_{(a),(b)},
 
@@ -16,14 +16,31 @@ diagonally in every slot) and the defining table is
     <K_j^{+-1}, u[i,i]> = q^{+-(delta_{j+1,i} - delta_{j,i})}.
 
 Equality of O_q elements is decided functionally: e1 = e2 iff e1 - e2
-annihilates the span of rho_k images of the enveloping algebra, computed
-once per (rank, length) by closing the generator action on the identity
-matrix until the span stabilizes.
+kills every rho_k image.  By quantum Schur-Weyl duality (Jimbo 1986) a
+length-k combination does so exactly when it lies in the degree-k part of
+the ideal of the FRT relations, so equality is reduction to zero modulo
+`frt_relations`, one letter per u[a,b] (row-major), completed through
+length k by the truncated completion of `freealg`.  In that deg-lex order
+the FRT relations are already a Groebner basis: their leads are the
+decreasing letter pairs and the normal words are the ordered monomials.
+The determinant relation mixes lengths, so it never enters.
 """
 
 from __future__ import annotations
 
-from qflag.freealg import Span, _acc, _signed_sum, _Sum, _term
+from functools import cache
+
+from qflag.freealg import (
+    Alphabet,
+    DegLex,
+    FreeElement,
+    TruncatedGB,
+    _acc,
+    _signed_sum,
+    _Sum,
+    _term,
+    complete_truncated,
+)
 from qflag.scalars import NU, ONE, RatQ, ZERO, qpow
 from qflag.uqsl import UqElement
 
@@ -69,11 +86,8 @@ class OqElement(_Sum):
                 _acc(out, w1 + w2, c1 * c2)
         return self._like(out)
 
-    def lengths(self) -> set[int]:
-        return {len(w) for w in self.terms}
-
     def homogeneous_length(self) -> int:
-        ls = self.lengths()
+        ls = {len(w) for w in self.terms}
         if len(ls) != 1:
             raise ValueError(f"element mixes word lengths {sorted(ls)}")
         return ls.pop()
@@ -179,81 +193,41 @@ def left_act(x: UqElement, e: OqElement) -> OqElement:
 
 # -- functional equality -----------------------------------------------------
 
-_span_cache: dict[tuple[int, int], list[dict]] = {}
+
+def _letters(e: OqElement) -> FreeElement:
+    """e as a free-algebra element: u[a,b] is letter (a-1)(n+1) + (b-1)."""
+    N = e.n + 1
+    return FreeElement({tuple((a - 1) * N + b - 1 for a, b in w): c for w, c in e.terms.items()})
 
 
-def rep_span(n: int, k: int) -> list[dict]:
-    """Basis (echelon, as sparse (rows, cols) -> coeff dicts) of the span of
-    rho_k images of the enveloping algebra, closed degree by degree until
-    a round adds no rank."""
-    hit = _span_cache.get((n, k))
-    if hit is not None:
-        return hit
-
-    tokens = (
-        [("E", i) for i in range(1, n + 1)]
-        + [("F", i) for i in range(1, n + 1)]
-        + [("K", i, 1) for i in range(1, n + 1)]
-        + [("K", i, -1) for i in range(1, n + 1)]
+@cache
+def _frt_system(n: int, k: int) -> TruncatedGB:
+    """The FRT relations completed through length k (built once, then only
+    read); a letter weighs its row unit vector followed by its column one."""
+    N = n + 1
+    cells = [(a, b) for a in range(1, N + 1) for b in range(1, N + 1)]
+    unit = lambda x: tuple(int(x == y) for y in range(1, N + 1))
+    alphabet = Alphabet(
+        tuple(f"u[{a},{b}]" for a, b in cells), tuple(unit(a) + unit(b) for a, b in cells)
     )
-
-    def apply_to_matrix(token, mat: dict) -> dict:
-        # columns of rho(g) . M, computed column by column
-        out: dict = {}
-        bycol: dict = {}
-        for (a, b), c in mat.items():
-            bycol.setdefault(b, {})[a] = c
-        for b, col in bycol.items():
-            for a, c in _apply_token(n, token, col).items():
-                _acc(out, (a, b), c)
-        return out
-
-    ident = {(b, b): ONE for b in _all_indices(n, k)}
-    span = Span()
-    span.add(ident)
-    frontier = [ident]
-    while frontier:
-        new_frontier = []
-        for mat in frontier:
-            for tok in tokens:
-                cand = apply_to_matrix(tok, mat)
-                if cand and span.add(cand):
-                    new_frontier.append(cand)
-        frontier = new_frontier
-    out = [span.pivots[p] for p in sorted(span.pivots)]
-    _span_cache[(n, k)] = out
-    return out
+    rels = [_letters(r) for r in frt_relations(n)]
+    return complete_truncated(rels, DegLex(size=N * N), k, alphabet)
 
 
-def _all_indices(n: int, k: int):
-    if k == 0:
-        return [()]
-    out = [()]
-    for _ in range(k):
-        out = [t + (x,) for t in out for x in range(1, n + 2)]
-    return out
-
-
-def _contractions(e: OqElement, mats):
-    """Sum of c * mat[(rows, cols)] over the u-words of e, for each span
-    matrix in turn (lazily)."""
-    keyed = [((tuple(a for a, _ in w), tuple(b for _, b in w)), c) for w, c in e.terms.items()]
-    for mat in mats:
-        s = ZERO
-        for key, c in keyed:
-            m = mat.get(key)
-            if m:
-                s = s + c * m
-        yield s
+def _normal_coords(e: OqElement, k: int) -> dict:
+    """Coordinates of a length-k element on the normal words of the FRT
+    system; empty iff the element is zero in O_q."""
+    return _frt_system(e.n, k).reduce(_letters(e)).terms
 
 
 def functional_is_zero(e: OqElement, k: int) -> bool:
-    """True iff e (length-k homogeneous) kills every rho_k image."""
+    """True iff e (length-k homogeneous) kills every rho_k image, i.e. lies
+    in the degree-k part of the FRT ideal."""
     if not e:
         return True
     if e.homogeneous_length() != k:
         raise ValueError("length mismatch")
-    return not any(_contractions(e, rep_span(e.n, k)))
+    return not _normal_coords(e, k)
 
 
 def oq_equal(e1: OqElement, e2: OqElement, k: int) -> bool:

@@ -161,7 +161,7 @@ def test_relations_match_nullspace_route():
     for t in _differential_tangents():
         rel = C.quadratic_relations(t)
         got = {mu: [r.terms for r in rels] for mu, rels in rel.by_weight.items()}
-        assert got == _relations_via_nullspace(t), t.word or t.source_exprs
+        assert got == _relations_via_nullspace(t), t.word or [x.render() for x in t.basis]
 
 
 def test_sl4_nested_relation_present():
@@ -441,6 +441,43 @@ def test_dbar_kernel_degree_two_quotient():
     words = [((a, b), (c, d)) for a in (1, 2) for b in (1, 2) for c in (1, 2) for d in (1, 2)]
     dim, basis = C.dbar_kernel(words, t)
     assert dim == 4
+
+
+def _partitions(k, parts, largest=None):
+    """Partitions of k into at most `parts` parts, largest first."""
+    if k == 0:
+        yield ()
+        return
+    if parts == 0:
+        return
+    for first in range(min(k, largest or k), 0, -1):
+        for rest in _partitions(k - first, parts - 1, first):
+            yield (first,) + rest
+
+
+def _weyl_dim(lam, N):
+    """Weyl's dimension formula for the GL_N irreducible of highest weight lam."""
+    lam = list(lam) + [0] * (N - len(lam))
+    num = den = 1
+    for i in range(N):
+        for j in range(i + 1, N):
+            num *= lam[i] - lam[j] + j - i
+            den *= j - i
+    return num // den
+
+
+@pytest.mark.parametrize(
+    "n,k,expect",
+    [(1, 1, 2), (1, 2, 4), (1, 3, 6), (1, 4, 9), (2, 1, 3), (2, 2, 9), (2, 3, 19)]
+    + [(3, 1, 4), (3, 2, 16)],
+)
+def test_dbar_kernel_borel_weil_dimensions(n, k, expect):
+    # quantum Borel-Weil: the degree-k kernel is the sum of the irreducibles
+    # V_lambda over lambda |- k with at most n + 1 rows, one copy each
+    assert expect == sum(_weyl_dim(lam, n + 1) for lam in _partitions(k, n + 1))
+    words = list(product([(a, b) for a in range(1, n + 2) for b in range(1, n + 2)], repeat=k))
+    dim, basis = C.dbar_kernel(words, nice_tangent(n))
+    assert dim == len(basis) == expect
 
 
 def test_dbar_kernel_simple_generators_suffice():

@@ -1,10 +1,25 @@
 """Pairing, left action, and functional equality on the coordinate algebra."""
 
 import random
-from itertools import product
+from functools import cache
+from itertools import combinations_with_replacement, product
+from math import comb
 
-from qflag.oq import OqElement, frt_relations, functional_is_zero, left_act, oq_equal, pair, rep_span
-from qflag.scalars import ONE, Q, ZERO, qpow
+import pytest
+
+from qflag.freealg import Span, _acc, annihilator
+from qflag.oq import (
+    OqElement,
+    _apply_token,
+    _frt_system,
+    _normal_coords,
+    frt_relations,
+    functional_is_zero,
+    left_act,
+    oq_equal,
+    pair,
+)
+from qflag.scalars import NU, ONE, Q, QINV, ZERO, RatQ, qpow
 from qflag.uqsl import UqAlgebra, build_Eji, coproduct, counit, uq_normal_form
 
 
@@ -176,10 +191,108 @@ def test_quantum_determinant_pairs_as_counit():
                 assert pair(x, det) == counit(x)
 
 
+# -- the tensor-power span closure, kept as the oracle for FRT rewriting ------
+
+@cache
+def rep_span(n: int, k: int) -> list[dict]:
+    """Basis (echelon, as sparse (rows, cols) -> coeff dicts) of the span of
+    rho_k images of the enveloping algebra, closed degree by degree until
+    a round adds no rank."""
+    tokens = (
+        [("E", i) for i in range(1, n + 1)]
+        + [("F", i) for i in range(1, n + 1)]
+        + [("K", i, 1) for i in range(1, n + 1)]
+        + [("K", i, -1) for i in range(1, n + 1)]
+    )
+
+    def apply_to_matrix(token, mat: dict) -> dict:
+        # columns of rho(g) . M, computed column by column
+        out: dict = {}
+        bycol: dict = {}
+        for (a, b), c in mat.items():
+            bycol.setdefault(b, {})[a] = c
+        for b, col in bycol.items():
+            for a, c in _apply_token(n, token, col).items():
+                _acc(out, (a, b), c)
+        return out
+
+    ident = {(b, b): ONE for b in product(range(1, n + 2), repeat=k)}
+    span = Span()
+    span.add(ident)
+    frontier = [ident]
+    while frontier:
+        new_frontier = []
+        for mat in frontier:
+            for tok in tokens:
+                cand = apply_to_matrix(tok, mat)
+                if cand and span.add(cand):
+                    new_frontier.append(cand)
+        frontier = new_frontier
+    return [span.pivots[p] for p in sorted(span.pivots)]
+
+
+def span_is_zero(e: OqElement, k: int) -> bool:
+    """The closure's verdict: e kills every rho_k image in the span."""
+    keyed = [((tuple(a for a, _ in w), tuple(b for _, b in w)), c) for w, c in e.terms.items()]
+    for mat in rep_span(e.n, k):
+        s = ZERO
+        for key, c in keyed:
+            m = mat.get(key)
+            if m:
+                s = s + c * m
+        if s:
+            return False
+    return True
+
+
 def test_rep_span_dimensions():
     assert len(rep_span(1, 1)) == 4  # all of M_2
     assert len(rep_span(1, 2)) == 10  # 3x3 block + 1x1 block
     assert len(rep_span(2, 1)) == 9
+
+
+def span_zeros(n: int, k: int) -> list[OqElement]:
+    """A basis of the length-k elements that the closure calls zero: the
+    annihilator of its span matrices, read as rows over u-words."""
+    words = list(product(product(range(1, n + 2), repeat=2), repeat=k))
+    rows = [{tuple(zip(r, c)): x for (r, c), x in mat.items()} for mat in rep_span(n, k)]
+    return [OqElement(n, v) for v in annihilator(rows, words)]
+
+
+_FRT_CASES = [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3), (3, 2)]
+
+
+@pytest.mark.parametrize("n,k", _FRT_CASES)
+def test_frt_rewriting_matches_span_closure(n, k):
+    # the normal words are the ordered monomials (PBW), each its own normal
+    # form under its own labels, and as many as the rank of the rho_k span,
+    # which Schur-Weyl duality puts at C(N^2 + k - 1, k)
+    gb = _frt_system(n, k)
+    cells = [(a, b) for a in range(1, n + 2) for b in range(1, n + 2)]
+    ordered = list(combinations_with_replacement(cells, k))
+    for m in ordered:
+        [(w, c)] = _normal_coords(OqElement(n, {m: ONE}), k).items()
+        assert c == ONE and [gb.alphabet.labels[g] for g in w] == [f"u[{a},{b}]" for a, b in m]
+    assert gb.normal_counts(k)[k] == len(ordered) == len(rep_span(n, k))
+    assert len(ordered) == comb((n + 1) ** 2 + k - 1, k)
+    # zero verdicts agree on seeded random sums: a quarter are combinations
+    # of the closure's own zeros, a quarter such combinations plus u-words,
+    # half plain u-words
+    zero_basis = span_zeros(n, k)
+    rng = random.Random(1000 * n + k)
+    zeros = 0
+    for trial in range(60):
+        e = OqElement(n)
+        if zero_basis and trial % 2 == 0:
+            for _ in range(rng.randint(1, 3)):
+                e = e + rng.choice(zero_basis).scale(rng.choice((ONE, Q, QINV, NU, RatQ(-2))))
+        if trial % 4 or not zero_basis:
+            for _ in range(rng.randint(1, 3)):
+                e = e + OqElement(n, {_random_word(n, rng, k): rng.choice((ONE, Q, RatQ(-1)))})
+        verdict = functional_is_zero(e, k)
+        assert verdict == span_is_zero(e, k), e
+        zeros += verdict
+    assert zeros >= 15 or not zero_basis
 
 
 def test_weight_compatibility():
