@@ -23,7 +23,7 @@ check, and the antiholomorphic-kernel computation on spans of u-words.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import combinations
 from math import comb
 
@@ -650,10 +650,28 @@ def survey_rows(
 
     Returns (rows, total_classes); when max_classes cuts the run short,
     len(rows) < total_classes and the caller must mark the truncation.
+
+    Only one class per orbit of the opposite involution omega (E_i, F_i,
+    K_i -> E_{n+1-i}, F_{n+1-i}, K_{n+1-i}) is computed; the partner class
+    copies its row under its own representative.  omega is a Hopf algebra
+    automorphism with omega T_i = T_{n+1-i} omega (Lusztig, Introduction to
+    Quantum Groups, 37.1-39.4), so it maps the root vectors of a word onto
+    nonzero multiples of those of the opposite word, a member of the
+    partner class (members of a class share their root vectors);
+    normalisation changes only the scalar.  omega commutes with the
+    coproduct and with K-erasure and keeps the tensor legs, so each side's
+    verdict carries over.  It maps the degree-two relations onto the
+    partner's after rescaling the generators, a graded isomorphism of the
+    exterior algebras, so the dims and the early-stop point carry over too.
+    Word reversal is not used: its symmetry is observed, not proved.
     """
     graph = weyl.commutation_classes(algebra.n)
+    partner = weyl.involution_on_classes(graph)
     rows = []
-    for rep in graph.reps if max_classes is None else graph.reps[:max_classes]:
+    for c, rep in enumerate(graph.reps if max_classes is None else graph.reps[:max_classes]):
+        if partner[c] < c:
+            rows.append(replace(rows[partner[c]], representative=rep))
+            continue
         t = tangent_from_word(algebra, rep)
         rep_report = coideal_check(t)
         if rep_report.verdict == "neither":

@@ -501,17 +501,13 @@ def rank(rows: list[dict]) -> int:
 def annihilator(rows: list[dict], coords: list) -> list[dict]:
     """Canonical basis (RREF over `coords` order) of {r : r . row = 0 for all rows}."""
     sp = _span_over(rows, coords)
-    pivs = sorted(sp.pivots)
-    free = [i for i in range(len(coords)) if i not in sp.pivots]
-    out = []
-    for f in free:
-        vec = {f: ONE}
-        for p in pivs:
-            c = sp.pivots[p].get(f)
-            if c:
-                vec[p] = -c
-        out.append({coords[i]: c for i, c in vec.items()})
-    return out
+    vecs = {f: {f: ONE} for f in range(len(coords)) if f not in sp.pivots}
+    # rows are fully reduced, so a row's non-pivot support is free columns
+    for p in sorted(sp.pivots):
+        for f, c in sp.pivots[p].items():
+            if f != p and c:
+                vecs[f][p] = -c
+    return [{coords[i]: c for i, c in vec.items()} for vec in vecs.values()]
 
 
 def rref(rows: list[dict], coords: list) -> list[dict]:

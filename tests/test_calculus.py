@@ -13,7 +13,7 @@ from qflag import calculus as C
 from qflag.freealg import FreeElement, Span, annihilator, complete_truncated, rank, rref
 from qflag.scalars import NU, ONE, Q, QINV, ZERO, qpow
 from qflag.uqsl import UqAlgebra, build_Eji, qcomm
-from qflag.weyl import Root, commutation_classes, nice_word
+from qflag.weyl import Root, commutation_classes, involution_on_classes, nice_word
 
 
 def nice_tangent(n):
@@ -520,18 +520,58 @@ def test_algebra_is_freed_without_the_cycle_collector():
         gc.enable()
 
 
-def test_duality_preserved_rank3():
-    """The opposite involution preserves verdicts and graded dimensions."""
-    A = UqAlgebra(3)
-    from qflag.weyl import commutation_classes, involution_on_classes
-
-    g = commutation_classes(3)
-    inv = involution_on_classes(g)
-    verd, dims = [], []
-    for rep in g.reps:
+def _per_class_rows(n):
+    """The survey without the orbit shortcut, kept as the oracle: every
+    class goes through tangent, coideal, relations and counting."""
+    A = UqAlgebra(n)
+    rows = []
+    for rep in commutation_classes(n).reps:
         t = C.tangent_from_word(A, rep)
-        verd.append(C.coideal_check(t).verdict)
-        dims.append(C.exterior_dims(t).dims)
-    for c in range(8):
-        assert verd[inv[c]] == verd[c]
-        assert dims[inv[c]] == dims[c]
+        verdict = C.coideal_check(t).verdict
+        if verdict == "neither":
+            rows.append(C.SurveyRow(rep, verdict, None, None, None))
+            continue
+        table = C.exterior_dims(t, early_stop=True)
+        rows.append(C.SurveyRow(rep, verdict, table.dims, table.classical, table.truncated_at))
+    return rows
+
+
+@pytest.fixture(scope="module")
+def per_class_rows():
+    return {n: _per_class_rows(n) for n in (3, 4)}
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_orbit_survey_matches_per_class_oracle(n, per_class_rows):
+    """survey_rows computes one class per opposite-involution orbit and
+    copies the partner's row; row by row it equals the per-class pipeline,
+    and in that pipeline each class has its partner's verdict and dims."""
+    oracle = per_class_rows[n]
+    assert C.survey_rows(UqAlgebra(n)) == (oracle, len(oracle))
+    inv = involution_on_classes(commutation_classes(n))
+    assert any(inv[c] != c for c in range(len(oracle)))
+    for c, row in enumerate(oracle):
+        assert (oracle[inv[c]].verdict, oracle[inv[c]].dims) == (row.verdict, row.dims)
+
+
+def test_orbit_survey_max_classes_is_a_prefix(per_class_rows):
+    """A cut-off survey computes a class itself when its partner lies past
+    the cut, so its rows are the first k rows of the full survey."""
+    A = UqAlgebra(4)
+    for k in (0, 1, 20, 31, 32, 50):
+        assert C.survey_rows(A, max_classes=k) == (per_class_rows[4][:k], 62)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_word_reversal_swaps_sides(n, per_class_rows):
+    """Observed, not proved, so the survey does not use it: the class of the
+    reversed representative swaps left_only and right_only and keeps the
+    dims."""
+    swap = {"left_only": "right_only", "right_only": "left_only"}
+    g = commutation_classes(n)
+    rows = per_class_rows[n]
+    assert any(r.verdict == "left_only" for r in rows)
+    for row in rows:
+        rev = rows[g.class_index(row.representative[::-1])]
+        assert rev.verdict == swap.get(row.verdict, row.verdict)
+        assert rev.dims == row.dims

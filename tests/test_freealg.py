@@ -10,6 +10,7 @@ from qflag.freealg import (
     DegLex,
     FreeElement,
     Span,
+    _span_over,
     annihilator,
     complete_truncated,
     graded_dims,
@@ -203,6 +204,49 @@ def test_span_nullspace_annihilator():
     assert not sp.add({0: Q, 1: Q})
     assert sp.contains({0: -ONE, 1: -ONE})
     assert not sp.contains({0: ONE})
+
+
+def _annihilator_pair_loop(rows, coords):
+    """The former construction, kept as the oracle: each free column is
+    looked up in every pivot row."""
+    sp = _span_over(rows, coords)
+    out = []
+    for f in (i for i in range(len(coords)) if i not in sp.pivots):
+        vec = {f: ONE}
+        for p in sorted(sp.pivots):
+            c = sp.pivots[p].get(f)
+            if c:
+                vec[p] = -c
+        out.append({coords[i]: c for i, c in vec.items()})
+    return out
+
+
+def test_annihilator_matches_pair_loop():
+    """Walking each pivot row's own free columns gives the same null
+    vectors, in the same order, with the same key order and coefficients."""
+    rng = random.Random(508)
+    scalars = [ONE, -ONE, Q, QINV, NU, TWO_Q, ONE / (Q + 1), qpow(3) - ONE]
+    for _ in range(300):
+        ncols = rng.randint(1, 12)
+        coords = [("c", j) for j in rng.sample(range(40), ncols)]
+        rows = []
+        for _ in range(rng.randint(0, ncols + 2)):
+            if len(rows) >= 2 and rng.random() < 0.3:  # a dependent row
+                row = {}
+                for r in rng.sample(rows, 2):
+                    x = rng.choice(scalars)
+                    for k, c in r.items():
+                        row[k] = row.get(k, ZERO) + x * c
+            else:
+                support = rng.sample(coords, rng.randint(1, min(ncols, 4)))
+                row = {k: rng.choice(scalars) for k in support}
+            rows.append(row)
+        got = annihilator(rows, coords)
+        want = _annihilator_pair_loop(rows, coords)
+        assert [list(v.items()) for v in got] == [list(v.items()) for v in want]
+        assert [[str(c) for c in v.values()] for v in got] == [
+            [str(c) for c in v.values()] for v in want
+        ]
 
 
 def test_render_rules():

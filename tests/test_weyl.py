@@ -150,6 +150,13 @@ def test_classes_rank4():
         assert (min(x, y), max(x, y)) in edges
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_involution_on_classes_is_an_involution(n):
+    g = commutation_classes(n)
+    inv = involution_on_classes(g)
+    assert all(inv[inv[c]] == c for c in range(g.num_classes))
+
+
 def test_class_cap_error_mentions_count():
     with pytest.raises(ValueError) as e:
         commutation_classes(6)
