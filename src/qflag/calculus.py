@@ -390,6 +390,9 @@ class FrobeniusReport:
         }
 
 
+_FROBENIUS_MAX_PRODUCTS = 200_000  # sum_k dims[k] dims[top - k]; rank 4 has C(20, 10)
+
+
 def frobenius_report(t: TangentSpace) -> FrobeniusReport:
     d = t.dim
     table = exterior_dims(t, d + 1)
@@ -398,6 +401,11 @@ def frobenius_report(t: TangentSpace) -> FrobeniusReport:
     if dims[-1] != 0:
         return FrobeniusReport(len(dims) - 1, dims[-1], {}, {}, note="dimensions do not vanish")
     top = max(nonzero)
+    products = sum(dims[k] * dims[top - k] for k in range(top + 1))
+    if products > _FROBENIUS_MAX_PRODUCTS:
+        raise ValueError(
+            f"frobenius pairing would reduce {products} products (at most {_FROBENIUS_MAX_PRODUCTS})"
+        )
     rel = quadratic_relations(t)
     gb = complete_truncated(rel.all_relations(), rel.order, top + 1, rel.alphabet)
     report = FrobeniusReport(top, dims[top], {}, {})

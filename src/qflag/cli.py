@@ -25,6 +25,7 @@ from qflag.uqsl import UqAlgebra, coproduct, root_vectors
 
 USAGE_ERROR, EXPECT_ERROR = 2, 1
 _DBAR_MAX_WORDS = 4096  # dbar-kernel builds all (n+1)^(2*degree) u-words up front
+_KMAX_CAP = 64  # exterior --kmax; rank 6 needs d + 1 = 22
 
 
 def _params(args) -> dict[str, RatQ]:
@@ -123,6 +124,8 @@ def cmd_relations(args):
 
 
 def cmd_exterior(args):
+    if args.kmax is not None and args.kmax > _KMAX_CAP:
+        raise ValueError(f"--kmax {args.kmax} exceeds the cap of {_KMAX_CAP}")
     t = _tangent(args)
     if args.reverse_order:
         rel = calculus.quadratic_relations(t)

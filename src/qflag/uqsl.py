@@ -25,19 +25,25 @@ The braid operators T_i act by
     T_{k+-1}(E_k) = -[E_{k+-1}, E_k]_{q^{-1}},
     T_{k+-1}(F_k) = -[F_k, F_{k+-1}]_q,
 
-fixing generators with distant indices; root vectors attached to a reduced
-word of the longest element are the usual iterated braid images of the
-simple E's, rescaled so the deg-lex-leading monomial has coefficient one.
+fixing generators with distant indices.  The root vectors of a reduced word
+i_1 ... i_N of the longest element are X_k = T_{i_1} ... T_{i_{k-1}}(E_{i_k})
+in U+, of weight beta_k, rescaled so the deg-lex-leading monomial has
+coefficient one.  `root_vectors` builds them in U+ in height order: E_i for
+beta_k = alpha_i, else from a minimal pair a < k < b, beta_a + beta_b =
+beta_k, one with no other such pair c, d nested as a < c < k < d < b.  By
+Levendorskii-Soibelman convexity, X_a X_b - q^{-1} X_b X_a lies in the span
+of ordered monomials in X_{a+1}, ..., X_{b-1}; for a minimal pair it is a
+nonzero multiple of X_k (Leclerc, Dual canonical bases, quantum shuffles
+and q-characters, 2004; McNamara, KLR algebras of finite type, 2015).  The
+pair of least width b - a (ties to the smaller a) is minimal, since a nested
+pair would be narrower.
 
-The T_i satisfy the braid relations, so T_w = T_{i_1} ... T_{i_r} does not
-depend on the reduced expression of w (Matsumoto; Lusztig, Introduction to
-Quantum Groups, 39.4).  Every suffix s_{i_t} ... s_{i_{k-1}} of a reduced
-word is reduced, so the braid image of E_{i_k} along it is a function of
-the permutation and i_k alone, and since elements are canonical, equal
-images have equal terms.  A `UqAlgebra` therefore memoises these images
-per (permutation, letter) across all words, the image of each generator
-under each T_i, and the coproduct per element; the memos hold plain term
-dicts, never elements, which would point back at the algebra.
+The coproduct of an E-word is the q-shuffle expansion of the product of its
+letters' Delta(E_i) = E_i x K_i + 1 x E_i, a sum over the subsets S of its
+positions of w_S (x) K^{wt(S)} w_{S^c} times a power of q.  A `UqAlgebra`
+memoises Serre normal forms, E-times-F straightenings and coproducts per
+element, as plain term dicts, never elements, which would point back at the
+algebra.
 """
 
 from __future__ import annotations
@@ -47,7 +53,7 @@ from operator import mul
 
 from qflag import weyl
 from qflag.freealg import Alphabet, DegLex, FreeElement, _acc, _signed_sum, _Sum, _term, complete_truncated
-from qflag.scalars import NU, ONE, RatQ, TWO_Q, ZERO, qpow
+from qflag.scalars import NU, ONE, QINV, RatQ, TWO_Q, ZERO, qpow
 
 Mono = tuple  # (fword, kvec, eword)
 
@@ -92,10 +98,6 @@ class UqAlgebra:
         self._serre = complete_truncated(rels, self._order, 0, self._alphabet)
         self._word_nf_cache: dict[tuple, tuple] = {}
         self._straighten_cache: dict[tuple, dict] = {}
-        # (i, kind, l, exp) -> terms of T_i of one generator
-        self._braid_gen_memo: dict[tuple, dict] = {}
-        # (one-line permutation w, letter i) -> terms of T_w(E_i)
-        self._braid_memo: dict[tuple, dict] = {}
         # frozenset of an element's terms -> terms of its coproduct
         self._coproduct_memo: dict[frozenset, dict] = {}
 
@@ -243,26 +245,39 @@ class UqAlgebra:
 
     def coproduct_mono(self, m: Mono) -> "TensorSquare":
         f, kv, e = m
-        out = TensorSquare.from_pairs(self, [(self.one(), self.one())])
-        for l in f:
-            out = out * self.gen_coproduct("F", l)
+        shuffle = TensorSquare(self, self._eword_coproduct(e))
+        if not f and not any(kv):
+            return shuffle
         kl = UqElement(self, {((), kv, ()): ONE})
-        out = out * TensorSquare.from_pairs(self, [(kl, kl)])
+        kk = TensorSquare.from_pairs(self, [(kl, kl)])
+        return reduce(mul, [self.gen_coproduct("F", l) for l in f] + [kk, shuffle])
+
+    def _eword_coproduct(self, e: tuple) -> dict:
+        """Delta of the E-word e, expanded one letter l at a time: l joins
+        the left word, leaving K_l in front of the right word at the phase
+        q^{-a(l, s)} for each letter s already there, or joins the right word.
+        Both words stay in Serre normal form, so repeated letters merge."""
+        states = {((), ()): ONE}  # (left word, right word) -> coefficient
         for l in e:
-            out = out * self.gen_coproduct("E", l)
-        return out
+            nxt: dict = {}
+            for (left, right), c in states.items():
+                for w, cw in self.word_nf(right + (l,)):
+                    _acc(nxt, (left, w), c if cw == ONE else c * cw)
+                ph = sum(_cartan(l, s) for s in right)
+                cl = c * qpow(-ph) if ph else c
+                for w, cw in self.word_nf(left + (l,)):
+                    _acc(nxt, (w, right), cl if cw == ONE else cl * cw)
+            states = nxt
+        zero = (0,) * self.n
+        return {
+            (((), zero, left), ((), tuple(left.count(i) for i in range(1, self.n + 1)), right)): c
+            for (left, right), c in states.items()
+        }
 
     # -- braid operators ------------------------------------------------------------
 
     def braid_gen(self, i: int, kind: str, l: int, exp: int = 1) -> "UqElement":
-        """T_i of one generator (K_l^exp for kind "K"), memoised per
-        (i, kind, l, exp)."""
-        key = (i, kind, l, exp)
-        if key not in self._braid_gen_memo:
-            self._braid_gen_memo[key] = self._braid_gen_image(i, kind, l, exp).terms
-        return UqElement(self, self._braid_gen_memo[key])
-
-    def _braid_gen_image(self, i: int, kind: str, l: int, exp: int) -> "UqElement":
+        """T_i of one generator (K_l^exp for kind "K")."""
         if kind == "K":
             return self.K(l, exp) * self.K(i, -exp * _cartan(i, l))
         if kind == "E":
@@ -509,42 +524,30 @@ def build_Eji(algebra: UqAlgebra, i: int, j: int) -> UqElement:
     return out
 
 
-def leading_eword(x: UqElement):
-    coords = x.eword_coords()
-    lead = max(coords, key=lambda w: (len(w), tuple(w)))
-    return lead, coords[lead]
-
-
 def root_vectors(algebra: UqAlgebra, word) -> list[UqElement]:
-    """Sign-normalized Lusztig root vectors for a reduced word of the
-    longest element; entry k is weight-homogeneous of weight beta_k."""
+    """Normalized Lusztig root vectors for a reduced word of the longest
+    element, each non-simple one from its least-width minimal pair; entry k
+    is weight-homogeneous of weight beta_k."""
     word = tuple(word)
     betas = weyl.beta_sequence(word, algebra.n)  # validates the word
-    memo = algebra._braid_memo
-    out = []
-    for k, i in enumerate(word):
-        terms = algebra.E(i).terms
-        perm = list(range(1, algebra.n + 2))  # one-line form of s_{i_t} ... s_{i_{k-1}}
-        for t in range(k - 1, -1, -1):
-            j = word[t]
-            a, b = perm.index(j), perm.index(j + 1)
-            perm[a], perm[b] = j + 1, j
-            key = (tuple(perm), i)
-            hit = memo.get(key)
-            if hit is None:
-                hit = memo[key] = braid_T(j, UqElement(algebra, terms)).terms
-            terms = hit
-        x = UqElement(algebra, terms)
-        if not x.is_positive_part():
-            raise AssertionError(
-                f"root vector {k} of {word} has F or K factors after normalization"
-            )
-        lead, lc = leading_eword(x)
-        x = x.scale(lc.inverse())
-        if x.weight() != betas[k].weight(algebra.n):
-            raise AssertionError(f"root vector {k} of {word} has unexpected weight")
-        out.append(x)
-    return out
+    pos = {b: k for k, b in enumerate(betas)}
+    coords: list = [None] * len(betas)
+    for k in sorted(range(len(betas)), key=lambda k: betas[k].j - betas[k].i):
+        i, j = betas[k]
+        if j == i + 1:
+            coords[k] = {(i,): ONE}
+            continue
+        pairs = (sorted((pos[weyl.Root(i, m)], pos[weyl.Root(m, j)])) for m in range(i + 1, j))
+        a, b = min(pairs, key=lambda p: (p[1] - p[0], p[0]))
+        x = algebra.eword_mul(coords[a], coords[b])
+        for w, c in algebra.eword_mul(coords[b], coords[a]).items():
+            _acc(x, w, -(QINV * c))
+        if not x:
+            raise AssertionError(f"root vector {k + 1} of {word}: its minimal-pair commutator is zero")
+        lc = x[max(x)]  # every word has length ht(beta_k), so this is deg-lex leading
+        coords[k] = {w: c / lc for w, c in x.items()}
+    zero = (0,) * algebra.n
+    return [UqElement(algebra, {((), zero, w): c for w, c in x.items()}) for x in coords]
 
 
 def adjoint(algebra: UqAlgebra, gen, x: UqElement, side: str = "right") -> UqElement:

@@ -246,6 +246,37 @@ def test_cli_dbar_kernel_accepts_the_word_cap(capsys, monkeypatch):
     assert capsys.readouterr().out == "dimension: 0\n"
 
 
+def test_cli_exterior_caps_kmax(capsys):
+    # refused before the tangent space is built; the cap itself is accepted
+    assert run(["exterior", "--rank", "3", "--word", "nice", "--kmax", "100000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--kmax 100000 exceeds the cap of 64" in captured.err
+    code, out = _out(capsys, ["exterior", "--rank", "2", "--word", "nice", "--kmax", "64"])
+    assert code == 0
+    assert out == "dims: 1 3 3 1" + " 0" * 61 + "  classical: yes\n"
+
+
+def test_cli_frobenius_refuses_rank_5(capsys):
+    # the dims C(15, k) are counted first; the pairing would reduce C(30, 15) products
+    assert run(["frobenius", "--rank", "5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "frobenius pairing would reduce 155117520 products (at most 200000)" in captured.err
+
+
+def test_cli_frobenius_pairing_cap_boundary(capsys, monkeypatch):
+    # rank 2 has dims 1 3 3 1, so its pairing reduces 1 + 9 + 9 + 1 = 20 products
+    monkeypatch.setattr(calculus, "_FROBENIUS_MAX_PRODUCTS", 20)
+    code, out = _out(capsys, ["frobenius", "--rank", "2"])
+    assert code == 0 and out.startswith("top degree: 3  top dimension: 1\n")
+    monkeypatch.setattr(calculus, "_FROBENIUS_MAX_PRODUCTS", 19)
+    assert run(["frobenius", "--rank", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "frobenius pairing would reduce 20 products (at most 19)" in captured.err
+
+
 def test_cli_classes_refuses_rank_6(capsys):
     # rank 6 passes the default rank cap; its reduced words are refused by count
     assert run(["classes", "--rank", "6"]) == 2

@@ -18,7 +18,6 @@ from qflag.uqsl import (
     build_Eji,
     coproduct,
     counit,
-    leading_eword,
     qcomm,
     root_vectors,
     uq_normal_form,
@@ -248,26 +247,39 @@ def test_root_vector_sets_class_invariant():
 
 
 def _root_vectors_per_word(algebra, word):
-    """Root-vector terms with every braid image recomputed for this word."""
+    """Root-vector terms as braid chains T_{i_1} ... T_{i_{k-1}}(E_{i_k}),
+    scaled so the deg-lex-leading E-word has coefficient one."""
     out = []
     for k in range(len(word)):
         x = algebra.E(word[k])
         for t in range(k - 1, -1, -1):
             x = braid_T(word[t], x)
-        out.append(x.scale(leading_eword(x)[1].inverse()).terms)
+        coords = x.eword_coords()
+        out.append(x.scale(coords[max(coords, key=lambda w: (len(w), w))].inverse()).terms)
     return out
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
-def test_root_vectors_memo_matches_per_word_loop(n):
-    # one shared algebra, so later words reuse the (w, i) images of earlier ones
+def test_root_vectors_match_braid_chain(n):
+    # minimal-pair commutators in U+ against the braid images, one shared algebra
     A, oracle = UqAlgebra(n), UqAlgebra(n)
     words = list(commutation_classes(n).reps)
     if n <= 3:
         words += list(reduced_words(n))
     for w in words:
         assert [v.terms for v in root_vectors(A, w)] == _root_vectors_per_word(oracle, w), w
-    assert A._braid_memo and all(type(v) is dict for v in A._braid_memo.values())
+
+
+def test_root_vector_tie_between_least_width_pairs():
+    # beta_3 = a[1,4] of 123121 is beta_1 + beta_5 and beta_2 + beta_6, both of
+    # width 4; root_vectors takes (1, 5), and (2, 6) spans the same line
+    w = (1, 2, 3, 1, 2, 1)
+    wt = [b.weight(3) for b in beta_sequence(w, 3)]
+    vecs = root_vectors(UqAlgebra(3), w)
+    assert [v.terms for v in vecs] == _root_vectors_per_word(UqAlgebra(3), w)
+    for a, b in ((0, 4), (1, 5)):
+        assert tuple(x + y for x, y in zip(wt[a], wt[b])) == wt[2] == (1, 1, 1)
+        assert _proportional(qcomm(vecs[a], vecs[b], QINV), vecs[2]), (a, b)
 
 
 def test_coproduct_memo_matches_fresh_algebra():
@@ -280,6 +292,66 @@ def test_coproduct_memo_matches_fresh_algebra():
         assert shared.terms == coproduct(UqElement(fresh, v.terms)).terms
     assert len(A._coproduct_memo) == len(vecs)
     assert all(type(v) is dict for v in A._coproduct_memo.values())
+
+
+def _coproduct_per_letter(x):
+    """Delta(x) as the product of the generator coproducts, letter by letter."""
+    A = x.algebra
+    out = TensorSquare(A, {})
+    for (f, kv, e), c in x.terms.items():
+        acc = TensorSquare.from_pairs(A, [(A.scalar(c), A.one())])
+        for l in f:
+            acc = acc * A.gen_coproduct("F", l)
+        for a, v in enumerate(kv):
+            if v:
+                acc = acc * A.gen_coproduct("K", a + 1, v)
+        for l in e:
+            acc = acc * A.gen_coproduct("E", l)
+        out = out + acc
+    return out
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_q_shuffle_coproduct_of_root_vectors(n):
+    A = UqAlgebra(n)
+    vecs = {frozenset(v.terms.items()): v for w in commutation_classes(n).reps for v in root_vectors(A, w)}
+    for v in vecs.values():
+        assert coproduct(v) == _coproduct_per_letter(v), v
+
+
+def test_q_shuffle_coproduct_random():
+    rng = random.Random(17)
+    coeffs = [ONE, -TWO_Q, QINV, (Q + ONE).inverse(), (Q * Q - Q + ONE) / (Q - TWO_Q)]
+    for n in (2, 3):
+        A = UqAlgebra(n)
+        letters = range(1, n + 1)
+        for _ in range(40):  # U+ elements with rational coefficients
+            x = A.zero()
+            for _ in range(rng.randint(1, 4)):
+                m = A.scalar(rng.choice(coeffs))
+                for _ in range(rng.randint(0, 5)):
+                    m = m * A.E(rng.choice(letters))
+                x = x + m
+            assert coproduct(x) == _coproduct_per_letter(x), x
+        for _ in range(40):  # monomials mixing F, K and E
+            m = A.scalar(rng.choice(coeffs))
+            for _ in range(rng.randint(1, 2)):
+                m = m * A.F(rng.choice(letters))
+            m = m * A.K(rng.choice(letters), rng.choice((-2, -1, 1, 2)))
+            for _ in range(rng.randint(0, 3)):
+                m = m * A.E(rng.choice(letters))
+            assert coproduct(m) == _coproduct_per_letter(m), m
+
+
+def test_q_shuffle_coproduct_long_words():
+    # repeated letters merge, so 21 and 121 terms, not one per subset of 2^20
+    A = UqAlgebra(2)
+    for word, size in (((1,) * 20, 21), ((1,) * 10 + (2,) * 10, 121)):
+        x = A.one()
+        for l in word:
+            x = x * A.E(l)
+        d = coproduct(x)
+        assert len(d.terms) == size and d == _coproduct_per_letter(x), word
 
 
 def _assert_eword_mul_matches_product(algebra, elems):
@@ -359,7 +431,6 @@ def test_braid_T_memo_matches_product_chain(n):
             x = x + m
         for i in range(1, n + 1):
             assert braid_T(i, x) == _braid_T_oracle(i, x), (i, x)
-    assert A._braid_gen_memo and all(type(v) is dict for v in A._braid_gen_memo.values())
 
 
 def test_adjoint_k_conjugation_and_unit():
