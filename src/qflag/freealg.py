@@ -27,7 +27,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 
-from qflag.scalars import ONE, RatQ, ZERO
+from qflag.scalars import ONE, RatQ
 
 Word = tuple  # tuple[int, ...]
 
@@ -36,11 +36,12 @@ def _acc(d: dict, key, c: RatQ):
     """d[key] += c, keeping only nonzero coefficients."""
     if not c:
         return
-    s = d.get(key, ZERO) + c
+    s = d.get(key)
+    s = c if s is None else s + c
     if s:
         d[key] = s
     else:
-        d.pop(key, None)
+        del d[key]
 
 
 def _term(c: RatQ, mono: str) -> str:

@@ -12,9 +12,9 @@ canonical form:
 `_canonical` computes the gcd by pseudo-remainders only when both num and
 den have two or more terms.  When either is a single term c*q^k, the gcd
 over Q is q^m with m the lower of the two lowest powers present, so the
-pair is shifted down by m instead.  A product or an equal-denominator sum
-of values with denominator 1 is canonical as it stands and skips
-`_canonical` altogether.
+pair is shifted down by m instead.  A sum or product of values with den
+q^m, or a quotient by a unit +-q^k, has den q^m too and skips `_canonical`:
+q^m has content 1, so `_laurent` need only strip the q^k common to both.
 
 Canonical form makes equality and hashing structural: two values are equal
 iff their tuples coincide.  q is treated as transcendental; the only
@@ -36,6 +36,13 @@ from fractions import Fraction
 
 _ZPOL = ()
 _ONEPOL = (1,)
+_NQ = 64
+_QDEN = tuple((0,) * m + (1,) for m in range(_NQ))  # q^m, shared
+
+
+def _qden(m: int):
+    """The tuple of q^m (m >= 0), shared from the table when it is there."""
+    return _QDEN[m] if m < _NQ else (0,) * m + (1,)
 
 
 def _trim(c) -> tuple[int, ...]:
@@ -193,8 +200,8 @@ class RatQ:
     @staticmethod
     def q_power(k: int) -> "RatQ":
         if k >= 0:
-            return _mk((0,) * k + (1,), _ONEPOL)
-        return _mk(_ONEPOL, (0,) * (-k) + (1,))
+            return _mk(_qden(k), _ONEPOL)
+        return _mk(_ONEPOL, _qden(-k))
 
     @staticmethod
     def from_fraction(x: Fraction) -> "RatQ":
@@ -203,14 +210,17 @@ class RatQ:
     # -- ring/field structure ------------------------------------------------
 
     def __add__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if self.den == other.den:
-            num = _padd(self.num, other.num)
-            if self.den == _ONEPOL:
-                return _mk(num, _ONEPOL)
-            return _make_canonical(num, self.den)
+        if type(other) is not RatQ:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        d1, d2 = self.den, other.den
+        m1, m2 = len(d1) - 1, len(d2) - 1
+        if m1 < _NQ and m2 < _NQ and d1 == _QDEN[m1] and d2 == _QDEN[m2]:
+            m = max(m1, m2)
+            return _laurent(_padd((0,) * (m - m1) + self.num, (0,) * (m - m2) + other.num), m)
+        if d1 == d2:
+            return _make_canonical(_padd(self.num, other.num), d1)
         return _make_canonical(
             _padd(_pmul(self.num, other.den), _pmul(other.num, self.den)),
             _pmul(self.den, other.den),
@@ -231,13 +241,14 @@ class RatQ:
         return _mk(_pneg(self.num), self.den)
 
     def __mul__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if not self.num or not other.num:
-            return ZERO
-        if self.den == _ONEPOL and other.den == _ONEPOL:
-            return _mk(_pmul(self.num, other.num), _ONEPOL)
+        if type(other) is not RatQ:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        d1, d2 = self.den, other.den
+        m1, m2 = len(d1) - 1, len(d2) - 1
+        if m1 < _NQ and m2 < _NQ and d1 == _QDEN[m1] and d2 == _QDEN[m2]:
+            return _laurent(_pmul(self.num, other.num), m1 + m2)
         return _make_canonical(_pmul(self.num, other.num), _pmul(self.den, other.den))
 
     __rmul__ = __mul__
@@ -246,9 +257,14 @@ class RatQ:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if not other.num:
+        n, d = other.num, other.den
+        if not n:
             raise ZeroDivisionError("division by zero in Q(q)")
-        return _make_canonical(_pmul(self.num, other.den), _pmul(self.den, other.num))
+        k, j = len(n) - 1, len(d) - 1
+        if n[-1] in (1, -1) and n.count(0) == k and j < _NQ and d == _QDEN[j]:
+            # other = +-q^k/q^j is a unit: multiply by +-q^j/q^k instead
+            return self * _mk(d if n[-1] > 0 else _pneg(d), _qden(k))
+        return _make_canonical(_pmul(self.num, d), _pmul(self.den, n))
 
     def __rtruediv__(self, other):
         return _coerce(other) / self
@@ -355,6 +371,16 @@ def _mk(num, den) -> RatQ:
     out.num, out.den = num, den
     out._hash = None
     return out
+
+
+def _laurent(num, m: int) -> RatQ:
+    """num/q^m (num trimmed, m >= 0) in canonical form: strip the common q^k."""
+    if not num:
+        return ZERO
+    k = 0
+    while k < m and not num[k]:
+        k += 1
+    return _mk(num[k:] if k else num, _qden(m - k))
 
 
 def _make_canonical(num, den) -> RatQ:

@@ -10,6 +10,7 @@ from qflag.freealg import (
     DegLex,
     FreeElement,
     Span,
+    _acc,
     _span_over,
     annihilator,
     complete_truncated,
@@ -341,3 +342,24 @@ def test_sum_equality_compares_context():
     assert f.terms == OqElement.unit(1).terms == UqElement(A, {(): ONE}).terms
     assert f != UqElement(A, {(): ONE}) and UqElement(A, {(): ONE}) != f
     assert f != OqElement.unit(1) and OqElement.unit(1) != f
+
+
+def test_acc_stores_adds_and_prunes():
+    d = {}
+    _acc(d, "a", ZERO)  # a zero coefficient is a no-op
+    assert d == {}
+    _acc(d, "a", NU)  # a new key stores the coefficient itself
+    assert d == {"a": NU} and d["a"] is NU
+    _acc(d, "a", QINV)
+    assert d == {"a": Q}
+    _acc(d, "a", ZERO)
+    assert d == {"a": Q}
+    _acc(d, "b", ONE)
+    _acc(d, "a", -Q)  # a sum that cancels pops the key
+    assert d == {"b": ONE}
+    _acc(d, "b", -ONE)
+    assert d == {}
+    rng = random.Random(11)
+    for _ in range(500):
+        _acc(d, rng.randrange(4), rng.choice((ZERO, ONE, -ONE, Q, -Q, NU, -NU)))
+        assert all(d.values())  # no ZERO-valued entry is ever left

@@ -1,6 +1,7 @@
 """Field arithmetic in Q(q): canonical forms, axioms, evaluation."""
 
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -19,6 +20,7 @@ from qflag.scalars import (
     _pdiv_exact,
     _pgcd,
     _pmul,
+    _pneg,
     _trim,
     qpow,
     ratq_arith,
@@ -162,7 +164,9 @@ def test_canonical_fast_path_matches_gcd():
 
 
 def test_add_mul_shortcuts_match_gcd_path():
-    """Sums and products of values with denominator 1 skip `_canonical`."""
+    """Sums and products of values with denominator 1 skip `_canonical`;
+    denominator 1 = q^0 is one case of the Laurent fast path (tested in full
+    by `test_laurent_fast_path_matches_gcd`)."""
     rng = random.Random(4244)
     for _ in range(2000):
         a = RatQ(_random_poly(rng))
@@ -170,3 +174,77 @@ def test_add_mul_shortcuts_match_gcd_path():
         assert ((a + b).num, (a + b).den) == _canonical_by_gcd(_padd(a.num, b.num), (1,))
         assert ((a * b).num, (a * b).den) == _canonical_by_gcd(_pmul(a.num, b.num), (1,))
 
+
+def _random_laurent(rng):
+    """p/q^m with m from 0 to past the end of the shared q^m table (64), and
+    p possibly with zero low coefficients, so construction may strip q^k."""
+    m = rng.choice((rng.randint(0, 4), rng.randint(0, 40), rng.randint(60, 70)))
+    return RatQ(_random_poly(rng), (0,) * m + (1,))
+
+
+def _random_operand(rng, a):
+    """A Laurent value, a sum partner that cancels a or leaves an integral
+    value, a unit, a non-unit monomial, a non-Laurent value, an int or a
+    Fraction."""
+    pick = rng.randrange(9)
+    if pick == 0:
+        return -a
+    if pick == 1:
+        return RatQ(rng.randint(-3, 3)) - a  # a + b is an integer
+    if pick == 2:
+        return rng.choice((1, -1)) * qpow(rng.randint(-40, 40))
+    if pick == 3:
+        return rng.choice((2, -3, Fraction(1, 2))) * qpow(rng.randint(-5, 5))
+    if pick == 4:
+        return _random_ratq(rng)
+    if pick == 5:
+        return rng.randint(-3, 3)
+    if pick == 6:
+        return Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+    return _random_laurent(rng)
+
+
+def _parts(v):
+    """(num, den) of a RatQ, int or Fraction, left for the oracle to reduce."""
+    if isinstance(v, RatQ):
+        return v.num, v.den
+    v = Fraction(v)
+    return (v.numerator,), (v.denominator,)
+
+
+def _expected(x, y, op):
+    """(num, den) of x op y through the `_canonical_by_gcd` oracle."""
+    (xn, xd), (yn, yd) = _parts(x), _parts(y)
+    if op == "+":
+        return _canonical_by_gcd(_padd(_pmul(xn, yd), _pmul(yn, xd)), _pmul(xd, yd))
+    if op == "-":
+        return _canonical_by_gcd(_padd(_pmul(xn, yd), _pneg(_pmul(yn, xd))), _pmul(xd, yd))
+    if op == "*":
+        return _canonical_by_gcd(_pmul(xn, yn), _pmul(xd, yd))
+    return _canonical_by_gcd(_pmul(xn, yd), _pmul(xd, yn))
+
+
+def test_laurent_fast_path_matches_gcd():
+    """Sums, products and unit quotients of values with den q^m skip
+    `_canonical`; every result must equal the gcd path's."""
+    ops = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+    rng = random.Random(4246)
+    for _ in range(600):
+        a = _random_laurent(rng)
+        b = _random_operand(rng, a)
+        for x, y in ((a, b), (b, a)):
+            for op, f in ops.items():
+                if op == "/" and not y:
+                    continue
+                got = f(x, y)
+                assert (got.num, got.den) == _expected(x, y, op), (x, op, y)
+
+
+def test_laurent_fast_path_rendering():
+    assert str(QINV * QINV) == "q^-2"
+    assert str(ONE / (Q * Q)) == "q^-2"
+    assert str(-QINV * QINV * QINV) == "-q^-3"
+    assert str((Q * Q - 1) * QINV**3) == "(q^2 - 1)*q^-3"
+    assert str(NU * QINV * QINV) == "(q^2 - 1)*q^-3"
+    assert str(Q - QINV) == "nu"
+    assert str(-(qpow(2) - 1) / Q) == "-nu"
