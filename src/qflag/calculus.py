@@ -23,8 +23,8 @@ check, and the antiholomorphic-kernel computation on spans of u-words.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from itertools import combinations
+from dataclasses import dataclass, replace
+from itertools import combinations, product
 from math import comb
 
 from qflag import oq, weyl
@@ -57,7 +57,6 @@ class TangentSpace:
     labels: list[str]
     roots: list[Root] | None = None  # per-entry root when the weight is a root
     word: tuple[int, ...] | None = None
-    _relations: "RelationSpace | None" = field(default=None, repr=False)
 
     @property
     def n(self) -> int:
@@ -242,8 +241,6 @@ def quadratic_relations(t: TangentSpace) -> RelationSpace:
     sum c_kl X_k X_l reduced modulo span(T_mu), so its annihilator is the
     row space of A_mu: the RREF of the residue rows, one per E-word
     coordinate, over the pairs (k, l)."""
-    if t._relations is not None:
-        return t._relations
     d = t.dim
     coords = [x.eword_coords() for x in t.basis]
     pair_weights: dict[tuple[int, ...], list[tuple[int, int]]] = {}
@@ -266,9 +263,7 @@ def quadratic_relations(t: TangentSpace) -> RelationSpace:
         rels = [FreeElement(vec) for vec in rref(list(residue_rows.values()), pairs)]
         if rels:
             by_weight[mu] = rels
-    alphabet = cotangent_alphabet(t)
-    t._relations = RelationSpace(alphabet, DegLex(size=d), by_weight)
-    return t._relations
+    return RelationSpace(cotangent_alphabet(t), DegLex(size=d), by_weight)
 
 
 def classical_verdict(dims: list[int], d: int) -> bool | None:
@@ -395,8 +390,10 @@ _FROBENIUS_MAX_PRODUCTS = 200_000  # sum_k dims[k] dims[top - k]; rank 4 has C(2
 
 def frobenius_report(t: TangentSpace) -> FrobeniusReport:
     d = t.dim
-    table = exterior_dims(t, d + 1)
-    dims = table.dims
+    rel = quadratic_relations(t)
+    # one completion to d + 1 serves the pairing: no word of length <= top meets a longer lead
+    gb = complete_truncated(rel.all_relations(), rel.order, d + 1, rel.alphabet)
+    dims = gb.normal_counts(d + 1)
     nonzero = [k for k, x in enumerate(dims) if x]
     if dims[-1] != 0:
         return FrobeniusReport(len(dims) - 1, dims[-1], {}, {}, note="dimensions do not vanish")
@@ -406,8 +403,6 @@ def frobenius_report(t: TangentSpace) -> FrobeniusReport:
         raise ValueError(
             f"frobenius pairing would reduce {products} products (at most {_FROBENIUS_MAX_PRODUCTS})"
         )
-    rel = quadratic_relations(t)
-    gb = complete_truncated(rel.all_relations(), rel.order, top + 1, rel.alphabet)
     report = FrobeniusReport(top, dims[top], {}, {})
     if dims[top] != 1:
         report.note = "top dimension is not one; Nakayama data skipped"
@@ -485,42 +480,12 @@ def _strip_k_phased(alg: UqAlgebra, terms: dict) -> dict:
     return out
 
 
-def _kfree_monomials(alg: UqAlgebra, mu, e_max: int, f_max: int):
-    """Normal K-free monomials (f, 0, e) of weight mu within degree bounds."""
-    n = alg.n
-    zero = (0,) * n
-    alg._serre.extend_to(max(e_max, f_max) + 1)
-    by_weight_e: dict = {}
-    by_weight_f: dict = {}
-    for deg in range(max(e_max, f_max) + 1):
-        for w0 in alg._serre.normal_words(deg):
-            word = tuple(g + 1 for g in w0)
-            wt = [0] * n
-            for l in word:
-                wt[l - 1] += 1
-            if deg <= e_max:
-                by_weight_e.setdefault(tuple(wt), []).append(word)
-            if deg <= f_max:
-                by_weight_f.setdefault(tuple(-x for x in wt), []).append(word)
-    out = []
-    for fwt, fwords in by_weight_f.items():
-        ewt = tuple(m - fw for m, fw in zip(mu, fwt))
-        for ew in by_weight_e.get(ewt, []):
-            for fw in fwords:
-                out.append((fw, zero, ew))
-    return out
-
-
 def grassmann_restriction(t: TangentSpace, r: int) -> tuple[TangentSpace, bool]:
     """Restrict a nice-word tangent space to the r-plane Grassmannian: keep
     the root vectors whose root contains alpha_r, and check that their span
     is closed under the adjoint action of the Levi generators (all K_i,
-    plus E_j, F_j for j in S = Pi minus alpha_r).
-
-    Membership is taken in the restricted dual: a functional on the
-    Grassmannian subalgebra kills every right multiple X E_j, X F_j (j in S)
-    and identifies X K_i^{+-1} with X, so closure is tested modulo the span
-    of those right multiples (a certified membership computation)."""
+    plus E_j, F_j for j in S = Pi minus alpha_r), certified inside U+
+    modulo the right ideal U+E_S (`_levi_closed`)."""
     alg = t.algebra
     n = alg.n
     if t.word is None or tuple(t.word) != weyl.nice_word(n):
@@ -536,46 +501,63 @@ def grassmann_restriction(t: TangentSpace, r: int) -> tuple[TangentSpace, bool]:
         roots=[t.roots[k] for k in keep],
         word=None,
     )
-    levi = [("K", i, 1) for i in range(1, n + 1)] + [("K", i, -1) for i in range(1, n + 1)]
-    for j in range(1, n + 1):
-        if j != r:
-            levi.extend([("E", j), ("F", j)])
-    candidates = []
-    for g in levi:
-        for x in sub.basis:
-            y = adjoint(alg, g, x)
-            if y:
-                candidates.append(y)
-    member = Span()
-    for x in sub.basis:
-        member.add(_strip_k_phased(alg, x.terms))
-    e_max = max(
-        [x.e_degree() for x in sub.basis]
-        + [max((len(e) for (_f, _kv, e) in y.terms), default=0) for y in candidates]
-    )
-    f_max = 1 + max(
-        max((len(f) for (f, _kv, _e) in y.terms), default=0) for y in candidates
-    )
-    weights_needed = set()
-    for y in candidates:
-        try:
-            weights_needed.add(y.weight())
-        except ValueError:
-            weights_needed.update({y.mono_weight(m) for m in y.terms})
+    return sub, _levi_closed(alg, sub.basis, r)
+
+
+def _levi_closed(alg: UqAlgebra, basis: list[UqElement], r: int) -> bool:
+    """Whether span(T), T weight-homogeneous in U+, is closed under the
+    right adjoint action of K_i^{+-1} and of E_j, F_j (j in S = Pi minus
+    alpha_r) in the Grassmannian's restricted dual, which kills the right
+    multiples X E_j, X F_j (j in S) and X (K_i^{+-1} - 1).
+
+    After the phased K-strip every candidate lies in U+: ad(K_i^{+-1})x is
+    a multiple of x, ad(E_j)x = x E_j - q^{-(alpha_j, beta)} E_j x and
+    ad(F_j)x = K_j [x, F_j], where [x, F_j] has no F-part.  A candidate of
+    weight mu is tested against span(T_mu) + U+E_S, the right ideal of U+
+    spanned by the normal forms of w s, w Serre-normal of weight
+    mu - alpha_s, s in S; each weight's span is built once, on first use.
+
+    Soundness: U+E_S consists of right multiples by E_s, s in S, so every
+    closed verdict is an explicit membership certificate.  Agreement with
+    the search over all K-free right multiples X E_j, X F_j (the test
+    oracle): by the parabolic PBW factorisation U_q = U_q(u^-) (x) U+[w^S]
+    (x) U_q(l_S), U+ meets U U_q(l_S)^+ in U+E_S, so a U+ candidate that
+    search certifies is certified here too.  A stripped candidate with an
+    F-part falls outside this argument and raises AssertionError."""
+    n = alg.n
     gens_s = [j for j in range(1, n + 1) if j != r]
-    for mu in sorted(weights_needed):
-        for j in gens_s:
-            alpha = tuple(1 if a == j - 1 else 0 for a in range(n))
-            for kind, gelem, gw in (("E", alg.E(j), alpha), ("F", alg.F(j), tuple(-x for x in alpha))):
-                target = tuple(m - w for m, w in zip(mu, gw))
-                for mono in _kfree_monomials(alg, target, e_max, f_max - 1):
-                    prod = UqElement(alg, {mono: ONE}) * gelem
-                    if prod:
-                        member.add(_strip_k_phased(alg, prod.terms))
-    closed = all(
-        member.contains(_strip_k_phased(alg, y.terms)) for y in candidates
-    )
-    return sub, closed
+    levi = [("K", i, e) for e in (1, -1) for i in range(1, n + 1)]
+    levi += [(kind, j) for j in gens_s for kind in "EF"]
+    members: dict[tuple[int, ...], Span] = {}
+    for x, g in product(basis, levi):
+        y = _strip_k_phased(alg, adjoint(alg, g, x).terms)
+        if any(f for f, _kv, _e in y):
+            raise AssertionError(f"ad{g}({x.render()}) keeps an F-part after the K-strip")
+        y = {e: c for (_f, _kv, e), c in y.items()}
+        if not y:
+            continue
+        mu = tuple(next(iter(y)).count(i) for i in range(1, n + 1))
+        if mu not in members:
+            members[mu] = sp = Span()
+            for z in basis:
+                if z.weight() == mu:
+                    sp.add(z.eword_coords())
+            for s in gens_s:
+                for w in _normal_ewords(alg, [m - (a == s - 1) for a, m in enumerate(mu)]):
+                    sp.add(dict(alg.word_nf(w + (s,))))
+        if not members[mu].contains(y):
+            return False
+    return True
+
+
+def _normal_ewords(alg: UqAlgebra, nu: list[int]) -> list[tuple[int, ...]]:
+    """The Serre-normal E-words of weight nu (none if an entry is negative)."""
+    gb = alg._serre
+    gb.extend_to(sum(nu))
+    words = [()] if min(nu) >= 0 else []
+    for _ in range(sum(nu)):
+        words = [c for w in words for c in gb._extensions(w) if c.count(c[-1]) <= nu[c[-1]]]
+    return [tuple(g + 1 for g in w) for w in words]
 
 
 # -- antiholomorphic kernels -------------------------------------------------------------

@@ -330,18 +330,9 @@ class UqElement(_Sum):
                 out = out + c
         return out
 
-    def mono_weight(self, m: Mono) -> tuple[int, ...]:
-        f, _, e = m
-        n = self.algebra.n
-        w = [0] * n
-        for l in e:
-            w[l - 1] += 1
-        for l in f:
-            w[l - 1] -= 1
-        return tuple(w)
-
     def weight(self) -> tuple[int, ...]:
-        wts = {self.mono_weight(m) for m in self.terms}
+        letters = range(1, self.algebra.n + 1)
+        wts = {tuple(e.count(l) - f.count(l) for l in letters) for f, _kv, e in self.terms}
         if len(wts) > 1:
             offenders = sorted(str(_mono_str(m, self.algebra.n)) for m in self.terms)
             raise ValueError(f"element is not weight-homogeneous: monomials {offenders}")

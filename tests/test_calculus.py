@@ -1,6 +1,7 @@
 """Tangent spaces, coideal verdicts, relation spaces, and the derived
 structure of the quantum exterior algebras."""
 
+import functools
 import gc
 import random
 import weakref
@@ -12,8 +13,8 @@ import pytest
 from qflag import calculus as C
 from qflag.freealg import FreeElement, Span, annihilator, complete_truncated, rank, rref
 from qflag.scalars import NU, ONE, Q, QINV, ZERO, qpow
-from qflag.uqsl import UqAlgebra, build_Eji, qcomm
-from qflag.weyl import Root, commutation_classes, involution_on_classes, nice_word
+from qflag.uqsl import UqAlgebra, UqElement, adjoint, build_Eji, qcomm, root_vectors
+from qflag.weyl import Root, beta_sequence, commutation_classes, involution_on_classes, nice_word
 
 
 def nice_tangent(n):
@@ -403,18 +404,108 @@ def test_line_decomposition_requires_classical():
 
 
 def test_grassmann_restriction():
+    """Every Grassmannian of ranks 2-4 keeps the r(n+1-r) root vectors
+    whose root contains alpha_r, and their span is ad-closed."""
+    for n in (2, 3, 4):
+        t = nice_tangent(n)
+        for r in range(1, n + 1):
+            sub, closed = C.grassmann_restriction(t, r)
+            assert closed, (n, r)
+            assert sub.dim == r * (n + 1 - r)
+            assert all(root.i <= r < root.j for root in sub.roots)
     t = nice_tangent(3)
-    sizes = {}
-    for r in (1, 2, 3):
-        sub, closed = C.grassmann_restriction(t, r)
-        sizes[r] = sub.dim
-        assert closed
-        assert all(root.i <= r < root.j for root in sub.roots)
-    assert sizes == {1: 3, 2: 4, 3: 3}
     with pytest.raises(ValueError):
         C.grassmann_restriction(t, 4)
     with pytest.raises(ValueError):
         C.grassmann_restriction(C.tangent_from_word(t.algebra, (1, 2, 3, 1, 2, 1)), 1)
+
+
+def _levi_closed_by_search(alg, basis, r, ad=adjoint):
+    """The general ad-closure certificate: span(T) plus the K-stripped right
+    multiples m E_j, m F_j (j != r) of every normal K-free monomial
+    m = (f, 0, e) of the needed weight in a degree window, all formed by
+    triangular straightening."""
+    n = alg.n
+    levi = [("K", i, e) for e in (1, -1) for i in range(1, n + 1)]
+    levi += [(kind, j) for j in range(1, n + 1) if j != r for kind in "EF"]
+    candidates = [y for g in levi for x in basis if (y := ad(alg, g, x))]
+    member = Span()
+    for x in basis:
+        member.add(C._strip_k_phased(alg, x.terms))
+    e_max = max(
+        [x.e_degree() for x in basis]
+        + [max((len(e) for (_f, _kv, e) in y.terms), default=0) for y in candidates]
+    )
+    f_max = max(max((len(f) for (f, _kv, _e) in y.terms), default=0) for y in candidates)
+    weights_needed = {y.weight() for y in candidates}  # ad keeps weights homogeneous
+    e_words, f_words = {}, {}  # normal words within the window, by weight
+    alg._serre.extend_to(max(e_max, f_max) + 1)
+    for deg in range(max(e_max, f_max) + 1):
+        for w0 in alg._serre.normal_words(deg):
+            word = tuple(g + 1 for g in w0)
+            wt = tuple(word.count(i) for i in range(1, n + 1))
+            if deg <= e_max:
+                e_words.setdefault(wt, []).append(word)
+            if deg <= f_max:
+                f_words.setdefault(wt, []).append(word)
+    zero = (0,) * n
+    for mu in sorted(weights_needed):
+        for j in range(1, n + 1):
+            if j == r:
+                continue
+            alpha = tuple(1 if a == j - 1 else 0 for a in range(n))
+            for gelem, sign in ((alg.E(j), 1), (alg.F(j), -1)):
+                target = tuple(m - sign * a for m, a in zip(mu, alpha))
+                for fwt, fws in f_words.items():
+                    ews = e_words.get(tuple(m + x for m, x in zip(target, fwt)), [])
+                    for ew, fw in product(ews, fws):
+                        prod = UqElement(alg, {(fw, zero, ew): ONE}) * gelem
+                        if prod:
+                            member.add(C._strip_k_phased(alg, prod.terms))
+    return all(member.contains(C._strip_k_phased(alg, y.terms)) for y in candidates)
+
+
+def _levi_cases(n):
+    """(word, r, kept root indices): per word (the nice word and two other
+    class representatives, one at rank 2) and crossed node r, the roots
+    containing alpha_r, that set with each root dropped, and two seeded
+    random subsets of all roots."""
+    reps = [w for w in commutation_classes(n).reps if w != nice_word(n)]
+    rng = random.Random(n)
+    for word in [nice_word(n)] + reps[:: max(1, len(reps) // 2)][:2]:
+        roots = beta_sequence(word, n)
+        for r in range(1, n + 1):
+            keep = [k for k, root in enumerate(roots) if root.i <= r < root.j]
+            yield word, r, keep
+            for drop in keep:
+                yield word, r, [k for k in keep if k != drop]
+            for _ in range(2):
+                yield word, r, sorted(rng.sample(range(len(roots)), rng.randint(1, len(roots))))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_levi_closure_matches_search_oracle(n):
+    """The U+ certificate modulo U+E_S gives the general search's verdict on
+    root-vector subsets of nice and non-nice words, both verdicts seen."""
+    alg = UqAlgebra(n)
+    ad = functools.cache(adjoint)  # subsets of one word share their candidates
+    verdicts = []
+    for word, r, keep in _levi_cases(n):
+        vecs = root_vectors(alg, word)
+        basis = [vecs[k] for k in keep]
+        got = C._levi_closed(alg, basis, r)
+        assert got == _levi_closed_by_search(alg, basis, r, ad), (word, r, keep)
+        verdicts.append(got)
+    assert set(verdicts) == {True, False}
+
+
+def test_levi_closure_refuses_an_f_part(monkeypatch):
+    """A candidate that keeps an F-part after the K-strip is an error, not a
+    term to drop."""
+    A = UqAlgebra(2)
+    monkeypatch.setattr(C, "adjoint", lambda alg, g, x: alg.F(1) * x)
+    with pytest.raises(AssertionError, match="F-part"):
+        C._levi_closed(A, [A.E(1), build_Eji(A, 1, 3)], 2)
 
 
 def test_dbar_kernel_degree_one():
