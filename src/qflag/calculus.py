@@ -24,7 +24,7 @@ check, and the antiholomorphic-kernel computation on spans of u-words.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import combinations, product
+from itertools import combinations
 from math import comb
 
 from qflag import oq, weyl
@@ -240,9 +240,16 @@ def quadratic_relations(t: TangentSpace) -> RelationSpace:
     C_mu is the kernel of the residue map A_mu sending c to
     sum c_kl X_k X_l reduced modulo span(T_mu), so its annihilator is the
     row space of A_mu: the RREF of the residue rows, one per E-word
-    coordinate, over the pairs (k, l)."""
+    coordinate, over the pairs (k, l).
+
+    A_mu depends only on the members of weight mu and on the ordered pairs
+    (X_k, X_l), so each block's RREF is memoised on the algebra under their
+    `eword_id`s, as rows over pair positions (`_relation_memo`); classes of
+    a survey share most blocks."""
+    alg = t.algebra
     d = t.dim
     coords = [x.eword_coords() for x in t.basis]
+    ids = [alg.eword_id(x) for x in coords]
     pair_weights: dict[tuple[int, ...], list[tuple[int, int]]] = {}
     for k in range(d):
         for l in range(d):
@@ -251,19 +258,29 @@ def quadratic_relations(t: TangentSpace) -> RelationSpace:
     by_weight = {}
     for mu in sorted(pair_weights):
         pairs = pair_weights[mu]
-        member = Span()
-        for m in range(d):
-            if t.weights[m] == mu:
-                member.add(coords[m])
-        residue_rows: dict = {}  # E-word coordinate -> row of A_mu over pairs
-        for k, l in pairs:
-            residue = member.reduce(t.algebra.eword_mul(coords[k], coords[l]))
-            for w, c in residue.items():
-                residue_rows.setdefault(w, {})[k, l] = c
-        rels = [FreeElement(vec) for vec in rref(list(residue_rows.values()), pairs)]
-        if rels:
-            by_weight[mu] = rels
+        members = [m for m in range(d) if t.weights[m] == mu]
+        key = (tuple(ids[m] for m in members), tuple((ids[k], ids[l]) for k, l in pairs))
+        rows = alg._relation_memo.get(key)
+        if rows is None:
+            rows = alg._relation_memo[key] = _relation_block(
+                alg, [coords[m] for m in members], [(coords[k], coords[l]) for k, l in pairs]
+            )
+        if rows:
+            by_weight[mu] = [FreeElement({pairs[p]: c for p, c in row}) for row in rows]
     return RelationSpace(cotangent_alphabet(t), DegLex(size=d), by_weight)
+
+
+def _relation_block(alg: UqAlgebra, members: list[dict], products: list[tuple[dict, dict]]) -> tuple:
+    """RREF of the residue rows of one weight block, as rows of
+    (position in products, coefficient) pairs."""
+    member = Span()
+    for x in members:
+        member.add(x)
+    residue_rows: dict = {}  # E-word coordinate -> row of A_mu over positions
+    for p, (x, y) in enumerate(products):
+        for w, c in member.reduce(alg.eword_mul(x, y)).items():
+            residue_rows.setdefault(w, {})[p] = c
+    return tuple(tuple(row.items()) for row in rref(list(residue_rows.values()), range(len(products))))
 
 
 def classical_verdict(dims: list[int], d: int) -> bool | None:
@@ -510,9 +527,10 @@ def _levi_closed(alg: UqAlgebra, basis: list[UqElement], r: int) -> bool:
     alpha_r) in the Grassmannian's restricted dual, which kills the right
     multiples X E_j, X F_j (j in S) and X (K_i^{+-1} - 1).
 
-    After the phased K-strip every candidate lies in U+: ad(K_i^{+-1})x is
-    a multiple of x, ad(E_j)x = x E_j - q^{-(alpha_j, beta)} E_j x and
-    ad(F_j)x = K_j [x, F_j], where [x, F_j] has no F-part.  A candidate of
+    ad(K_i^{+-1})x is a multiple of x, so it lies in span(T) untested.
+    The other candidates lie in U+ after the phased K-strip:
+    ad(E_j)x = x E_j - q^{-(alpha_j, beta)} E_j x and ad(F_j)x =
+    K_j [x, F_j], where [x, F_j] has no F-part.  A candidate of
     weight mu is tested against span(T_mu) + U+E_S, the right ideal of U+
     spanned by the normal forms of w s, w Serre-normal of weight
     mu - alpha_s, s in S; each weight's span is built once, on first use.
@@ -526,28 +544,39 @@ def _levi_closed(alg: UqAlgebra, basis: list[UqElement], r: int) -> bool:
     F-part falls outside this argument and raises AssertionError."""
     n = alg.n
     gens_s = [j for j in range(1, n + 1) if j != r]
-    levi = [("K", i, e) for e in (1, -1) for i in range(1, n + 1)]
-    levi += [(kind, j) for j in gens_s for kind in "EF"]
     members: dict[tuple[int, ...], Span] = {}
-    for x, g in product(basis, levi):
-        y = _strip_k_phased(alg, adjoint(alg, g, x).terms)
-        if any(f for f, _kv, _e in y):
-            raise AssertionError(f"ad{g}({x.render()}) keeps an F-part after the K-strip")
-        y = {e: c for (_f, _kv, e), c in y.items()}
-        if not y:
-            continue
-        mu = tuple(next(iter(y)).count(i) for i in range(1, n + 1))
-        if mu not in members:
-            members[mu] = sp = Span()
-            for z in basis:
-                if z.weight() == mu:
-                    sp.add(z.eword_coords())
-            for s in gens_s:
-                for w in _normal_ewords(alg, [m - (a == s - 1) for a, m in enumerate(mu)]):
-                    sp.add(dict(alg.word_nf(w + (s,))))
-        if not members[mu].contains(y):
-            return False
+    for x in basis:
+        for y in _levi_candidates(alg, x, gens_s):
+            if not y:
+                continue
+            mu = tuple(next(iter(y)).count(i) for i in range(1, n + 1))
+            if mu not in members:
+                members[mu] = sp = Span()
+                for z in basis:
+                    if z.weight() == mu:
+                        sp.add(z.eword_coords())
+                for s in gens_s:
+                    for w in _normal_ewords(alg, [m - (a == s - 1) for a, m in enumerate(mu)]):
+                        sp.add(dict(alg.word_nf(w + (s,))))
+            if not members[mu].contains(y):
+                return False
     return True
+
+
+def _levi_candidates(alg: UqAlgebra, x: UqElement, gens_s: list[int]):
+    """E-word coordinates of the K-stripped ad(E_j)x and ad(F_j)x, j in
+    gens_s, in that order; ad(K_i^{+-1})x is a multiple of x, so it is left
+    out.  ad(E_j)x = x E_j - q^{-(alpha_j, beta)} E_j x is a twisted
+    commutator in U+; ad(F_j)x is formed by `adjoint` and must lose its F-part in
+    the K-strip."""
+    xc = x.eword_coords()
+    for j in gens_s:
+        ph = alg._ad_sum(tuple(int(a == j - 1) for a in range(alg.n)), next(iter(xc)))
+        yield alg.eword_qcomm(xc, {(j,): ONE}, RatQ.q_power(-ph))
+        y = _strip_k_phased(alg, adjoint(alg, ("F", j), x).terms)
+        if any(f for f, _kv, _e in y):
+            raise AssertionError(f"ad(F{j})({x.render()}) keeps an F-part after the K-strip")
+        yield {e: c for (_f, _kv, e), c in y.items()}
 
 
 def _normal_ewords(alg: UqAlgebra, nu: list[int]) -> list[tuple[int, ...]]:
@@ -572,11 +601,7 @@ def dbar_kernel(span_words, t: TangentSpace) -> tuple[int, list[OqElement]]:
     elements.
     """
     n = t.n
-    words = []
-    for w in span_words:
-        w = tuple(tuple(p) for p in w)
-        if w not in words:
-            words.append(w)
+    words = list(dict.fromkeys(tuple(tuple(p) for p in w) for w in span_words))
     if not words:
         return 0, []
     k = len(words[0])

@@ -36,14 +36,20 @@ of ordered monomials in X_{a+1}, ..., X_{b-1}; for a minimal pair it is a
 nonzero multiple of X_k (Leclerc, Dual canonical bases, quantum shuffles
 and q-characters, 2004; McNamara, KLR algebras of finite type, 2015).  The
 pair of least width b - a (ties to the smaller a) is minimal, since a nested
-pair would be narrower.
+pair would be narrower.  X_k is a function of X_a and X_b alone, so a
+root vector's id is its letter i for beta_k = alpha_i, else the pair
+(id_a, id_b), and a `UqAlgebra` memoises X_k's coordinates under that id
+(`_root_memo`): words sharing a sub-pattern share its root vectors.
 
 The coproduct of an E-word is the q-shuffle expansion of the product of its
 letters' Delta(E_i) = E_i x K_i + 1 x E_i, a sum over the subsets S of its
 positions of w_S (x) K^{wt(S)} w_{S^c} times a power of q.  A `UqAlgebra`
-memoises Serre normal forms, E-times-F straightenings and coproducts per
-element, as plain term dicts, never elements, which would point back at the
-algebra.
+memoises Serre normal forms, E-times-F straightenings, coproducts per
+element, root vectors per id (`_root_memo`), small int ids of E-word
+coordinates (`_eword_ids`, see `eword_id`) and the degree-two relation
+blocks of `calculus.quadratic_relations` keyed by those ids
+(`_relation_memo`), all as plain tuples, dicts, ints and Q(q) scalars,
+never elements, which would point back at the algebra.
 """
 
 from __future__ import annotations
@@ -100,6 +106,13 @@ class UqAlgebra:
         self._straighten_cache: dict[tuple, dict] = {}
         # frozenset of an element's terms -> terms of its coproduct
         self._coproduct_memo: dict[frozenset, dict] = {}
+        # root-vector id (see root_vectors) -> normalised E-word coordinates
+        self._root_memo: dict[tuple, dict] = {}
+        # frozenset of E-word coordinates -> small int (eword_id)
+        self._eword_ids: dict[frozenset, int] = {}
+        # (member ids, ordered pair ids) of one weight block of
+        # calculus.quadratic_relations -> its relation rows over pair positions
+        self._relation_memo: dict[tuple, tuple] = {}
 
     # -- generators ------------------------------------------------------------
 
@@ -222,6 +235,18 @@ class UqAlgebra:
                 for ew, ce in nf:
                     _acc(out, ew, c12 * ce)
         return out
+
+    def eword_qcomm(self, a: dict, b: dict, c: RatQ) -> dict:
+        """The twisted commutator ab - c ba in U+, on E-word coordinates."""
+        out = self.eword_mul(a, b)
+        for w, x in self.eword_mul(b, a).items():
+            _acc(out, w, -(c * x))
+        return out
+
+    def eword_id(self, coords: dict) -> int:
+        """Small int naming a U+ element of this algebra by its E-word
+        coordinates: equal elements get equal ids."""
+        return self._eword_ids.setdefault(frozenset(coords.items()), len(self._eword_ids))
 
     # -- structure maps -----------------------------------------------------------
 
@@ -523,20 +548,23 @@ def root_vectors(algebra: UqAlgebra, word) -> list[UqElement]:
     betas = weyl.beta_sequence(word, algebra.n)  # validates the word
     pos = {b: k for k, b in enumerate(betas)}
     coords: list = [None] * len(betas)
+    ids: list = [None] * len(betas)  # letter i, or (id_a, id_b) of the minimal pair
     for k in sorted(range(len(betas)), key=lambda k: betas[k].j - betas[k].i):
         i, j = betas[k]
         if j == i + 1:
-            coords[k] = {(i,): ONE}
+            ids[k], coords[k] = i, {(i,): ONE}
             continue
         pairs = (sorted((pos[weyl.Root(i, m)], pos[weyl.Root(m, j)])) for m in range(i + 1, j))
         a, b = min(pairs, key=lambda p: (p[1] - p[0], p[0]))
-        x = algebra.eword_mul(coords[a], coords[b])
-        for w, c in algebra.eword_mul(coords[b], coords[a]).items():
-            _acc(x, w, -(QINV * c))
-        if not x:
-            raise AssertionError(f"root vector {k + 1} of {word}: its minimal-pair commutator is zero")
-        lc = x[max(x)]  # every word has length ht(beta_k), so this is deg-lex leading
-        coords[k] = {w: c / lc for w, c in x.items()}
+        ids[k] = key = (ids[a], ids[b])
+        x = algebra._root_memo.get(key)
+        if x is None:
+            x = algebra.eword_qcomm(coords[a], coords[b], QINV)
+            if not x:
+                raise AssertionError(f"root vector {k + 1} of {word}: its minimal-pair commutator is zero")
+            lc = x[max(x)]  # every word has length ht(beta_k), so this is deg-lex leading
+            x = algebra._root_memo[key] = {w: c / lc for w, c in x.items()}
+        coords[k] = x
     zero = (0,) * algebra.n
     return [UqElement(algebra, {((), zero, w): c for w, c in x.items()}) for x in coords]
 

@@ -11,7 +11,7 @@ from math import comb
 import pytest
 
 from qflag import calculus as C
-from qflag.freealg import FreeElement, Span, annihilator, complete_truncated, rank, rref
+from qflag.freealg import FreeElement, Span, _Sum, annihilator, complete_truncated, rank, rref
 from qflag.scalars import NU, ONE, Q, QINV, ZERO, qpow
 from qflag.uqsl import UqAlgebra, UqElement, adjoint, build_Eji, qcomm, root_vectors
 from qflag.weyl import Root, beta_sequence, commutation_classes, involution_on_classes, nice_word
@@ -163,6 +163,52 @@ def test_relations_match_nullspace_route():
         rel = C.quadratic_relations(t)
         got = {mu: [r.terms for r in rels] for mu, rels in rel.by_weight.items()}
         assert got == _relations_via_nullspace(t), t.word or [x.render() for x in t.basis]
+
+
+def _memo_cases(rank):
+    """Every class of the rank in forward, then reversed order, each
+    followed by its root vectors in reversed order and by a theta-tangent:
+    its root vectors with the one of weight alpha_1 + alpha_2 replaced by
+    [E2, E1]_theta."""
+    reps = commutation_classes(rank).reps
+    thetas = (ZERO, ONE, Q, QINV, Q**2)
+    for rep in reps + reps[::-1]:
+        yield rep, "word", None
+        yield rep, "reversed", None
+        yield rep, "theta", thetas[reps.index(rep) % len(thetas)]
+
+
+def _memo_case_result(A, rep, kind, theta):
+    """Basis and relations (terms per weight) of one case built on A."""
+    if kind == "word":
+        t = C.tangent_from_word(A, rep)
+    else:
+        basis = root_vectors(A, rep)
+        if kind == "reversed":
+            basis.reverse()
+        else:
+            k = next(k for k, x in enumerate(basis) if x.weight()[:2] == (1, 1) and sum(x.weight()) == 2)
+            basis[k] = qcomm(A.E(2), A.E(1), theta)
+        t = C.tangent_from_exprs(A, basis)
+    rel = C.quadratic_relations(t)
+    return [x.terms for x in t.basis], {mu: [r.terms for r in rels] for mu, rels in rel.by_weight.items()}
+
+
+@pytest.mark.parametrize("rank", [2, 3, 4])
+def test_relation_memo_matches_cold_algebra(rank):
+    """On one shared algebra, whose root-vector and relation-block memos
+    fill as the cases pass, every case gets the root vectors and relations
+    of a cold computation: one on an algebra whose memos are emptied first
+    (its Serre normal forms, checked elsewhere, are kept)."""
+    warm, cold = UqAlgebra(rank), UqAlgebra(rank)
+    expected = {}
+    for case in _memo_cases(rank):
+        if case not in expected:
+            for memo in (cold._root_memo, cold._eword_ids, cold._relation_memo):
+                memo.clear()
+            expected[case] = _memo_case_result(cold, *case)
+        assert _memo_case_result(warm, *case) == expected[case], case
+    assert warm._relation_memo and (rank == 2 or warm._root_memo)
 
 
 def test_sl4_nested_relation_present():
@@ -499,6 +545,29 @@ def test_levi_closure_matches_search_oracle(n):
     assert set(verdicts) == {True, False}
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_levi_candidates_match_adjoint(n):
+    """The U+ candidates equal the K-stripped `adjoint` images: ad(E_j)x as
+    x E_j - q^{-(alpha_j, beta)} E_j x, ad(F_j)x, and ad(K_i^{+-1})x, left
+    out as a multiple of x; over every distinct root vector of the rank."""
+    alg = UqAlgebra(n)
+    vecs = {}
+    for rep in commutation_classes(n).reps:
+        for x in root_vectors(alg, rep):
+            vecs.setdefault(alg.eword_id(x.eword_coords()), x)
+    for x in vecs.values():
+        ys = iter(C._levi_candidates(alg, x, range(1, n + 1)))
+        for j in range(1, n + 1):
+            for kind in "EF":
+                y = C._strip_k_phased(alg, adjoint(alg, (kind, j), x).terms)
+                assert next(ys) == {e: c for (_f, _kv, e), c in y.items()}, (kind, j, x)
+                assert not any(f for f, _kv, _e in y)
+        for i, e in product(range(1, n + 1), (1, -1)):
+            y = C._strip_k_phased(alg, adjoint(alg, ("K", i, e), x).terms)
+            c = y[next(iter(x.terms))] / next(iter(x.terms.values()))
+            assert y == x.scale(c).terms
+
+
 def test_levi_closure_refuses_an_f_part(monkeypatch):
     """A candidate that keeps an F-part after the K-strip is an error, not a
     term to drop."""
@@ -594,13 +663,29 @@ def test_survey_rank2():
     assert all(r.verdict == "two_sided" and r.classical for r in rows)
 
 
+def _holds_element(v):
+    """Whether a memo key or value holds an element (any sparse sum)."""
+    if isinstance(v, _Sum):
+        return True
+    if isinstance(v, dict):
+        return any(_holds_element(k) or _holds_element(x) for k, x in v.items())
+    if isinstance(v, (tuple, list, frozenset)):
+        return any(_holds_element(x) for x in v)
+    return False
+
+
 def test_algebra_is_freed_without_the_cycle_collector():
     """No memo or cache on a UqAlgebra points back at it, so dropping the
-    last reference frees it at once, with the cyclic collector off."""
+    last reference frees it at once, with the cyclic collector off.  After
+    a rank-3 survey the root-vector, id and relation-block memos are
+    filled, and no element is among their keys and values."""
     gc.disable()
     try:
         A = UqAlgebra(3)
         C.survey_rows(A)
+        memos = (A._root_memo, A._eword_ids, A._relation_memo)
+        assert all(memos)
+        assert not any(_holds_element(m) for m in memos)
         t = C.tangent_from_word(A, (1, 2, 1, 3, 2, 1))
         C.coideal_check(t)
         C.exterior_dims(t)
