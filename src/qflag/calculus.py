@@ -298,11 +298,12 @@ def exterior_dims(
     """Graded dimensions of the quantum exterior algebra (quotient of the
     tensor algebra on the cotangent space by the degree-two relations).
     Degree k counts the normal words of the completion extended to degree k,
-    by DP rather than by listing them (TruncatedGB.normal_counts).
+    by DP rather than by listing them (TruncatedGB.normal_counts); once the
+    completion is settled, one count gives every remaining degree to kmax.
 
-    With early_stop, counting aborts at the first degree whose dimension
-    differs from the classical binomial; the table is then marked
-    non-classical and truncated_at records the last computed degree.
+    With early_stop, the table ends at the first degree whose dimension
+    differs from the classical binomial (the per-degree loop stops counting
+    there); it is marked non-classical and truncated_at records that degree.
     """
     d = t.dim
     if kmax is None:
@@ -310,13 +311,18 @@ def exterior_dims(
     rel = quadratic_relations(t)
     gb = complete_truncated(rel.all_relations(), rel.order, 0, rel.alphabet)
     dims = []
-    truncated = None
     for k in range(kmax + 1):
         gb.extend_to(k)
+        if gb.settled:
+            gb.extend_to(kmax)
+            dims += gb.normal_counts(kmax)[k:]
+            break
         dims.append(gb.normal_counts(k)[k])
         if early_stop and dims[k] != comb(d, k):
-            truncated = k
             break
+    truncated = next((k for k, x in enumerate(dims) if x != comb(d, k)), None) if early_stop else None
+    if truncated is not None:
+        del dims[truncated + 1 :]
     classical = False if truncated is not None else classical_verdict(dims, d)
     return DimensionTable(dims, classical, truncated)
 

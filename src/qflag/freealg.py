@@ -5,9 +5,11 @@ a sparse map word -> RatQ with zero coefficients pruned.  The engine
 supplies degree-lexicographic monomial orders, reduction modulo a rewrite
 system, degree-truncated completion of homogeneous relation systems
 (overlap ambiguities resolved up to a validity degree, which is sound for
-homogeneous two-sided ideals), and graded dimension counting: normal words
-are paths in Ufnarovski's graph of the leads, counted by DP over their last
-m-1 letters (m the longest lead length; they decide every extension).
+homogeneous two-sided ideals; with no live overlap pending it is complete
+in every degree by Bergman's diamond lemma), and graded dimension counting:
+normal words are paths in Ufnarovski's graph of the leads, counted by DP
+over their last m-1 letters (m the longest lead length; they decide every
+extension).  A new lead's overlaps come from prefix and suffix indexes.
 
 Exact linear algebra over Q(q) (echelon spans, annihilators, RREF) lives
 here too, since rank computations back both the dimension oracle and the
@@ -238,7 +240,9 @@ class TruncatedGB:
     """A reduction system valid up to `valid_degree`: every overlap
     ambiguity whose resolution lives in degree <= valid_degree reduces to
     zero.  For homogeneous ideals this decides ideal membership exactly in
-    degrees <= valid_degree.  Extendable on demand."""
+    degrees <= valid_degree.  Extendable on demand, and complete in every
+    degree once `settled`.  Two indexes of the live leads, proper prefix ->
+    lead ids and proper suffix -> lead ids, find a new lead's overlaps."""
 
     def __init__(self, alphabet: Alphabet, order: DegLex):
         self.alphabet = alphabet
@@ -250,6 +254,8 @@ class TruncatedGB:
         self.valid_degree = 0
         self._lead_index: dict[Word, int] = {}
         self._lengths: list[int] = []  # distinct lead lengths, ascending
+        self._prefixes: dict[Word, set[int]] = {}  # proper prefix -> ids of leads with it
+        self._suffixes: dict[Word, set[int]] = {}  # proper suffix -> ids of leads with it
 
     # -- reduction -----------------------------------------------------------
 
@@ -289,19 +295,20 @@ class TruncatedGB:
     # -- completion ----------------------------------------------------------
 
     def _push_overlaps(self, rid: int):
+        """Queue every overlap of lead rid with a live lead (itself included):
+        a proper suffix of the first lead equal to a proper prefix of the second."""
         lead = self.rules[rid].lead
-        for other, oid in list(self._lead_index.items()):
-            for a, b, la, lb in ((lead, other, rid, oid), (other, lead, oid, rid)):
-                m = min(len(a), len(b))
-                for t in range(1, m):
-                    if a[-t:] == b[:t]:
-                        w = a + b[t:]
-                        self._seq += 1
-                        heapq.heappush(self._pending, (len(w), la, lb, self._seq, w))
+        for t in range(1, len(lead)):
+            pairs = [(rid, oid) for oid in self._prefixes.get(lead[-t:], ())]
+            pairs += [(oid, rid) for oid in self._suffixes.get(lead[:t], ())]
+            for la, lb in pairs:
+                w = self.rules[la].lead + self.rules[lb].lead[t:]
+                self._seq += 1
+                heapq.heappush(self._pending, (len(w), la, lb, self._seq, w))
 
     def _insert(self, elem: FreeElement):
         """Reduce, orient, and install a new rule; retire rules whose lead
-        becomes reducible."""
+        becomes reducible, with their pending overlaps."""
         elem = self.reduce(elem)
         if not elem:
             return
@@ -313,16 +320,23 @@ class TruncatedGB:
         self.rules[rid] = RewriteRule(lead, tail)
         self._lead_index[lead] = rid
         self._lengths = sorted({len(w) for w in self._lead_index})
-        # inclusion ambiguities: any existing lead containing the new lead
-        stale = []
-        for other, oid in self._lead_index.items():
-            if oid != rid and len(other) >= len(lead):
-                if any(other[p : p + len(lead)] == lead for p in range(len(other) - len(lead) + 1)):
-                    stale.append(oid)
+        n = len(lead)
+        for t in range(1, n):
+            self._prefixes.setdefault(lead[:t], set()).add(rid)
+            self._suffixes.setdefault(lead[-t:], set()).add(rid)
+        # inclusion ambiguities: a lead containing the irreducible new lead is longer
+        stale = [oid for other, oid in self._lead_index.items()
+                 if len(other) > n and any(other[p : p + n] == lead for p in range(len(other) - n + 1))]
+        if stale:
+            self._pending = [e for e in self._pending if e[1] not in stale and e[2] not in stale]
+            heapq.heapify(self._pending)
         for oid in stale:
             rule = self.rules.pop(oid)
             del self._lead_index[rule.lead]
             self._lengths = sorted({len(w) for w in self._lead_index})
+            for t in range(1, len(rule.lead)):
+                self._prefixes[rule.lead[:t]].discard(oid)
+                self._suffixes[rule.lead[-t:]].discard(oid)
             self._insert(rule.as_element())
         self._push_overlaps(rid)
 
@@ -330,8 +344,6 @@ class TruncatedGB:
         """Resolve all pending overlap ambiguities of degree <= dmax."""
         while self._pending and self._pending[0][0] <= dmax:
             deg, r1, r2, _, word = heapq.heappop(self._pending)
-            if r1 not in self.rules or r2 not in self.rules:
-                continue
             a, b = self.rules[r1], self.rules[r2]
             # word = a.lead glued with b.lead over a proper overlap
             left = a.tail * FreeElement.monomial(word[len(a.lead) :])
@@ -342,6 +354,11 @@ class TruncatedGB:
         self.valid_degree = max(self.valid_degree, dmax)
 
     # -- queries ---------------------------------------------------------------
+
+    @property
+    def settled(self) -> bool:
+        """No live overlap pending: complete in every degree (diamond lemma)."""
+        return not self._pending
 
     def live_rules(self) -> list[RewriteRule]:
         return [self.rules[i] for i in sorted(self.rules)]

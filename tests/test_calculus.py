@@ -5,13 +5,24 @@ import functools
 import gc
 import random
 import weakref
+from dataclasses import replace
 from itertools import product
 from math import comb
 
 import pytest
 
 from qflag import calculus as C
-from qflag.freealg import FreeElement, Span, _Sum, annihilator, complete_truncated, rank, rref
+from qflag.freealg import (
+    DimensionTable,
+    FreeElement,
+    Span,
+    TruncatedGB,
+    _Sum,
+    annihilator,
+    complete_truncated,
+    rank,
+    rref,
+)
 from qflag.scalars import NU, ONE, Q, QINV, ZERO, qpow
 from qflag.uqsl import UqAlgebra, UqElement, adjoint, build_Eji, qcomm, root_vectors
 from qflag.weyl import Root, beta_sequence, commutation_classes, involution_on_classes, nice_word
@@ -326,6 +337,102 @@ def test_exterior_early_stop():
     t = C.exterior_dims(theta_tangent(ONE), early_stop=True)
     assert t.classical is False and t.truncated_at == 2
     assert t.dims == [1, 3, 1]
+
+
+def _exterior_dims_per_degree(rel, d, kmax, early_stop):
+    """The per-degree loop that counting once replaced, kept as the oracle:
+    extend to each degree k, then count degrees 0..k again."""
+    gb = complete_truncated(rel.all_relations(), rel.order, 0, rel.alphabet)
+    dims, truncated = [], None
+    for k in range(kmax + 1):
+        gb.extend_to(k)
+        dims.append(gb.normal_counts(k)[k])
+        if early_stop and dims[k] != comb(d, k):
+            truncated = k
+            break
+    classical = False if truncated is not None else C.classical_verdict(dims, d)
+    return DimensionTable(dims, classical, truncated)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_count_once_matches_per_degree_loop(n, monkeypatch):
+    """Counting once after the completion settles gives the per-degree
+    loop's dims, classical flag and truncation point, for every class under
+    the relation order and its reverse, with early stop on and off."""
+    A = UqAlgebra(n)
+    relations = C.quadratic_relations
+    kmax = 64 if n == 2 else None
+    for rep in commutation_classes(n).reps:
+        t = C.tangent_from_word(A, rep)
+        rel = relations(t)
+        for r in (rel, replace(rel, order=rel.order.reversed())):
+            monkeypatch.setattr(C, "quadratic_relations", lambda _t: r)
+            for early_stop in (False, True):
+                want = _exterior_dims_per_degree(r, t.dim, kmax or t.dim + 1, early_stop)
+                assert C.exterior_dims(t, kmax=kmax, early_stop=early_stop) == want, rep
+
+
+@pytest.fixture
+def count_calls(monkeypatch):
+    """The degree argument of every TruncatedGB.normal_counts call."""
+    calls = []
+    counts = TruncatedGB.normal_counts
+    monkeypatch.setattr(TruncatedGB, "normal_counts", lambda gb, k: calls.append(k) or counts(gb, k))
+    return calls
+
+
+def test_count_once_applies_early_stop_per_degree(monkeypatch, count_calls):
+    """A completion settled from the start takes every degree from one
+    count, and early stop then keeps the degrees up to the first one that
+    leaves the binomials.  Relations: none (the free algebra) and one
+    q-commutation of the rank-2 nice relations, which has no overlap."""
+    t = nice_tangent(2)
+    rel = C.quadratic_relations(t)
+    for by_weight in ({}, {(1, 1): rel.by_weight[(1, 1)]}):
+        r = replace(rel, by_weight=by_weight)
+        monkeypatch.setattr(C, "quadratic_relations", lambda _t: r)
+        for kmax in (None, 6):
+            for early_stop in (False, True):
+                count_calls.clear()
+                got = C.exterior_dims(t, kmax=kmax, early_stop=early_stop)
+                assert count_calls == [kmax or t.dim + 1]
+                assert got == _exterior_dims_per_degree(r, t.dim, kmax or t.dim + 1, early_stop)
+                assert got.truncated_at == (2 if early_stop else None)
+
+
+def test_count_once_falls_back_while_overlaps_are_pending(count_calls):
+    """A rank-4 class without a coideal whose completion settles only after
+    degree 8 counts degree by degree until then, then once up to kmax; below
+    that kmax it counts degree by degree throughout."""
+    t = C.tangent_from_word(UqAlgebra(4), (1, 2, 1, 3, 4, 3, 2, 1, 3, 2))
+    rel = C.quadratic_relations(t)
+    for kmax, want_calls in ((None, [*range(8), 11]), (6, [*range(7)])):
+        for early_stop in (False, True):
+            count_calls.clear()
+            got = C.exterior_dims(t, kmax=kmax, early_stop=early_stop)
+            # early stop: the dims leave the binomials at degree 2 (44 < 45)
+            assert count_calls == ([0, 1, 2] if early_stop else want_calls)
+            assert got == _exterior_dims_per_degree(rel, t.dim, kmax or t.dim + 1, early_stop)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_survey_exteriors_are_quadratic(n, monkeypatch, count_calls):
+    """Every exterior completion a survey computes settles at degree 3 with
+    leads of length 2 only: the relations are a quadratic Groebner basis,
+    the premise of the PBW/Koszul check.  Each exterior counts degrees 0, 1
+    and 2, then all the rest at once."""
+    seen = []
+    exterior = C.exterior_dims
+    monkeypatch.setattr(C, "exterior_dims", lambda t, **kw: seen.append(t) or exterior(t, **kw))
+    C.survey_rows(UqAlgebra(n))
+    assert len(seen) == {3: 5, 4: 13}[n]
+    assert count_calls == [k for t in seen for k in (0, 1, 2, t.dim + 1)]
+    for t in seen:
+        rel = C.quadratic_relations(t)
+        gb = complete_truncated(rel.all_relations(), rel.order, 2, rel.alphabet)
+        assert not gb.settled
+        gb.extend_to(3)
+        assert gb.settled and {len(r.lead) for r in gb.live_rules()} == {2}
 
 
 def test_theta_surviving_relation():

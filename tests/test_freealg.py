@@ -1,15 +1,18 @@
 """Rewriting engine: normal forms, truncated completion, graded dimensions."""
 
 import random
+from collections import Counter
 from itertools import product
 
 import pytest
 
+from qflag import calculus as C
 from qflag.freealg import (
     Alphabet,
     DegLex,
     FreeElement,
     Span,
+    TruncatedGB,
     _acc,
     _span_over,
     annihilator,
@@ -21,6 +24,7 @@ from qflag.freealg import (
 from qflag.oq import OqElement
 from qflag.scalars import NU, ONE, Q, QINV, TWO_Q, ZERO, qpow
 from qflag.uqsl import TensorSquare, UqAlgebra, UqElement, coproduct
+from qflag.weyl import commutation_classes, nice_word
 
 
 def _simple_alphabet(m, dim=None):
@@ -192,6 +196,103 @@ def test_dims_against_bruteforce_linear_algebra():
                             )
             expected = m**k - rank(rows)
             assert len(gb.normal_words(k)) == expected
+
+
+def _all_pairs_overlaps(gb, rid):
+    """The all-pairs scan the prefix/suffix indexes replaced, kept as the
+    oracle: (degree, lead ids, word) of each overlap of lead rid with a
+    live lead, self-overlaps once from each side."""
+    lead, out = gb.rules[rid].lead, []
+    for other, oid in gb._lead_index.items():
+        for a, b, la, lb in ((lead, other, rid, oid), (other, lead, oid, rid)):
+            for t in range(1, min(len(a), len(b))):
+                if a[-t:] == b[:t]:
+                    out.append((len(a) + len(b) - t, la, lb, a + b[t:]))
+    return out
+
+
+def _keys(pending):
+    return {(deg, la, lb, w) for deg, la, lb, _seq, w in pending}
+
+
+class _CheckedGB(TruncatedGB):
+    """A completion that checks its overlap bookkeeping against the oracle.
+    Each push queues the all-pairs scan's overlaps.  After each insert the
+    pending set is the live rules' overlaps not yet resolved, and the
+    indexes hold exactly the live leads' proper prefixes and suffixes."""
+
+    def __init__(self, alphabet, order):
+        super().__init__(alphabet, order)
+        self.depth, self.seen, self.resolved = 0, set(), set()
+
+    def _push_overlaps(self, rid):
+        before = self._seq
+        super()._push_overlaps(rid)
+        pushed = [(deg, la, lb, w) for deg, la, lb, seq, w in self._pending if seq > before]
+        assert Counter(pushed) == Counter(_all_pairs_overlaps(self, rid))
+
+    def _insert(self, elem):
+        if self.depth == 0:  # only pops ran since the last insert
+            self.resolved |= self.seen - _keys(self._pending)
+        self.depth += 1
+        super()._insert(elem)
+        self.depth -= 1
+        if self.depth == 0:
+            self.seen = _keys(self._pending)
+            live = set(self.rules)
+            oracle = {o for rid in live for o in _all_pairs_overlaps(self, rid)}
+            assert all(la in live and lb in live for _deg, la, lb, _w in self.seen)
+            assert self.seen == oracle - self.resolved
+            for index, cut in ((self._prefixes, lambda w, t: w[:t]), (self._suffixes, lambda w, t: w[-t:])):
+                want = {}
+                for rid in live:
+                    lead = self.rules[rid].lead
+                    for t in range(1, len(lead)):
+                        want.setdefault(cut(lead, t), set()).add(rid)
+                assert {k: ids for k, ids in index.items() if ids} == want
+
+
+def _checked_completion(rels, order, alphabet, dmax):
+    gb = _CheckedGB(alphabet, order)
+    for r in rels:
+        gb._insert(r)
+    gb.extend_to(dmax)
+    return gb
+
+
+def test_overlap_indexes_match_all_pairs_scan():
+    """The indexed overlap search queues what the all-pairs scan queued, on
+    the rank-3 Serre system extended to 6 and on relation completions under
+    the relation order and its reverse: every class at ranks 2 and 3, and at
+    rank 4 the nice word and a class without a coideal whose completion
+    grows leads up to length 7 before it settles at degree 8."""
+    serre = UqAlgebra(3)._serre
+    rels = [r.as_element() for r in serre.live_rules()]
+    gb = _checked_completion(rels, serre.order, serre.alphabet, 6)
+    serre.extend_to(6)
+    assert [r.lead for r in gb.live_rules()] == [r.lead for r in serre.live_rules()]
+    for n in (2, 3, 4):
+        A = UqAlgebra(n)
+        reps = commutation_classes(n).reps if n < 4 else [nice_word(4), (1, 2, 1, 3, 4, 3, 2, 1, 3, 2)]
+        for rep in reps:
+            rel = C.quadratic_relations(C.tangent_from_word(A, rep))
+            for order in (rel.order, rel.order.reversed()):
+                assert _checked_completion(rel.all_relations(), order, rel.alphabet, 8).settled
+
+
+def test_retired_rules_leave_the_heap_and_indexes():
+    """A quadratic lead inside a cubic one retires the cubic rule, whose
+    self-overlaps were pending; _CheckedGB checks each insert up to degree 6."""
+    alph = Alphabet(("x0", "x1"), ((1,), (1,)))
+    cubic = FreeElement({(1, 1, 1): ONE, (0, 0, 0): -ONE})
+    gb = _CheckedGB(alph, DegLex(size=2))
+    gb._insert(cubic)
+    assert _keys(gb._pending) == {(4, 0, 0, (1,) * 4), (5, 0, 0, (1,) * 5)}
+    gb._insert(FreeElement({(1, 1): ONE, (0, 1): -Q}))
+    assert 0 not in gb.rules
+    assert all(0 not in (la, lb) for _deg, la, lb, _w in _keys(gb._pending))
+    assert not any(0 in ids for index in (gb._prefixes, gb._suffixes) for ids in index.values())
+    gb.extend_to(6)
 
 
 def test_span_nullspace_annihilator():
