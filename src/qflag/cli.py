@@ -194,7 +194,7 @@ def cmd_dbar_kernel(args):
 
 def cmd_classes(args):
     g = weyl.commutation_classes(args.rank)
-    classes = [{"word": weyl.word_str(rep), "size": size} for rep, size in zip(g.reps, g.sizes)]
+    classes = [{"word": weyl.word_str(rep), "size": weyl.class_size(rep)} for rep in g.reps]
     involution = weyl.involution_on_classes(g) if args.involution else None
     if args.format == "dot":
         lines = weyl.class_graph_dot(g, involution=args.involution).splitlines()

@@ -10,12 +10,24 @@ the canonical convex order everywhere in this package.
 Permutations are one-line arrays f with f[a] = image of a (1-based values
 stored 0-based); appending a letter j to a word multiplies on the right,
 i.e. swaps positions j, j+1 of the array.
+
+Two reduced words lie in the same commutation class when they differ by
+swaps of adjacent letters a, b with |a - b| >= 2.  Each class is named by
+its lexicographically smallest member, its canonical word: a reduced word
+is canonical exactly when no letter exceeds the next by 2 or more.  Such
+a swap would make the word smaller.  Conversely, a word with a smaller
+member contains a factor b u a with a < b, where a commutes with b and
+with every letter of u (the lexicographic normal form of traces,
+Anisimov-Knuth 1979).  Every letter of b u is then at least a + 2 or at
+most a - 2, and b is at least a + 2, so the last letter of b u that is at
+least a + 2 exceeds the letter after it by 2 or more.
 """
 
 from __future__ import annotations
 
 import math
 import os
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -174,17 +186,74 @@ def reduced_words(n: int):
 _MAX_REDUCED_WORDS = 10**6  # rank 5 has 292,864 reduced words, rank 6 1,100,742,656
 
 
-def _commutation_neighbors(w):
-    for p in range(len(w) - 1):
-        if abs(w[p] - w[p + 1]) >= 2:
-            yield w[:p] + (w[p + 1], w[p]) + w[p + 2 :]
+def canonical_word(w) -> tuple[int, ...]:
+    """The lexicographically smallest member of the commutation class of w.
+
+    Each letter a moves left past the larger letters it commutes with (those
+    above a + 1).  Every step swaps commuting letters, so the result lies in
+    the class; it has no letter exceeding the next by 2 or more, so it is the
+    class minimum (see the module docstring)."""
+    out: list[int] = []
+    for a in w:
+        j = len(out)
+        while j and out[j - 1] > a + 1:
+            j -= 1
+        out.insert(j, a)
+    return tuple(out)
 
 
-def _braid_neighbors(w):
-    for p in range(len(w) - 2):
-        a, b = w[p], w[p + 1]
-        if w[p + 2] == a and abs(a - b) == 1:
-            yield w[:p] + (b, a, b) + w[p + 3 :]
+def class_size(w) -> int:
+    """Number of words in the commutation class of w.
+
+    The members are the linear extensions of the heap of w (position p below
+    r when p < r and |w[p] - w[r]| <= 1); they are counted by dynamic
+    programming over the heap's order ideals, as bitmasks of positions."""
+    below = [sum(1 << p for p in range(r) if abs(w[p] - w[r]) <= 1) for r in range(len(w))]
+    ways = {0: 1}
+    for _ in w:
+        grown: dict[int, int] = {}
+        for ideal, count in ways.items():
+            for r, need in enumerate(below):
+                if not ideal >> r & 1 and need & ideal == need:
+                    grown[ideal | 1 << r] = grown.get(ideal | 1 << r, 0) + count
+        ways = grown
+    return sum(ways.values())
+
+
+def _class_reps(n: int) -> list[tuple[int, ...]]:
+    """Canonical words of the commutation classes of the longest element, in
+    lexicographic order: a depth-first search over reduced prefixes that
+    appends, in increasing order, only letters a >= last - 1 (appending a
+    keeps the word reduced when the permutation has an ascent at a)."""
+    top = n * (n + 1) // 2
+    out = []
+
+    def extend(word, perm, last):
+        if len(word) == top:
+            out.append(word)
+        for a in range(max(1, last - 1), n + 1):
+            if perm[a - 1] < perm[a]:
+                extend(word + (a,), perm[: a - 1] + (perm[a], perm[a - 1]) + perm[a + 1 :], a)
+
+    extend((), tuple(range(n + 1)), 1)
+    return out
+
+
+def _braid_moves(w):
+    """Words one braid move away from the class of w, one for each move.
+
+    Each move is made on a pair of consecutive occurrences of a letter a, at
+    p < r, with exactly one letter b = a +- 1 between them, at q.  All other
+    letters between them commute with a, so w is equivalent to
+    w[:p] + w[p+1:q] + (a, b, a) + w[q+1:r] + w[r+1:], and the move replaces
+    that aba by bab.  Any braid move on any member is of this form: letters
+    that do not commute keep their relative order throughout a class."""
+    for p, a in enumerate(w):
+        r = next((r for r in range(p + 1, len(w)) if w[r] == a), p)
+        middle = [q for q in range(p + 1, r) if abs(w[q] - a) == 1]
+        if len(middle) == 1:
+            q = middle[0]
+            yield w[:p] + w[p + 1 : q] + (w[q], a, w[q]) + w[q + 1 : r] + w[r + 1 :]
 
 
 @dataclass
@@ -193,10 +262,8 @@ class ClassGraph:
     edge between two classes when some members differ by one braid move."""
 
     n: int
-    reps: list[tuple[int, ...]]  # lexicographically smallest member per class
-    sizes: list[int]
+    reps: list[tuple[int, ...]]  # canonical (lexicographically smallest) member per class
     edges: list[tuple[int, int]]
-    class_of: dict[tuple[int, ...], int]
 
     @property
     def num_classes(self) -> int:
@@ -204,9 +271,11 @@ class ClassGraph:
 
     def class_index(self, w) -> int:
         w = tuple(w)
-        if w not in self.class_of:
+        canon = canonical_word(w)
+        c = bisect_left(self.reps, canon)
+        if c == len(self.reps) or self.reps[c] != canon:
             raise KeyError(f"{w} is not a reduced word of the longest element")
-        return self.class_of[w]
+        return c
 
     def neighbors(self, c: int) -> list[int]:
         out = set()
@@ -219,56 +288,25 @@ class ClassGraph:
 
 
 def commutation_classes(n: int) -> ClassGraph:
-    """Every reduced word is listed, so ranks with more than
-    _MAX_REDUCED_WORDS of them (rank 6 and up) are refused."""
+    """The class graph, found from the canonical words alone; no class is
+    listed member by member.  Ranks with more than _MAX_REDUCED_WORDS
+    reduced words (rank 6 and up) are refused: no survey there has been
+    measured."""
     check_rank(n)
     count = reduced_word_count(n)
     if count > _MAX_REDUCED_WORDS:
         raise ValueError(
-            f"class enumeration at rank {n} would list {count} reduced words "
-            f"(at most {_MAX_REDUCED_WORDS})"
+            f"class enumeration at rank {n} is refused until its survey is measured: "
+            f"its classes would list {count} reduced words (at most {_MAX_REDUCED_WORDS})"
         )
-    words = reduced_words(n)
-    class_of: dict[tuple[int, ...], int] = {}
-    classes: list[list[tuple[int, ...]]] = []
-    for w in words:
-        if w in class_of:
-            continue
-        cid = len(classes)
-        stack, members = [w], []
-        class_of[w] = cid
-        while stack:
-            u = stack.pop()
-            members.append(u)
-            for v in _commutation_neighbors(u):
-                if v not in class_of:
-                    class_of[v] = cid
-                    stack.append(v)
-        classes.append(members)
-    # braid edges
-    edges = set()
-    for w, cid in class_of.items():
-        for v in _braid_neighbors(w):
-            other = class_of[v]
-            if other != cid:
-                edges.add((min(cid, other), max(cid, other)))
-    # canonical order: sort classes by lexicographically smallest member
-    reps = [min(members) for members in classes]
-    order = sorted(range(len(classes)), key=lambda c: reps[c])
-    relabel = {old: new for new, old in enumerate(order)}
-    return ClassGraph(
-        n=n,
-        reps=[reps[c] for c in order],
-        sizes=[len(classes[c]) for c in order],
-        edges=sorted((relabel[a], relabel[b]) for a, b in edges),
-        class_of={w: relabel[c] for w, c in class_of.items()},
-    )
+    graph = ClassGraph(n, _class_reps(n), [])
+    moves = ((c, graph.class_index(v)) for c, rep in enumerate(graph.reps) for v in _braid_moves(rep))
+    graph.edges = sorted({(c, d) for c, d in moves if c < d})  # each edge is found from both ends
+    return graph
 
 
 def involution_on_classes(graph: ClassGraph) -> list[int]:
-    return [
-        graph.class_of[opposite_word(rep, graph.n)] for rep in graph.reps
-    ]
+    return [graph.class_index(opposite_word(rep, graph.n)) for rep in graph.reps]
 
 
 def word_str(w) -> str:

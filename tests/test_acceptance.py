@@ -531,7 +531,7 @@ def test_criterion_16d_root_vector_class_invariance():
     A = alg(4)
     cache = {}
     for w in rng.sample(words, 100):
-        cls = g.class_of[w]
+        cls = g.class_index(w)
         key = frozenset(
             frozenset(v.terms.items()) for v in root_vectors(A, w)
         )

@@ -4,8 +4,11 @@ import pytest
 
 from qflag.weyl import (
     Root,
+    _class_reps,
     beta_sequence,
+    canonical_word,
     class_graph_dot,
+    class_size,
     commutation_classes,
     involution_on_classes,
     nice_word,
@@ -122,7 +125,7 @@ def test_classes_rank2():
 def test_classes_rank3():
     g = commutation_classes(3)
     assert g.num_classes == 8
-    assert sum(g.sizes) == 16
+    assert sum(map(class_size, g.reps)) == 16
     # the published graph is an 8-cycle: two chains joined at both ends
     deg = [0] * 8
     for a, b in g.edges:
@@ -139,7 +142,7 @@ def test_classes_rank3():
 def test_classes_rank4():
     g = commutation_classes(4)
     assert g.num_classes == 62
-    assert sum(g.sizes) == 768
+    assert sum(map(class_size, g.reps)) == 768
     inv = involution_on_classes(g)
     assert sorted(inv) == list(range(62))  # a permutation
     assert all(inv[inv[c]] == c for c in range(62))
@@ -169,3 +172,85 @@ def test_dot_output():
     assert dot.startswith("graph commutation_classes {")
     assert dot.count("--") >= len(g.edges)
     assert dot.count('[label="') == 8
+
+
+# -- the class layer against a flood fill over every reduced word -------------
+
+
+def _flood_fill_classes(n):
+    """The replaced class layer, kept as an oracle: every reduced word is
+    listed and the classes are flood-filled by commutations.  Returns the
+    reps, per-class sizes, braid edges and the class of each word, with the
+    classes ordered by their lexicographically smallest member."""
+    class_of, classes = {}, []
+    for w in reduced_words(n):
+        if w in class_of:
+            continue
+        stack, members = [w], []
+        class_of[w] = len(classes)
+        while stack:
+            u = stack.pop()
+            members.append(u)
+            for p in range(len(u) - 1):
+                if abs(u[p] - u[p + 1]) >= 2:
+                    v = u[:p] + (u[p + 1], u[p]) + u[p + 2 :]
+                    if v not in class_of:
+                        class_of[v] = class_of[w]
+                        stack.append(v)
+        classes.append(members)
+    order = sorted(range(len(classes)), key=lambda c: min(classes[c]))
+    relabel = {old: new for new, old in enumerate(order)}
+    class_of = {w: relabel[c] for w, c in class_of.items()}
+    edges = set()
+    for w, c in class_of.items():
+        for p in range(len(w) - 2):
+            a, b = w[p], w[p + 1]
+            if w[p + 2] == a and abs(a - b) == 1:
+                d = class_of[w[:p] + (b, a, b) + w[p + 3 :]]
+                edges.add((min(c, d), max(c, d)))
+    reps = [min(classes[c]) for c in order]
+    sizes = [len(classes[c]) for c in order]
+    return reps, sizes, sorted(edges), class_of
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_class_layer_matches_flood_fill(n):
+    reps, sizes, edges, class_of = _flood_fill_classes(n)
+    g = commutation_classes(n)
+    assert g.reps == reps
+    assert [class_size(rep) for rep in g.reps] == sizes
+    assert g.edges == edges
+    assert involution_on_classes(g) == [class_of[opposite_word(rep, n)] for rep in reps]
+    for w, c in class_of.items():
+        assert g.class_index(w) == c
+        assert canonical_word(w) == reps[c]
+
+
+def test_class_layer_rank5_and_rank6_counts():
+    g = commutation_classes(5)
+    assert g.num_classes == 908 and len(g.edges) == 2144
+    assert sum(map(class_size, g.reps)) == reduced_word_count(5)
+    assert len(_class_reps(6)) == 24698  # OEIS A006245
+
+
+@pytest.mark.parametrize(
+    "word",
+    [
+        (3, 1, 2, 2, 1, 3),  # full length, not reduced
+        (3, 1),  # reduced, too short
+        (4, 1, 2, 1, 3, 2),  # letter out of range
+        [3, 1, 2, 1, 2, 2],  # a list
+    ],
+)
+def test_class_index_error_names_the_given_word(word):
+    g = commutation_classes(3)
+    with pytest.raises(KeyError) as e:
+        g.class_index(word)
+    assert canonical_word(word) != tuple(word)
+    assert str(tuple(word)) in str(e.value)
+    assert str(canonical_word(word)) not in str(e.value)
+
+
+def test_class_index_accepts_a_list():
+    g = commutation_classes(3)
+    assert g.class_index([3, 2, 1, 3, 2, 3]) == g.class_index((3, 2, 1, 3, 2, 3))
