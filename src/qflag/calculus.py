@@ -41,8 +41,8 @@ from qflag.freealg import (
     rref,
 )
 from qflag.oq import OqElement, _normal_coords, left_act
-from qflag.scalars import ONE, RatQ, ZERO
-from qflag.uqsl import UqAlgebra, UqElement, _mono_str, adjoint, coproduct, root_vectors
+from qflag.scalars import NU, ONE, RatQ, ZERO
+from qflag.uqsl import UqAlgebra, UqElement, _mono_str, root_vectors
 from qflag.weyl import Root
 
 
@@ -155,54 +155,41 @@ class CoidealReport:
         }
 
 
-def _strip_k(mono):
-    f, kv, e = mono
-    return (f, tuple(0 for _ in kv), e)
-
-
 def coideal_check(t: TangentSpace) -> CoidealReport:
     """Decide on which sides span(T) + C1 is a coideal of the full-flag
-    dual.  K factors are erased in the tested leg (restriction to the flag
-    subalgebra sends K_i to the counit); the other leg only groups terms."""
+    dual, on the q-shuffle states (left, right) of Delta(X), right leg
+    K^{wt left} right (`UqAlgebra.eword_coproduct`).  K factors are erased
+    in the tested leg (restriction to the flag subalgebra sends K_i to the
+    counit); the other leg only groups terms."""
     alg = t.algebra
-    unit_mono = ((), (0,) * alg.n, ())
+    zero = (0,) * alg.n
     member = Span()
-    member.add({unit_mono: ONE})
+    member.add({(): ONE})
     for x in t.basis:
-        member.add({((), (0,) * alg.n, w): c for w, c in x.eword_coords().items()})
+        member.add(x.eword_coords())
 
     witnesses: dict[str, CoidealWitness] = {}
     for x, label in zip(t.basis, t.labels):
         if len(witnesses) == 2:  # later witnesses would never be reported
             break
-        delta = coproduct(x)
-        right_groups: dict = {}
-        left_groups: dict = {}
-        for (m1, m2), c in delta.terms.items():
-            g = right_groups.setdefault(m2, {})
-            _acc(g, _strip_k(m1), c)
-            g = left_groups.setdefault(m1, {})
-            _acc(g, _strip_k(m2), c)
+        right_groups, left_groups = {}, {}
+        for (left, right), c in alg.eword_coproduct(x.eword_coords()).items():
+            right_groups.setdefault(((), alg.word_weight(left), right), {})[left] = c
+            left_groups.setdefault(((), zero, left), {})[right] = c
         for side, groups in (("right", right_groups), ("left", left_groups)):
             if side in witnesses:
                 continue
             for key, vec in sorted(groups.items()):
-                residue = member.reduce(dict(vec))
+                residue = member.reduce(vec)
                 if residue:
                     witnesses[side] = CoidealWitness(
                         basis_label=label,
                         group_monomial=_mono_str(key, alg.n),
-                        residue=UqElement(alg, residue).render(),
+                        residue=UqElement(alg, {((), zero, w): c for w, c in residue.items()}).render(),
                     )
                     break
-    if not witnesses:
-        verdict = "two_sided"
-    elif "right" in witnesses and "left" in witnesses:
-        verdict = "neither"
-    elif "right" in witnesses:
-        verdict = "left_only"
-    else:
-        verdict = "right_only"
+    sides = tuple(sorted(witnesses))
+    verdict = {(): "two_sided", ("right",): "left_only", ("left",): "right_only"}.get(sides, "neither")
     return CoidealReport(verdict, witnesses)
 
 
@@ -490,19 +477,6 @@ def line_decomposition(t: TangentSpace, k: int) -> list[tuple[int, ...]]:
 # -- Grassmannian restriction ---------------------------------------------------------
 
 
-def _strip_k_phased(alg: UqAlgebra, terms: dict) -> dict:
-    """Project onto K-free coordinates modulo right multiplication by
-    K^v - 1: the monomial f K^v e equals q^{(v, wt e)} f e K^v, so its
-    class is q^{(v, wt e)} (f, 0, e)."""
-    zero = (0,) * alg.n
-    out: dict = {}
-    for (f, kv, e), c in terms.items():
-        if any(kv):
-            c = c * RatQ.q_power(alg._ad_sum(kv, e))
-        _acc(out, (f, zero, e), c)
-    return out
-
-
 def grassmann_restriction(t: TangentSpace, r: int) -> tuple[TangentSpace, bool]:
     """Restrict a nice-word tangent space to the r-plane Grassmannian: keep
     the root vectors whose root contains alpha_r, and check that their span
@@ -534,9 +508,14 @@ def _levi_closed(alg: UqAlgebra, basis: list[UqElement], r: int) -> bool:
     multiples X E_j, X F_j (j in S) and X (K_i^{+-1} - 1).
 
     ad(K_i^{+-1})x is a multiple of x, so it lies in span(T) untested.
-    The other candidates lie in U+ after the phased K-strip:
-    ad(E_j)x = x E_j - q^{-(alpha_j, beta)} E_j x and ad(F_j)x =
-    K_j [x, F_j], where [x, F_j] has no F-part.  A candidate of
+    Modulo the right multiples X (K^v - 1) a K may move to the right end
+    and drop, K^v u = q^{(v, wt u)} u K^v; so the other candidates lie in
+    U+.  ad(E_j)x = x E_j - q^{-(alpha_j, beta)} E_j x, and ad(F_j)x =
+    K_j (x F_j - F_j x), where for an E-word w Lusztig's skew derivation
+    (Introduction to Quantum Groups, ch. 1) gives w F_j - F_j w =
+    sum_{t: w_t = j} w_{<t} (K_j - K_j^{-1}) / nu w_{>t}.  Moving the K's
+    right, ad(F_j)w is sum_t (q^{A_t + 2 B_t} - q^{A_t}) / nu w_{<t} w_{>t},
+    A_t = (alpha_j, wt w_{<t}), B_t = (alpha_j, wt w_{>t}).  A candidate of
     weight mu is tested against span(T_mu) + U+E_S, the right ideal of U+
     spanned by the normal forms of w s, w Serre-normal of weight
     mu - alpha_s, s in S; each weight's span is built once, on first use.
@@ -546,8 +525,7 @@ def _levi_closed(alg: UqAlgebra, basis: list[UqElement], r: int) -> bool:
     the search over all K-free right multiples X E_j, X F_j (the test
     oracle): by the parabolic PBW factorisation U_q = U_q(u^-) (x) U+[w^S]
     (x) U_q(l_S), U+ meets U U_q(l_S)^+ in U+E_S, so a U+ candidate that
-    search certifies is certified here too.  A stripped candidate with an
-    F-part falls outside this argument and raises AssertionError."""
+    search certifies is certified here too."""
     n = alg.n
     gens_s = [j for j in range(1, n + 1) if j != r]
     members: dict[tuple[int, ...], Span] = {}
@@ -555,7 +533,7 @@ def _levi_closed(alg: UqAlgebra, basis: list[UqElement], r: int) -> bool:
         for y in _levi_candidates(alg, x, gens_s):
             if not y:
                 continue
-            mu = tuple(next(iter(y)).count(i) for i in range(1, n + 1))
+            mu = alg.word_weight(next(iter(y)))
             if mu not in members:
                 members[mu] = sp = Span()
                 for z in basis:
@@ -570,19 +548,22 @@ def _levi_closed(alg: UqAlgebra, basis: list[UqElement], r: int) -> bool:
 
 
 def _levi_candidates(alg: UqAlgebra, x: UqElement, gens_s: list[int]):
-    """E-word coordinates of the K-stripped ad(E_j)x and ad(F_j)x, j in
-    gens_s, in that order; ad(K_i^{+-1})x is a multiple of x, so it is left
-    out.  ad(E_j)x = x E_j - q^{-(alpha_j, beta)} E_j x is a twisted
-    commutator in U+; ad(F_j)x is formed by `adjoint` and must lose its F-part in
-    the K-strip."""
+    """E-word coordinates of ad(E_j)x and ad(F_j)x, j in gens_s, in that
+    order, modulo the right multiples X (K^v - 1): a twisted commutator and
+    a skew-derivation sum (see `_levi_closed`)."""
     xc = x.eword_coords()
     for j in gens_s:
-        ph = alg._ad_sum(tuple(int(a == j - 1) for a in range(alg.n)), next(iter(xc)))
+        ej = tuple(int(a == j - 1) for a in range(alg.n))
+        ph = alg._ad_sum(ej, next(iter(xc)))
         yield alg.eword_qcomm(xc, {(j,): ONE}, RatQ.q_power(-ph))
-        y = _strip_k_phased(alg, adjoint(alg, ("F", j), x).terms)
-        if any(f for f, _kv, _e in y):
-            raise AssertionError(f"ad(F{j})({x.render()}) keeps an F-part after the K-strip")
-        yield {e: c for (_f, _kv, e), c in y.items()}
+        y: dict = {}
+        for w, c in xc.items():
+            for t in [t for t, l in enumerate(w) if l == j]:
+                a, b = alg._ad_sum(ej, w[:t]), alg._ad_sum(ej, w[t + 1 :])
+                ct = c * (RatQ.q_power(a + 2 * b) - RatQ.q_power(a)) / NU
+                for v, cv in alg.word_nf(w[:t] + w[t + 1 :]):
+                    _acc(y, v, ct * cv)
+        yield y
 
 
 def _normal_ewords(alg: UqAlgebra, nu: list[int]) -> list[tuple[int, ...]]:
@@ -605,6 +586,11 @@ def dbar_kernel(span_words, t: TangentSpace) -> tuple[int, list[OqElement]]:
     Returns (dimension, basis of representatives); the dimension is taken
     in the quotient of the span by its subspace of functionally-zero
     elements.
+
+    For the tangent space of any reduced word this is the joint kernel of
+    E_1, ..., E_n alone, which `qflag dbar-kernel` passes: every word
+    tangent holds E_1, ..., E_n as its simple root vectors, each X_k lies in
+    the algebra they generate, and `left_act` is an algebra action.
     """
     n = t.n
     words = list(dict.fromkeys(tuple(tuple(p) for p in w) for w in span_words))
@@ -619,7 +605,7 @@ def dbar_kernel(span_words, t: TangentSpace) -> tuple[int, list[OqElement]]:
         one per normal word of the FRT system."""
         rows: dict = {}
         for j, img in enumerate(images):
-            for w, c in _normal_coords(img, k).items():
+            for w, c in _normal_coords(img).items():
                 rows.setdefault(w, {})[j] = c
         return list(rows.values())
 

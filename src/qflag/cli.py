@@ -182,7 +182,8 @@ def cmd_dbar_kernel(args):
     count = (n + 1) ** (2 * args.degree)
     if count > _DBAR_MAX_WORDS:
         raise ValueError(f"dbar-kernel would span {count} u-words (at most {_DBAR_MAX_WORDS})")
-    t = _tangent(args)
+    alg = UqAlgebra(n)
+    t = calculus.tangent_from_exprs(alg, [alg.E(i) for i in range(1, n + 1)])  # see dbar_kernel
     words = [()]
     for _ in range(args.degree):
         words = [w + ((a, b),) for w in words for a in range(1, n + 2) for b in range(1, n + 2)]
@@ -289,7 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--r", type=int, required=True, help="crossed simple node")
 
     sp = add("dbar-kernel", cmd_dbar_kernel, help="antiholomorphic kernel on degree-k words")
-    sp.add_argument("--word", default="nice")
     sp.add_argument("--degree", type=_non_negative, default=1)
 
     sp = add("classes", cmd_classes, ("text", "json", "dot"), help="commutation-class graph")

@@ -19,11 +19,12 @@ Equality of O_q elements is decided functionally: e1 = e2 iff e1 - e2
 kills every rho_k image.  By quantum Schur-Weyl duality (Jimbo 1986) a
 length-k combination does so exactly when it lies in the degree-k part of
 the ideal of the FRT relations, so equality is reduction to zero modulo
-`frt_relations`, one letter per u[a,b] (row-major), completed through
-length k by the truncated completion of `freealg`.  In that deg-lex order
-the FRT relations are already a Groebner basis: their leads are the
-decreasing letter pairs and the normal words are the ordered monomials.
-The determinant relation mixes lengths, so it never enters.
+`frt_relations`, one letter per u[a,b] (row-major).  In that deg-lex order
+the FRT relations are already a Groebner basis (every overlap of their
+length-2 leads resolves), so one uncompleted system per rank serves every
+length: the leads are the decreasing letter pairs and the normal words are
+the ordered monomials.  The determinant relation mixes lengths, so it never
+enters.
 """
 
 from __future__ import annotations
@@ -201,9 +202,9 @@ def _letters(e: OqElement) -> FreeElement:
 
 
 @cache
-def _frt_system(n: int, k: int) -> TruncatedGB:
-    """The FRT relations completed through length k (built once, then only
-    read); a letter weighs its row unit vector followed by its column one."""
+def _frt_system(n: int) -> TruncatedGB:
+    """The FRT relations as they stand, exact in every length (built once,
+    then only read); a letter weighs its row unit vector, then its column's."""
     N = n + 1
     cells = [(a, b) for a in range(1, N + 1) for b in range(1, N + 1)]
     unit = lambda x: tuple(int(x == y) for y in range(1, N + 1))
@@ -211,13 +212,13 @@ def _frt_system(n: int, k: int) -> TruncatedGB:
         tuple(f"u[{a},{b}]" for a, b in cells), tuple(unit(a) + unit(b) for a, b in cells)
     )
     rels = [_letters(r) for r in frt_relations(n)]
-    return complete_truncated(rels, DegLex(size=N * N), k, alphabet)
+    return complete_truncated(rels, DegLex(size=N * N), 0, alphabet)
 
 
-def _normal_coords(e: OqElement, k: int) -> dict:
-    """Coordinates of a length-k element on the normal words of the FRT
-    system; empty iff the element is zero in O_q."""
-    return _frt_system(e.n, k).reduce(_letters(e)).terms
+def _normal_coords(e: OqElement) -> dict:
+    """Coordinates of an element on the normal words of the FRT system;
+    empty iff each of its length components is zero in O_q."""
+    return _frt_system(e.n).reduce(_letters(e)).terms
 
 
 def functional_is_zero(e: OqElement, k: int) -> bool:
@@ -227,7 +228,7 @@ def functional_is_zero(e: OqElement, k: int) -> bool:
         return True
     if e.homogeneous_length() != k:
         raise ValueError("length mismatch")
-    return not _normal_coords(e, k)
+    return not _normal_coords(e)
 
 
 def oq_equal(e1: OqElement, e2: OqElement, k: int) -> bool:

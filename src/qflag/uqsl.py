@@ -44,11 +44,11 @@ root vector's id is its letter i for beta_k = alpha_i, else the pair
 The coproduct of an E-word is the q-shuffle expansion of the product of its
 letters' Delta(E_i) = E_i x K_i + 1 x E_i, a sum over the subsets S of its
 positions of w_S (x) K^{wt(S)} w_{S^c} times a power of q.  A `UqAlgebra`
-memoises Serre normal forms, E-times-F straightenings, coproducts per
-element, root vectors per id (`_root_memo`), small int ids of E-word
-coordinates (`_eword_ids`, see `eword_id`) and the degree-two relation
-blocks of `calculus.quadratic_relations` keyed by those ids
-(`_relation_memo`), all as plain tuples, dicts, ints and Q(q) scalars,
+memoises Serre normal forms, E-times-F straightenings, q-shuffles of U+
+elements by id (`_shuffle_memo`), root vectors per id (`_root_memo`), small
+int ids of E-word coordinates (`_eword_ids`, see `eword_id`) and the
+degree-two relation blocks of `calculus.quadratic_relations` keyed by those
+ids (`_relation_memo`), all as plain tuples, dicts, ints and Q(q) scalars,
 never elements, which would point back at the algebra.
 """
 
@@ -104,8 +104,8 @@ class UqAlgebra:
         self._serre = complete_truncated(rels, self._order, 0, self._alphabet)
         self._word_nf_cache: dict[tuple, tuple] = {}
         self._straighten_cache: dict[tuple, dict] = {}
-        # frozenset of an element's terms -> terms of its coproduct
-        self._coproduct_memo: dict[frozenset, dict] = {}
+        # eword_id of a U+ element -> its q-shuffle states (eword_coproduct)
+        self._shuffle_memo: dict[int, dict] = {}
         # root-vector id (see root_vectors) -> normalised E-word coordinates
         self._root_memo: dict[tuple, dict] = {}
         # frozenset of E-word coordinates -> small int (eword_id)
@@ -270,19 +270,26 @@ class UqAlgebra:
 
     def coproduct_mono(self, m: Mono) -> "TensorSquare":
         f, kv, e = m
-        shuffle = TensorSquare(self, self._eword_coproduct(e))
+        zero = (0,) * self.n
+        shuffle = TensorSquare(self, {(((), zero, l), ((), self.word_weight(l), r)): c
+                                      for (l, r), c in self._eword_coproduct(e).items()})
         if not f and not any(kv):
             return shuffle
         kl = UqElement(self, {((), kv, ()): ONE})
         kk = TensorSquare.from_pairs(self, [(kl, kl)])
         return reduce(mul, [self.gen_coproduct("F", l) for l in f] + [kk, shuffle])
 
+    def word_weight(self, word: tuple) -> tuple[int, ...]:
+        """Weight of an E-word: its letter counts."""
+        return tuple(word.count(i) for i in range(1, self.n + 1))
+
     def _eword_coproduct(self, e: tuple) -> dict:
-        """Delta of the E-word e, expanded one letter l at a time: l joins
-        the left word, leaving K_l in front of the right word at the phase
-        q^{-a(l, s)} for each letter s already there, or joins the right word.
-        Both words stay in Serre normal form, so repeated letters merge."""
-        states = {((), ()): ONE}  # (left word, right word) -> coefficient
+        """Delta of the E-word e as (left word, right word) -> coefficient, the
+        right leg K^{wt left} right.  One letter l at a time, l joins the left
+        word, leaving K_l in front of the right word at the phase q^{-a(l, s)}
+        for each letter s already there, or joins the right word.  Both words
+        stay in Serre normal form, so repeated letters merge."""
+        states = {((), ()): ONE}
         for l in e:
             nxt: dict = {}
             for (left, right), c in states.items():
@@ -293,11 +300,20 @@ class UqAlgebra:
                 for w, cw in self.word_nf(left + (l,)):
                     _acc(nxt, (w, right), cl if cw == ONE else cl * cw)
             states = nxt
-        zero = (0,) * self.n
-        return {
-            (((), zero, left), ((), tuple(left.count(i) for i in range(1, self.n + 1)), right)): c
-            for (left, right), c in states.items()
-        }
+        return states
+
+    def eword_coproduct(self, coords: dict) -> dict:
+        """Delta of a U+ element on E-word coordinates: its words'
+        `_eword_coproduct` states summed, memoised by eword_id."""
+        key = self.eword_id(coords)
+        out = self._shuffle_memo.get(key)
+        if out is None:
+            out = {}
+            for e, c in coords.items():
+                for lr, cs in self._eword_coproduct(e).items():
+                    _acc(out, lr, c * cs)
+            self._shuffle_memo[key] = out
+        return out
 
     # -- braid operators ------------------------------------------------------------
 
@@ -489,16 +505,10 @@ def uq_normal_form(algebra: UqAlgebra, gen_terms) -> UqElement:
 
 
 def coproduct(x: UqElement) -> TensorSquare:
-    alg = x.algebra
-    key = frozenset(x.terms.items())
-    out = alg._coproduct_memo.get(key)
-    if out is None:
-        out = {}
-        for m, c in x.terms.items():
-            for mm, cc in alg.coproduct_mono(m).terms.items():
-                _acc(out, mm, c * cc)
-        alg._coproduct_memo[key] = out
-    return TensorSquare(alg, out)
+    out = TensorSquare(x.algebra, {})
+    for m, c in x.terms.items():
+        out = out + x.algebra.coproduct_mono(m).scale(c)
+    return out
 
 
 def counit(x: UqElement) -> RatQ:

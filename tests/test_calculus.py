@@ -12,19 +12,21 @@ from math import comb
 import pytest
 
 from qflag import calculus as C
+from qflag import cli
 from qflag.freealg import (
     DimensionTable,
     FreeElement,
     Span,
     TruncatedGB,
+    _acc,
     _Sum,
     annihilator,
     complete_truncated,
     rank,
     rref,
 )
-from qflag.scalars import NU, ONE, Q, QINV, ZERO, qpow
-from qflag.uqsl import UqAlgebra, UqElement, adjoint, build_Eji, qcomm, root_vectors
+from qflag.scalars import NU, ONE, Q, QINV, ZERO, RatQ, qpow
+from qflag.uqsl import UqAlgebra, UqElement, _mono_str, adjoint, build_Eji, coproduct, qcomm, root_vectors
 from qflag.weyl import Root, beta_sequence, commutation_classes, involution_on_classes, nice_word
 
 
@@ -84,6 +86,63 @@ def test_coideal_all_rank3_verdicts():
 def test_coideal_theta_two_sided_for_all_theta():
     for theta in (ONE, Q, QINV, Q**2, ZERO - ONE):
         assert C.coideal_check(theta_tangent(theta)).verdict == "two_sided"
+
+
+def _strip_k(mono):
+    f, kv, e = mono
+    return (f, tuple(0 for _ in kv), e)
+
+
+def _coideal_by_coproduct(t):
+    """The coideal check on the full coproduct, kept as the oracle: each
+    Delta(X) as a TensorSquare, grouped by one leg with the K factors of
+    the other leg erased."""
+    alg = t.algebra
+    member = Span()
+    member.add({((), (0,) * alg.n, ()): ONE})
+    for x in t.basis:
+        member.add(dict(x.terms))
+    witnesses = {}
+    for x, label in zip(t.basis, t.labels):
+        right_groups, left_groups = {}, {}
+        for (m1, m2), c in coproduct(x).terms.items():
+            _acc(right_groups.setdefault(m2, {}), _strip_k(m1), c)
+            _acc(left_groups.setdefault(m1, {}), _strip_k(m2), c)
+        for side, groups in (("right", right_groups), ("left", left_groups)):
+            if side in witnesses:
+                continue
+            for key, vec in sorted(groups.items()):
+                residue = member.reduce(dict(vec))
+                if residue:
+                    witnesses[side] = C.CoidealWitness(
+                        label, _mono_str(key, alg.n), UqElement(alg, residue).render()
+                    )
+                    break
+    if not witnesses:
+        verdict = "two_sided"
+    elif len(witnesses) == 2:
+        verdict = "neither"
+    else:
+        verdict = "left_only" if "right" in witnesses else "right_only"
+    return C.CoidealReport(verdict, witnesses)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_coideal_matches_coproduct_oracle(n):
+    """The coideal check on q-shuffle states reports the verdict and the
+    witnesses of the check on the full coproduct, byte for byte, on every
+    class of the rank and on the theta family."""
+    A = UqAlgebra(n)
+    tangents = [C.tangent_from_word(A, rep) for rep in commutation_classes(n).reps]
+    if n == 2:
+        tangents += [theta_tangent(theta) for theta in (ONE, Q, QINV, Q**2, ZERO)]
+    verdicts = set()
+    for t in tangents:
+        got = C.coideal_check(t).as_json_dict()
+        assert got == _coideal_by_coproduct(t).as_json_dict(), t.word
+        verdicts.add(got["verdict"])
+    one_sided = {"two_sided", "left_only", "right_only"}
+    assert verdicts == {2: {"two_sided"}, 3: one_sided, 4: one_sided | {"neither"}}[n]
 
 
 def test_relations_rank1():
@@ -573,6 +632,19 @@ def test_grassmann_restriction():
         C.grassmann_restriction(C.tangent_from_word(t.algebra, (1, 2, 3, 1, 2, 1)), 1)
 
 
+def _strip_k_phased(alg, terms):
+    """Project onto K-free coordinates modulo right multiplication by
+    K^v - 1: the monomial f K^v e equals q^{(v, wt e)} f e K^v, so its
+    class is q^{(v, wt e)} (f, 0, e)."""
+    zero = (0,) * alg.n
+    out = {}
+    for (f, kv, e), c in terms.items():
+        if any(kv):
+            c = c * RatQ.q_power(alg._ad_sum(kv, e))
+        _acc(out, (f, zero, e), c)
+    return out
+
+
 def _levi_closed_by_search(alg, basis, r, ad=adjoint):
     """The general ad-closure certificate: span(T) plus the K-stripped right
     multiples m E_j, m F_j (j != r) of every normal K-free monomial
@@ -584,7 +656,7 @@ def _levi_closed_by_search(alg, basis, r, ad=adjoint):
     candidates = [y for g in levi for x in basis if (y := ad(alg, g, x))]
     member = Span()
     for x in basis:
-        member.add(C._strip_k_phased(alg, x.terms))
+        member.add(_strip_k_phased(alg, x.terms))
     e_max = max(
         [x.e_degree() for x in basis]
         + [max((len(e) for (_f, _kv, e) in y.terms), default=0) for y in candidates]
@@ -614,8 +686,8 @@ def _levi_closed_by_search(alg, basis, r, ad=adjoint):
                     for ew, fw in product(ews, fws):
                         prod = UqElement(alg, {(fw, zero, ew): ONE}) * gelem
                         if prod:
-                            member.add(C._strip_k_phased(alg, prod.terms))
-    return all(member.contains(C._strip_k_phased(alg, y.terms)) for y in candidates)
+                            member.add(_strip_k_phased(alg, prod.terms))
+    return all(member.contains(_strip_k_phased(alg, y.terms)) for y in candidates)
 
 
 def _levi_cases(n):
@@ -655,8 +727,9 @@ def test_levi_closure_matches_search_oracle(n):
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_levi_candidates_match_adjoint(n):
     """The U+ candidates equal the K-stripped `adjoint` images: ad(E_j)x as
-    x E_j - q^{-(alpha_j, beta)} E_j x, ad(F_j)x, and ad(K_i^{+-1})x, left
-    out as a multiple of x; over every distinct root vector of the rank."""
+    x E_j - q^{-(alpha_j, beta)} E_j x, ad(F_j)x from the skew derivation,
+    which leaves no F-part, and ad(K_i^{+-1})x, left out as a multiple of
+    x; over every distinct root vector of the rank."""
     alg = UqAlgebra(n)
     vecs = {}
     for rep in commutation_classes(n).reps:
@@ -666,22 +739,13 @@ def test_levi_candidates_match_adjoint(n):
         ys = iter(C._levi_candidates(alg, x, range(1, n + 1)))
         for j in range(1, n + 1):
             for kind in "EF":
-                y = C._strip_k_phased(alg, adjoint(alg, (kind, j), x).terms)
+                y = _strip_k_phased(alg, adjoint(alg, (kind, j), x).terms)
                 assert next(ys) == {e: c for (_f, _kv, e), c in y.items()}, (kind, j, x)
                 assert not any(f for f, _kv, _e in y)
         for i, e in product(range(1, n + 1), (1, -1)):
-            y = C._strip_k_phased(alg, adjoint(alg, ("K", i, e), x).terms)
+            y = _strip_k_phased(alg, adjoint(alg, ("K", i, e), x).terms)
             c = y[next(iter(x.terms))] / next(iter(x.terms.values()))
             assert y == x.scale(c).terms
-
-
-def test_levi_closure_refuses_an_f_part(monkeypatch):
-    """A candidate that keeps an F-part after the K-strip is an error, not a
-    term to drop."""
-    A = UqAlgebra(2)
-    monkeypatch.setattr(C, "adjoint", lambda alg, g, x: alg.F(1) * x)
-    with pytest.raises(AssertionError, match="F-part"):
-        C._levi_closed(A, [A.E(1), build_Eji(A, 1, 3)], 2)
 
 
 def test_dbar_kernel_degree_one():
@@ -747,27 +811,49 @@ def test_dbar_kernel_borel_weil_dimensions(n, k, expect):
     assert dim == len(basis) == expect
 
 
+def _rendered_kernel(words, t):
+    dim, basis = C.dbar_kernel(words, t)
+    return dim, [b.render() for b in basis]
+
+
 def test_dbar_kernel_simple_generators_suffice():
-    # the kernel against the full tangent space equals the kernel against
-    # the simple E_i alone
-    n = 2
-    A = UqAlgebra(n)
-    t = nice_tangent(n)
-    simples = C.tangent_from_exprs(A, [A.E(1), A.E(2)])
-    words = [((a, b),) for a in range(1, n + 2) for b in range(1, n + 2)]
-    d1, b1 = C.dbar_kernel(words, t)
-    d2, b2 = C.dbar_kernel(words, simples)
-    assert d1 == d2
-    sp = Span()
-    for b in b1:
-        sp.add(dict(b.terms))
-    assert all(sp.contains(dict(b.terms)) for b in b2)
+    """The kernel of every word tangent, dimension and rendered basis, is
+    the kernel of E_1, ..., E_n alone, which `qflag dbar-kernel` computes:
+    every class at rank 2 (degrees 2 and 3) and rank 3 (degree 2)."""
+    for n, k in ((2, 2), (3, 2), (2, 3)):
+        A = UqAlgebra(n)
+        words = list(product([(a, b) for a in range(1, n + 2) for b in range(1, n + 2)], repeat=k))
+        want = _rendered_kernel(words, C.tangent_from_exprs(A, [A.E(i) for i in range(1, n + 1)]))
+        assert want[0] == sum(_weyl_dim(lam, n + 1) for lam in _partitions(k, n + 1))
+        for rep in commutation_classes(n).reps:
+            assert _rendered_kernel(words, C.tangent_from_word(A, rep)) == want, (n, k, rep)
 
 
 def test_survey_rank2():
     rows, total = C.survey_rows(UqAlgebra(2))
     assert len(rows) == total == 2
     assert all(r.verdict == "two_sided" and r.classical for r in rows)
+
+
+def test_calculus_never_straightens(monkeypatch, capsys):
+    """The survey, the Grassmann ad-closure, the coideal check and the
+    Borel-Weil kernel stay inside U+: none of them calls the triangular
+    straightening (the theta tangents are built before it is disabled)."""
+    thetas = [theta_tangent(theta) for theta in (ONE, Q, QINV, Q**2, ZERO)]
+
+    def refuse(*args):
+        raise AssertionError("triangular straightening called")
+
+    monkeypatch.setattr(UqAlgebra, "mono_mul", refuse)
+    monkeypatch.setattr(UqAlgebra, "_straighten", refuse)
+    rows, total = C.survey_rows(UqAlgebra(3))
+    assert len(rows) == total == 8
+    for n, rs in ((3, (1, 2, 3)), (4, (2,))):
+        t = nice_tangent(n)
+        assert all(C.grassmann_restriction(t, r)[1] for r in rs)
+    assert all(C.coideal_check(t).verdict == "two_sided" for t in thetas)
+    assert cli.run(["dbar-kernel", "--rank", "2", "--degree", "2"]) == 0
+    assert capsys.readouterr().out.startswith("dimension: 9\n")
 
 
 def _holds_element(v):
@@ -784,13 +870,13 @@ def _holds_element(v):
 def test_algebra_is_freed_without_the_cycle_collector():
     """No memo or cache on a UqAlgebra points back at it, so dropping the
     last reference frees it at once, with the cyclic collector off.  After
-    a rank-3 survey the root-vector, id and relation-block memos are
-    filled, and no element is among their keys and values."""
+    a rank-3 survey the root-vector, id, relation-block and q-shuffle memos
+    are filled, and no element is among their keys and values."""
     gc.disable()
     try:
         A = UqAlgebra(3)
         C.survey_rows(A)
-        memos = (A._root_memo, A._eword_ids, A._relation_memo)
+        memos = (A._root_memo, A._eword_ids, A._relation_memo, A._shuffle_memo)
         assert all(memos)
         assert not any(_holds_element(m) for m in memos)
         t = C.tangent_from_word(A, (1, 2, 1, 3, 2, 1))

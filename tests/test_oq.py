@@ -7,7 +7,7 @@ from math import comb
 
 import pytest
 
-from qflag.freealg import Span, _acc, annihilator
+from qflag.freealg import Span, _acc, annihilator, complete_truncated
 from qflag.oq import (
     OqElement,
     _apply_token,
@@ -259,6 +259,25 @@ def span_zeros(n: int, k: int) -> list[OqElement]:
     return [OqElement(n, v) for v in annihilator(rows, words)]
 
 
+@cache
+def _completed_frt(n: int):
+    """A copy of the rank's FRT system completed through length 3, where
+    every overlap of two length-2 leads lives."""
+    gb = _frt_system(n)
+    return complete_truncated([r.as_element() for r in gb.live_rules()], gb.order, 3, gb.alphabet)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_frt_relations_are_a_groebner_basis(n):
+    """Completing the FRT relations adds no rule and leaves no overlap
+    pending, so by the diamond lemma the uncompleted system that
+    `_normal_coords` reduces by is exact in every length."""
+    gb, done = _frt_system(n), _completed_frt(n)
+    assert done.settled
+    assert [(r.lead, r.tail) for r in done.live_rules()] == [(r.lead, r.tail) for r in gb.live_rules()]
+    assert len(gb.live_rules()) == len(frt_relations(n))
+
+
 _FRT_CASES = [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3), (3, 2)]
 
 
@@ -267,13 +286,13 @@ def test_frt_rewriting_matches_span_closure(n, k):
     # the normal words are the ordered monomials (PBW), each its own normal
     # form under its own labels, and as many as the rank of the rho_k span,
     # which Schur-Weyl duality puts at C(N^2 + k - 1, k)
-    gb = _frt_system(n, k)
+    gb = _frt_system(n)
     cells = [(a, b) for a in range(1, n + 2) for b in range(1, n + 2)]
     ordered = list(combinations_with_replacement(cells, k))
     for m in ordered:
-        [(w, c)] = _normal_coords(OqElement(n, {m: ONE}), k).items()
+        [(w, c)] = _normal_coords(OqElement(n, {m: ONE})).items()
         assert c == ONE and [gb.alphabet.labels[g] for g in w] == [f"u[{a},{b}]" for a, b in m]
-    assert gb.normal_counts(k)[k] == len(ordered) == len(rep_span(n, k))
+    assert _completed_frt(n).normal_counts(k)[k] == len(ordered) == len(rep_span(n, k))
     assert len(ordered) == comb((n + 1) ** 2 + k - 1, k)
     # zero verdicts agree on seeded random sums: a quarter are combinations
     # of the closure's own zeros, a quarter such combinations plus u-words,

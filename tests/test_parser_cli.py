@@ -231,10 +231,18 @@ def test_cli_dbar_kernel_rejects_oversized_span(capsys, rank, degree, count):
     assert f"dbar-kernel would span {count} u-words (at most 4096)" in captured.err
 
 
+def test_cli_dbar_kernel_has_no_word_option(capsys):
+    # the kernel is the same for every reduced word, so no word is taken
+    assert run(["dbar-kernel", "--rank", "2", "--degree", "1", "--word", "nice"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --word nice" in captured.err
+
+
 def test_cli_dbar_kernel_accepts_the_word_cap(capsys, monkeypatch):
     sizes = []
 
-    # the real kernel on these 4096 words takes about 3.5 s of CPU on a 2-vCPU
+    # the real kernel on these 4096 words takes 1-1.5 s of CPU on a 2-vCPU
     # Xeon VM (Python 3.11); CI runs it once, so Tier-1 mocks it
     def kernel(words, t):
         sizes.append(len(words))

@@ -283,15 +283,23 @@ def test_root_vector_tie_between_least_width_pairs():
 
 
 def test_coproduct_memo_matches_fresh_algebra():
+    """eword_coproduct memoises the q-shuffle states of each U+ element
+    under its eword_id (`_shuffle_memo`): a second call is a memo hit, a
+    fresh algebra gets the same states, and `coproduct`, which keeps no
+    memo, is those states with K^{wt left} in front of the right word."""
     A = UqAlgebra(3)
+    zero = (0,) * 3
     vecs = {frozenset(v.terms.items()): v for w in reduced_words(3) for v in root_vectors(A, w)}
     for v in vecs.values():
-        shared = coproduct(v)
-        assert coproduct(v).terms == shared.terms  # second call is a memo hit
-        fresh = UqAlgebra(3)
-        assert shared.terms == coproduct(UqElement(fresh, v.terms)).terms
-    assert len(A._coproduct_memo) == len(vecs)
-    assert all(type(v) is dict for v in A._coproduct_memo.values())
+        coords = v.eword_coords()
+        shared = A.eword_coproduct(coords)
+        assert A.eword_coproduct(coords) is shared
+        assert shared == UqAlgebra(3).eword_coproduct(coords)
+        assert coproduct(v).terms == {
+            (((), zero, left), ((), A.word_weight(left), right)): c for (left, right), c in shared.items()
+        }
+    assert len(A._shuffle_memo) == len(vecs)
+    assert all(type(k) is int and type(v) is dict for k, v in A._shuffle_memo.items())
 
 
 def _coproduct_per_letter(x):
