@@ -280,7 +280,7 @@ def classical_verdict(dims: list[int], d: int) -> bool | None:
 
 
 def exterior_dims(
-    t: TangentSpace, kmax: int | None = None, early_stop: bool = False
+    t: TangentSpace, kmax: int | None = None, early_stop: bool = False, reverse_order: bool = False
 ) -> DimensionTable:
     """Graded dimensions of the quantum exterior algebra (quotient of the
     tensor algebra on the cotangent space by the degree-two relations).
@@ -291,12 +291,14 @@ def exterior_dims(
     With early_stop, the table ends at the first degree whose dimension
     differs from the classical binomial (the per-degree loop stops counting
     there); it is marked non-classical and truncated_at records that degree.
+    reverse_order completes under the reversed order, giving the same dims.
     """
     d = t.dim
     if kmax is None:
         kmax = d + 1
     rel = quadratic_relations(t)
-    gb = complete_truncated(rel.all_relations(), rel.order, 0, rel.alphabet)
+    order = rel.order.reversed() if reverse_order else rel.order
+    gb = complete_truncated(rel.all_relations(), order, 0, rel.alphabet)
     dims = []
     for k in range(kmax + 1):
         gb.extend_to(k)

@@ -18,7 +18,6 @@ import os
 import sys
 
 from qflag import calculus, oq, weyl
-from qflag.freealg import graded_dims
 from qflag.parser import ParseError, parse_oq, parse_scalar, parse_tangent_exprs, parse_uq, parse_word
 from qflag.scalars import RatQ
 from qflag.uqsl import UqAlgebra, coproduct, root_vectors
@@ -126,14 +125,7 @@ def cmd_relations(args):
 def cmd_exterior(args):
     if args.kmax is not None and args.kmax > _KMAX_CAP:
         raise ValueError(f"--kmax {args.kmax} exceeds the cap of {_KMAX_CAP}")
-    t = _tangent(args)
-    if args.reverse_order:
-        rel = calculus.quadratic_relations(t)
-        kmax = args.kmax if args.kmax is not None else t.dim + 1
-        table = graded_dims(rel.all_relations(), rel.order.reversed(), kmax, rel.alphabet)
-        table.classical = calculus.classical_verdict(table.dims, t.dim)
-    else:
-        table = calculus.exterior_dims(t, kmax=args.kmax)
+    table = calculus.exterior_dims(_tangent(args), kmax=args.kmax, reverse_order=args.reverse_order)
     flag = {True: "yes", False: "no", None: "undetermined"}[table.classical]
     line = "dims: " + " ".join(str(d) for d in table.dims) + f"  classical: {flag}"
     failed = args.expect and table.classical is not (args.expect == "classical")

@@ -9,7 +9,8 @@ homogeneous two-sided ideals; with no live overlap pending it is complete
 in every degree by Bergman's diamond lemma), and graded dimension counting:
 normal words are paths in Ufnarovski's graph of the leads, counted by DP
 over their last m-1 letters (m the longest lead length; they decide every
-extension).  A new lead's overlaps come from prefix and suffix indexes.
+extension).  Rules are named by their leads (see TruncatedGB), and a new
+lead's overlaps come from prefix and suffix indexes of the live leads.
 
 Exact linear algebra over Q(q) (echelon spans, annihilators, RREF) lives
 here too, since rank computations back both the dimension oracle and the
@@ -225,86 +226,80 @@ class FreeElement(_Sum):
         return f"FreeElement({self.terms!r})"
 
 
-@dataclass
-class RewriteRule:
-    """lead -> tail, with lead strictly greater than every tail word."""
-
-    lead: Word
-    tail: FreeElement
-
-    def as_element(self) -> FreeElement:
-        return FreeElement.monomial(self.lead) - self.tail
-
-
 class TruncatedGB:
     """A reduction system valid up to `valid_degree`: every overlap
     ambiguity whose resolution lives in degree <= valid_degree reduces to
     zero.  For homogeneous ideals this decides ideal membership exactly in
     degrees <= valid_degree.  Extendable on demand, and complete in every
-    degree once `settled`.  Two indexes of the live leads, proper prefix ->
-    lead ids and proper suffix -> lead ids, find a new lead's overlaps."""
+    degree once `settled`.
+
+    `rules` maps each live lead to its tail, in insertion order.  A lead
+    names its rule for good: a rule retires only when a shorter new lead
+    lies inside its lead, and that one retires only for a still shorter
+    lead inside it, so a retired lead stays reducible and never returns;
+    `_insert` reduces before it installs, so no two live rules share a
+    lead.  Pending overlaps are (degree, lead, lead, word), found through
+    indexes of the live leads' proper prefixes and suffixes.  In the valid
+    degrees the live leads are the ideal's minimal leading words whatever
+    order the overlaps resolve in, so normal forms and counts do not move."""
 
     def __init__(self, alphabet: Alphabet, order: DegLex):
         self.alphabet = alphabet
         self.order = order
-        self.rules: dict[int, RewriteRule] = {}
-        self._next_id = 0
-        self._pending: list[tuple[int, int, int, int, Word]] = []  # (deg, id1, id2, seq, word)
-        self._seq = 0
+        self.rules: dict[Word, FreeElement] = {}  # lead -> tail, every tail word below the lead
+        self._pending: list[tuple[int, Word, Word, Word]] = []
         self.valid_degree = 0
-        self._lead_index: dict[Word, int] = {}
         self._lengths: list[int] = []  # distinct lead lengths, ascending
-        self._prefixes: dict[Word, set[int]] = {}  # proper prefix -> ids of leads with it
-        self._suffixes: dict[Word, set[int]] = {}  # proper suffix -> ids of leads with it
+        self._prefixes: dict[Word, set[Word]] = {}
+        self._suffixes: dict[Word, set[Word]] = {}
+
+    def _index(self, lead: Word, live: bool):
+        """Add lead to (live) or drop it from the prefix and suffix indexes; refresh `_lengths`."""
+        op = set.add if live else set.discard
+        for t in range(1, len(lead)):
+            op(self._prefixes.setdefault(lead[:t], set()), lead)
+            op(self._suffixes.setdefault(lead[-t:], set()), lead)
+        self._lengths = sorted({len(w) for w in self.rules})
 
     # -- reduction -----------------------------------------------------------
 
-    def _find_redex(self, word: Word, choice=None):
-        """Return (pos, rule_id) for a factor match (by window lookup), or None."""
-        cands = []
-        index, n = self._lead_index, len(word)
+    def _find_redex(self, word: Word):
+        """Return (pos, lead) of the first lead found in a window of word, or None."""
+        rules, n = self.rules, len(word)
         for L in self._lengths:
             for p in range(n - L + 1):
-                rid = index.get(word[p : p + L])
-                if rid is not None:
-                    if choice is None:
-                        return (p, rid)
-                    cands.append((p, rid))
-        if not cands:
-            return None
-        return choice(cands)
+                if word[p : p + L] in rules:
+                    return (p, word[p : p + L])
+        return None
 
-    def reduce(self, elem: FreeElement, choice=None) -> FreeElement:
-        """Normal form of elem; `choice` optionally picks among redexes
-        (used to test strategy independence)."""
+    def reduce(self, elem: FreeElement) -> FreeElement:
+        """Normal form of elem."""
         work = list(elem.terms.items())
         out: dict[Word, RatQ] = {}
         while work:
             word, coeff = work.pop()
-            hit = self._find_redex(word, choice)
+            hit = self._find_redex(word)
             if hit is None:
                 _acc(out, word, coeff)
                 continue
-            p, rid = hit
-            rule = self.rules[rid]
-            pre, post = word[:p], word[p + len(rule.lead) :]
-            for tw, tc in rule.tail.terms.items():
+            p, lead = hit
+            pre, post = word[:p], word[p + len(lead) :]
+            for tw, tc in self.rules[lead].terms.items():
                 work.append((pre + tw + post, coeff * tc))
         return elem._like(out)
 
     # -- completion ----------------------------------------------------------
 
-    def _push_overlaps(self, rid: int):
-        """Queue every overlap of lead rid with a live lead (itself included):
-        a proper suffix of the first lead equal to a proper prefix of the second."""
-        lead = self.rules[rid].lead
+    def _push_overlaps(self, lead: Word):
+        """Queue every overlap of lead with a live lead (itself included, once
+        from each side): a proper suffix of the first lead equal to a proper
+        prefix of the second."""
         for t in range(1, len(lead)):
-            pairs = [(rid, oid) for oid in self._prefixes.get(lead[-t:], ())]
-            pairs += [(oid, rid) for oid in self._suffixes.get(lead[:t], ())]
+            pairs = [(lead, other) for other in self._prefixes.get(lead[-t:], ())]
+            pairs += [(other, lead) for other in self._suffixes.get(lead[:t], ())]
             for la, lb in pairs:
-                w = self.rules[la].lead + self.rules[lb].lead[t:]
-                self._seq += 1
-                heapq.heappush(self._pending, (len(w), la, lb, self._seq, w))
+                w = la + lb[t:]
+                heapq.heappush(self._pending, (len(w), la, lb, w))
 
     def _insert(self, elem: FreeElement):
         """Reduce, orient, and install a new rule; retire rules whose lead
@@ -314,40 +309,28 @@ class TruncatedGB:
             return
         lead = elem.lead(self.order)
         lc = elem.terms[lead]
-        tail = elem._like({w: -(c / lc) for w, c in elem.terms.items() if w != lead})
-        rid = self._next_id
-        self._next_id += 1
-        self.rules[rid] = RewriteRule(lead, tail)
-        self._lead_index[lead] = rid
-        self._lengths = sorted({len(w) for w in self._lead_index})
-        n = len(lead)
-        for t in range(1, n):
-            self._prefixes.setdefault(lead[:t], set()).add(rid)
-            self._suffixes.setdefault(lead[-t:], set()).add(rid)
+        self.rules[lead] = elem._like({w: -(c / lc) for w, c in elem.terms.items() if w != lead})
+        self._index(lead, True)
         # inclusion ambiguities: a lead containing the irreducible new lead is longer
-        stale = [oid for other, oid in self._lead_index.items()
+        n = len(lead)
+        stale = [other for other in self.rules
                  if len(other) > n and any(other[p : p + n] == lead for p in range(len(other) - n + 1))]
         if stale:
             self._pending = [e for e in self._pending if e[1] not in stale and e[2] not in stale]
             heapq.heapify(self._pending)
-        for oid in stale:
-            rule = self.rules.pop(oid)
-            del self._lead_index[rule.lead]
-            self._lengths = sorted({len(w) for w in self._lead_index})
-            for t in range(1, len(rule.lead)):
-                self._prefixes[rule.lead[:t]].discard(oid)
-                self._suffixes[rule.lead[-t:]].discard(oid)
-            self._insert(rule.as_element())
-        self._push_overlaps(rid)
+        for other in stale:
+            tail = self.rules.pop(other)
+            self._index(other, False)
+            self._insert(FreeElement.monomial(other) - tail)
+        self._push_overlaps(lead)
 
     def extend_to(self, dmax: int):
         """Resolve all pending overlap ambiguities of degree <= dmax."""
         while self._pending and self._pending[0][0] <= dmax:
-            deg, r1, r2, _, word = heapq.heappop(self._pending)
-            a, b = self.rules[r1], self.rules[r2]
-            # word = a.lead glued with b.lead over a proper overlap
-            left = a.tail * FreeElement.monomial(word[len(a.lead) :])
-            right = FreeElement.monomial(word[: len(word) - len(b.lead)]) * b.tail
+            _deg, la, lb, word = heapq.heappop(self._pending)
+            # word = la glued with lb over a proper overlap
+            left = self.rules[la] * FreeElement.monomial(word[len(la) :])
+            right = FreeElement.monomial(word[: len(word) - len(lb)]) * self.rules[lb]
             diff = self.reduce(left - right)
             if diff:
                 self._insert(diff)
@@ -360,15 +343,12 @@ class TruncatedGB:
         """No live overlap pending: complete in every degree (diamond lemma)."""
         return not self._pending
 
-    def live_rules(self) -> list[RewriteRule]:
-        return [self.rules[i] for i in sorted(self.rules)]
-
     def _extensions(self, word: Word):
         """The normal words word + (g,) of a normal word: only a suffix can be a lead."""
-        index, lengths = self._lead_index, self._lengths
+        rules, lengths = self.rules, self._lengths
         for g in range(self.alphabet.size):
             cand = word + (g,)
-            if all(cand[-L:] not in index for L in lengths):
+            if all(cand[-L:] not in rules for L in lengths):
                 yield cand
 
     def normal_words(self, k: int) -> list[Word]:
@@ -413,14 +393,14 @@ def complete_truncated(
     return gb
 
 
-def nf_reduce(elem: FreeElement, gb: TruncatedGB, choice=None) -> FreeElement:
+def nf_reduce(elem: FreeElement, gb: TruncatedGB) -> FreeElement:
     """Normal form of elem modulo gb; errors above the validity degree."""
     d = elem.max_degree()
     if d > gb.valid_degree:
         raise ValueError(
             f"element of degree {d} exceeds the completion's valid degree {gb.valid_degree}"
         )
-    return gb.reduce(elem, choice)
+    return gb.reduce(elem)
 
 
 @dataclass

@@ -80,9 +80,12 @@ class _Stream:
 
 
 def _parse_all(text: str, what: str, parse):
-    """parse(stream) over the whole text; trailing input is an error."""
+    """parse(stream) over the whole text; trailing input or a division by zero is an error."""
     s = _Stream(tokenize(text))
-    out = parse(s)
+    try:
+        out = parse(s)
+    except ZeroDivisionError as e:
+        raise ParseError(f"{e} in {what} {text!r}") from None
     if not s.done():
         raise ParseError(f"trailing input after {what}: {s.peek()[1]!r}")
     return out

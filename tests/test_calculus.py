@@ -332,7 +332,7 @@ def test_normal_counts_match_enumeration():
             gb = complete_truncated(rel.all_relations(), order, kmax, rel.alphabet)
             counts = gb.normal_counts(kmax)
             assert counts == [len(gb.normal_words(k)) for k in range(kmax + 1)]
-            leads = {r.lead for r in gb.live_rules()}
+            leads = set(gb.rules)
             for k in range(4):
                 oracle = [w for w in product(range(t.dim), repeat=k) if _avoids_leads(w, leads)]
                 assert gb.normal_words(k) == oracle
@@ -364,10 +364,10 @@ def test_exterior_dims_match_tensor_ranks():
             assert C.exterior_dims(t, kmax=kmax).dims == want, rep
 
 
-def test_window_redex_matches_random_strategy():
-    """Reduction by the first window hit equals reduction that picks among
-    all redexes at random, on the rank-3 Serre system (leads of lengths 2-5)
-    and on a rank-3 relation completion."""
+def test_window_redex_matches_random_strategy(reduce_randomly):
+    """Reduction by the first window hit equals reduction at a redex picked
+    at random among every lead at every position, on the rank-3 Serre
+    system (leads of lengths 2-5) and on a rank-3 relation completion."""
     rng = random.Random(3)
     t = C.tangent_from_word(UqAlgebra(3), (2, 3, 1, 2, 1, 3))
     rel = C.quadratic_relations(t)
@@ -378,7 +378,7 @@ def test_window_redex_matches_random_strategy():
         complete_truncated(rel.all_relations(), rel.order.reversed(), 5, rel.alphabet),
     ]
     for gb in systems:
-        size, leads = gb.alphabet.size, {r.lead for r in gb.live_rules()}
+        size, leads = gb.alphabet.size, set(gb.rules)
         for _ in range(8):
             elem = FreeElement(
                 {
@@ -389,7 +389,7 @@ def test_window_redex_matches_random_strategy():
             base = gb.reduce(elem)
             assert all(_avoids_leads(w, leads) for w in base.terms)
             for _ in range(4):
-                assert gb.reduce(elem, choice=rng.choice) == base
+                assert reduce_randomly(gb, elem, rng) == base
 
 
 def test_exterior_early_stop():
@@ -414,21 +414,37 @@ def _exterior_dims_per_degree(rel, d, kmax, early_stop):
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
-def test_count_once_matches_per_degree_loop(n, monkeypatch):
+def test_count_once_matches_per_degree_loop(n):
     """Counting once after the completion settles gives the per-degree
     loop's dims, classical flag and truncation point, for every class under
-    the relation order and its reverse, with early stop on and off."""
+    the relation order and (reverse_order) its reverse, with early stop on
+    and off."""
     A = UqAlgebra(n)
-    relations = C.quadratic_relations
     kmax = 64 if n == 2 else None
     for rep in commutation_classes(n).reps:
         t = C.tangent_from_word(A, rep)
-        rel = relations(t)
-        for r in (rel, replace(rel, order=rel.order.reversed())):
-            monkeypatch.setattr(C, "quadratic_relations", lambda _t: r)
+        rel = C.quadratic_relations(t)
+        for reverse, r in ((False, rel), (True, replace(rel, order=rel.order.reversed()))):
             for early_stop in (False, True):
                 want = _exterior_dims_per_degree(r, t.dim, kmax or t.dim + 1, early_stop)
-                assert C.exterior_dims(t, kmax=kmax, early_stop=early_stop) == want, rep
+                got = C.exterior_dims(t, kmax=kmax, early_stop=early_stop, reverse_order=reverse)
+                assert got == want, rep
+
+
+def test_exterior_reverse_order_completes_under_the_reversed_order(monkeypatch, capsys):
+    """`exterior --reverse-order` reaches the completion as the reversed
+    relation order through `exterior_dims`, the one exterior count path."""
+    rel, orders = C.quadratic_relations(nice_tangent(3)), []
+
+    def complete(rels, order, *args):
+        orders.append(order.precedence)
+        return complete_truncated(rels, order, *args)
+
+    monkeypatch.setattr(C, "complete_truncated", complete)
+    for extra in ([], ["--reverse-order"]):
+        assert cli.run(["exterior", "--rank", "3", "--word", "nice", *extra]) == 0
+    assert orders == [rel.order.precedence, rel.order.reversed().precedence]
+    assert capsys.readouterr().out == "dims: 1 6 15 20 15 6 1 0  classical: yes\n" * 2
 
 
 @pytest.fixture
@@ -491,7 +507,7 @@ def test_survey_exteriors_are_quadratic(n, monkeypatch, count_calls):
         gb = complete_truncated(rel.all_relations(), rel.order, 2, rel.alphabet)
         assert not gb.settled
         gb.extend_to(3)
-        assert gb.settled and {len(r.lead) for r in gb.live_rules()} == {2}
+        assert gb.settled and {len(lead) for lead in gb.rules} == {2}
 
 
 def test_theta_surviving_relation():

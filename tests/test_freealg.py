@@ -48,9 +48,9 @@ def test_serre_sl3_completion_and_degree4_count():
     alph, rels = _serre_sl3()
     order = DegLex(size=2)  # E2 (index 1) greater than E1 (index 0)
     gb = complete_truncated(rels, order, 6, alph)
-    assert len(gb.live_rules()) == 2  # the two input cubics complete already
+    assert len(gb.rules) == 2  # the two input cubics complete already
     # independent oracle: length-4 words over {E1,E2} avoiding the lead factors
-    leads = {r.lead for r in gb.live_rules()}
+    leads = set(gb.rules)
     assert leads == {(1, 1, 0), (1, 0, 0)}  # E2E2E1 and E2E1E1
 
     def normal(word):
@@ -68,7 +68,7 @@ def test_normal_counts_on_serre_systems():
     serre = UqAlgebra(3)._serre
     serre.extend_to(6)  # the algebra completes on demand; 6 is 2n
     for gb in (complete_truncated(rels, DegLex(size=2), 8, alph), serre):
-        kmax, leads = gb.valid_degree, {r.lead for r in gb.live_rules()}
+        kmax, leads = gb.valid_degree, set(gb.rules)
         assert gb.normal_counts(kmax) == [len(gb.normal_words(k)) for k in range(kmax + 1)]
         for k in range(6):
             oracle = [
@@ -138,7 +138,7 @@ def _nice_sl3_exterior():
 def test_exterior_sl3_confluent_at_degree_two():
     alph, rels = _nice_sl3_exterior()
     gb = complete_truncated(rels, DegLex(size=3), 4, alph)
-    assert len(gb.live_rules()) == len(rels) == 6
+    assert len(gb.rules) == len(rels) == 6
 
 
 def test_exterior_sl4_binomial_dims():
@@ -156,7 +156,7 @@ def test_dims_order_invariant():
     assert t1.dims == t2.dims
 
 
-def test_nf_strategy_independence():
+def test_nf_strategy_independence(reduce_randomly):
     alph, rels = _serre_sl3()
     gb = complete_truncated(rels, DegLex(size=2), 8, alph)
     rng = random.Random(5)
@@ -169,7 +169,7 @@ def test_nf_strategy_independence():
     )
     base = nf_reduce(elem, gb)
     for _ in range(20):
-        assert nf_reduce(elem, gb, choice=rng.choice) == base
+        assert reduce_randomly(gb, elem, rng) == base
 
 
 def test_dims_against_bruteforce_linear_algebra():
@@ -198,58 +198,58 @@ def test_dims_against_bruteforce_linear_algebra():
             assert len(gb.normal_words(k)) == expected
 
 
-def _all_pairs_overlaps(gb, rid):
+def _all_pairs_overlaps(gb, lead):
     """The all-pairs scan the prefix/suffix indexes replaced, kept as the
-    oracle: (degree, lead ids, word) of each overlap of lead rid with a
-    live lead, self-overlaps once from each side."""
-    lead, out = gb.rules[rid].lead, []
-    for other, oid in gb._lead_index.items():
-        for a, b, la, lb in ((lead, other, rid, oid), (other, lead, oid, rid)):
+    oracle: (degree, leads, word) of each overlap of lead with a live lead,
+    self-overlaps once from each side."""
+    out = []
+    for other in gb.rules:
+        for a, b in ((lead, other), (other, lead)):
             for t in range(1, min(len(a), len(b))):
                 if a[-t:] == b[:t]:
-                    out.append((len(a) + len(b) - t, la, lb, a + b[t:]))
+                    out.append((len(a) + len(b) - t, a, b, a + b[t:]))
     return out
-
-
-def _keys(pending):
-    return {(deg, la, lb, w) for deg, la, lb, _seq, w in pending}
 
 
 class _CheckedGB(TruncatedGB):
     """A completion that checks its overlap bookkeeping against the oracle.
     Each push queues the all-pairs scan's overlaps.  After each insert the
-    pending set is the live rules' overlaps not yet resolved, and the
-    indexes hold exactly the live leads' proper prefixes and suffixes."""
+    pending set is the live rules' overlaps not yet resolved, the indexes
+    hold exactly the live leads' proper prefixes and suffixes, and every
+    lead retired so far is out of `rules` and still reducible."""
 
     def __init__(self, alphabet, order):
         super().__init__(alphabet, order)
-        self.depth, self.seen, self.resolved = 0, set(), set()
+        self.depth, self.seen, self.resolved, self.retired = 0, set(), set(), set()
 
-    def _push_overlaps(self, rid):
-        before = self._seq
-        super()._push_overlaps(rid)
-        pushed = [(deg, la, lb, w) for deg, la, lb, seq, w in self._pending if seq > before]
-        assert Counter(pushed) == Counter(_all_pairs_overlaps(self, rid))
+    def _push_overlaps(self, lead):
+        before = Counter(self._pending)
+        super()._push_overlaps(lead)
+        pushed = Counter(self._pending) - before
+        assert pushed == Counter(_all_pairs_overlaps(self, lead))
 
     def _insert(self, elem):
         if self.depth == 0:  # only pops ran since the last insert
-            self.resolved |= self.seen - _keys(self._pending)
+            self.resolved |= self.seen - set(self._pending)
         self.depth += 1
+        before = set(self.rules)
         super()._insert(elem)
+        self.retired |= before - set(self.rules)
         self.depth -= 1
         if self.depth == 0:
-            self.seen = _keys(self._pending)
+            self.seen = set(self._pending)
             live = set(self.rules)
-            oracle = {o for rid in live for o in _all_pairs_overlaps(self, rid)}
+            oracle = {o for lead in live for o in _all_pairs_overlaps(self, lead)}
             assert all(la in live and lb in live for _deg, la, lb, _w in self.seen)
             assert self.seen == oracle - self.resolved
             for index, cut in ((self._prefixes, lambda w, t: w[:t]), (self._suffixes, lambda w, t: w[-t:])):
                 want = {}
-                for rid in live:
-                    lead = self.rules[rid].lead
+                for lead in live:
                     for t in range(1, len(lead)):
-                        want.setdefault(cut(lead, t), set()).add(rid)
-                assert {k: ids for k, ids in index.items() if ids} == want
+                        want.setdefault(cut(lead, t), set()).add(lead)
+                assert {k: leads for k, leads in index.items() if leads} == want
+            for lead in self.retired:
+                assert lead not in live and self._find_redex(lead) is not None
 
 
 def _checked_completion(rels, order, alphabet, dmax):
@@ -267,10 +267,10 @@ def test_overlap_indexes_match_all_pairs_scan():
     rank 4 the nice word and a class without a coideal whose completion
     grows leads up to length 7 before it settles at degree 8."""
     serre = UqAlgebra(3)._serre
-    rels = [r.as_element() for r in serre.live_rules()]
+    rels = [FreeElement.monomial(lead) - tail for lead, tail in serre.rules.items()]
     gb = _checked_completion(rels, serre.order, serre.alphabet, 6)
     serre.extend_to(6)
-    assert [r.lead for r in gb.live_rules()] == [r.lead for r in serre.live_rules()]
+    assert list(gb.rules) == list(serre.rules)
     for n in (2, 3, 4):
         A = UqAlgebra(n)
         reps = commutation_classes(n).reps if n < 4 else [nice_word(4), (1, 2, 1, 3, 4, 3, 2, 1, 3, 2)]
@@ -287,11 +287,12 @@ def test_retired_rules_leave_the_heap_and_indexes():
     cubic = FreeElement({(1, 1, 1): ONE, (0, 0, 0): -ONE})
     gb = _CheckedGB(alph, DegLex(size=2))
     gb._insert(cubic)
-    assert _keys(gb._pending) == {(4, 0, 0, (1,) * 4), (5, 0, 0, (1,) * 5)}
+    x3 = (1, 1, 1)
+    assert set(gb._pending) == {(4, x3, x3, (1,) * 4), (5, x3, x3, (1,) * 5)}
     gb._insert(FreeElement({(1, 1): ONE, (0, 1): -Q}))
-    assert 0 not in gb.rules
-    assert all(0 not in (la, lb) for _deg, la, lb, _w in _keys(gb._pending))
-    assert not any(0 in ids for index in (gb._prefixes, gb._suffixes) for ids in index.values())
+    assert x3 not in gb.rules and x3 in gb.retired
+    assert all(x3 not in (la, lb) for _deg, la, lb, _w in set(gb._pending))
+    assert not any(x3 in leads for index in (gb._prefixes, gb._suffixes) for leads in index.values())
     gb.extend_to(6)
 
 

@@ -27,6 +27,8 @@ def test_parse_scalar():
         parse_scalar("q +")
     with pytest.raises(ParseError):
         parse_scalar("zz")
+    with pytest.raises(ParseError, match="division by zero"):
+        parse_scalar("1/(q-q)")
 
 
 def test_parse_uq():
@@ -91,6 +93,22 @@ def test_cli_parse_error_exit_code(capsys):
     # dot is a format of `classes` only
     code, out = _out(capsys, ["roots", "--rank", "2", "--format", "dot"])
     assert code == 2 and out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["coproduct", "--rank", "2", "--expr", "1/0"],
+        ["exterior", "--rank", "2", "--tangent", "E1/0"],
+        ["exterior", "--rank", "2", "--tangent", "E1; E2; [E2,E1]_{t}", "--set", "t=1/(q-q)"],
+    ],
+)
+def test_cli_division_by_zero_is_a_parse_error(capsys, argv):
+    # exit 1 is kept for --expect and closed pipes
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "division by zero" in captured.err
 
 
 # one cheap rank-2 request per subcommand, with the top-level keys of its JSON
