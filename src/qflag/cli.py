@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 
 from qflag import calculus, oq, weyl
@@ -28,12 +29,17 @@ _KMAX_CAP = 64  # exterior --kmax; rank 6 needs d + 1 = 22
 
 
 def _params(args) -> dict[str, RatQ]:
+    """--set name=value pairs, each name one the parser's name token reads as a
+    parameter (so not q, nu or u), set once."""
     out = {}
     for item in getattr(args, "set", None) or []:
         name, _, val = item.partition("=")
-        if not val:
-            raise ParseError(f"--set needs name=value, got {item!r}")
-        out[name.strip()] = parse_scalar(val)
+        name = name.strip()
+        if not val or not re.fullmatch(r"[A-Za-z][A-Za-z_]*", name) or name in ("q", "nu", "u"):
+            raise ParseError(f"--set needs name=value, a bare name other than q, nu and u, got {item!r}")
+        if name in out:
+            raise ParseError(f"--set sets {name!r} twice")
+        out[name] = parse_scalar(val)
     return out
 
 

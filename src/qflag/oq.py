@@ -15,6 +15,9 @@ diagonally in every slot) and the defining table is
     <E_i, u[i+1,i]> = <F_i, u[i,i+1]> = 1,
     <K_j^{+-1}, u[i,i]> = q^{+-(delta_{j+1,i} - delta_{j,i})}.
 
+The left action X |> a = a_(1) <X, a_(2)> moves the columns, and the
+pairing is its counit: <X, a> = eps(X |> a), eps(u[a,b]) = delta_ab.
+
 Equality of O_q elements is decided functionally: e1 = e2 iff e1 - e2
 kills every rho_k image.  By quantum Schur-Weyl duality (Jimbo 1986) a
 length-k combination does so exactly when it lies in the degree-k part of
@@ -145,43 +148,17 @@ def _apply_token(n: int, token, vec: dict) -> dict:
 def _apply_mono(n: int, mono, vec: dict) -> dict:
     """Apply a normal monomial (F-word, K-vec, E-word), rightmost factor first."""
     f, kv, e = mono
-    for l in reversed(e):
-        vec = _apply_token(n, ("E", l), vec)
+    ks = [("K", i, v) for i, v in enumerate(kv, 1) if v]
+    for token in [("E", l) for l in reversed(e)] + ks + [("F", l) for l in reversed(f)]:
         if not vec:
-            return vec
-    if any(kv):
-        out: dict = {}
-        for b, c in vec.items():
-            ex = sum(v * _kdiag_exp(i + 1, x) for i, v in enumerate(kv) if v for x in b)
-            _acc(out, b, c * qpow(ex))
-        vec = out
-    for l in reversed(f):
-        vec = _apply_token(n, ("F", l), vec)
-        if not vec:
-            return vec
+            break
+        vec = _apply_token(n, token, vec)
     return vec
-
-
-def pair(x: UqElement, e: OqElement | OqWord) -> RatQ:
-    """Evaluation pairing <x, e>, bilinear in both arguments."""
-    n = x.algebra.n
-    words = e.terms.items() if isinstance(e, OqElement) else [(tuple(e), ONE)]
-    total = ZERO
-    for w, wc in words:
-        rows = tuple(a for a, _ in w)
-        cols = tuple(b for _, b in w)
-        for m, c in x.terms.items():
-            v = _apply_mono(n, m, {cols: ONE})
-            hit = v.get(rows)
-            if hit:
-                total = total + wc * c * hit
-    return total
 
 
 def left_act(x: UqElement, e: OqElement) -> OqElement:
     """Left action X |> a = a_(1) <X, a_(2)>: rows stay, columns move."""
     n = x.algebra.n
-    e.homogeneous_length()
     out: dict = {}
     for w, wc in e.terms.items():
         rows = tuple(a for a, _ in w)
@@ -190,6 +167,14 @@ def left_act(x: UqElement, e: OqElement) -> OqElement:
             for newcols, cc in _apply_mono(n, m, {cols: ONE}).items():
                 _acc(out, tuple(zip(rows, newcols)), wc * c * cc)
     return e._like(out)
+
+
+def pair(x: UqElement, e: OqElement | OqWord) -> RatQ:
+    """Evaluation pairing <x, e>, bilinear in both arguments: the counit
+    u[a,b] -> delta_ab of x |> e, since <x, a> = eps(a_(1)) <x, a_(2)>."""
+    if not isinstance(e, OqElement):
+        e = OqElement(x.algebra.n, {tuple(e): ONE})
+    return sum((c for w, c in left_act(x, e).terms.items() if all(a == b for a, b in w)), ZERO)
 
 
 # -- functional equality -----------------------------------------------------

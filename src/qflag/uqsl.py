@@ -43,13 +43,17 @@ root vector's id is its letter i for beta_k = alpha_i, else the pair
 
 The coproduct of an E-word is the q-shuffle expansion of the product of its
 letters' Delta(E_i) = E_i x K_i + 1 x E_i, a sum over the subsets S of its
-positions of w_S (x) K^{wt(S)} w_{S^c} times a power of q.  A `UqAlgebra`
-memoises Serre normal forms, E-times-F straightenings, q-shuffles of U+
-elements by id (`_shuffle_memo`), root vectors per id (`_root_memo`), small
-int ids of E-word coordinates (`_eword_ids`, see `eword_id`) and the
-degree-two relation blocks of `calculus.quadratic_relations` keyed by those
-ids (`_relation_memo`), all as plain tuples, dicts, ints and Q(q) scalars,
-never elements, which would point back at the algebra.
+positions of w_S (x) K^{wt(S)} w_{S^c} times a power of q; that of an F-word,
+from Delta(F_i) = F_i x 1 + K_i^{-1} x F_i, is a sum of w_S K^{-wt(S^c)} (x)
+w_{S^c}.  So Delta(f K^v e) = Delta(f) (K^v x K^v) Delta(e) is a sum of
+f_S K^{v - wt(f_{S^c})} e_T (x) f_{S^c} K^{v + wt(e_T)} e_{T^c}, both legs
+normal-ordered with no product taken.  A `UqAlgebra` memoises Serre normal
+forms, E-times-F straightenings, q-shuffles of U+ elements by id
+(`_shuffle_memo`), root vectors per id (`_root_memo`), small int ids of
+E-word coordinates (`_eword_ids`, see `eword_id`) and the degree-two
+relation blocks of `calculus.quadratic_relations` keyed by those ids
+(`_relation_memo`), all as plain tuples, dicts, ints and Q(q) scalars, never
+elements, which would point back at the algebra.
 """
 
 from __future__ import annotations
@@ -254,49 +258,39 @@ class UqAlgebra:
         f, _, e = m
         return ONE if not f and not e else ZERO
 
-    def gen_coproduct(self, kind: str, i: int, exp: int = 1) -> "TensorSquare":
-        one = self.one()
-        if kind == "E":
-            return TensorSquare.from_pairs(
-                self, [(self.E(i), self.K(i)), (one, self.E(i))]
-            )
-        if kind == "F":
-            return TensorSquare.from_pairs(
-                self, [(self.F(i), one), (self.K(i, -1), self.F(i))]
-            )
-        if kind == "K":
-            return TensorSquare.from_pairs(self, [(self.K(i, exp), self.K(i, exp))])
-        raise ValueError(kind)
-
     def coproduct_mono(self, m: Mono) -> "TensorSquare":
+        """Delta(f K^v e) = Delta(f) (K^v x K^v) Delta(e): each F-state
+        (fl, fr) and E-state (el, er) of the q-shuffles gives the term
+        fl K^{v - wt fr} el (x) fr K^{v + wt el} er, both legs normal-ordered."""
         f, kv, e = m
-        zero = (0,) * self.n
-        shuffle = TensorSquare(self, {(((), zero, l), ((), self.word_weight(l), r)): c
-                                      for (l, r), c in self._eword_coproduct(e).items()})
-        if not f and not any(kv):
-            return shuffle
-        kl = UqElement(self, {((), kv, ()): ONE})
-        kk = TensorSquare.from_pairs(self, [(kl, kl)])
-        return reduce(mul, [self.gen_coproduct("F", l) for l in f] + [kk, shuffle])
+        fstates = [(fl, fr, tuple(k - w for k, w in zip(kv, self.word_weight(fr))), cf)
+                   for (fl, fr), cf in self._shuffle(f, 1).items()]
+        out: dict = {}
+        for (el, er), ce in self._shuffle(e, -1).items():
+            kr = tuple(k + w for k, w in zip(kv, self.word_weight(el)))
+            for fl, fr, kl, cf in fstates:
+                out[(fl, kl, el), (fr, kr, er)] = cf * ce
+        return TensorSquare(self, out)
 
     def word_weight(self, word: tuple) -> tuple[int, ...]:
-        """Weight of an E-word: its letter counts."""
+        """Letter counts of a word: the weight of an E-word."""
         return tuple(word.count(i) for i in range(1, self.n + 1))
 
-    def _eword_coproduct(self, e: tuple) -> dict:
-        """Delta of the E-word e as (left word, right word) -> coefficient, the
-        right leg K^{wt left} right.  One letter l at a time, l joins the left
-        word, leaving K_l in front of the right word at the phase q^{-a(l, s)}
-        for each letter s already there, or joins the right word.  Both words
+    def _shuffle(self, word: tuple, sign: int) -> dict:
+        """Delta of an E-word (sign -1) or F-word (sign +1) as its q-shuffle
+        states (left word, right word) -> coefficient, the legs left (x)
+        K^{wt left} right for E and left K^{-wt right} (x) right for F.  Letter
+        by letter, l joins the right word, or the left word at the phase
+        q^{sign a(l, s)} for each letter s already on the right.  Both words
         stay in Serre normal form, so repeated letters merge."""
         states = {((), ()): ONE}
-        for l in e:
+        for l in word:
             nxt: dict = {}
             for (left, right), c in states.items():
                 for w, cw in self.word_nf(right + (l,)):
                     _acc(nxt, (left, w), c if cw == ONE else c * cw)
-                ph = sum(_cartan(l, s) for s in right)
-                cl = c * qpow(-ph) if ph else c
+                ph = sign * sum(_cartan(l, s) for s in right)
+                cl = c * qpow(ph) if ph else c
                 for w, cw in self.word_nf(left + (l,)):
                     _acc(nxt, (w, right), cl if cw == ONE else cl * cw)
             states = nxt
@@ -304,13 +298,13 @@ class UqAlgebra:
 
     def eword_coproduct(self, coords: dict) -> dict:
         """Delta of a U+ element on E-word coordinates: its words'
-        `_eword_coproduct` states summed, memoised by eword_id."""
+        `_shuffle` states summed, memoised by eword_id."""
         key = self.eword_id(coords)
         out = self._shuffle_memo.get(key)
         if out is None:
             out = {}
             for e, c in coords.items():
-                for lr, cs in self._eword_coproduct(e).items():
+                for lr, cs in self._shuffle(e, -1).items():
                     _acc(out, lr, c * cs)
             self._shuffle_memo[key] = out
         return out
@@ -365,11 +359,7 @@ class UqElement(_Sum):
     # -- queries ---------------------------------------------------------------
 
     def counit(self) -> RatQ:
-        out = ZERO
-        for m, c in self.terms.items():
-            if self.algebra.counit_mono(m):
-                out = out + c
-        return out
+        return sum((c for m, c in self.terms.items() if self.algebra.counit_mono(m)), ZERO)
 
     def weight(self) -> tuple[int, ...]:
         letters = range(1, self.algebra.n + 1)
@@ -456,14 +446,11 @@ class TensorSquare(_Sum):
         return self._like(out)
 
     def apply_counit(self, leg: int) -> UqElement:
-        alg = self.algebra
         out: dict = {}
-        for (m1, m2), c in self.terms.items():
-            if leg == 0 and alg.counit_mono(m1):
-                _acc(out, m2, c)
-            elif leg == 1 and alg.counit_mono(m2):
-                _acc(out, m1, c)
-        return UqElement(alg, out)
+        for legs, c in self.terms.items():
+            if self.algebra.counit_mono(legs[leg]):
+                _acc(out, legs[1 - leg], c)
+        return UqElement(self.algebra, out)
 
     def render(self) -> str:
         """Terms joined by '  +  ', each sign kept with its coefficient."""
@@ -505,10 +492,11 @@ def uq_normal_form(algebra: UqAlgebra, gen_terms) -> UqElement:
 
 
 def coproduct(x: UqElement) -> TensorSquare:
-    out = TensorSquare(x.algebra, {})
+    out: dict = {}
     for m, c in x.terms.items():
-        out = out + x.algebra.coproduct_mono(m).scale(c)
-    return out
+        for legs, cm in x.algebra.coproduct_mono(m).terms.items():
+            _acc(out, legs, c * cm)
+    return TensorSquare(x.algebra, out)
 
 
 def counit(x: UqElement) -> RatQ:

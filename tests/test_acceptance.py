@@ -3,8 +3,8 @@
 Each test is one numbered criterion; the terminal summary prints one
 pass/fail line per criterion.  Criterion 8 is split: its verdict clause
 passes, while its classical-exclusivity clause is a documented defect
-(notes/decisions.md) and is marked as a strict expected failure rather
-than weakened.
+(the reason is stated on its xfail marker) and is marked as a strict
+expected failure rather than weakened.
 """
 
 import random
@@ -291,9 +291,11 @@ def test_criterion_08_s4_survey_verdicts():
     strict=True,
     reason="documented defect of the build contract: the per-weight relation "
     "spaces computed from products inside the enveloping algebra give binomial "
-    "dimensions for every rank-3 class (verified independently by brute-force "
-    "tensor-algebra ranks through degree 7); the exclusivity expectation "
-    "presumes the flag-side bimodule prolongation, which is out of scope",
+    "dimensions for every rank-3 class (the completion's dims through degree "
+    "d + 1 = 7, matched against brute-force tensor-algebra ranks through degree "
+    "4 by test_calculus.py::test_exterior_dims_match_tensor_ranks); the "
+    "exclusivity expectation presumes the flag-side bimodule prolongation, "
+    "which is out of scope",
 )
 def test_criterion_08b_only_nice_classes_classical():
     g = weyl.commutation_classes(3)

@@ -10,6 +10,7 @@ import pytest
 from qflag.freealg import FreeElement, Span, _acc, annihilator, complete_truncated
 from qflag.oq import (
     OqElement,
+    _apply_mono,
     _apply_token,
     _frt_system,
     _normal_coords,
@@ -79,6 +80,44 @@ def _random_word(n, rng, k):
     return tuple(
         (rng.randint(1, n + 1), rng.randint(1, n + 1)) for _ in range(k)
     )
+
+
+def _pair_by_rows(x, e):
+    """<x, e> word by word and monomial by monomial: the (rows, columns)
+    entry of each monomial's tensor-power matrix."""
+    n = x.algebra.n
+    words = e.terms.items() if isinstance(e, OqElement) else [(tuple(e), ONE)]
+    total = ZERO
+    for w, wc in words:
+        rows = tuple(a for a, _ in w)
+        cols = tuple(b for _, b in w)
+        for m, c in x.terms.items():
+            hit = _apply_mono(n, m, {cols: ONE}).get(rows)
+            if hit:
+                total = total + wc * c * hit
+    return total
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_pair_is_counit_of_left_act(n):
+    """pair, the counit of left_act, equals the per-word matrix entries on
+    raw words, the unit word and elements mixing word lengths."""
+    rng = random.Random(40 + n)
+    A = UqAlgebra(n)
+    coeffs = [ONE, -Q, QINV + ONE, (Q + ONE).inverse()]
+    hits = 0
+    for _ in range(40):
+        x = A.zero()
+        for _ in range(rng.randint(1, 3)):
+            x = x + _random_monomial(A, rng, rng.randint(0, 4)).scale(rng.choice(coeffs))
+        words = [()] + [_random_word(n, rng, k) for k in (1, 1, 2, 2, 3)]
+        for w in words:
+            p = pair(x, w)
+            assert p == _pair_by_rows(x, w), (x, w)
+            hits += bool(p)
+        mixed = OqElement(n, {w: rng.choice(coeffs) for w in words})
+        assert pair(x, mixed) == _pair_by_rows(x, mixed), (x, mixed)
+    assert hits >= 20
 
 
 def test_hopf_pairing_product_axiom():

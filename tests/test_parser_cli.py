@@ -182,6 +182,29 @@ def test_cli_theta_tangent(capsys):
     assert out == "dims: 1 3 3 1 0  classical: yes\n"
 
 
+@pytest.mark.parametrize(
+    "sets",
+    [["q=1"], ["nu=2"], ["u=2"], ["t2=1"], ["E1=1"], ["=1"], ["t$=1"], ["t=1", "t=2"]],
+)
+def test_cli_set_refuses_names_no_expression_reads(capsys, sets):
+    """--set refuses a name the grammar reads as something else (q, nu, u,
+    a generator), one that is not a bare name, and a name set twice."""
+    argv = ["coproduct", "--rank", "2", "--expr", "[E2,E1]_{q}"]
+    for item in sets:
+        argv += ["--set", item]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: --set ")
+
+
+def test_cli_set_parameter(capsys):
+    argv = ["coproduct", "--rank", "2", "--expr", "[E2,E1]_{t}"]
+    code, out = _out(capsys, argv + ["--set", "t=q"])
+    assert code == 0
+    assert _out(capsys, ["coproduct", "--rank", "2", "--expr", "[E2,E1]_{q}"]) == (0, out)
+    assert _out(capsys, argv + ["--set", " t =q"]) == (0, out)
+
+
 def test_cli_pair_and_coproduct(capsys):
     code, out = _out(
         capsys, ["pair", "--rank", "2", "--expr", "[E2,E1]_{q^-1}", "--with-word", "u[3,1]"]

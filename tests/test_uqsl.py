@@ -305,16 +305,17 @@ def test_coproduct_memo_matches_fresh_algebra():
 def _coproduct_per_letter(x):
     """Delta(x) as the product of the generator coproducts, letter by letter."""
     A = x.algebra
+    one = A.one()
     out = TensorSquare(A, {})
     for (f, kv, e), c in x.terms.items():
-        acc = TensorSquare.from_pairs(A, [(A.scalar(c), A.one())])
+        acc = TensorSquare.from_pairs(A, [(A.scalar(c), one)])
         for l in f:
-            acc = acc * A.gen_coproduct("F", l)
-        for a, v in enumerate(kv):
+            acc = acc * TensorSquare.from_pairs(A, [(A.F(l), one), (A.K(l, -1), A.F(l))])
+        for a, v in enumerate(kv, 1):
             if v:
-                acc = acc * A.gen_coproduct("K", a + 1, v)
+                acc = acc * TensorSquare.from_pairs(A, [(A.K(a, v), A.K(a, v))])
         for l in e:
-            acc = acc * A.gen_coproduct("E", l)
+            acc = acc * TensorSquare.from_pairs(A, [(A.E(l), A.K(l)), (one, A.E(l))])
         out = out + acc
     return out
 
@@ -327,23 +328,25 @@ def test_q_shuffle_coproduct_of_root_vectors(n):
         assert coproduct(v) == _coproduct_per_letter(v), v
 
 
+_COEFFS = [ONE, -TWO_Q, QINV, (Q + ONE).inverse(), (Q * Q - Q + ONE) / (Q - TWO_Q)]
+
+
 def test_q_shuffle_coproduct_random():
     rng = random.Random(17)
-    coeffs = [ONE, -TWO_Q, QINV, (Q + ONE).inverse(), (Q * Q - Q + ONE) / (Q - TWO_Q)]
-    for n in (2, 3):
+    for n in (2, 3, 4):
         A = UqAlgebra(n)
         letters = range(1, n + 1)
         for _ in range(40):  # U+ elements with rational coefficients
             x = A.zero()
             for _ in range(rng.randint(1, 4)):
-                m = A.scalar(rng.choice(coeffs))
+                m = A.scalar(rng.choice(_COEFFS))
                 for _ in range(rng.randint(0, 5)):
                     m = m * A.E(rng.choice(letters))
                 x = x + m
             assert coproduct(x) == _coproduct_per_letter(x), x
-        for _ in range(40):  # monomials mixing F, K and E
-            m = A.scalar(rng.choice(coeffs))
-            for _ in range(rng.randint(1, 2)):
+        for _ in range(40):  # monomials mixing F-words up to length 5, K and E
+            m = A.scalar(rng.choice(_COEFFS))
+            for _ in range(rng.randint(1, 5)):
                 m = m * A.F(rng.choice(letters))
             m = m * A.K(rng.choice(letters), rng.choice((-2, -1, 1, 2)))
             for _ in range(rng.randint(0, 3)):
@@ -352,14 +355,50 @@ def test_q_shuffle_coproduct_random():
 
 
 def test_q_shuffle_coproduct_long_words():
-    # repeated letters merge, so 21 and 121 terms, not one per subset of 2^20
+    # repeated letters merge, so 21 and 121 terms, not one per subset of 2^20,
+    # and F1^6 K1 E1^6 has 7 F-states times 7 E-states
     A = UqAlgebra(2)
-    for word, size in (((1,) * 20, 21), ((1,) * 10 + (2,) * 10, 121)):
-        x = A.one()
-        for l in word:
-            x = x * A.E(l)
+    cases = []
+    for kind in ("E", "F"):
+        cases += [([(kind, 1)] * 20, 21), ([(kind, 1)] * 10 + [(kind, 2)] * 10, 121)]
+    cases.append(([("F", 1)] * 6 + [("K", 1, 1)] + [("E", 1)] * 6, 49))
+    for tokens, size in cases:
+        x = uq_normal_form(A, [(ONE, tokens)])
         d = coproduct(x)
-        assert len(d.terms) == size and d == _coproduct_per_letter(x), word
+        assert len(d.terms) == size and d == _coproduct_per_letter(x), tokens
+
+
+def _raise_product(*_args):
+    raise AssertionError("coproduct took a product")
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_coproduct_takes_no_product(n, monkeypatch):
+    """Delta of every F/K/E monomial comes from the two q-shuffles alone:
+    with the triangular product and the TensorSquare product disabled,
+    `coproduct` on a fresh algebra still equals the per-letter product."""
+    rng = random.Random(60 + n)
+    A = UqAlgebra(n)
+    letters = range(1, n + 1)
+    cases = []
+    for _ in range(12):
+        x = A.zero()
+        for _ in range(rng.randint(1, 3)):  # F-word, K^v (sometimes 1), E-word
+            m = A.scalar(rng.choice(_COEFFS))
+            for _ in range(rng.randint(0, 3)):
+                m = m * A.F(rng.choice(letters))
+            if rng.random() < 0.8:
+                m = m * A.K(rng.choice(letters), rng.choice((-2, -1, 1, 2)))
+            for _ in range(rng.randint(0, 3)):
+                m = m * A.E(rng.choice(letters))
+            x = x + m
+        cases.append((x.terms, _coproduct_per_letter(x).terms))
+    monkeypatch.setattr(UqAlgebra, "mono_mul", _raise_product)
+    monkeypatch.setattr(UqAlgebra, "_straighten", _raise_product)
+    monkeypatch.setattr(TensorSquare, "__mul__", _raise_product)
+    B = UqAlgebra(n)
+    for terms, want in cases:
+        assert coproduct(UqElement(B, terms)).terms == want, terms
 
 
 def _assert_eword_mul_matches_product(algebra, elems):
