@@ -42,7 +42,7 @@ from qflag.freealg import (
 )
 from qflag.oq import OqElement, _normal_coords, left_act
 from qflag.scalars import NU, ONE, RatQ, ZERO
-from qflag.uqsl import UqAlgebra, UqElement, _mono_str, root_vectors
+from qflag.uqsl import UqAlgebra, UqElement, _mono_str, _serre_system, root_vectors
 from qflag.weyl import Root
 
 
@@ -73,11 +73,11 @@ def _root_label(r: Root) -> str:
 
 def tangent_from_word(algebra: UqAlgebra, word) -> TangentSpace:
     """Span of the Lusztig root vectors of a reduced word of the longest
-    element, ordered by the word's convex order."""
+    element, ordered by the word's convex order.  They are independent with
+    no check: nonzero (root_vectors refuses a zero one), of distinct weights."""
     word = tuple(word)
     basis = root_vectors(algebra, word)
     betas = weyl.beta_sequence(word, algebra.n)
-    _assert_independent(basis)
     return TangentSpace(
         algebra=algebra,
         basis=basis,
@@ -98,12 +98,12 @@ def tangent_from_exprs(algebra: UqAlgebra, elems) -> TangentSpace:
         if not x.is_positive_part():
             raise ValueError(f"not in the positive part: {x.render()}")
         weights.append(x.weight())  # raises if inhomogeneous
-    _assert_independent(basis)
+    sp = Span()
+    for x in basis:
+        if not sp.add(dict(x.eword_coords())):
+            raise ValueError(f"tangent basis is linearly dependent at {x.render()}")
     n = algebra.n
-    roots = []
-    for w in weights:
-        hits = [r for r in weyl.positive_roots(n) if r.weight(n) == w]
-        roots.append(hits[0] if hits else None)
+    roots = [next((r for r in weyl.positive_roots(n) if r.weight(n) == w), None) for w in weights]
     have_roots = all(r is not None for r in roots) and len(set(roots)) == len(roots)
     labels = (
         [_root_label(r) for r in roots]
@@ -117,13 +117,6 @@ def tangent_from_exprs(algebra: UqAlgebra, elems) -> TangentSpace:
         labels=labels,
         roots=list(roots) if have_roots else None,
     )
-
-
-def _assert_independent(basis):
-    sp = Span()
-    for x in basis:
-        if not sp.add(dict(x.eword_coords())):
-            raise ValueError(f"tangent basis is linearly dependent at {x.render()}")
 
 
 # -- coideal verdicts ---------------------------------------------------------
@@ -303,7 +296,6 @@ def exterior_dims(
     for k in range(kmax + 1):
         gb.extend_to(k)
         if gb.settled:
-            gb.extend_to(kmax)
             dims += gb.normal_counts(kmax)[k:]
             break
         dims.append(gb.normal_counts(k)[k])
@@ -570,8 +562,7 @@ def _levi_candidates(alg: UqAlgebra, x: UqElement, gens_s: list[int]):
 
 def _normal_ewords(alg: UqAlgebra, nu: list[int]) -> list[tuple[int, ...]]:
     """The Serre-normal E-words of weight nu (none if an entry is negative)."""
-    gb = alg._serre
-    gb.extend_to(sum(nu))
+    gb = _serre_system(alg.n)
     words = [()] if min(nu) >= 0 else []
     for _ in range(sum(nu)):
         words = [c for w in words for c in gb._extensions(w) if c.count(c[-1]) <= nu[c[-1]]]

@@ -231,7 +231,7 @@ class TruncatedGB:
     ambiguity whose resolution lives in degree <= valid_degree reduces to
     zero.  For homogeneous ideals this decides ideal membership exactly in
     degrees <= valid_degree.  Extendable on demand, and complete in every
-    degree once `settled`.
+    degree once `settled`, when its queries answer at every degree.
 
     `rules` maps each live lead to its tail, in insertion order.  A lead
     names its rule for good: a rule retires only when a shorter new lead
@@ -301,16 +301,23 @@ class TruncatedGB:
                 w = la + lb[t:]
                 heapq.heappush(self._pending, (len(w), la, lb, w))
 
-    def _insert(self, elem: FreeElement):
-        """Reduce, orient, and install a new rule; retire rules whose lead
-        becomes reducible, with their pending overlaps."""
+    def _orient(self, elem: FreeElement) -> Word | None:
+        """Reduce elem and install it as the rule lead -> tail; its lead
+        (None if elem reduces to zero).  No overlap is queued."""
         elem = self.reduce(elem)
         if not elem:
-            return
+            return None
         lead = elem.lead(self.order)
         lc = elem.terms[lead]
         self.rules[lead] = elem._like({w: -(c / lc) for w, c in elem.terms.items() if w != lead})
         self._index(lead, True)
+        return lead
+
+    def _insert(self, elem: FreeElement):
+        """Reduce, orient, and install a new rule; retire rules whose lead
+        becomes reducible, with their pending overlaps."""
+        if (lead := self._orient(elem)) is None:
+            return
         # inclusion ambiguities: a lead containing the irreducible new lead is longer
         n = len(lead)
         stale = [other for other in self.rules
@@ -343,6 +350,11 @@ class TruncatedGB:
         """No live overlap pending: complete in every degree (diamond lemma)."""
         return not self._pending
 
+    def _check_degree(self, k: int):
+        """Refuse degree k above valid_degree unless the system is settled."""
+        if k > self.valid_degree and not self.settled:
+            raise ValueError(f"degree {k} above valid_degree {self.valid_degree}")
+
     def _extensions(self, word: Word):
         """The normal words word + (g,) of a normal word: only a suffix can be a lead."""
         rules, lengths = self.rules, self._lengths
@@ -352,19 +364,17 @@ class TruncatedGB:
                 yield cand
 
     def normal_words(self, k: int) -> list[Word]:
-        """All normal words of degree k (requires valid_degree >= k)."""
-        if k > self.valid_degree:
-            raise ValueError(f"degree {k} above valid_degree {self.valid_degree}")
+        """All normal words of degree k (valid_degree >= k, or settled)."""
+        self._check_degree(k)
         words = [()]
         for _ in range(k):
             words = [c for w in words for c in self._extensions(w)]
         return words
 
     def normal_counts(self, k: int) -> list[int]:
-        """Number of normal words in each degree 0..k (requires valid_degree
-        >= k), by DP over states: the last m-1 letters, m the longest lead."""
-        if k > self.valid_degree:
-            raise ValueError(f"degree {k} above valid_degree {self.valid_degree}")
+        """Number of normal words in each degree 0..k (valid_degree >= k, or
+        settled), by DP over states: the last m-1 letters, m the longest lead."""
+        self._check_degree(k)
         m = max(self._lengths, default=1)
         states, out = {(): 1}, [1]
         for _ in range(k):
@@ -394,12 +404,9 @@ def complete_truncated(
 
 
 def nf_reduce(elem: FreeElement, gb: TruncatedGB) -> FreeElement:
-    """Normal form of elem modulo gb; errors above the validity degree."""
-    d = elem.max_degree()
-    if d > gb.valid_degree:
-        raise ValueError(
-            f"element of degree {d} exceeds the completion's valid degree {gb.valid_degree}"
-        )
+    """Normal form of elem modulo gb; errors above the validity degree of
+    an unsettled completion."""
+    gb._check_degree(elem.max_degree())
     return gb.reduce(elem)
 
 

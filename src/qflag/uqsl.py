@@ -11,8 +11,18 @@ Delta(K_i) = K_i x K_i, counit eps(E_i) = eps(F_i) = 0, eps(K_i) = 1, and
 antipode S(E_i) = -E_i K_i^{-1}, S(F_i) = -K_i F_i, S(K_i) = K_i^{-1}.
 
 Every element is held in triangular normal form: a sparse sum of monomials
-(F-word, K-exponent vector, E-word), the E- and F-words reduced modulo a
-shared degree-truncated Serre rewriting system (extended on demand).
+(F-word, K-exponent vector, E-word), the E- and F-words reduced modulo U+'s
+Serre rewriting system under deg-lex order.  It is installed in closed form
+once per rank (`_serre_system`).  With [x, y]_c = xy - c yx and X(a, b) =
+[E_a, [E_{a-1}, ... [E_{b+1}, E_b]_{q^-1} ...]_{q^-1}]_{q^-1}, the root vector
+of the descending run D(a, b) = a a-1 ... b, its rules are [E_i, E_j] for
+i > j + 1, [X(a, a-1), E_{a-1}]_q, [X(a, b), E_{a-1}] for a - b >= 2, and
+[X(a, b), X(a, b-1)]_q for a >= b >= 2, with leads (i, j), D(a, b) (a-1) and
+D(a, b) D(a, b-1): 2, 7, 15, 26 and 40 rules at ranks 2-6 (Bokut-Malcolmson,
+Groebner-Shirshov bases for quantum enveloping algebras, Israel J. Math.
+1996; Leclerc 2004, below, for the good Lyndon words).  It equals the
+completion of the Serre relations at ranks 1-5, and every overlap of its
+leads resolves at ranks 1-6 (diamond lemma; tests/serre_certificate.py).
 Equality of elements is literal equality of this canonical form.  In the
 positive part U+ (E-words only) a product is the Serre normal form of the
 concatenation, so `UqAlgebra.eword_mul` multiplies U+ elements on their
@@ -58,12 +68,12 @@ elements, which would point back at the algebra.
 
 from __future__ import annotations
 
-from functools import reduce
+from functools import cache, reduce
 from operator import mul
 
 from qflag import weyl
-from qflag.freealg import Alphabet, DegLex, FreeElement, _acc, _signed_sum, _Sum, _term, complete_truncated
-from qflag.scalars import NU, ONE, QINV, RatQ, TWO_Q, ZERO, qpow
+from qflag.freealg import Alphabet, DegLex, FreeElement, TruncatedGB, _acc, _signed_sum, _Sum, _term
+from qflag.scalars import NU, ONE, Q, QINV, RatQ, ZERO, qpow
 
 Mono = tuple  # (fword, kvec, eword)
 
@@ -74,38 +84,31 @@ def _cartan(i: int, j: int) -> int:
     return -1 if abs(i - j) == 1 else 0
 
 
+@cache
+def _serre_system(n: int) -> TruncatedGB:
+    """U+'s Serre system at rank n, letter g for E_{g+1}, built on first use,
+    then only read: the four families in degree order, each reduced by the
+    rules before it and oriented.  No tail then meets a later lead (the
+    certificate checks it), so the rules are already fully reduced."""
+    gb = TruncatedGB(Alphabet(tuple(f"x{i}" for i in range(1, n + 1)),
+                              tuple(tuple(int(a == i) for a in range(n)) for i in range(n))), DegLex(size=n))
+    E = lambda a: FreeElement.monomial((a - 1,))
+    br = lambda x, y, c=ONE: x * y - (y * x).scale(c)  # [x, y]_c
+    X = lambda a, b: reduce(lambda x, m: br(E(m), x, QINV), range(b + 1, a + 1), E(b))
+    rels = [br(E(i), E(j)) for i in range(3, n + 1) for j in range(1, i - 1)]
+    rels += [br(X(a, b), E(a - 1), Q if a - b == 1 else ONE) for a in range(2, n + 1) for b in range(1, a)]
+    rels += [br(X(a, b), X(a, b - 1), Q) for a in range(2, n + 1) for b in range(2, a + 1)]
+    for r in sorted(rels, key=FreeElement.max_degree):
+        gb._orient(r)
+    return gb
+
+
 class UqAlgebra:
-    """Rank-n context: Serre rewriting system and straightening caches."""
+    """Rank-n context: straightening caches over the rank's Serre system."""
 
     def __init__(self, n: int):
         weyl.check_rank(n)
         self.n = n
-        labels = tuple(f"x{i}" for i in range(1, n + 1))
-        weights = tuple(
-            tuple(1 if a == i else 0 for a in range(n)) for i in range(n)
-        )
-        self._alphabet = Alphabet(labels, weights)
-        self._order = DegLex(size=n)
-        rels = []
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                if i == j:
-                    continue
-                if abs(i - j) == 1:
-                    # x_i^2 x_j - [2] x_i x_j x_i + x_j x_i^2
-                    rels.append(
-                        FreeElement(
-                            {
-                                (i - 1, i - 1, j - 1): ONE,
-                                (i - 1, j - 1, i - 1): -TWO_Q,
-                                (j - 1, i - 1, i - 1): ONE,
-                            }
-                        )
-                    )
-                elif i > j:
-                    rels.append(FreeElement({(i - 1, j - 1): ONE, (j - 1, i - 1): -ONE}))
-        # completed on demand: word_nf extends it to the length of each new word
-        self._serre = complete_truncated(rels, self._order, 0, self._alphabet)
         self._word_nf_cache: dict[tuple, tuple] = {}
         self._straighten_cache: dict[tuple, dict] = {}
         # eword_id of a U+ element -> its q-shuffle states (eword_coproduct)
@@ -155,9 +158,7 @@ class UqAlgebra:
         as the cached tuple of its (normal word, coefficient) pairs."""
         hit = self._word_nf_cache.get(word)
         if hit is None:
-            if len(word) > self._serre.valid_degree:
-                self._serre.extend_to(len(word))
-            nf = self._serre.reduce(FreeElement.monomial(tuple(g - 1 for g in word)))
+            nf = _serre_system(self.n).reduce(FreeElement.monomial(tuple(g - 1 for g in word)))
             hit = tuple((tuple(g + 1 for g in w), c) for w, c in sorted(nf.terms.items()))
             self._word_nf_cache[word] = hit
         return hit

@@ -26,7 +26,17 @@ from qflag.freealg import (
     rref,
 )
 from qflag.scalars import NU, ONE, Q, QINV, ZERO, RatQ, qpow
-from qflag.uqsl import UqAlgebra, UqElement, _mono_str, adjoint, build_Eji, coproduct, qcomm, root_vectors
+from qflag.uqsl import (
+    UqAlgebra,
+    UqElement,
+    _mono_str,
+    _serre_system,
+    adjoint,
+    build_Eji,
+    coproduct,
+    qcomm,
+    root_vectors,
+)
 from qflag.weyl import Root, beta_sequence, commutation_classes, involution_on_classes, nice_word
 
 
@@ -44,6 +54,18 @@ def test_tangent_from_word_rank2():
     assert t.labels == ["e[3,2]", "e[3,1]", "e[2,1]"]
     assert t.weights == [(0, 1), (1, 1), (1, 0)]
     assert t.basis[1] == build_Eji(t.algebra, 1, 3)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_word_tangents_are_independent(n):
+    """The Span check tangent_from_word no longer runs, kept as the oracle:
+    for every class the root vectors are nonzero, of distinct weights, and
+    their E-word coordinates have full rank."""
+    A = UqAlgebra(n)
+    for rep in commutation_classes(n).reps:
+        t = C.tangent_from_word(A, rep)
+        assert all(t.basis) and len(set(t.weights)) == t.dim == n * (n + 1) // 2, rep
+        assert rank([x.eword_coords() for x in t.basis]) == t.dim, rep
 
 
 def test_tangent_from_exprs_validation():
@@ -371,18 +393,16 @@ def test_window_redex_matches_random_strategy(reduce_randomly):
     rng = random.Random(3)
     t = C.tangent_from_word(UqAlgebra(3), (2, 3, 1, 2, 1, 3))
     rel = C.quadratic_relations(t)
-    serre = UqAlgebra(3)._serre
-    serre.extend_to(6)  # the algebra completes on demand; 6 is 2n
-    systems = [
-        serre,
-        complete_truncated(rel.all_relations(), rel.order.reversed(), 5, rel.alphabet),
+    systems = [  # each with the largest degree of its random words
+        (_serre_system(3), 6),
+        (complete_truncated(rel.all_relations(), rel.order.reversed(), 5, rel.alphabet), 5),
     ]
-    for gb in systems:
+    for gb, dmax in systems:
         size, leads = gb.alphabet.size, set(gb.rules)
         for _ in range(8):
             elem = FreeElement(
                 {
-                    tuple(rng.randrange(size) for _ in range(rng.randint(2, gb.valid_degree))): c
+                    tuple(rng.randrange(size) for _ in range(rng.randint(2, dmax))): c
                     for c in (ONE, Q, NU, QINV)
                 }
             )
@@ -680,9 +700,8 @@ def _levi_closed_by_search(alg, basis, r, ad=adjoint):
     f_max = max(max((len(f) for (f, _kv, _e) in y.terms), default=0) for y in candidates)
     weights_needed = {y.weight() for y in candidates}  # ad keeps weights homogeneous
     e_words, f_words = {}, {}  # normal words within the window, by weight
-    alg._serre.extend_to(max(e_max, f_max) + 1)
     for deg in range(max(e_max, f_max) + 1):
-        for w0 in alg._serre.normal_words(deg):
+        for w0 in _serre_system(n).normal_words(deg):
             word = tuple(g + 1 for g in w0)
             wt = tuple(word.count(i) for i in range(1, n + 1))
             if deg <= e_max:

@@ -23,7 +23,7 @@ from qflag.freealg import (
 )
 from qflag.oq import OqElement
 from qflag.scalars import NU, ONE, Q, QINV, TWO_Q, ZERO, qpow
-from qflag.uqsl import TensorSquare, UqAlgebra, UqElement, coproduct
+from qflag.uqsl import TensorSquare, UqAlgebra, UqElement, _serre_system, coproduct
 from qflag.weyl import commutation_classes, nice_word
 
 
@@ -63,13 +63,14 @@ def test_serre_sl3_completion_and_degree4_count():
 
 def test_normal_counts_on_serre_systems():
     """Counting, listing and a no-lead-factor oracle agree on Serre systems,
-    whose leads come in one length (3, rank 2) or several (2-5, rank 3)."""
+    whose leads come in one length (3, rank 2) or several (2-5, rank 3).
+    A settled system answers at every degree; an unsettled truncated
+    completion refuses the degrees above its valid_degree."""
     alph, rels = _serre_sl3()
-    serre = UqAlgebra(3)._serre
-    serre.extend_to(6)  # the algebra completes on demand; 6 is 2n
-    for gb in (complete_truncated(rels, DegLex(size=2), 8, alph), serre):
-        kmax, leads = gb.valid_degree, set(gb.rules)
-        assert gb.normal_counts(kmax) == [len(gb.normal_words(k)) for k in range(kmax + 1)]
+    for gb in (complete_truncated(rels, DegLex(size=2), 8, alph), _serre_system(3)):
+        assert gb.settled
+        leads = set(gb.rules)
+        assert gb.normal_counts(9) == [len(gb.normal_words(k)) for k in range(10)]
         for k in range(6):
             oracle = [
                 w
@@ -77,8 +78,11 @@ def test_normal_counts_on_serre_systems():
                 if not any(w[i:j] in leads for i in range(k) for j in range(i + 1, k + 1))
             ]
             assert gb.normal_words(k) == oracle
+    truncated = complete_truncated(rels, DegLex(size=2), 3, alph)
+    assert not truncated.settled and truncated.normal_counts(3) == [1, 2, 4, 6]
+    for query in (truncated.normal_counts, truncated.normal_words):
         with pytest.raises(ValueError):
-            gb.normal_counts(kmax + 1)
+            query(4)
 
 
 def test_serre_reduce_single_step():
@@ -101,6 +105,11 @@ def test_degree_guard():
     gb = complete_truncated(rels, DegLex(size=2), 3, alph)
     with pytest.raises(ValueError):
         nf_reduce(FreeElement.monomial((0, 1) * 5), gb)
+    # resolving the one overlap (degree 4) settles it: every degree is valid
+    gb.extend_to(4)
+    assert gb.settled and gb.valid_degree == 4
+    x = FreeElement.monomial((1, 1, 0) * 4)
+    assert nf_reduce(x, gb) == gb.reduce(x) != x
 
 
 def test_empty_relations_free_algebra():
@@ -262,15 +271,16 @@ def _checked_completion(rels, order, alphabet, dmax):
 
 def test_overlap_indexes_match_all_pairs_scan():
     """The indexed overlap search queues what the all-pairs scan queued, on
-    the rank-3 Serre system extended to 6 and on relation completions under
+    the installed rank-3 Serre system completed again from its own rules
+    (it settles at degree 6, its largest overlap, with no rule added, retired
+    or reordered) and on relation completions under
     the relation order and its reverse: every class at ranks 2 and 3, and at
     rank 4 the nice word and a class without a coideal whose completion
     grows leads up to length 7 before it settles at degree 8."""
-    serre = UqAlgebra(3)._serre
+    serre = _serre_system(3)
     rels = [FreeElement.monomial(lead) - tail for lead, tail in serre.rules.items()]
     gb = _checked_completion(rels, serre.order, serre.alphabet, 6)
-    serre.extend_to(6)
-    assert list(gb.rules) == list(serre.rules)
+    assert gb.settled and list(gb.rules.items()) == list(serre.rules.items())
     for n in (2, 3, 4):
         A = UqAlgebra(n)
         reps = commutation_classes(n).reps if n < 4 else [nice_word(4), (1, 2, 1, 3, 4, 3, 2, 1, 3, 2)]

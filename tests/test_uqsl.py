@@ -5,14 +5,16 @@ import random
 from itertools import product
 
 import pytest
+from serre_certificate import certify
 
 from qflag.calculus import tangent_from_exprs
-from qflag.freealg import _acc
+from qflag.freealg import FreeElement, TruncatedGB, _acc, complete_truncated
 from qflag.scalars import NU, ONE, Q, QINV, TWO_Q, qpow
 from qflag.uqsl import (
     TensorSquare,
     UqAlgebra,
     UqElement,
+    _serre_system,
     adjoint,
     braid_T,
     build_Eji,
@@ -44,6 +46,74 @@ def test_serre_rewrite():
     lhs = A.E(2) * A.E(2) * A.E(1)
     rhs = (A.E(2) * A.E(1) * A.E(2)).scale(TWO_Q) - A.E(1) * A.E(2) * A.E(2)
     assert lhs == rhs
+
+
+def _serre_relations(n):
+    """The raw Serre relations of U+ at rank n, letter g for E_{g+1}:
+    x_i^2 x_j - [2] x_i x_j x_i + x_j x_i^2 for |i - j| = 1, and
+    x_i x_j - x_j x_i for i > j + 1."""
+    rels = []
+    for i in range(n):
+        for j in range(n):
+            if abs(i - j) == 1:
+                rels.append(FreeElement({(i, i, j): ONE, (i, j, i): -TWO_Q, (j, i, i): ONE}))
+            elif i > j + 1:
+                rels.append(FreeElement({(i, j): ONE, (j, i): -ONE}))
+    return rels
+
+
+def _closed_form_leads(n):
+    """The leads of the four families, 0-based: (i, j) for i > j + 1,
+    D(a, b) (a - 1) for a > b and D(a, b) D(a, b - 1) for a >= b >= 2,
+    D(a, b) the descending run a a-1 ... b."""
+    D = lambda a, b: tuple(range(a - 1, b - 2, -1))
+    leads = {(i - 1, j - 1) for i in range(1, n + 1) for j in range(1, i - 1)}
+    leads |= {D(a, b) + (a - 2,) for a in range(2, n + 1) for b in range(1, a)}
+    leads |= {D(a, b) + D(a, b - 1) for a in range(2, n + 1) for b in range(2, a + 1)}
+    return leads
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_serre_system_equals_completion_of_serre_relations(n):
+    """The closed-form system is, rule for rule, the settled completion of
+    the raw Serre relations (the on-demand path it replaced, kept here as
+    the oracle), and its leads are the four families'."""
+    gb = _serre_system(n)
+    oracle = complete_truncated(_serre_relations(n), gb.order, 0, gb.alphabet)
+    while not oracle.settled:
+        oracle.extend_to(oracle._pending[0][0])
+    assert gb.rules == oracle.rules
+    assert set(gb.rules) == _closed_form_leads(n)
+
+
+def test_serre_system_rule_counts():
+    assert [len(_serre_system(n).rules) for n in range(1, 7)] == [0, 2, 7, 15, 26, 40]
+    assert set(_serre_system(6).rules) == _closed_form_leads(6)
+    assert all(_serre_system(n).settled for n in range(1, 7))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_serre_system_certificate(n):
+    """Every overlap of the installed leads resolves with no rule added, and
+    no lead is a factor of another rule's words (diamond lemma)."""
+    report = certify(n)
+    assert (report["rules"], report["overlaps"]) == [(0, 0), (2, 1), (7, 13), (15, 53)][n - 1]
+
+
+def test_word_nf_never_extends_a_system(monkeypatch):
+    """No completion step runs under word_nf, from a cold cache: the rank-4
+    nice tangent and its products come from the installed system alone."""
+
+    def refuse(*_args):
+        raise AssertionError("completion step under word_nf")
+
+    monkeypatch.setattr(TruncatedGB, "extend_to", refuse)
+    monkeypatch.setattr(TruncatedGB, "_insert", refuse)
+    _serre_system.cache_clear()
+    A = UqAlgebra(4)
+    vecs = root_vectors(A, nice_word(4))
+    _assert_eword_mul_matches_product(A, vecs[:4])
+    assert _serre_system(4).valid_degree == 0 and _serre_system(4).settled
 
 
 def test_defining_relations_normalize_to_zero():
@@ -424,12 +494,16 @@ def test_eword_mul_rational_coefficient_and_fresh_algebra():
     t = (Q + ONE).inverse()
     basis = tangent_from_exprs(A, [A.E(1), A.E(2), qcomm(A.E(2), A.E(1), t)]).basis
     _assert_eword_mul_matches_product(A, basis)
-    # a fresh algebra has no Serre rules beyond degree 0: eword_mul must extend them
+    # a fresh algebra builds no Serre system: its first word_nf installs the
+    # rank's system, which every algebra of the rank then reads as it is
     vecs = root_vectors(UqAlgebra(3), nice_word(3))  # highest root has degree 3
+    _serre_system.cache_clear()
     fresh = UqAlgebra(3)
-    assert fresh._serre.valid_degree < 2
-    _assert_eword_mul_matches_product(fresh, vecs)
-    assert fresh._serre.valid_degree == 6
+    assert _serre_system.cache_info().currsize == 0
+    assert not any(isinstance(v, TruncatedGB) for v in vars(fresh).values())
+    _assert_eword_mul_matches_product(fresh, vecs)  # products up to degree 6
+    assert _serre_system.cache_info().currsize == 1
+    assert _serre_system(3).settled
 
 
 def _braid_T_oracle(i, x):
@@ -509,16 +583,19 @@ def test_positive_part_detection():
     assert not A.K(1).is_positive_part()
 
 
-def test_serre_truncation_extends_on_demand():
-    # products above the initial truncation degree (2n) renormalize fine
+def test_serre_system_normalises_every_degree():
+    # products of any degree renormalize on the installed system: no
+    # extension, and (E1 + E2)^8 has in each weight (a, 8 - a) the normal
+    # words of the PBW dimension min(a, 8 - a) + 1 (roots a1, a2, a1 + a2)
     A = UqAlgebra(2)
+    rules = dict(_serre_system(2).rules)
     x = A.one()
-    for _ in range(6):
+    for _ in range(8):
         x = x * (A.E(1) + A.E(2))
-    assert x.e_degree() == 6
-    # degree-6 weight-(3,3) component has the PBW dimension 4
-    words = {e for (_f, _kv, e) in x.terms if sum(1 for l in e if l == 1) == 3}
-    assert len(words) == 4
+    assert x.e_degree() == 8 and _serre_system(2).rules == rules
+    for a in range(9):
+        words = {e for (_f, _kv, e) in x.terms if e.count(1) == a}
+        assert len(words) == min(a, 8 - a) + 1, a
 
 
 def _cartan_entry(i, j):
