@@ -651,26 +651,65 @@ def survey_rows(
     Returns (rows, total_classes); when max_classes cuts the run short,
     len(rows) < total_classes and the caller must mark the truncation.
 
-    Only one class per orbit of the opposite involution omega (E_i, F_i,
-    K_i -> E_{n+1-i}, F_{n+1-i}, K_{n+1-i}) is computed; the partner class
-    copies its row under its own representative.  omega is a Hopf algebra
-    automorphism with omega T_i = T_{n+1-i} omega (Lusztig, Introduction to
-    Quantum Groups, 37.1-39.4), so it maps the root vectors of a word onto
-    nonzero multiples of those of the opposite word, a member of the
-    partner class (members of a class share their root vectors);
+    Only one class per orbit of the group generated by two maps on words is
+    computed: the opposite involution i -> (i_1*, ..., i_N*) and the mirror
+    i -> i' = (i_N*, ..., i_1*) (weyl.mirror_word), i* = n+1-i.  A class
+    whose opposite was computed earlier copies that row under its own
+    representative; else one whose mirror or reversed word was computed
+    earlier copies that row with left_only and right_only swapped.  Earlier
+    classes lie before any cut, so the rows of a cut-off survey are a prefix
+    of the full survey's.  Members of a class share their root vectors, and
+    both maps carry classes onto classes.
+
+    Opposite.  omega (E_i, F_i, K_i -> E_{i*}, F_{i*}, K_{i*}) is a Hopf
+    algebra automorphism with omega T_i = T_{i*} omega (Lusztig,
+    Introduction to Quantum Groups, 37.1-39.4), so it maps the root vectors
+    of a word onto nonzero multiples of those of the opposite word;
     normalisation changes only the scalar.  omega commutes with the
     coproduct and with K-erasure and keeps the tensor legs, so each side's
     verdict carries over.  It maps the degree-two relations onto the
     partner's after rescaling the generators, a graded isomorphism of the
     exterior algebras, so the dims and the early-stop point carry over too.
-    Word reversal is not used: its symmetry is observed, not proved.
+
+    Mirror.  Let sigma be the algebra anti-automorphism of U+ fixing each
+    E_i (the Serre relations are palindromic).
+    (a) sigma X_k is a nonzero multiple of X'_{N+1-k}, the root vectors of
+    i'.  The convex order of i' is i's reversed, beta'_{N+1-k} = beta_k:
+    s_{i_N} ... s_{i_{k+1}} = w0 s_{i_1} ... s_{i_k} and s_{i*} = w0 s_i w0,
+    so beta'_{N+1-k} = -w0 w0 s_{i_1} ... s_{i_k}(alpha_{i_k}) = beta_k.
+    Reversing positions maps minimal pairs to minimal pairs.  By induction
+    on height from sigma E_i = E_i, for a minimal pair a < k < b,
+    sigma X_k is proportional to sigma(X_b) sigma(X_a) - q^-1 sigma(X_a)
+    sigma(X_b), the commutator of the minimal pair N+1-b < N+1-k < N+1-a
+    of i', a nonzero multiple of X'_{N+1-k} by the Levendorskii-Soibelman /
+    Leclerc fact of the uqsl docstring.  So sigma span(T_i) = span(T_i').
+    (b) sigma swaps the two sides of the coideal test.  The test reads the
+    states r(x) = sum x_(1) (x) x_(2) of Delta(x) = sum x_(1) (x)
+    K^{wt x_(1)} x_(2); the right side asks r(x) in (span(T) + C1) (x) U+,
+    the left side r(x) in U+ (x) (span(T) + C1).  r is multiplicative up to
+    r(xy) = sum q^{-(|x_2|, |y_1|)} x_1 y_1 (x) x_2 y_2, and the form is
+    symmetric, so by induction on length r sigma = (sigma (x) sigma) flip r.
+    Hence T_i passes the right test exactly when T_i' passes the left one.
+    (c) The dims carry over.  Applying sigma to sum c_kl X_k X_l in span(T_i)
+    gives the flipped tensor, rescaled, in span(T_i'): the relations of i'
+    are the flipped relations of i with the generators rescaled, so the
+    exterior algebra of i' is the opposite algebra of that of i, with the
+    same Hilbert series; the dims and the early-stop point carry over.
+    The mirror of the opposite is plain reversal, a third map of the orbit.
     """
     graph = weyl.commutation_classes(algebra.n)
     partner = weyl.involution_on_classes(graph)
+    mirror = [graph.class_index(weyl.mirror_word(rep, algebra.n)) for rep in graph.reps]
+    swap = {"left_only": "right_only", "right_only": "left_only"}
     rows = []
     for c, rep in enumerate(graph.reps if max_classes is None else graph.reps[:max_classes]):
         if partner[c] < c:
             rows.append(replace(rows[partner[c]], representative=rep))
+            continue
+        m = min(mirror[c], partner[mirror[c]])
+        if m < c:
+            verdict = rows[m].verdict
+            rows.append(replace(rows[m], representative=rep, verdict=swap.get(verdict, verdict)))
             continue
         t = tangent_from_word(algebra, rep)
         rep_report = coideal_check(t)

@@ -49,7 +49,11 @@ pair of least width b - a (ties to the smaller a) is minimal, since a nested
 pair would be narrower.  X_k is a function of X_a and X_b alone, so a
 root vector's id is its letter i for beta_k = alpha_i, else the pair
 (id_a, id_b), and a `UqAlgebra` memoises X_k's coordinates under that id
-(`_root_memo`): words sharing a sub-pattern share its root vectors.
+(`_root_memo`): words sharing a sub-pattern share its root vectors.  The
+anti-automorphism sigma of U+ fixing each E_i (the Serre relations are
+palindromic) maps X_k onto a nonzero multiple of X'_{N+1-k}, the root vector
+of the mirror word (i_N*, ..., i_1*), i* = n+1-i (proof in
+`calculus.survey_rows`).
 
 The coproduct of an E-word is the q-shuffle expansion of the product of its
 letters' Delta(E_i) = E_i x K_i + 1 x E_i, a sum over the subsets S of its

@@ -29,6 +29,7 @@ import math
 import os
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 
@@ -125,6 +126,12 @@ def nice_word(n: int) -> tuple[int, ...]:
 
 def opposite_word(w, n: int) -> tuple[int, ...]:
     return tuple(n + 1 - i for i in w)
+
+
+def mirror_word(w, n: int) -> tuple[int, ...]:
+    """i' = (i_N*, ..., i_1*) with i* = n+1-i: the opposite of the reversed
+    word, whose beta sequence is the reverse of w's (see calculus.survey_rows)."""
+    return opposite_word(reversed(w), n)
 
 
 def beta_sequence(w, n: int) -> list[Root]:
@@ -263,7 +270,6 @@ class ClassGraph:
 
     n: int
     reps: list[tuple[int, ...]]  # canonical (lexicographically smallest) member per class
-    edges: list[tuple[int, int]]
 
     @property
     def num_classes(self) -> int:
@@ -276,6 +282,13 @@ class ClassGraph:
         if c == len(self.reps) or self.reps[c] != canon:
             raise KeyError(f"{w} is not a reduced word of the longest element")
         return c
+
+    @cached_property
+    def edges(self) -> list[tuple[int, int]]:
+        """Sorted pairs c < d of braid-adjacent classes, built on first read
+        (the survey reads none); each edge is found from both ends."""
+        moves = ((c, self.class_index(v)) for c, rep in enumerate(self.reps) for v in _braid_moves(rep))
+        return sorted({(c, d) for c, d in moves if c < d})
 
     def neighbors(self, c: int) -> list[int]:
         out = set()
@@ -299,10 +312,7 @@ def commutation_classes(n: int) -> ClassGraph:
             f"class enumeration at rank {n} is refused until its survey is measured: "
             f"its classes would list {count} reduced words (at most {_MAX_REDUCED_WORDS})"
         )
-    graph = ClassGraph(n, _class_reps(n), [])
-    moves = ((c, graph.class_index(v)) for c, rep in enumerate(graph.reps) for v in _braid_moves(rep))
-    graph.edges = sorted({(c, d) for c, d in moves if c < d})  # each edge is found from both ends
-    return graph
+    return ClassGraph(n, _class_reps(n))
 
 
 def involution_on_classes(graph: ClassGraph) -> list[int]:
@@ -322,15 +332,8 @@ def class_graph_dot(graph: ClassGraph, involution: bool = False) -> str:
     for a, b in graph.edges:
         lines.append(f"  c{a} -- c{b};")
     if involution:
-        seen = set()
         for c, d in enumerate(involution_on_classes(graph)):
-            key = (min(c, d), max(c, d))
-            if key in seen:
-                continue
-            seen.add(key)
-            if c == d:
-                lines.append(f"  c{c} -- c{c} [color=blue, style=dashed];")
-            else:
-                lines.append(f"  c{key[0]} -- c{key[1]} [color=blue, style=dashed];")
+            if c <= d:  # each pair once, from its smaller end
+                lines.append(f"  c{c} -- c{d} [color=blue, style=dashed];")
     lines.append("}")
     return "\n".join(lines) + "\n"

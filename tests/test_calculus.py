@@ -3,11 +3,13 @@ structure of the quantum exterior algebras."""
 
 import functools
 import gc
+import json
 import random
 import weakref
 from dataclasses import replace
 from itertools import product
 from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -37,7 +39,14 @@ from qflag.uqsl import (
     qcomm,
     root_vectors,
 )
-from qflag.weyl import Root, beta_sequence, commutation_classes, involution_on_classes, nice_word
+from qflag.weyl import (
+    Root,
+    beta_sequence,
+    commutation_classes,
+    involution_on_classes,
+    mirror_word,
+    nice_word,
+)
 
 
 def nice_tangent(n):
@@ -511,18 +520,28 @@ def test_count_once_falls_back_while_overlaps_are_pending(count_calls):
 
 
 @pytest.mark.parametrize("n", [3, 4])
-def test_survey_exteriors_are_quadratic(n, monkeypatch, count_calls):
-    """Every exterior completion a survey computes settles at degree 3 with
-    leads of length 2 only: the relations are a quadratic Groebner basis,
-    the premise of the PBW/Koszul check.  Each exterior counts degrees 0, 1
-    and 2, then all the rest at once."""
+def test_survey_exteriors_are_quadratic(n, monkeypatch, count_calls, per_class_rows):
+    """Every exterior completion the survey computes, one per orbit of the
+    opposite involution and the mirror, counts degrees 0, 1 and 2, then all
+    the rest at once.  The exterior of every one-sided or two-sided class
+    up to the opposite involution settles at degree 3 with leads of length
+    2 only: the relations are a quadratic Groebner basis, the premise of the
+    PBW/Koszul check."""
+    A = UqAlgebra(n)
     seen = []
     exterior = C.exterior_dims
     monkeypatch.setattr(C, "exterior_dims", lambda t, **kw: seen.append(t) or exterior(t, **kw))
-    C.survey_rows(UqAlgebra(n))
-    assert len(seen) == {3: 5, 4: 13}[n]
+    C.survey_rows(A)
+    assert len(seen) == {3: 3, 4: 7}[n]
     assert count_calls == [k for t in seen for k in (0, 1, 2, t.dim + 1)]
-    for t in seen:
+    partner = involution_on_classes(commutation_classes(n))
+    tangents = [
+        C.tangent_from_word(A, row.representative)
+        for c, row in enumerate(per_class_rows[n])
+        if partner[c] >= c and row.verdict != "neither"
+    ]
+    assert len(tangents) == {3: 5, 4: 13}[n]
+    for t in tangents:
         rel = C.quadratic_relations(t)
         gb = complete_truncated(rel.all_relations(), rel.order, 2, rel.alphabet)
         assert not gb.settled
@@ -947,13 +966,18 @@ def per_class_rows():
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_orbit_survey_matches_per_class_oracle(n, per_class_rows):
-    """survey_rows computes one class per opposite-involution orbit and
-    copies the partner's row; row by row it equals the per-class pipeline,
-    and in that pipeline each class has its partner's verdict and dims."""
+    """survey_rows computes one class per orbit of the opposite involution
+    and the mirror, and copies the rest; row by row it equals the per-class
+    pipeline, in which each class has its opposite partner's verdict and
+    dims.  Some orbits are larger than their opposite pairs, so copies
+    through the mirror are made."""
     oracle = per_class_rows[n]
     assert C.survey_rows(UqAlgebra(n)) == (oracle, len(oracle))
-    inv = involution_on_classes(commutation_classes(n))
+    g = commutation_classes(n)
+    inv = involution_on_classes(g)
     assert any(inv[c] != c for c in range(len(oracle)))
+    mirror = [g.class_index(mirror_word(rep, n)) for rep in g.reps]
+    assert any(mirror[c] not in (c, inv[c]) for c in range(len(oracle)))
     for c, row in enumerate(oracle):
         assert (oracle[inv[c]].verdict, oracle[inv[c]].dims) == (row.verdict, row.dims)
 
@@ -966,16 +990,63 @@ def test_orbit_survey_max_classes_is_a_prefix(per_class_rows):
         assert C.survey_rows(A, max_classes=k) == (per_class_rows[4][:k], 62)
 
 
-@pytest.mark.parametrize("n", [3, 4])
+def _survey_r5_rows():
+    with open(Path(__file__).resolve().parents[1] / "results" / "survey-r5.json") as fh:
+        rows = json.load(fh)["rows"]
+    return [
+        C.SurveyRow(tuple(map(int, r["word"])), r["verdict"], r["dims"], r["classical"], r["truncated_at"])
+        for r in rows
+    ]
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
 def test_word_reversal_swaps_sides(n, per_class_rows):
-    """Observed, not proved, so the survey does not use it: the class of the
-    reversed representative swaps left_only and right_only and keeps the
-    dims."""
+    """The class of the reversed representative, and that of its mirror
+    (the reversed opposite word), swap left_only and right_only and keep
+    the dims, as the proof in the survey_rows docstring shows.  Ranks 3 and
+    4 read the per-class pipeline; rank 5 reads all 908 rows of the
+    committed results/survey-r5.json."""
     swap = {"left_only": "right_only", "right_only": "left_only"}
     g = commutation_classes(n)
-    rows = per_class_rows[n]
+    rows = per_class_rows[n] if n < 5 else _survey_r5_rows()
+    assert [row.representative for row in rows] == g.reps
     assert any(r.verdict == "left_only" for r in rows)
     for row in rows:
-        rev = rows[g.class_index(row.representative[::-1])]
-        assert rev.verdict == swap.get(row.verdict, row.verdict)
-        assert rev.dims == row.dims
+        for w in (row.representative[::-1], mirror_word(row.representative, n)):
+            image = rows[g.class_index(w)]
+            assert image.verdict == swap.get(row.verdict, row.verdict)
+            assert replace(image, representative=row.representative, verdict=row.verdict) == row
+
+
+def _sigma(alg, coords):
+    """sigma, the anti-automorphism of U+ fixing each E_i, on E-word
+    coordinates: each word reversed, then brought to Serre normal form."""
+    out = {}
+    for w, c in coords.items():
+        for v, cv in alg.word_nf(w[::-1]):
+            _acc(out, v, c * cv)
+    return out
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_sigma_maps_root_vectors_to_the_mirror_word(n):
+    """The oracle of the mirror proof in survey_rows, over every class:
+    normalised, sigma(X_k) of a word is X'_{N+1-k} of its mirror word, and
+    for every root vector the q-shuffle states of sigma(x) are those of x
+    flipped, sigma applied to both legs: r sigma = (sigma x sigma) flip r."""
+    A = UqAlgebra(n)
+    for rep in commutation_classes(n).reps:
+        images = []
+        for x in root_vectors(A, rep):
+            sx = _sigma(A, x.eword_coords())
+            lc = sx[max(sx)]
+            images.append({w: c / lc for w, c in sx.items()})
+        assert images[::-1] == [x.eword_coords() for x in root_vectors(A, mirror_word(rep, n))], rep
+    assert A._root_memo
+    for x in A._root_memo.values():
+        flipped = {}
+        for (left, right), c in A.eword_coproduct(x).items():
+            for l2, cl in A.word_nf(right[::-1]):
+                for r2, cr in A.word_nf(left[::-1]):
+                    _acc(flipped, (l2, r2), c * cl * cr)
+        assert A.eword_coproduct(_sigma(A, x)) == flipped
