@@ -285,7 +285,8 @@ class TruncatedGB:
             p, lead = hit
             pre, post = word[:p], word[p + len(lead) :]
             for tw, tc in self.rules[lead].terms.items():
-                work.append((pre + tw + post, coeff * tc))
+                c = tc if coeff is ONE else coeff if tc is ONE else coeff * tc
+                work.append((pre + tw + post, c))
         return elem._like(out)
 
     # -- completion ----------------------------------------------------------
@@ -309,7 +310,9 @@ class TruncatedGB:
             return None
         lead = elem.lead(self.order)
         lc = elem.terms[lead]
-        self.rules[lead] = elem._like({w: -(c / lc) for w, c in elem.terms.items() if w != lead})
+        tail = {w: -(c / lc) for w, c in elem.terms.items() if w != lead}
+        # a unit coefficient is the shared ONE, whose products reduce skips
+        self.rules[lead] = elem._like({w: ONE if c == ONE else c for w, c in tail.items()})
         self._index(lead, True)
         return lead
 
@@ -335,10 +338,14 @@ class TruncatedGB:
         """Resolve all pending overlap ambiguities of degree <= dmax."""
         while self._pending and self._pending[0][0] <= dmax:
             _deg, la, lb, word = heapq.heappop(self._pending)
-            # word = la glued with lb over a proper overlap
-            left = self.rules[la] * FreeElement.monomial(word[len(la) :])
-            right = FreeElement.monomial(word[: len(word) - len(lb)]) * self.rules[lb]
-            diff = self.reduce(left - right)
+            # word = la s = p lb, la glued with lb over a proper overlap; the
+            # difference is tail(la) s - p tail(lb), built by concatenation
+            s, p = word[len(la) :], word[: len(word) - len(lb)]
+            tail = self.rules[la]
+            diff = {w + s: c for w, c in tail.terms.items()}
+            for w, c in self.rules[lb].terms.items():
+                _acc(diff, p + w, -c)
+            diff = self.reduce(tail._like(diff))
             if diff:
                 self._insert(diff)
         self.valid_degree = max(self.valid_degree, dmax)

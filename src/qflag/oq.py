@@ -87,7 +87,7 @@ class OqElement(_Sum):
         out: dict = {}
         for w1, c1 in self.terms.items():
             for w2, c2 in other.terms.items():
-                _acc(out, w1 + w2, c1 * c2)
+                _acc(out, w1 + w2, c2 if c1 is ONE else c1 if c2 is ONE else c1 * c2)
         return self._like(out)
 
     def homogeneous_length(self) -> int:
@@ -121,8 +121,8 @@ def _apply_token(n: int, token, vec: dict) -> dict:
     if kind == "K":
         exp = token[2] if len(token) > 2 else 1
         for b, c in vec.items():
-            e = sum(_kdiag_exp(i, x) for x in b)
-            _acc(out, b, c * qpow(exp * e))
+            e = exp * sum(_kdiag_exp(i, x) for x in b)
+            _acc(out, b, c * qpow(e) if e else c)
         return out
     if kind == "E":
         # E_i in slot t, K_i in the slots after t
@@ -131,7 +131,7 @@ def _apply_token(n: int, token, vec: dict) -> dict:
                 if x == i:
                     tail = sum(_kdiag_exp(i, y) for y in b[t + 1 :])
                     nb = b[:t] + (i + 1,) + b[t + 1 :]
-                    _acc(out, nb, c * qpow(tail))
+                    _acc(out, nb, c * qpow(tail) if tail else c)
         return out
     if kind == "F":
         # K_i^{-1} before slot t, F_i in slot t
@@ -140,7 +140,7 @@ def _apply_token(n: int, token, vec: dict) -> dict:
                 if x == i + 1:
                     head = sum(_kdiag_exp(i, y) for y in b[:t])
                     nb = b[:t] + (i,) + b[t + 1 :]
-                    _acc(out, nb, c * qpow(-head))
+                    _acc(out, nb, c * qpow(-head) if head else c)
         return out
     raise ValueError(f"unknown token {token!r}")
 
@@ -164,8 +164,9 @@ def left_act(x: UqElement, e: OqElement) -> OqElement:
         rows = tuple(a for a, _ in w)
         cols = tuple(b for _, b in w)
         for m, c in x.terms.items():
+            cw = c if wc is ONE else wc if c is ONE else wc * c
             for newcols, cc in _apply_mono(n, m, {cols: ONE}).items():
-                _acc(out, tuple(zip(rows, newcols)), wc * c * cc)
+                _acc(out, tuple(zip(rows, newcols)), cw if cc is ONE else cw * cc)
     return e._like(out)
 
 

@@ -15,6 +15,11 @@ over Q is q^m with m the lower of the two lowest powers present, so the
 pair is shifted down by m instead.  A sum or product of values with den
 q^m, or a quotient by a unit +-q^k, has den q^m too and skips `_canonical`:
 q^m has content 1, so `_laurent` need only strip the q^k common to both.
+A product with an integer constant c (den 1, one constant term) makes no
+polynomial product at all: c = 1 returns the other operand, c = 0 ZERO,
+and any other c scales the numerator, dividing out the factor c shares
+with the denominator's content (`_scaled`).  The hot loops of freealg,
+uqsl and oq go further and skip the call when a factor is the shared ONE.
 
 Canonical form makes equality and hashing structural: two values are equal
 iff their tuples coincide.  q is treated as transcendental; the only
@@ -205,7 +210,7 @@ class RatQ:
 
     @staticmethod
     def from_fraction(x: Fraction) -> "RatQ":
-        return _mk((x.numerator,), (x.denominator,))
+        return _mk((x.numerator,) if x else _ZPOL, (x.denominator,))
 
     # -- ring/field structure ------------------------------------------------
 
@@ -235,7 +240,8 @@ class RatQ:
         return self + (-other)
 
     def __rsub__(self, other):
-        return _coerce(other) - self
+        other = _coerce(other)
+        return NotImplemented if other is NotImplemented else other - self
 
     def __neg__(self):
         return _mk(_pneg(self.num), self.den)
@@ -246,6 +252,10 @@ class RatQ:
             if other is NotImplemented:
                 return NotImplemented
         d1, d2 = self.den, other.den
+        if len(other.num) < 2 and d2 == _ONEPOL:
+            return _scaled(self, other.num)
+        if len(self.num) < 2 and d1 == _ONEPOL:
+            return _scaled(other, self.num)
         m1, m2 = len(d1) - 1, len(d2) - 1
         if m1 < _NQ and m2 < _NQ and d1 == _QDEN[m1] and d2 == _QDEN[m2]:
             return _laurent(_pmul(self.num, other.num), m1 + m2)
@@ -267,7 +277,8 @@ class RatQ:
         return _make_canonical(_pmul(self.num, d), _pmul(self.den, n))
 
     def __rtruediv__(self, other):
-        return _coerce(other) / self
+        other = _coerce(other)
+        return NotImplemented if other is NotImplemented else other / self
 
     def inverse(self) -> "RatQ":
         if not self.num:
@@ -381,6 +392,22 @@ def _laurent(num, m: int) -> RatQ:
     while k < m and not num[k]:
         k += 1
     return _mk(num[k:] if k else num, _qden(m - k))
+
+
+def _scaled(x: RatQ, c) -> RatQ:
+    """x times the integer whose polynomial is c (() or (c,)): x itself for
+    1, ZERO for 0, else num times c over den, both divided by g = gcd(c,
+    content of den), so that the contents stay coprime."""
+    if not c:
+        return ZERO
+    c, den = c[0], x.den
+    if c == 1:
+        return x
+    g = 1 if den[-1] == 1 else math.gcd(c, _content(den))
+    if g == 1:
+        return _mk(tuple(c * v for v in x.num), den)
+    c //= g
+    return _mk(tuple(c * v for v in x.num), tuple(v // g for v in den))
 
 
 def _make_canonical(num, den) -> RatQ:

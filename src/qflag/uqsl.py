@@ -235,14 +235,9 @@ class UqAlgebra:
         out: dict = {}
         for e1, c1 in a.items():
             for e2, c2 in b.items():
-                c12 = c1 * c2
-                e = e1 + e2
-                nf = self.word_nf(e)
-                if len(nf) == 1 and nf[0][0] == e:  # a normal word, coefficient one
-                    _acc(out, e, c12)
-                    continue
-                for ew, ce in nf:
-                    _acc(out, ew, c12 * ce)
+                c12 = c2 if c1 is ONE else c1 if c2 is ONE else c1 * c2
+                for ew, ce in self.word_nf(e1 + e2):
+                    _acc(out, ew, c12 if ce is ONE else c12 * ce)
         return out
 
     def eword_qcomm(self, a: dict, b: dict, c: RatQ) -> dict:
@@ -293,11 +288,11 @@ class UqAlgebra:
             nxt: dict = {}
             for (left, right), c in states.items():
                 for w, cw in self.word_nf(right + (l,)):
-                    _acc(nxt, (left, w), c if cw == ONE else c * cw)
+                    _acc(nxt, (left, w), c if cw is ONE else c * cw)
                 ph = sign * sum(_cartan(l, s) for s in right)
                 cl = c * qpow(ph) if ph else c
                 for w, cw in self.word_nf(left + (l,)):
-                    _acc(nxt, (w, right), cl if cw == ONE else cl * cw)
+                    _acc(nxt, (w, right), cl if cw is ONE else cl * cw)
             states = nxt
         return states
 

@@ -248,3 +248,55 @@ def test_laurent_fast_path_rendering():
     assert str(NU * QINV * QINV) == "(q^2 - 1)*q^-3"
     assert str(Q - QINV) == "nu"
     assert str(-(qpow(2) - 1) / Q) == "-nu"
+
+
+def _constants():
+    """+-1, 0 and +-c as RatQ, int and Fraction."""
+    ints = (1, -1, 0, 2, -3, 6, -12)
+    return [f(c) for c in ints for f in (RatQ, int, Fraction)] + [Fraction(-3, 2)]
+
+
+def _assert_canonical(v):
+    assert (v.num, v.den) == _canonical_by_gcd(v.num, v.den), v
+
+
+def test_constant_fast_path_matches_gcd():
+    """A product with an integer constant skips the polynomial product: 1
+    gives the other operand back, 0 gives ZERO, c scales the numerator and
+    divides out any factor c shares with the denominator's content.  Every
+    result of every operation with a constant on either side must equal the
+    gcd path's and be canonical."""
+    ops = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+    rng = random.Random(4247)
+    others = [ZERO, ONE, -ONE, Q, QINV, NU, RatQ(1, 2), RatQ((1,), (2, 2)), RatQ((3, 0, 3), (4, 0, 2))]
+    others += [_random_laurent(rng) for _ in range(30)] + [_random_ratq(rng) for _ in range(30)]
+    for a in others:
+        for c in _constants():
+            for x, y in ((a, c), (c, a)):
+                for op, f in ops.items():
+                    if op == "/" and not y:
+                        continue
+                    got = f(x, y)
+                    assert (got.num, got.den) == _expected(x, y, op), (x, op, y)
+                    _assert_canonical(got)
+            if c == 1 and isinstance(c, RatQ):
+                assert a * c is a  # a constant a is itself the unit checked first in c * a
+                assert c * a is a or (len(a.num) < 2 and a.den == (1,))
+
+
+def test_zero_fraction_is_canonical_zero():
+    z = RatQ.from_fraction(Fraction(0))
+    assert (z.num, z.den) == (ZERO.num, ZERO.den)
+    assert z == ZERO and ZERO == Fraction(0) and not z and str(z) == "0"
+    for v in (RatQ(-3) * Fraction(0), Fraction(0) * Q, NU + Fraction(0) - NU):
+        assert (v.num, v.den) == ((), (1,)), v
+
+
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul, operator.truediv])
+def test_float_operand_raises_type_error(op):
+    """Q(q) has no floats: either side raises TypeError, never a recursion."""
+    for x in (ONE, ZERO, NU):
+        with pytest.raises(TypeError):
+            op(x, 2.0)
+        with pytest.raises(TypeError):
+            op(2.0, x)

@@ -668,3 +668,30 @@ def test_ad_sum_matches_double_cartan_loop():
             kvec = tuple(rng.randint(-3, 3) for _ in range(n))
             letters = tuple(rng.randint(1, n) for _ in range(rng.randint(0, 6)))
             assert A._ad_sum(kvec, letters) == _ad_sum_oracle(n, kvec, letters)
+
+
+def _eword_mul_always_multiplying(algebra, a, b):
+    """Oracle: eword_mul with every coefficient product made, by 1 too."""
+    out: dict = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            for ew, ce in algebra.word_nf(e1 + e2):
+                _acc(out, ew, c1 * c2 * ce)
+    return out
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_eword_mul_skipping_unit_products_matches_oracle(n):
+    """eword_mul, which skips each product by the shared ONE, against the
+    always-multiplying loop on every ordered pair of root vectors of every
+    class of rank n, compared term by term and in order."""
+    A = UqAlgebra(n)
+    vecs = {}
+    for w in commutation_classes(n).reps:
+        for x in root_vectors(A, w):
+            coords = x.eword_coords()
+            vecs[A.eword_id(coords)] = coords
+    for a in vecs.values():
+        for b in vecs.values():
+            want = _eword_mul_always_multiplying(A, a, b)
+            assert list(A.eword_mul(a, b).items()) == list(want.items()), (a, b)
