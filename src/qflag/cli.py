@@ -13,6 +13,7 @@ when the reader closes stdout early (no traceback then).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -300,8 +301,11 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+_parser = functools.cache(build_parser)  # parse_args leaves a parser reusable
+
+
 def run(argv) -> int:
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as e:

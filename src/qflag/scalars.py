@@ -27,6 +27,13 @@ specialization is `ratq_eval`, which evaluates at a rational point and is
 meant as a fast probabilistic pre-check (decisive equality tests stay
 symbolic).
 
+Sums, and products past the integer path, are memoised by operand value,
+which is exact for the same reason: the process-global `_SUMS` and
+`_PRODUCTS` map (num, den, num, den) of the two operands to the result,
+computed by `_add` or `_mul` on a miss.  Operands with more than
+`_MEMO_GATE` tuple entries in all skip the tables: large values rarely
+recur, and a long computation would fill memory with them.
+
 Negative powers of q live in the denominator, e.g. q^-1 is 1/q and
 nu = q - q^-1 is (q^2 - 1)/q.
 """
@@ -43,6 +50,9 @@ _ZPOL = ()
 _ONEPOL = (1,)
 _NQ = 64
 _QDEN = tuple((0,) * m + (1,) for m in range(_NQ))  # q^m, shared
+_MEMO_GATE = 24  # operands with more polynomial entries in all skip the memo
+_SUMS: dict = {}  # (num, den, num, den) of two operands -> their sum
+_PRODUCTS: dict = {}  # the same key -> their product
 
 
 def _qden(m: int):
@@ -219,17 +229,13 @@ class RatQ:
             other = _coerce(other)
             if other is NotImplemented:
                 return NotImplemented
-        d1, d2 = self.den, other.den
-        m1, m2 = len(d1) - 1, len(d2) - 1
-        if m1 < _NQ and m2 < _NQ and d1 == _QDEN[m1] and d2 == _QDEN[m2]:
-            m = max(m1, m2)
-            return _laurent(_padd((0,) * (m - m1) + self.num, (0,) * (m - m2) + other.num), m)
-        if d1 == d2:
-            return _make_canonical(_padd(self.num, other.num), d1)
-        return _make_canonical(
-            _padd(_pmul(self.num, other.den), _pmul(other.num, self.den)),
-            _pmul(self.den, other.den),
-        )
+        key = (self.num, self.den, other.num, other.den)
+        if len(key[0]) + len(key[1]) + len(key[2]) + len(key[3]) > _MEMO_GATE:
+            return _add(self, other)
+        out = _SUMS.get(key)
+        if out is None:
+            out = _SUMS[key] = _add(self, other)
+        return out
 
     __radd__ = __add__
 
@@ -251,15 +257,17 @@ class RatQ:
             other = _coerce(other)
             if other is NotImplemented:
                 return NotImplemented
-        d1, d2 = self.den, other.den
-        if len(other.num) < 2 and d2 == _ONEPOL:
+        if len(other.num) < 2 and other.den == _ONEPOL:
             return _scaled(self, other.num)
-        if len(self.num) < 2 and d1 == _ONEPOL:
+        if len(self.num) < 2 and self.den == _ONEPOL:
             return _scaled(other, self.num)
-        m1, m2 = len(d1) - 1, len(d2) - 1
-        if m1 < _NQ and m2 < _NQ and d1 == _QDEN[m1] and d2 == _QDEN[m2]:
-            return _laurent(_pmul(self.num, other.num), m1 + m2)
-        return _make_canonical(_pmul(self.num, other.num), _pmul(self.den, other.den))
+        key = (self.num, self.den, other.num, other.den)
+        if len(key[0]) + len(key[1]) + len(key[2]) + len(key[3]) > _MEMO_GATE:
+            return _mul(self, other)
+        out = _PRODUCTS.get(key)
+        if out is None:
+            out = _PRODUCTS[key] = _mul(self, other)
+        return out
 
     __rmul__ = __mul__
 
@@ -408,6 +416,27 @@ def _scaled(x: RatQ, c) -> RatQ:
         return _mk(tuple(c * v for v in x.num), den)
     c //= g
     return _mk(tuple(c * v for v in x.num), tuple(v // g for v in den))
+
+
+def _add(x: RatQ, y: RatQ) -> RatQ:
+    """x + y by polynomial arithmetic, without the memo."""
+    d1, d2 = x.den, y.den
+    m1, m2 = len(d1) - 1, len(d2) - 1
+    if m1 < _NQ and m2 < _NQ and d1 == _QDEN[m1] and d2 == _QDEN[m2]:
+        m = max(m1, m2)
+        return _laurent(_padd((0,) * (m - m1) + x.num, (0,) * (m - m2) + y.num), m)
+    if d1 == d2:
+        return _make_canonical(_padd(x.num, y.num), d1)
+    return _make_canonical(_padd(_pmul(x.num, d2), _pmul(y.num, d1)), _pmul(d1, d2))
+
+
+def _mul(x: RatQ, y: RatQ) -> RatQ:
+    """x * y by polynomial arithmetic, without the memo or the integer path."""
+    d1, d2 = x.den, y.den
+    m1, m2 = len(d1) - 1, len(d2) - 1
+    if m1 < _NQ and m2 < _NQ and d1 == _QDEN[m1] and d2 == _QDEN[m2]:
+        return _laurent(_pmul(x.num, y.num), m1 + m2)
+    return _make_canonical(_pmul(x.num, y.num), _pmul(d1, d2))
 
 
 def _make_canonical(num, den) -> RatQ:

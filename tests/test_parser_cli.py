@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from qflag import calculus
+from qflag import calculus, cli
 from qflag.cli import main, run
 from qflag.oq import OqElement
 from qflag.parser import ParseError, parse_oq, parse_scalar, parse_uq, parse_word
@@ -68,6 +68,34 @@ def test_parse_word():
 def _out(capsys, argv):
     code = run(argv)
     return code, capsys.readouterr().out
+
+
+def _runs(capsys, argvs):
+    """(exit code, stdout, stderr) of each request in turn."""
+    out = []
+    for argv in argvs:
+        code = run(argv)
+        captured = capsys.readouterr()
+        out.append((code, captured.out, captured.err))
+    return out
+
+
+def test_cli_reused_parser_keeps_no_state(capsys, monkeypatch):
+    """`run` builds its parser once per process; a usage error, then a valid
+    request, and one --set request twice print what fresh parsers print."""
+    argvs = [
+        ["roots", "--rank", "2", "--word"],
+        ["roots", "--rank", "2", "--format", "json"],
+        ["coproduct", "--rank", "2", "--expr", "[E2,E1]_{t}", "--set", "t=q"],
+        ["coproduct", "--rank", "2", "--expr", "[E2,E1]_{t}", "--set", "t=q"],
+        ["coproduct", "--rank", "2", "--expr", "E1"],
+    ]
+    assert cli._parser() is cli._parser()
+    reused = _runs(capsys, argvs)
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    assert reused == _runs(capsys, argvs)
+    assert [r[0] for r in reused] == [2, 0, 0, 0, 0]
+    assert reused[2] == reused[3] and reused[2][1] != reused[4][1]
 
 
 def test_cli_exterior_text(capsys):

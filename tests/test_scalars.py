@@ -7,15 +7,19 @@ from fractions import Fraction
 
 import pytest
 
+from qflag import scalars
 from qflag.scalars import (
     NU,
     ONE,
     Q,
     QINV,
     RatQ,
+    TWO_Q,
     ZERO,
+    _add,
     _canonical,
     _content,
+    _mul,
     _padd,
     _pdiv_exact,
     _pgcd,
@@ -300,3 +304,60 @@ def test_float_operand_raises_type_error(op):
             op(x, 2.0)
         with pytest.raises(TypeError):
             op(2.0, x)
+
+
+def _memo_grid():
+    """Laurent, general-denominator, integer and above-gate values; pairs
+    share a numerator with different denominators, so a key that dropped
+    either den would mix them up.  With the gate at 24 entries, two `mid`
+    are at it, `mid` and `mid * Q` one past it, and `big` and anything else
+    past it."""
+    mid = RatQ(tuple(range(1, 10)), (1, 0, 1))  # 12 entries
+    big = RatQ(tuple(range(1, 22)), (1, 0, 1))  # 24 entries
+    return [
+        ZERO, ONE, -ONE, RatQ(2), RatQ(-6), RatQ(1, 2), RatQ(3, 4),
+        Q, QINV, qpow(-2), NU, TWO_Q, -NU * QINV, RatQ((1, 0, 1), (0, 0, 2)),
+        RatQ(1, (1, 1)), RatQ(1, (1, 0, 1)), RatQ((2, 0, 2), (3, 3)), RatQ((0, 1), (1, 1)),
+        RatQ((1, 1), (1, 0, 1)), Q / (Q * Q + 1), mid, mid * Q, -mid, big, big * QINV,
+    ]
+
+
+def _size(x, y):
+    return len(x.num) + len(x.den) + len(y.num) + len(y.den)
+
+
+def test_memo_matches_polynomial_arithmetic():
+    """Memoised + and * against `_add` and `_mul` over a grid, three rounds
+    so that later rounds hit the tables: every result canonical and equal
+    to the oracle's; operands within the gate, and only those, are keyed;
+    a product by 1 is the other operand itself."""
+    grid = _memo_grid()
+    for _ in range(3):
+        for x in grid:
+            for y in grid:
+                key = (x.num, x.den, y.num, y.den)
+                for op, oracle, table in (
+                    (operator.add, _add, scalars._SUMS),
+                    (operator.mul, _mul, scalars._PRODUCTS),
+                ):
+                    got, want = op(x, y), oracle(x, y)
+                    assert (got.num, got.den) == (want.num, want.den), (x, op, y)
+                    _assert_canonical(got)
+                    integer = op is operator.mul and any(
+                        len(v.num) < 2 and v.den == (1,) for v in (x, y)
+                    )
+                    if not integer:
+                        assert (key in table) == (_size(x, y) <= scalars._MEMO_GATE), (x, op, y)
+            assert x * ONE is x
+            assert ONE * x is x or (len(x.num) < 2 and x.den == (1,))  # x first in ONE * x
+
+
+def test_memo_tables_stay_small_after_long_coproduct(capsys):
+    """The coproduct of a 16-letter E-word makes ~10^5 distinct sums of
+    large values; the gate keeps them out of the tables."""
+    from qflag.cli import run
+
+    before = len(scalars._SUMS) + len(scalars._PRODUCTS)
+    assert run(["coproduct", "--rank", "2", "--expr", " ".join(["E1 E2"] * 8)]) == 0
+    assert capsys.readouterr().out.count("(x)") > 100
+    assert len(scalars._SUMS) + len(scalars._PRODUCTS) - before < 5000
