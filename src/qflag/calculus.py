@@ -14,7 +14,9 @@ kernel of the residue map c -> sum c_kl X_k X_l mod span(T), and the
 annihilator of a kernel is the row space of the map, so one RREF of the
 residue rows gives the relations.  The products X_k X_l lie in U+, where a
 product is the Serre normal form of the concatenation, so they are formed
-on E-word coordinates (`UqAlgebra.eword_mul`).  On top of the
+on E-word coordinates (`UqAlgebra.eword_mul`), except in the split-free
+blocks of a word's tangent space, whose relations are the q-commutations
+and squares in closed form (see `quadratic_relations`).  On top of the
 relations sit the graded dimensions (diamond-lemma counting), the
 associated-graded leading relations, the Frobenius/Nakayama data, the
 line-module weights, the Grassmannian restriction with its ad-closure
@@ -41,7 +43,7 @@ from qflag.freealg import (
     rref,
 )
 from qflag.oq import OqElement, _normal_coords, left_act
-from qflag.scalars import NU, ONE, RatQ, ZERO
+from qflag.scalars import NU, ONE, RatQ, ZERO, qpow
 from qflag.uqsl import UqAlgebra, UqElement, _mono_str, _serre_system, root_vectors
 from qflag.weyl import Root
 
@@ -222,10 +224,20 @@ def quadratic_relations(t: TangentSpace) -> RelationSpace:
     row space of A_mu: the RREF of the residue rows, one per E-word
     coordinate, over the pairs (k, l).
 
+    A block mu of a word's tangent space (X_1..X_N in convex order) is
+    split-free when, for no pair k < l in it, mu is a sum of weights at
+    positions k+1..l-1, repeats allowed.  By Levendorskii-Soibelman convexity
+    (1991; Jantzen, Lectures on Quantum Groups, 8.24) X_k X_l - q^(b_k,b_l)
+    X_l X_k is then 0, a sum of no ordered monomials in X_{k+1}..X_{l-1}; the
+    PBW monomials X_k X_l (k <= l) are independent; no member b_m = mu exists
+    (it would lie between k and l).  So the rows are e_k e_l + q^-(b_k,b_l)
+    e_l e_k (k < l) and e_k e_k, with no product.  Spaces without a word
+    (`--tangent`, Grassmann) take the product path in every block.
+
     A_mu depends only on the members of weight mu and on the ordered pairs
-    (X_k, X_l), so each block's RREF is memoised on the algebra under their
-    `eword_id`s, as rows over pair positions (`_relation_memo`); classes of
-    a survey share most blocks."""
+    (X_k, X_l), so each other block's RREF is memoised on the algebra under
+    their `eword_id`s, as rows over pair positions (`_relation_memo`);
+    classes of a survey share most blocks."""
     alg = t.algebra
     d = t.dim
     coords = [x.eword_coords() for x in t.basis]
@@ -238,6 +250,10 @@ def quadratic_relations(t: TangentSpace) -> RelationSpace:
     by_weight = {}
     for mu in sorted(pair_weights):
         pairs = pair_weights[mu]
+        if t.word is not None and not any(_splits(mu, t.weights[k + 1 : l]) for k, l in pairs if k < l):
+            qc = lambda k, l: {(k, l): ONE, (l, k): qpow(-weyl.root_pairing(t.roots[k], t.roots[l]))}
+            by_weight[mu] = [FreeElement(qc(k, l) if k < l else {(k, k): ONE}) for k, l in pairs if k <= l]
+            continue
         members = [m for m in range(d) if t.weights[m] == mu]
         key = (tuple(ids[m] for m in members), tuple((ids[k], ids[l]) for k, l in pairs))
         rows = alg._relation_memo.get(key)
@@ -248,6 +264,16 @@ def quadratic_relations(t: TangentSpace) -> RelationSpace:
         if rows:
             by_weight[mu] = [FreeElement({pairs[p]: c for p, c in row}) for row in rows]
     return RelationSpace(cotangent_alphabet(t), DegLex(size=d), by_weight)
+
+
+def _splits(mu: tuple[int, ...], weights: list[tuple[int, ...]], start: int = 0) -> bool:
+    """Whether mu is a sum of one or more of weights[start:] (all nonzero),
+    repeats allowed; each multiset is tried once, in non-decreasing index."""
+    return any(
+        all(a <= b for a, b in zip(w, mu))
+        and (w == mu or _splits(tuple(b - a for a, b in zip(w, mu)), weights, i))
+        for i, w in enumerate(weights[start:], start)
+    )
 
 
 def _relation_block(alg: UqAlgebra, members: list[dict], products: list[tuple[dict, dict]]) -> tuple:

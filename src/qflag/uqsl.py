@@ -159,13 +159,33 @@ class UqAlgebra:
 
     def word_nf(self, word: tuple) -> tuple[tuple[tuple, RatQ], ...]:
         """Normal form of a word in the letters 1..n (shared by E and F sides),
-        as the cached tuple of its (normal word, coefficient) pairs."""
-        hit = self._word_nf_cache.get(word)
-        if hit is None:
-            nf = _serre_system(self.n).reduce(FreeElement.monomial(tuple(g - 1 for g in word)))
-            hit = tuple((tuple(g + 1 for g in w), c) for w, c in sorted(nf.terms.items()))
-            self._word_nf_cache[word] = hit
-        return hit
+        as the cached tuple of its (normal word, coefficient) pairs.  A miss
+        rewrites the first redex and caches, depth first, every word it meets,
+        so no word is reduced twice (the system is confluent)."""
+        cache = self._word_nf_cache
+        hit = cache.get(word)
+        if hit is not None:
+            return hit
+        gb = _serre_system(self.n)
+        stack: list = [(word, None)]  # (word, its rewritten words once expanded)
+        while stack:
+            w, new = stack.pop()
+            if new is not None:
+                out: dict = {}
+                for v, tc in new:
+                    for u, cu in cache[v]:
+                        _acc(out, u, cu if tc is ONE else tc if cu is ONE else tc * cu)
+                cache[w] = tuple(sorted(out.items()))
+            elif w not in cache:
+                hit = gb._find_redex(tuple(g - 1 for g in w))
+                if hit is None:
+                    cache[w] = ((w, ONE),)
+                    continue
+                p, lead = hit
+                new = [(w[:p] + tuple(g + 1 for g in tw) + w[p + len(lead) :], tc)
+                       for tw, tc in gb.rules[lead].terms.items()]
+                stack += [(w, new)] + [(v, None) for v, _ in new if v not in cache]
+        return cache[word]
 
     # -- multiplication ----------------------------------------------------------
 

@@ -46,6 +46,7 @@ from qflag.weyl import (
     involution_on_classes,
     mirror_word,
     nice_word,
+    root_pairing,
 )
 
 
@@ -310,6 +311,118 @@ def test_relation_memo_matches_cold_algebra(rank):
             expected[case] = _memo_case_result(cold, *case)
         assert _memo_case_result(warm, *case) == expected[case], case
     assert warm._relation_memo and (rank == 2 or warm._root_memo)
+
+
+def _pair_blocks(t):
+    """Weight -> its ordered pairs (k, l), in the order quadratic_relations lists them."""
+    blocks = {}
+    for k in range(t.dim):
+        for l in range(t.dim):
+            blocks.setdefault(tuple(a + b for a, b in zip(t.weights[k], t.weights[l])), []).append((k, l))
+    return blocks
+
+
+def _sums_below(mu, weights):
+    """Every sum of one or more of weights (repeats allowed) that stays
+    componentwise at or below mu, by search over partial sums."""
+    seen, todo = set(), [(0,) * len(mu)]
+    while todo:
+        s = todo.pop()
+        for w in weights:
+            v = tuple(a + b for a, b in zip(s, w))
+            if all(a <= b for a, b in zip(v, mu)) and v not in seen:
+                seen.add(v)
+                todo.append(v)
+    return seen
+
+
+def _split_free(t, mu, pairs):
+    """No pair k < l of the block has mu among the sums of the weights strictly between them."""
+    return not any(mu in _sums_below(mu, t.weights[k + 1 : l]) for k, l in pairs if k < l)
+
+
+def _closed_form_cases():
+    for n in (2, 3, 4):
+        yield from commutation_classes(n).reps
+    # every class of a rank-5 slice that the survey computes itself, its
+    # opposite not coming earlier
+    graph = commutation_classes(5)
+    partner = involution_on_classes(graph)
+    yield from [graph.reps[c] for c in range(0, 120, 3) if partner[c] >= c]
+
+
+def test_closed_form_relations_match_relation_block():
+    """Split-free blocks take the closed form e_k e_l + q^-(b_k,b_l) e_l e_k
+    (k < l) and e_k e_k, with no U+ product, and every block's rows equal
+    those of `_relation_block` on the block's products; only the other
+    blocks reach `_relation_memo`."""
+    algebras = {}
+    for w in _closed_form_cases():
+        A = algebras.setdefault(max(w), UqAlgebra(max(w)))
+        A._relation_memo.clear()
+        t = C.tangent_from_word(A, w)
+        rel = C.quadratic_relations(t)
+        coords = [x.eword_coords() for x in t.basis]
+        free = 0
+        for mu, pairs in _pair_blocks(t).items():
+            members = [coords[m] for m in range(t.dim) if t.weights[m] == mu]
+            block = C._relation_block(A, members, [(coords[k], coords[l]) for k, l in pairs])
+            expect = [{pairs[p]: c for p, c in row} for row in block]
+            got = [r.terms for r in rel.by_weight.get(mu, [])]
+            assert got == expect, (w, mu)
+            if _split_free(t, mu, pairs):
+                free += 1
+                assert not members
+                assert got == [
+                    {(k, l): ONE, (l, k): qpow(-root_pairing(t.roots[k], t.roots[l]))} if k < l else {(k, k): ONE}
+                    for k, l in pairs
+                    if k <= l
+                ], (w, mu)
+        assert len(A._relation_memo) == len(_pair_blocks(t)) - free, w
+
+
+def test_splits_matches_partial_sum_search():
+    for n in (2, 3, 4):
+        for w in commutation_classes(n).reps:
+            t = C.tangent_from_word(UqAlgebra(n), w)
+            for mu, pairs in _pair_blocks(t).items():
+                for k, l in pairs:
+                    between = t.weights[k + 1 : l]
+                    assert C._splits(mu, between) == (mu in _sums_below(mu, between)), (w, k, l)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_split_free_pairs_q_commute(n):
+    """Levendorskii-Soibelman with an empty tail: X_k X_l = q^(b_k,b_l) X_l X_k
+    for every pair k < l of a split-free block, by products in U+."""
+    A, seen = UqAlgebra(n), set()
+    for w in commutation_classes(n).reps:
+        t = C.tangent_from_word(A, w)
+        coords = [x.eword_coords() for x in t.basis]
+        for mu, pairs in _pair_blocks(t).items():
+            if not _split_free(t, mu, pairs):
+                continue
+            for k, l in pairs:
+                key = (A.eword_id(coords[k]), A.eword_id(coords[l]))
+                if k < l and key not in seen:
+                    seen.add(key)
+                    c = qpow(root_pairing(t.roots[k], t.roots[l]))
+                    assert not A.eword_qcomm(coords[k], coords[l], c), (w, k, l)
+    assert seen
+
+
+def test_expression_tangents_take_the_product_path():
+    """A tangent space without a word, from --tangent or the Grassmann
+    restriction, sends every weight block through `_relation_block`, even
+    when its basis is a word's root vectors in convex order."""
+    A = UqAlgebra(3)
+    word = nice_word(3)
+    sub, _ = C.grassmann_restriction(C.tangent_from_word(A, word), 2)
+    for t in (C.tangent_from_exprs(A, root_vectors(A, word)), sub):
+        assert t.word is None
+        A._relation_memo.clear()
+        C.quadratic_relations(t)
+        assert len(A._relation_memo) == len(_pair_blocks(t))
 
 
 def test_sl4_nested_relation_present():

@@ -116,6 +116,42 @@ def test_word_nf_never_extends_a_system(monkeypatch):
     assert _serre_system(4).valid_degree == 0 and _serre_system(4).settled
 
 
+def test_word_nf_matches_serre_reduce():
+    """word_nf, which caches every word it rewrites through, agrees with a
+    plain reduction modulo the Serre system on random words, warm cache or
+    cold."""
+    rng = random.Random(29)
+    for n in (2, 3, 4):
+        A = UqAlgebra(n)
+        for _ in range(200):
+            word = tuple(rng.randint(1, n) for _ in range(rng.randint(0, 10)))
+            nf = _serre_system(n).reduce(FreeElement.monomial(tuple(g - 1 for g in word)))
+            expect = tuple((tuple(g + 1 for g in w), c) for w, c in sorted(nf.terms.items()))
+            assert A.word_nf(word) == expect == UqAlgebra(n).word_nf(word), word
+
+
+def test_word_nf_reduces_each_word_once(monkeypatch):
+    """A word reached along many rewriting paths is searched for a redex
+    once: E2^5 E1^5 takes one search per word it caches."""
+    gb = _serre_system(2)
+    searches = []
+    find = gb._find_redex
+    monkeypatch.setattr(gb, "_find_redex", lambda w: searches.append(w) or find(w))
+    A = UqAlgebra(2)
+    A.word_nf((2,) * 5 + (1,) * 5)
+    assert len(searches) == len(set(searches)) == len(A._word_nf_cache)
+
+
+def test_coproduct_of_a_long_word_finishes():
+    """Delta(E2^8 E1^8), whose reduction once went along every rewriting
+    path, satisfies the counit axioms on both legs."""
+    A = UqAlgebra(2)
+    x = uq_normal_form(A, [(ONE, [("E", 2)] * 8 + [("E", 1)] * 8)])
+    d = coproduct(x)
+    assert len(d.terms) == 809
+    assert d.apply_counit(0) == x and d.apply_counit(1) == x
+
+
 def test_defining_relations_normalize_to_zero():
     for n in (2, 3):
         A = UqAlgebra(n)
