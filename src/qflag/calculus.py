@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 from itertools import combinations
 from math import comb
 
-from qflag import oq, weyl
+from qflag import weyl
 from qflag.freealg import (
     Alphabet,
     DegLex,
@@ -91,8 +91,10 @@ def tangent_from_word(algebra: UqAlgebra, word) -> TangentSpace:
 
 
 def tangent_from_exprs(algebra: UqAlgebra, elems) -> TangentSpace:
-    """Tangent space from explicit positive-part elements."""
+    """Tangent space from explicit positive-part elements, at least one."""
     basis = list(elems)
+    if not basis:
+        raise ValueError("tangent basis is empty")
     weights = []
     for x in basis:
         if not isinstance(x, UqElement):
@@ -278,7 +280,8 @@ def _splits(mu: tuple[int, ...], weights: list[tuple[int, ...]], start: int = 0)
 
 def _relation_block(alg: UqAlgebra, members: list[dict], products: list[tuple[dict, dict]]) -> tuple:
     """RREF of the residue rows of one weight block, as rows of
-    (position in products, coefficient) pairs."""
+    (position in products, coefficient) pairs sorted by position, so a row
+    lists its terms in the same order whatever the memos held before."""
     member = Span()
     for x in members:
         member.add(x)
@@ -286,7 +289,8 @@ def _relation_block(alg: UqAlgebra, members: list[dict], products: list[tuple[di
     for p, (x, y) in enumerate(products):
         for w, c in member.reduce(alg.eword_mul(x, y)).items():
             residue_rows.setdefault(w, {})[p] = c
-    return tuple(tuple(row.items()) for row in rref(list(residue_rows.values()), range(len(products))))
+    rows = rref(list(residue_rows.values()), range(len(products)))
+    return tuple(tuple(sorted(row.items())) for row in rows)
 
 
 def classical_verdict(dims: list[int], d: int) -> bool | None:
@@ -332,22 +336,6 @@ def exterior_dims(
         del dims[truncated + 1 :]
     classical = False if truncated is not None else classical_verdict(dims, d)
     return DimensionTable(dims, classical, truncated)
-
-
-# -- module structure of the cotangent space ------------------------------------
-
-
-def cotangent_action(t: TangentSpace, a: int, b: int) -> list[list[RatQ]]:
-    """Matrix of the right action of u[a,b] on the cotangent basis: column
-    gamma lists the coordinates <X_m, u_gamma u_ab> over the basis order.
-    Requires root-labelled bases (each e_gamma realized by the word u_gamma)."""
-    if t.roots is None:
-        raise ValueError("cotangent_action needs a root-labelled tangent space")
-    cols = []
-    for r in t.roots:
-        word = ((r.j, r.i), (a, b))
-        cols.append([oq.pair(x, word) for x in t.basis])
-    return cols
 
 
 # -- associated graded ------------------------------------------------------------

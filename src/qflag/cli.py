@@ -46,7 +46,7 @@ def _params(args) -> dict[str, RatQ]:
 
 def _tangent(args):
     alg = UqAlgebra(args.rank)
-    if getattr(args, "tangent", None):
+    if getattr(args, "tangent", None) is not None:
         return calculus.tangent_from_exprs(
             alg, parse_tangent_exprs(args.tangent, alg, _params(args))
         )

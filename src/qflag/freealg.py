@@ -410,13 +410,6 @@ def complete_truncated(
     return gb
 
 
-def nf_reduce(elem: FreeElement, gb: TruncatedGB) -> FreeElement:
-    """Normal form of elem modulo gb; errors above the validity degree of
-    an unsettled completion."""
-    gb._check_degree(elem.max_degree())
-    return gb.reduce(elem)
-
-
 @dataclass
 class DimensionTable:
     """dims[k] = dimension of the degree-k component; classical is set by
@@ -433,15 +426,6 @@ class DimensionTable:
         if self.truncated_at is not None:
             out["truncated_at"] = self.truncated_at
         return out
-
-
-def graded_dims(
-    relations: list[FreeElement], order: DegLex, kmax: int, alphabet: Alphabet
-) -> DimensionTable:
-    """Dimensions of the graded quotient of the free algebra, degrees 0..kmax,
-    counted as normal words of the truncated completion."""
-    gb = complete_truncated(relations, order, kmax + 1, alphabet)
-    return DimensionTable(gb.normal_counts(kmax))
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,9 @@ the FRT relations are already a Groebner basis (every overlap of their
 length-2 leads resolves), so one uncompleted system per rank serves every
 length: the leads are the decreasing letter pairs and the normal words are
 the ordered monomials.  The determinant relation mixes lengths, so it never
-enters.
+enters.  `_normal_coords` gives an element's coordinates on those normal
+words (`calculus.dbar_kernel` reads them); tests/oracles.py builds the
+per-length test `functional_is_zero` on it.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ OqWord = tuple  # tuple[(row, col), ...]
 
 class OqElement(_Sum):
     """Sparse combination of free u-words; words may have mixed lengths,
-    but the functional-equality oracle works per length."""
+    and `_normal_coords` reduces each length component on its own."""
 
     __slots__ = ("n",)
     _compared = ("n",)
@@ -89,12 +91,6 @@ class OqElement(_Sum):
             for w2, c2 in other.terms.items():
                 _acc(out, w1 + w2, c2 if c1 is ONE else c1 if c2 is ONE else c1 * c2)
         return self._like(out)
-
-    def homogeneous_length(self) -> int:
-        ls = {len(w) for w in self.terms}
-        if len(ls) != 1:
-            raise ValueError(f"element mixes word lengths {sorted(ls)}")
-        return ls.pop()
 
     def render(self) -> str:
         return _signed_sum(
@@ -205,21 +201,6 @@ def _normal_coords(e: OqElement) -> dict:
     """Coordinates of an element on the normal words of the FRT system;
     empty iff each of its length components is zero in O_q."""
     return _frt_system(e.n).reduce(_letters(e)).terms
-
-
-def functional_is_zero(e: OqElement, k: int) -> bool:
-    """True iff e (length-k homogeneous) kills every rho_k image, i.e. lies
-    in the degree-k part of the FRT ideal."""
-    if not e:
-        return True
-    if e.homogeneous_length() != k:
-        raise ValueError("length mismatch")
-    return not _normal_coords(e)
-
-
-def oq_equal(e1: OqElement, e2: OqElement, k: int) -> bool:
-    """Equality in O_q(SU_{n+1}) via the functional realization."""
-    return functional_is_zero(e1 - e2, k)
 
 
 def frt_relations(n: int):

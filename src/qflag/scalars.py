@@ -22,10 +22,9 @@ with the denominator's content (`_scaled`).  The hot loops of freealg,
 uqsl and oq go further and skip the call when a factor is the shared ONE.
 
 Canonical form makes equality and hashing structural: two values are equal
-iff their tuples coincide.  q is treated as transcendental; the only
-specialization is `ratq_eval`, which evaluates at a rational point and is
-meant as a fast probabilistic pre-check (decisive equality tests stay
-symbolic).
+iff their tuples coincide.  q is treated as transcendental and never
+specialised: every equality is decided symbolically (the tests evaluate
+values at rational points through their own oracle, tests/oracles.py).
 
 Sums, and products past the integer path, are memoised by operand value,
 which is exact for the same reason: the process-global `_SUMS` and
@@ -159,13 +158,6 @@ def _pdiv_exact(a, b):
     if _trim(a):
         raise ArithmeticError("inexact polynomial division")
     return _trim(out)
-
-
-def _peval(a, x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(a):
-        acc = acc * x + c
-    return acc
 
 
 def _pstr(a) -> str:
@@ -321,14 +313,7 @@ class RatQ:
             h = self._hash = hash((self.num, self.den))
         return h
 
-    # -- evaluation and rendering --------------------------------------------
-
-    def evaluate(self, x) -> Fraction:
-        x = Fraction(x)
-        d = _peval(self.den, x)
-        if d == 0:
-            raise ZeroDivisionError(f"evaluation at a pole of the denominator: q = {x}")
-        return _peval(self.num, x) / d
+    # -- rendering -----------------------------------------------------------
 
     def __repr__(self):
         return f"RatQ({self})"
@@ -466,23 +451,3 @@ TWO_Q = _mk((1, 0, 1), (0, 1))  # [2]_q = q + q^-1
 
 def qpow(k: int) -> RatQ:
     return RatQ.q_power(k)
-
-
-def ratq_arith(a: RatQ, b: RatQ | None, op: str) -> RatQ:
-    """Field operations by name; `b` is ignored for op='neg'."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    if op == "neg":
-        return -a
-    raise ValueError(f"unknown op {op!r}")
-
-
-def ratq_eval(a: RatQ, x) -> Fraction:
-    """Exact value of a at the rational point x; error at a pole."""
-    return a.evaluate(x)

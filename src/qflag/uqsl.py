@@ -29,18 +29,14 @@ concatenation, so `UqAlgebra.eword_mul` multiplies U+ elements on their
 E-word coordinates; products involving F or K go through the triangular
 straightening.
 
-The braid operators T_i act by
-
-    T_i(E_i) = -F_i K_i,  T_i(F_i) = -K_i^{-1} E_i,  T_i(K_j) = K_j K_i^{-a_ij},
-    T_{k+-1}(E_k) = -[E_{k+-1}, E_k]_{q^{-1}},
-    T_{k+-1}(F_k) = -[F_k, F_{k+-1}]_q,
-
-fixing generators with distant indices.  The root vectors of a reduced word
-i_1 ... i_N of the longest element are X_k = T_{i_1} ... T_{i_{k-1}}(E_{i_k})
-in U+, of weight beta_k, rescaled so the deg-lex-leading monomial has
-coefficient one.  `root_vectors` builds them in U+ in height order: E_i for
-beta_k = alpha_i, else from a minimal pair a < k < b, beta_a + beta_b =
-beta_k, one with no other such pair c, d nested as a < c < k < d < b.  By
+The root vectors of a reduced word i_1 ... i_N of the longest element are
+X_k = T_{i_1} ... T_{i_{k-1}}(E_{i_k}) in U+, of weight beta_k, with T_i
+Lusztig's braid operators, rescaled so the deg-lex-leading monomial has
+coefficient one (tests/oracles.py builds the T_i, and the tests check the
+root vectors of every class at ranks 2-4 against them).  `root_vectors`
+builds them in U+ in height order: E_i for beta_k = alpha_i, else from a
+minimal pair a < k < b, beta_a + beta_b = beta_k, one with no other such
+pair c, d nested as a < c < k < d < b.  By
 Levendorskii-Soibelman convexity, X_a X_b - q^{-1} X_b X_a lies in the span
 of ordered monomials in X_{a+1}, ..., X_{b-1}; for a minimal pair it is a
 nonzero multiple of X_k (Leclerc, Dual canonical bases, quantum shuffles
@@ -73,11 +69,10 @@ elements, which would point back at the algebra.
 from __future__ import annotations
 
 from functools import cache, reduce
-from operator import mul
 
 from qflag import weyl
 from qflag.freealg import Alphabet, DegLex, FreeElement, TruncatedGB, _acc, _signed_sum, _Sum, _term
-from qflag.scalars import NU, ONE, Q, QINV, RatQ, ZERO, qpow
+from qflag.scalars import NU, ONE, Q, QINV, RatQ, qpow
 
 Mono = tuple  # (fword, kvec, eword)
 
@@ -132,10 +127,6 @@ class UqAlgebra:
 
     def one(self) -> "UqElement":
         return UqElement(self, {((), (0,) * self.n, ()): ONE})
-
-    def scalar(self, c) -> "UqElement":
-        c = c if isinstance(c, RatQ) else RatQ(c)
-        return UqElement(self, {((), (0,) * self.n, ()): c} if c else {})
 
     def E(self, i: int) -> "UqElement":
         self._check_index(i)
@@ -274,10 +265,6 @@ class UqAlgebra:
 
     # -- structure maps -----------------------------------------------------------
 
-    def counit_mono(self, m: Mono) -> RatQ:
-        f, _, e = m
-        return ONE if not f and not e else ZERO
-
     def coproduct_mono(self, m: Mono) -> "TensorSquare":
         """Delta(f K^v e) = Delta(f) (K^v x K^v) Delta(e): each F-state
         (fl, fr) and E-state (el, er) of the q-shuffles gives the term
@@ -329,26 +316,6 @@ class UqAlgebra:
             self._shuffle_memo[key] = out
         return out
 
-    # -- braid operators ------------------------------------------------------------
-
-    def braid_gen(self, i: int, kind: str, l: int, exp: int = 1) -> "UqElement":
-        """T_i of one generator (K_l^exp for kind "K")."""
-        if kind == "K":
-            return self.K(l, exp) * self.K(i, -exp * _cartan(i, l))
-        if kind == "E":
-            if l == i:
-                return -(self.F(i) * self.K(i))
-            if abs(l - i) == 1:
-                return -qcomm(self.E(i), self.E(l), qpow(-1))
-            return self.E(l)
-        if kind == "F":
-            if l == i:
-                return -(self.K(i, -1) * self.E(i))
-            if abs(l - i) == 1:
-                return -qcomm(self.F(l), self.F(i), qpow(1))
-            return self.F(l)
-        raise ValueError(kind)
-
 
 class UqElement(_Sum):
     """Sparse linear combination of normal monomials (F-word, K-vec, E-word)."""
@@ -378,9 +345,6 @@ class UqElement(_Sum):
 
     # -- queries ---------------------------------------------------------------
 
-    def counit(self) -> RatQ:
-        return sum((c for m, c in self.terms.items() if self.algebra.counit_mono(m)), ZERO)
-
     def weight(self) -> tuple[int, ...]:
         letters = range(1, self.algebra.n + 1)
         wts = {tuple(e.count(l) - f.count(l) for l in letters) for f, _kv, e in self.terms}
@@ -391,9 +355,6 @@ class UqElement(_Sum):
 
     def is_positive_part(self) -> bool:
         return all(not f and not any(kv) for (f, kv, _e) in self.terms)
-
-    def e_degree(self) -> int:
-        return max((len(e) for (_f, _kv, e) in self.terms), default=0)
 
     def eword_coords(self) -> dict:
         """Coordinates over E-words (positive-part elements only)."""
@@ -445,33 +406,6 @@ class TensorSquare(_Sum):
         e.terms = terms
         return e
 
-    @staticmethod
-    def from_pairs(algebra: UqAlgebra, pairs) -> "TensorSquare":
-        out: dict = {}
-        for left, right in pairs:
-            for m1, c1 in left.terms.items():
-                for m2, c2 in right.terms.items():
-                    _acc(out, (m1, m2), c1 * c2)
-        return TensorSquare(algebra, out)
-
-    def __mul__(self, other: "TensorSquare") -> "TensorSquare":
-        alg = self.algebra
-        out: dict = {}
-        for (a1, b1), c1 in self.terms.items():
-            for (a2, b2), c2 in other.terms.items():
-                c12 = c1 * c2
-                for ma, ca in alg.mono_mul(a1, a2).items():
-                    for mb, cb in alg.mono_mul(b1, b2).items():
-                        _acc(out, (ma, mb), c12 * ca * cb)
-        return self._like(out)
-
-    def apply_counit(self, leg: int) -> UqElement:
-        out: dict = {}
-        for legs, c in self.terms.items():
-            if self.algebra.counit_mono(legs[leg]):
-                _acc(out, legs[1 - leg], c)
-        return UqElement(self.algebra, out)
-
     def render(self) -> str:
         """Terms joined by '  +  ', each sign kept with its coefficient."""
         n = self.algebra.n
@@ -489,28 +423,6 @@ class TensorSquare(_Sum):
 # -- public operations ----------------------------------------------------------
 
 
-def uq_normal_form(algebra: UqAlgebra, gen_terms) -> UqElement:
-    """Element from raw generator words: iterable of (coeff, sequence of
-    tokens), token = ('E', i) | ('F', i) | ('K', i, exp).  The returned
-    element is the canonical triangular normal form of the expression."""
-    total = algebra.zero()
-    for coeff, seq in gen_terms:
-        acc = algebra.scalar(coeff)
-        for tok in seq:
-            kind, i = tok[0], tok[1]
-            if kind == "E":
-                g = algebra.E(i)
-            elif kind == "F":
-                g = algebra.F(i)
-            elif kind == "K":
-                g = algebra.K(i, tok[2] if len(tok) > 2 else 1)
-            else:
-                raise ValueError(f"unknown generator token {tok!r}")
-            acc = acc * g
-        total = total + acc
-    return total
-
-
 def coproduct(x: UqElement) -> TensorSquare:
     out: dict = {}
     for m, c in x.terms.items():
@@ -519,43 +431,10 @@ def coproduct(x: UqElement) -> TensorSquare:
     return TensorSquare(x.algebra, out)
 
 
-def counit(x: UqElement) -> RatQ:
-    return x.counit()
-
-
-def braid_T(i: int, x: UqElement) -> UqElement:
-    """Lusztig's braid automorphism T_i, extended multiplicatively."""
-    alg = x.algebra
-    alg._check_index(i)
-    out: dict = {}
-    for (f, kv, e), c in x.terms.items():
-        images = [alg.braid_gen(i, "F", l) for l in f]
-        images += [alg.braid_gen(i, "K", a + 1, v) for a, v in enumerate(kv) if v]
-        images += [alg.braid_gen(i, "E", l) for l in e]
-        acc = reduce(mul, images) if images else alg.one()
-        for m, cc in acc.terms.items():
-            _acc(out, m, c * cc)
-    return UqElement(alg, out)
-
-
-def weight(x: UqElement) -> tuple[int, ...]:
-    return x.weight()
-
-
 def qcomm(x: UqElement, y: UqElement, c) -> UqElement:
     """Twisted commutator [x, y]_c = xy - c yx."""
     c = c if isinstance(c, RatQ) else RatQ(c)
     return x * y - (y * x).scale(c)
-
-
-def build_Eji(algebra: UqAlgebra, i: int, j: int) -> UqElement:
-    """Iterated q^{-1}-commutator [E_{j-1}, [E_{j-2}, ... [E_{i+1}, E_i]...]]."""
-    if not 1 <= i < j <= algebra.n + 1:
-        raise ValueError(f"need 1 <= i < j <= {algebra.n + 1}, got ({i}, {j})")
-    out = algebra.E(i)
-    for a in range(i + 1, j):
-        out = qcomm(algebra.E(a), out, qpow(-1))
-    return out
 
 
 def root_vectors(algebra: UqAlgebra, word) -> list[UqElement]:
@@ -585,26 +464,3 @@ def root_vectors(algebra: UqAlgebra, word) -> list[UqElement]:
         coords[k] = x
     zero = (0,) * algebra.n
     return [UqElement(algebra, {((), zero, w): c for w, c in x.items()}) for x in coords]
-
-
-def adjoint(algebra: UqAlgebra, gen, x: UqElement, side: str = "right") -> UqElement:
-    """Adjoint action of a generator token ('E', i) | ('F', i) | ('K', i, exp).
-
-    Right: ad(Y)(X) = S(Y_(1)) X Y_(2); left: ad_L(Y)(X) = Y_(1) X S(Y_(2)).
-    """
-    kind, i = gen[0], gen[1]
-    exp = gen[2] if len(gen) > 2 else 1
-    if kind == "K":
-        k, kinv = algebra.K(i, exp), algebra.K(i, -exp)
-        return (kinv * x * k) if side == "right" else (k * x * kinv)
-    if kind == "E":
-        e, k, kinv = algebra.E(i), algebra.K(i), algebra.K(i, -1)
-        if side == "right":
-            return -(e * kinv * x * k) + x * e
-        return e * x * kinv - x * e * kinv
-    if kind == "F":
-        f, k, kinv = algebra.F(i), algebra.K(i), algebra.K(i, -1)
-        if side == "right":
-            return -(k * f * x) + k * x * f
-        return f * x - kinv * x * k * f
-    raise ValueError(f"unknown generator token {gen!r}")

@@ -68,52 +68,7 @@ def root_pairing(beta: Root, gamma: Root) -> int:
     return (i == k) - (i == l) - (j == k) + (j == l)
 
 
-def prime_pair(beta: Root, gamma: Root) -> tuple[Root, Root]:
-    """For an orthogonal nested pair {a_{ab}, a_{cd}} with a < c < d < b,
-    the crossing pair {a_{ad}, a_{cb}}, outer root first."""
-    if root_pairing(beta, gamma) != 0:
-        raise ValueError(f"{beta} and {gamma} are not orthogonal")
-    for outer, inner in ((beta, gamma), (gamma, beta)):
-        if outer.i < inner.i and inner.j < outer.j:
-            return (Root(outer.i, inner.j), Root(inner.i, outer.j))
-    raise ValueError(f"{beta} and {gamma} are not comparable (one nested in the other)")
-
-
 # -- words and permutations -------------------------------------------------
-
-
-def word_to_perm(w, n: int) -> tuple[int, ...]:
-    perm = list(range(1, n + 2))
-    for i in w:
-        if not 1 <= i <= n:
-            raise ValueError(f"letter {i} out of range 1..{n}")
-        perm[i - 1], perm[i] = perm[i], perm[i - 1]
-    return tuple(perm)
-
-
-def inversions(perm) -> int:
-    return sum(
-        1
-        for a in range(len(perm))
-        for b in range(a + 1, len(perm))
-        if perm[a] > perm[b]
-    )
-
-
-@dataclass(frozen=True)
-class WordProps:
-    permutation: tuple[int, ...]
-    length: int
-    is_reduced: bool
-    is_longest: bool
-
-
-def word_props(w, n: int) -> WordProps:
-    perm = word_to_perm(w, n)
-    inv = inversions(perm)
-    reduced = inv == len(w)
-    top = n * (n + 1) // 2
-    return WordProps(perm, inv, reduced, reduced and len(w) == top)
 
 
 def nice_word(n: int) -> tuple[int, ...]:
@@ -137,17 +92,20 @@ def mirror_word(w, n: int) -> tuple[int, ...]:
 def beta_sequence(w, n: int) -> list[Root]:
     """The convex enumeration of the positive roots attached to a reduced
     word of the longest element."""
-    props = word_props(w, n)
-    if not props.is_longest:
-        raise ValueError("beta_sequence requires a reduced word of the longest element")
+    w = tuple(w)
+    bad = next((i for i in w if not 1 <= i <= n), None)
+    if bad is not None:
+        raise ValueError(f"letter {bad} out of range 1..{n}")
     perm = list(range(1, n + 2))
     out = []
     for i in w:
         a, b = perm[i - 1], perm[i]
-        if a > b:
-            raise ValueError("word is not reduced")
+        if a > b:  # the letter undoes an inversion: w is not reduced
+            break
         out.append(Root(a, b))
         perm[i - 1], perm[i] = b, a
+    if len(out) != len(w) or len(w) != n * (n + 1) // 2:
+        raise ValueError("beta_sequence requires a reduced word of the longest element")
     return out
 
 
@@ -165,29 +123,6 @@ def reduced_word_count(n: int) -> int:
             leg = sum(1 for rr in range(r + 1, len(shape)) if shape[rr] > c)
             hooks *= arm + leg + 1
     return math.factorial(total) // hooks
-
-
-def reduced_words(n: int):
-    """All reduced words of the longest element, by peeling right descents."""
-    w0 = tuple(range(n + 1, 0, -1))
-    out = []
-    word = []
-
-    def rec(perm):
-        at_identity = True
-        for i in range(1, n + 1):
-            if perm[i - 1] > perm[i]:
-                at_identity = False
-                nxt = list(perm)
-                nxt[i - 1], nxt[i] = nxt[i], nxt[i - 1]
-                word.append(i)
-                rec(tuple(nxt))
-                word.pop()
-        if at_identity:
-            out.append(tuple(reversed(word)))
-
-    rec(w0)
-    return out
 
 
 _MAX_REDUCED_WORDS = 10**6  # rank 5 has 292,864 reduced words, rank 6 1,100,742,656
@@ -289,16 +224,6 @@ class ClassGraph:
         (the survey reads none); each edge is found from both ends."""
         moves = ((c, self.class_index(v)) for c, rep in enumerate(self.reps) for v in _braid_moves(rep))
         return sorted({(c, d) for c, d in moves if c < d})
-
-    def neighbors(self, c: int) -> list[int]:
-        out = set()
-        for a, b in self.edges:
-            if a == c:
-                out.add(b)
-            if b == c:
-                out.add(a)
-        return sorted(out)
-
 
 def commutation_classes(n: int) -> ClassGraph:
     """The class graph, found from the canonical words alone; no class is

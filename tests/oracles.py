@@ -1,0 +1,220 @@
+"""Independent constructions that the tests compare the library against.
+
+The library builds its root vectors as minimal-pair q-commutators inside U+,
+takes coproducts from q-shuffles, decides equality in O_q by FRT normal forms
+and never specialises q.  The constructions here follow the paper's
+definitions instead, each from its formula:
+
+* Lusztig's braid operators T_i on U_q(sl(n+1)), extended multiplicatively:
+
+      T_i(E_i) = -F_i K_i,  T_i(F_i) = -K_i^{-1} E_i,  T_i(K_j) = K_j K_i^{-a_ij},
+      T_{k+-1}(E_k) = -[E_{k+-1}, E_k]_{q^{-1}},
+      T_{k+-1}(F_k) = -[F_k, F_{k+-1}]_q,
+
+  fixing generators with distant indices, so that the root vectors of a
+  reduced word are X_k = T_{i_1} ... T_{i_{k-1}}(E_{i_k});
+* the iterated commutators E_ji and the adjoint action;
+* the counit and the product of U_q (x) U_q, with which the Hopf axioms of
+  the coproduct are checked;
+* every reduced word of the longest element, by peeling right descents;
+* the right action of u[a,b] on the cotangent basis, through the pairing;
+* the functional equality test of O_q;
+* evaluation of a Q(q) value at a rational point.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from functools import reduce
+from operator import mul
+
+from qflag.freealg import _acc
+from qflag.oq import OqElement, _normal_coords, pair
+from qflag.scalars import ONE, Q, QINV, RatQ, ZERO
+from qflag.uqsl import TensorSquare, UqAlgebra, UqElement, _cartan, qcomm
+
+# -- braid operators, commutators, adjoint action -----------------------------
+
+
+def braid_gen(A: UqAlgebra, i: int, kind: str, l: int, exp: int = 1) -> UqElement:
+    """T_i of one generator (K_l^exp for kind "K")."""
+    if kind == "K":
+        return A.K(l, exp) * A.K(i, -exp * _cartan(i, l))
+    if kind == "E":
+        if l == i:
+            return -(A.F(i) * A.K(i))
+        if abs(l - i) == 1:
+            return -qcomm(A.E(i), A.E(l), QINV)
+        return A.E(l)
+    if kind == "F":
+        if l == i:
+            return -(A.K(i, -1) * A.E(i))
+        if abs(l - i) == 1:
+            return -qcomm(A.F(l), A.F(i), Q)
+        return A.F(l)
+    raise ValueError(kind)
+
+
+def braid_T(i: int, x: UqElement) -> UqElement:
+    """Lusztig's braid automorphism T_i, extended multiplicatively."""
+    A = x.algebra
+    A._check_index(i)
+    out: dict = {}
+    for (f, kv, e), c in x.terms.items():
+        images = [braid_gen(A, i, "F", l) for l in f]
+        images += [braid_gen(A, i, "K", a + 1, v) for a, v in enumerate(kv) if v]
+        images += [braid_gen(A, i, "E", l) for l in e]
+        acc = reduce(mul, images) if images else A.one()
+        for m, cc in acc.terms.items():
+            _acc(out, m, c * cc)
+    return UqElement(A, out)
+
+
+def build_Eji(A: UqAlgebra, i: int, j: int) -> UqElement:
+    """Iterated q^{-1}-commutator [E_{j-1}, [E_{j-2}, ... [E_{i+1}, E_i]...]]."""
+    if not 1 <= i < j <= A.n + 1:
+        raise ValueError(f"need 1 <= i < j <= {A.n + 1}, got ({i}, {j})")
+    out = A.E(i)
+    for a in range(i + 1, j):
+        out = qcomm(A.E(a), out, QINV)
+    return out
+
+
+def adjoint(A: UqAlgebra, gen, x: UqElement, side: str = "right") -> UqElement:
+    """Adjoint action of a generator token ('E', i) | ('F', i) | ('K', i, exp).
+
+    Right: ad(Y)(X) = S(Y_(1)) X Y_(2); left: ad_L(Y)(X) = Y_(1) X S(Y_(2)).
+    """
+    kind, i = gen[0], gen[1]
+    exp = gen[2] if len(gen) > 2 else 1
+    if kind == "K":
+        k, kinv = A.K(i, exp), A.K(i, -exp)
+        return (kinv * x * k) if side == "right" else (k * x * kinv)
+    if kind == "E":
+        e, k, kinv = A.E(i), A.K(i), A.K(i, -1)
+        if side == "right":
+            return -(e * kinv * x * k) + x * e
+        return e * x * kinv - x * e * kinv
+    if kind == "F":
+        f, k, kinv = A.F(i), A.K(i), A.K(i, -1)
+        if side == "right":
+            return -(k * f * x) + k * x * f
+        return f * x - kinv * x * k * f
+    raise ValueError(f"unknown generator token {gen!r}")
+
+
+# -- counit and the product of U_q (x) U_q ------------------------------------
+
+
+def counit_mono(m) -> RatQ:
+    f, _, e = m
+    return ONE if not f and not e else ZERO
+
+
+def counit(x: UqElement) -> RatQ:
+    return sum((c for m, c in x.terms.items() if counit_mono(m)), ZERO)
+
+
+def from_pairs(A: UqAlgebra, pairs) -> TensorSquare:
+    """sum of left (x) right over the (left, right) pairs."""
+    out: dict = {}
+    for left, right in pairs:
+        for m1, c1 in left.terms.items():
+            for m2, c2 in right.terms.items():
+                _acc(out, (m1, m2), c1 * c2)
+    return TensorSquare(A, out)
+
+
+def tensor_mul(s: TensorSquare, t: TensorSquare) -> TensorSquare:
+    """(a1 (x) b1)(a2 (x) b2) = a1 a2 (x) b1 b2, extended bilinearly."""
+    A = s.algebra
+    out: dict = {}
+    for (a1, b1), c1 in s.terms.items():
+        for (a2, b2), c2 in t.terms.items():
+            c12 = c1 * c2
+            for ma, ca in A.mono_mul(a1, a2).items():
+                for mb, cb in A.mono_mul(b1, b2).items():
+                    _acc(out, (ma, mb), c12 * ca * cb)
+    return TensorSquare(A, out)
+
+
+def apply_counit(t: TensorSquare, leg: int) -> UqElement:
+    """(eps (x) id)(t) for leg 0, (id (x) eps)(t) for leg 1."""
+    out: dict = {}
+    for legs, c in t.terms.items():
+        if counit_mono(legs[leg]):
+            _acc(out, legs[1 - leg], c)
+    return UqElement(t.algebra, out)
+
+
+# -- reduced words ------------------------------------------------------------
+
+
+def reduced_words(n: int) -> list[tuple[int, ...]]:
+    """All reduced words of the longest element, by peeling right descents."""
+    out = []
+    word = []
+
+    def rec(perm):
+        at_identity = True
+        for i in range(1, n + 1):
+            if perm[i - 1] > perm[i]:
+                at_identity = False
+                nxt = list(perm)
+                nxt[i - 1], nxt[i] = nxt[i], nxt[i - 1]
+                word.append(i)
+                rec(tuple(nxt))
+                word.pop()
+        if at_identity:
+            out.append(tuple(reversed(word)))
+
+    rec(tuple(range(n + 1, 0, -1)))
+    return out
+
+
+# -- the coordinate-algebra side ----------------------------------------------
+
+
+def cotangent_action(t, a: int, b: int) -> list[list[RatQ]]:
+    """Matrix of the right action of u[a,b] on the cotangent basis of a
+    root-labelled tangent space t: column gamma lists the coordinates
+    <X_m, u_gamma u_ab> over the basis order."""
+    if t.roots is None:
+        raise ValueError("cotangent_action needs a root-labelled tangent space")
+    return [[pair(x, ((r.j, r.i), (a, b))) for x in t.basis] for r in t.roots]
+
+
+def homogeneous_length(e: OqElement) -> int:
+    ls = {len(w) for w in e.terms}
+    if len(ls) != 1:
+        raise ValueError(f"element mixes word lengths {sorted(ls)}")
+    return ls.pop()
+
+
+def functional_is_zero(e: OqElement, k: int) -> bool:
+    """True iff e (length-k homogeneous) kills every rho_k image, i.e. lies
+    in the degree-k part of the FRT ideal."""
+    if not e:
+        return True
+    if homogeneous_length(e) != k:
+        raise ValueError("length mismatch")
+    return not _normal_coords(e)
+
+
+# -- Q(q) at rational points --------------------------------------------------
+
+
+def _peval(a, x: Fraction) -> Fraction:
+    acc = Fraction(0)
+    for c in reversed(a):
+        acc = acc * x + c
+    return acc
+
+
+def evaluate(a: RatQ, x) -> Fraction:
+    """Exact value of a at the rational point q = x; error at a pole."""
+    x = Fraction(x)
+    d = _peval(a.den, x)
+    if d == 0:
+        raise ZeroDivisionError(f"evaluation at a pole of the denominator: q = {x}")
+    return _peval(a.num, x) / d

@@ -8,26 +8,28 @@ expected failure rather than weakened.
 """
 
 import random
+from functools import reduce
 from math import comb
+from operator import mul
 
 import pytest
+from oracles import (
+    apply_counit,
+    braid_T,
+    build_Eji,
+    cotangent_action,
+    from_pairs,
+    functional_is_zero,
+    reduced_words,
+    tensor_mul,
+)
 
 from qflag import calculus as C
 from qflag import weyl
-from qflag.freealg import Alphabet, DegLex, FreeElement, Span, graded_dims, rank
-from qflag.oq import OqElement, frt_relations, functional_is_zero, pair
+from qflag.freealg import Alphabet, DegLex, FreeElement, Span, complete_truncated, rank
+from qflag.oq import OqElement, frt_relations, pair
 from qflag.scalars import NU, ONE, Q, QINV, ZERO, qpow
-from qflag.uqsl import (
-    TensorSquare,
-    UqAlgebra,
-    UqElement,
-    braid_T,
-    build_Eji,
-    coproduct,
-    qcomm,
-    root_vectors,
-    uq_normal_form,
-)
+from qflag.uqsl import UqAlgebra, UqElement, coproduct, qcomm, root_vectors
 from qflag.weyl import Root, nice_word
 
 _ALGEBRAS = {}
@@ -67,7 +69,7 @@ def test_criterion_01_coproduct_closed_form():
                             build_Eji(A, a, j) * kword(A, i, a),
                         )
                     )
-                assert coproduct(x) == TensorSquare.from_pairs(A, pairs), (n, i, j)
+                assert coproduct(x) == from_pairs(A, pairs), (n, i, j)
 
 
 def test_criterion_02_displayed_coproducts():
@@ -79,7 +81,7 @@ def test_criterion_02_displayed_coproducts():
     e = A.E
     x1 = qcomm(qcomm(e(2), e(3), QINV), e(1), QINV)
     d1 = coproduct(x1)
-    expected1 = TensorSquare.from_pairs(
+    expected1 = from_pairs(
         A,
         [
             (x1, A.K(1) * A.K(2) * A.K(3)),
@@ -91,7 +93,7 @@ def test_criterion_02_displayed_coproducts():
     )
     assert d1 == expected1
     # anchor: q^-2 nu^2 E1E3 (x) E2 K1 (K3 omitted in the display)
-    anchor = TensorSquare.from_pairs(
+    anchor = from_pairs(
         A, [((e(1) * e(3)).scale(qpow(-2) * NU * NU), e(2) * A.K(1) * A.K(3))]
     )
     for m, c in anchor.terms.items():
@@ -99,7 +101,7 @@ def test_criterion_02_displayed_coproducts():
 
     x2 = qcomm(qcomm(e(1), e(2), QINV), e(3), Q)
     d2 = coproduct(x2)
-    expected2 = TensorSquare.from_pairs(
+    expected2 = from_pairs(
         A,
         [
             (x2, A.K(1) * A.K(2) * A.K(3)),
@@ -112,7 +114,7 @@ def test_criterion_02_displayed_coproducts():
     assert d2 == expected2
     # anchor: the E2 (x) E1E3-shaped term exists; display's (q^-1 - 1)nu is a
     # typo for (q^-2 - 1)nu, and K2 is omitted there
-    anchor2 = TensorSquare.from_pairs(
+    anchor2 = from_pairs(
         A, [(e(2).scale((qpow(-2) - ONE) * NU), e(1) * e(3) * A.K(2))]
     )
     for m, c in anchor2.terms.items():
@@ -167,7 +169,7 @@ def test_criterion_05_module_action():
         pos = {r: k for k, r in enumerate(t.roots)}
         for a in range(1, n + 2):
             for b in range(1, n + 2):
-                cols = C.cotangent_action(t, a, b)
+                cols = cotangent_action(t, a, b)
                 for g, root in enumerate(t.roots):
                     expected = [ZERO] * d
                     if a == b:
@@ -309,6 +311,11 @@ def test_criterion_08b_only_nice_classes_classical():
             assert row.classical is False, rep
 
 
+def _neighbors(g, c):
+    """The classes joined to class c by an edge of the class graph g."""
+    return sorted({d for edge in g.edges if c in edge for d in edge} - {c})
+
+
 def test_criterion_09_s5_spot_checks():
     """62 classes; the subgraph of classes within two braid moves of the
     nice class has nine members reproducing the published verdicts (the
@@ -323,7 +330,7 @@ def test_criterion_09_s5_spot_checks():
 
     a = g.class_index(nice_word(4))
     assert verdict(a) == "two_sided"
-    nbrs = g.neighbors(a)
+    nbrs = _neighbors(g, a)
     assert len(nbrs) == 3
     b = g.class_index((4, 3, 2, 1, 4, 3, 2, 3, 4, 3))
     c = g.class_index((4, 3, 2, 1, 3, 4, 3, 2, 3, 4))
@@ -334,7 +341,7 @@ def test_criterion_09_s5_spot_checks():
     assert verdict(d) == "right_only"
     ball = {a, b, c, d}
     for x in (b, c, d):
-        ball |= set(g.neighbors(x))
+        ball |= set(_neighbors(g, x))
     assert len(ball) == 9
     dist2 = sorted(ball - {a, b, c, d})
     verdicts = sorted(verdict(x) for x in dist2)
@@ -421,7 +428,7 @@ def test_criterion_14_grassmann_restriction():
     t = nice_tangent(3)
     sub1, closed1 = C.grassmann_restriction(t, 1)
     assert sub1.dim == 3 and closed1
-    assert sorted(x.e_degree() for x in sub1.basis) == [1, 2, 3]
+    assert sorted(max(len(e) for _f, _kv, e in x.terms) for x in sub1.basis) == [1, 2, 3]
     sub2, closed2 = C.grassmann_restriction(t, 2)
     assert sub2.dim == 4 and closed2
 
@@ -475,11 +482,11 @@ def test_criterion_16a_braid_relations():
 
 def _random_monomial(A, rng, deg):
     gens = (
-        [("E", i) for i in range(1, A.n + 1)]
-        + [("F", i) for i in range(1, A.n + 1)]
-        + [("K", i, rng.choice((-1, 1))) for i in range(1, A.n + 1)]
+        [A.E(i) for i in range(1, A.n + 1)]
+        + [A.F(i) for i in range(1, A.n + 1)]
+        + [A.K(i, rng.choice((-1, 1))) for i in range(1, A.n + 1)]
     )
-    return uq_normal_form(A, [(ONE, [gens[rng.randrange(len(gens))] for _ in range(deg)])])
+    return reduce(mul, [gens[rng.randrange(len(gens))] for _ in range(deg)])
 
 
 def test_criterion_16b_coproduct_multiplicative_and_counit():
@@ -488,9 +495,9 @@ def test_criterion_16b_coproduct_multiplicative_and_counit():
     for _ in range(200):
         x = _random_monomial(A, rng, rng.randint(1, 3))
         y = _random_monomial(A, rng, 1)
-        assert coproduct(x * y) == coproduct(x) * coproduct(y)
+        assert coproduct(x * y) == tensor_mul(coproduct(x), coproduct(y))
         d = coproduct(x)
-        assert d.apply_counit(0) == x and d.apply_counit(1) == x
+        assert apply_counit(d, 0) == x and apply_counit(d, 1) == x
         i = rng.randint(1, 3)
         assert braid_T(i, x * y) == braid_T(i, x) * braid_T(i, y)
 
@@ -528,7 +535,7 @@ def test_criterion_16c_hopf_pairing_axioms():
 
 def test_criterion_16d_root_vector_class_invariance():
     rng = random.Random(1603)
-    words = weyl.reduced_words(4)
+    words = reduced_words(4)
     g = weyl.commutation_classes(4)
     A = alg(4)
     cache = {}
@@ -579,8 +586,8 @@ def test_criterion_16f_hilbert_order_invariance():
         rel = C.quadratic_relations(t)
         rels = rel.all_relations()
         kmax = t.dim + 1
-        d1 = graded_dims(rels, rel.order, kmax, rel.alphabet).dims
-        d2 = graded_dims(rels, rel.order.reversed(), kmax, rel.alphabet).dims
+        d1 = complete_truncated(rels, rel.order, kmax + 1, rel.alphabet).normal_counts(kmax)
+        d2 = complete_truncated(rels, rel.order.reversed(), kmax + 1, rel.alphabet).normal_counts(kmax)
         assert d1 == d2
         cases += 1
     # randomized quadratic systems
@@ -598,8 +605,8 @@ def test_criterion_16f_hilbert_order_invariance():
                         FreeElement({(a, b): ONE, (b, a): qpow(rng.randint(-2, 2))})
                     )
         order = DegLex(size=m)
-        d1 = graded_dims(rels, order, 4, alphabet).dims
-        d2 = graded_dims(rels, order.reversed(), 4, alphabet).dims
+        d1 = complete_truncated(rels, order, 5, alphabet).normal_counts(4)
+        d2 = complete_truncated(rels, order.reversed(), 5, alphabet).normal_counts(4)
         assert d1 == d2
         cases += 1
     assert cases >= 100

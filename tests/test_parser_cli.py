@@ -6,13 +6,14 @@ import os
 import sys
 
 import pytest
+from oracles import build_Eji
 
 from qflag import calculus, cli
 from qflag.cli import main, run
 from qflag.oq import OqElement
 from qflag.parser import ParseError, parse_oq, parse_scalar, parse_uq, parse_word
 from qflag.scalars import NU, ONE, Q, QINV, RatQ
-from qflag.uqsl import UqAlgebra, build_Eji, qcomm
+from qflag.uqsl import UqAlgebra, qcomm
 
 
 def test_parse_scalar():
@@ -121,6 +122,28 @@ def test_cli_parse_error_exit_code(capsys):
     # dot is a format of `classes` only
     code, out = _out(capsys, ["roots", "--rank", "2", "--format", "dot"])
     assert code == 2 and out == ""
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        ("roots --rank 3 --word 12", "beta_sequence requires a reduced word of the longest element"),
+        ("roots --rank 3 --word 0", "letter 0 out of range 1..3"),
+        ("coideal --rank 2 --tangent E1;E1", "tangent basis is linearly dependent at E1"),
+    ],
+)
+def test_cli_malformed_input_messages(capsys, argv, err):
+    assert run(argv.split()) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {err}\n")
+
+
+@pytest.mark.parametrize("command", ["coideal", "relations", "exterior"])
+@pytest.mark.parametrize("tangent", ["", ";", " ; ; "])
+def test_cli_refuses_an_empty_tangent_list(capsys, command, tangent):
+    assert run([command, "--rank", "2", "--tangent", tangent]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: tangent basis is empty\n")
 
 
 @pytest.mark.parametrize(

@@ -6,6 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from oracles import evaluate
 
 from qflag import scalars
 from qflag.scalars import (
@@ -27,8 +28,6 @@ from qflag.scalars import (
     _pneg,
     _trim,
     qpow,
-    ratq_arith,
-    ratq_eval,
 )
 
 
@@ -48,19 +47,19 @@ def test_nu_identity():
 
 
 def test_eval_basics():
-    assert ratq_eval(Q, 2) == 2
-    assert ratq_eval(NU, 2) == Fraction(3, 2)
-    assert ratq_eval((Q**2 - 1) / (Q - 1), 3) == 4
+    assert evaluate(Q, 2) == 2
+    assert evaluate(NU, 2) == Fraction(3, 2)
+    assert evaluate((Q**2 - 1) / (Q - 1), 3) == 4
 
 
 def test_eval_pole():
     with pytest.raises(ZeroDivisionError):
-        ratq_eval(QINV, 0)
+        evaluate(QINV, 0)
 
 
 def test_division_by_zero():
     with pytest.raises(ZeroDivisionError):
-        ratq_arith(ONE, ZERO, "div")
+        ONE / ZERO
 
 
 def _random_ratq(rng):
@@ -88,11 +87,11 @@ def test_eval_is_homomorphism():
     for _ in range(200):
         a, b = _random_ratq(rng), _random_ratq(rng)
         try:
-            va, vb = a.evaluate(x), b.evaluate(x)
+            va, vb = evaluate(a, x), evaluate(b, x)
         except ZeroDivisionError:
             continue
-        assert (a * b).evaluate(x) == va * vb
-        assert (a + b).evaluate(x) == va + vb
+        assert evaluate(a * b, x) == va * vb
+        assert evaluate(a + b, x) == va + vb
 
 
 def test_canonicalization_idempotent_and_unique():

@@ -1,6 +1,7 @@
 """Root-system and reduced-word combinatorics."""
 
 import pytest
+from oracles import reduced_words
 
 from qflag.weyl import (
     Root,
@@ -14,26 +15,26 @@ from qflag.weyl import (
     nice_word,
     opposite_word,
     positive_roots,
-    prime_pair,
     reduced_word_count,
-    reduced_words,
     root_pairing,
-    word_props,
 )
 
 
-def test_word_props_examples():
-    p = word_props((3, 2, 1, 3, 2, 3), 3)
-    assert p.is_reduced and p.is_longest
-    p = word_props((1, 1), 2)
-    assert not p.is_reduced
-    p = word_props(nice_word(4), 4)
-    assert p.length == 10 and p.is_longest
+def test_beta_sequence_accepts_only_reduced_longest_words():
+    assert len(beta_sequence((3, 2, 1, 3, 2, 3), 3)) == 6
+    assert len(beta_sequence(nice_word(4), 4)) == 10
+    # not reduced, too short, too long, empty
+    for w, n in (((1, 1), 2), ((3, 1, 2, 2, 1, 3), 3), ((1, 2), 2), ((2, 1, 2, 1), 2), ((), 1)):
+        with pytest.raises(ValueError, match="^beta_sequence requires a reduced word of the longest element$"):
+            beta_sequence(w, n)
 
 
-def test_word_props_range_check():
-    with pytest.raises(ValueError):
-        word_props((4,), 3)
+def test_beta_sequence_letter_range_check():
+    with pytest.raises(ValueError, match=r"^letter 4 out of range 1\.\.3$"):
+        beta_sequence((4,), 3)
+    # every letter is range-checked before the word is walked
+    with pytest.raises(ValueError, match=r"^letter 0 out of range 1\.\.3$"):
+        beta_sequence((1, 1, 0), 3)
 
 
 def test_nice_word():
@@ -97,15 +98,6 @@ def test_pairings():
     assert root_pairing(Root(1, 2), Root(1, 2)) == 2
     assert root_pairing(Root(1, 2), Root(2, 3)) == -1
     assert root_pairing(Root(1, 2), Root(3, 4)) == 0
-
-
-def test_prime_pair():
-    assert prime_pair(Root(1, 4), Root(2, 3)) == (Root(1, 3), Root(2, 4))
-    assert prime_pair(Root(2, 3), Root(1, 4)) == (Root(1, 3), Root(2, 4))
-    with pytest.raises(ValueError):
-        prime_pair(Root(1, 2), Root(2, 3))  # not orthogonal
-    with pytest.raises(ValueError):
-        prime_pair(Root(1, 2), Root(3, 4))  # orthogonal but not nested
 
 
 def test_opposite_word():
