@@ -25,9 +25,9 @@ check, and the antiholomorphic-kernel computation on spans of u-words.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from itertools import combinations
 from math import comb
+from typing import NamedTuple
 
 from qflag import weyl
 from qflag.freealg import (
@@ -48,8 +48,7 @@ from qflag.uqsl import UqAlgebra, UqElement, _mono_str, _serre_system, root_vect
 from qflag.weyl import Root
 
 
-@dataclass
-class TangentSpace:
+class TangentSpace(NamedTuple):
     """Ordered basis of weight-homogeneous positive-part elements, tagged
     with the Weyl word it came from, if any."""
 
@@ -126,8 +125,7 @@ def tangent_from_exprs(algebra: UqAlgebra, elems) -> TangentSpace:
 # -- coideal verdicts ---------------------------------------------------------
 
 
-@dataclass
-class CoidealWitness:
+class CoidealWitness(NamedTuple):
     basis_label: str
     group_monomial: str
     residue: str
@@ -140,8 +138,7 @@ class CoidealWitness:
         }
 
 
-@dataclass
-class CoidealReport:
+class CoidealReport(NamedTuple):
     verdict: str  # two_sided | left_only | right_only | neither
     witnesses: dict[str, CoidealWitness]
 
@@ -193,8 +190,7 @@ def coideal_check(t: TangentSpace) -> CoidealReport:
 # -- quadratic relations -------------------------------------------------------
 
 
-@dataclass
-class RelationSpace:
+class RelationSpace(NamedTuple):
     """Per-weight bases of the degree-two relations, over the cotangent
     alphabet dual to the tangent basis."""
 
@@ -385,8 +381,7 @@ def gr_leading_relations(t: TangentSpace) -> RelationSpace:
 # -- Frobenius data ----------------------------------------------------------------
 
 
-@dataclass
-class FrobeniusReport:
+class FrobeniusReport(NamedTuple):
     top_degree: int
     top_dimension: int
     pairing_nondegenerate: dict[int, bool]
@@ -423,8 +418,7 @@ def frobenius_report(t: TangentSpace) -> FrobeniusReport:
         )
     report = FrobeniusReport(top, dims[top], {}, {})
     if dims[top] != 1:
-        report.note = "top dimension is not one; Nakayama data skipped"
-        return report
+        return report._replace(note="top dimension is not one; Nakayama data skipped")
     topword = gb.normal_words(top)[0]
 
     def top_coeff(elem: FreeElement) -> RatQ:
@@ -457,7 +451,7 @@ def frobenius_report(t: TangentSpace) -> FrobeniusReport:
         c1 = top_coeff(FreeElement.monomial((g,) + others))
         c2 = top_coeff(FreeElement.monomial(others + (g,)))
         if not c1 or not c2:
-            report.note = "generator pairs trivially with its complement"
+            report = report._replace(note="generator pairs trivially with its complement")
             continue
         ratio = c1 / c2
         report.nakayama_sign[t.labels[g]] = 1 if ratio == ONE else (-1 if ratio == -ONE else 0)
@@ -636,8 +630,7 @@ def dbar_kernel(span_words, t: TangentSpace) -> tuple[int, list[OqElement]]:
 # -- survey -------------------------------------------------------------------------------
 
 
-@dataclass
-class SurveyRow:
+class SurveyRow(NamedTuple):
     representative: tuple[int, ...]
     verdict: str
     dims: list[int] | None
@@ -718,12 +711,12 @@ def survey_rows(
     rows = []
     for c, rep in enumerate(graph.reps if max_classes is None else graph.reps[:max_classes]):
         if partner[c] < c:
-            rows.append(replace(rows[partner[c]], representative=rep))
+            rows.append(rows[partner[c]]._replace(representative=rep))
             continue
         m = min(mirror[c], partner[mirror[c]])
         if m < c:
             verdict = rows[m].verdict
-            rows.append(replace(rows[m], representative=rep, verdict=swap.get(verdict, verdict)))
+            rows.append(rows[m]._replace(representative=rep, verdict=swap.get(verdict, verdict)))
             continue
         t = tangent_from_word(algebra, rep)
         rep_report = coideal_check(t)

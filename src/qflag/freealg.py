@@ -10,7 +10,10 @@ in every degree by Bergman's diamond lemma), and graded dimension counting:
 normal words are paths in Ufnarovski's graph of the leads, counted by DP
 over their last m-1 letters (m the longest lead length; they decide every
 extension).  Rules are named by their leads (see TruncatedGB), and a new
-lead's overlaps come from prefix and suffix indexes of the live leads.
+lead's overlaps come from prefix and suffix indexes of the live leads.  An
+overlap abc of q-commuting letters (every pair among a, b, c a swap to the
+other order with one coefficient, or a square rewritten to zero) is
+resolvable by the diamond lemma and is dropped with no reduction.
 
 Exact linear algebra over Q(q) (echelon spans, annihilators, RREF) lives
 here too, since rank computations back both the dimension oracle and the
@@ -28,7 +31,7 @@ TensorSquare joins its `_term`s with '  +  ').
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from qflag.scalars import ONE, RatQ
 
@@ -75,7 +78,6 @@ def _signed_sum(terms) -> str:
     return " ".join(parts) or "0"
 
 
-@dataclass(frozen=True)
 class Alphabet:
     """Ordered generator set; position in `labels` is the default precedence.
 
@@ -83,14 +85,14 @@ class Alphabet:
     total degree 1.
     """
 
-    labels: tuple[str, ...]
-    weights: tuple[tuple[int, ...], ...]
+    __slots__ = ("labels", "weights")
 
-    def __post_init__(self):
-        if len(set(self.labels)) != len(self.labels):
+    def __init__(self, labels: tuple[str, ...], weights: tuple[tuple[int, ...], ...]):
+        if len(set(labels)) != len(labels):
             raise ValueError("alphabet labels must be distinct")
-        if len(self.weights) != len(self.labels):
+        if len(weights) != len(labels):
             raise ValueError("one weight vector per label")
+        self.labels, self.weights = labels, weights
 
     @property
     def size(self) -> int:
@@ -241,7 +243,22 @@ class TruncatedGB:
     lead.  Pending overlaps are (degree, lead, lead, word), found through
     indexes of the live leads' proper prefixes and suffixes.  In the valid
     degrees the live leads are the ideal's minimal leading words whatever
-    order the overlaps resolve in, so normal forms and counts do not move."""
+    order the overlaps resolve in, so normal forms and counts do not move.
+
+    An overlap of two length-2 leads spelling abc is dropped unreduced when
+    each of the pairs {a,b}, {b,c}, {a,c} carries a monomial rule: for
+    x != y exactly one of xy, yx is a live lead and its tail is the single
+    term c*(the other order); for x = y, xx is a live lead with an empty
+    tail (`_commuting_overlap`).  Tails lie below leads, so a swap puts the
+    smaller letter first, and live leads contain none of each other, so a
+    length-3 word over a, b, c holding a swap or square lead has no other
+    redex.  Each such word with a repeated letter holds one (xx, or xy
+    beside yx), so it reduces along any path to 0; one with distinct
+    letters, to its sorted arrangement times the swap coefficients of its
+    inversions, each swapped once.  Both sides of the overlap reach that
+    multiple, so the ambiguity is resolvable (Bergman's diamond lemma,
+    1978) and its generic resolution would install no rule: rules, their
+    order and counts are those of the generic completion."""
 
     def __init__(self, alphabet: Alphabet, order: DegLex):
         self.alphabet = alphabet
@@ -321,10 +338,12 @@ class TruncatedGB:
         becomes reducible, with their pending overlaps."""
         if (lead := self._orient(elem)) is None:
             return
-        # inclusion ambiguities: a lead containing the irreducible new lead is longer
+        # inclusion ambiguities: a lead containing the irreducible new lead is
+        # longer; with no longer live lead there is nothing to scan
         n = len(lead)
         stale = [other for other in self.rules
-                 if len(other) > n and any(other[p : p + n] == lead for p in range(len(other) - n + 1))]
+                 if len(other) > n and any(other[p : p + n] == lead for p in range(len(other) - n + 1))
+                 ] if self._lengths[-1] > n else []
         if stale:
             self._pending = [e for e in self._pending if e[1] not in stale and e[2] not in stale]
             heapq.heapify(self._pending)
@@ -338,6 +357,8 @@ class TruncatedGB:
         """Resolve all pending overlap ambiguities of degree <= dmax."""
         while self._pending and self._pending[0][0] <= dmax:
             _deg, la, lb, word = heapq.heappop(self._pending)
+            if self._commuting_overlap(word):
+                continue
             # word = la s = p lb, la glued with lb over a proper overlap; the
             # difference is tail(la) s - p tail(lb), built by concatenation
             s, p = word[len(la) :], word[: len(word) - len(lb)]
@@ -349,6 +370,19 @@ class TruncatedGB:
             if diff:
                 self._insert(diff)
         self.valid_degree = max(self.valid_degree, dmax)
+
+    def _commuting_overlap(self, word: Word) -> bool:
+        """Whether the overlap word = abc of two length-2 leads q-commutes in
+        the live rules, so it resolves with no reduction (class docstring)."""
+        if len(word) != 3:
+            return False
+        rules = self.rules
+        for x, y in ((word[0], word[1]), (word[1], word[2]), (word[0], word[2])):
+            lead, other = ((x, y), (y, x)) if (x, y) in rules else ((y, x), (x, y))
+            tail = rules.get(lead)  # a square's is empty, a swap's the other order alone
+            if tail is None or list(tail.terms) != ([] if x == y else [other]) or (x != y and other in rules):
+                return False
+        return True
 
     # -- queries ---------------------------------------------------------------
 
@@ -383,12 +417,13 @@ class TruncatedGB:
         settled), by DP over states: the last m-1 letters, m the longest lead."""
         self._check_degree(k)
         m = max(self._lengths, default=1)
-        states, out = {(): 1}, [1]
+        states, out, succ = {(): 1}, [1], {}
         for _ in range(k):
             nxt: dict[Word, int] = {}
             for s, c in states.items():
-                for cand in self._extensions(s):
-                    t = cand[1:] if len(cand) == m else cand
+                if (ts := succ.get(s)) is None:  # a state's successors are the same in every degree
+                    ts = succ[s] = [cand[1:] if len(cand) == m else cand for cand in self._extensions(s)]
+                for t in ts:
                     nxt[t] = nxt.get(t, 0) + c
             states = nxt
             out.append(sum(states.values()))
@@ -410,14 +445,13 @@ def complete_truncated(
     return gb
 
 
-@dataclass
-class DimensionTable:
+class DimensionTable(NamedTuple):
     """dims[k] = dimension of the degree-k component; classical is set by
     the calculus layer when the binomial comparison applies."""
 
     dims: list[int]
     classical: bool | None = None
-    truncated_at: int | None = field(default=None)
+    truncated_at: int | None = None
 
     def as_json_dict(self):
         out = {"dims": list(self.dims)}

@@ -28,7 +28,6 @@ from __future__ import annotations
 import math
 import os
 from bisect import bisect_left
-from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
@@ -198,13 +197,13 @@ def _braid_moves(w):
             yield w[:p] + w[p + 1 : q] + (w[q], a, w[q]) + w[q + 1 : r] + w[r + 1 :]
 
 
-@dataclass
 class ClassGraph:
     """Commutation classes of reduced words of the longest element, with an
     edge between two classes when some members differ by one braid move."""
 
-    n: int
-    reps: list[tuple[int, ...]]  # canonical (lexicographically smallest) member per class
+    def __init__(self, n: int, reps: list[tuple[int, ...]]):
+        self.n = n
+        self.reps = reps  # canonical (lexicographically smallest) member per class
 
     @property
     def num_classes(self) -> int:

@@ -6,7 +6,6 @@ import gc
 import json
 import random
 import weakref
-from dataclasses import replace
 from itertools import product
 from math import comb
 from pathlib import Path
@@ -583,7 +582,7 @@ def test_count_once_matches_per_degree_loop(n):
     for rep in commutation_classes(n).reps:
         t = C.tangent_from_word(A, rep)
         rel = C.quadratic_relations(t)
-        for reverse, r in ((False, rel), (True, replace(rel, order=rel.order.reversed()))):
+        for reverse, r in ((False, rel), (True, rel._replace(order=rel.order.reversed()))):
             for early_stop in (False, True):
                 want = _exterior_dims_per_degree(r, t.dim, kmax or t.dim + 1, early_stop)
                 got = C.exterior_dims(t, kmax=kmax, early_stop=early_stop, reverse_order=reverse)
@@ -623,7 +622,7 @@ def test_count_once_applies_early_stop_per_degree(monkeypatch, count_calls):
     t = nice_tangent(2)
     rel = C.quadratic_relations(t)
     for by_weight in ({}, {(1, 1): rel.by_weight[(1, 1)]}):
-        r = replace(rel, by_weight=by_weight)
+        r = rel._replace(by_weight=by_weight)
         monkeypatch.setattr(C, "quadratic_relations", lambda _t: r)
         for kmax in (None, 6):
             for early_stop in (False, True):
@@ -1145,7 +1144,7 @@ def test_word_reversal_swaps_sides(n, per_class_rows):
         for w in (row.representative[::-1], mirror_word(row.representative, n)):
             image = rows[g.class_index(w)]
             assert image.verdict == swap.get(row.verdict, row.verdict)
-            assert replace(image, representative=row.representative, verdict=row.verdict) == row
+            assert image._replace(representative=row.representative, verdict=row.verdict) == row
 
 
 def _sigma(alg, coords):
