@@ -20,7 +20,7 @@ and squares in closed form (see `quadratic_relations`).  On top of the
 relations sit the graded dimensions (diamond-lemma counting), the
 associated-graded leading relations, the Frobenius/Nakayama data, the
 line-module weights, the Grassmannian restriction with its ad-closure
-check, and the antiholomorphic-kernel computation on spans of u-words.
+check, and the antiholomorphic kernel on the ordered u-words of O_q.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from qflag.freealg import (
     rank,
     rref,
 )
-from qflag.oq import OqElement, _normal_coords, left_act
+from qflag.oq import OqElement, _frt_system, _normal_coords, left_act
 from qflag.scalars import NU, ONE, RatQ, ZERO, qpow
 from qflag.uqsl import UqAlgebra, UqElement, _mono_str, _serre_system, root_vectors
 from qflag.weyl import Root
@@ -580,51 +580,27 @@ def _normal_ewords(alg: UqAlgebra, nu: list[int]) -> list[tuple[int, ...]]:
 # -- antiholomorphic kernels -------------------------------------------------------------
 
 
-def dbar_kernel(span_words, t: TangentSpace) -> tuple[int, list[OqElement]]:
-    """Joint kernel of the left actions of all tangent basis vectors on the
-    span of the given words, modulo functional equality in O_q.
+def dbar_kernel(alg: UqAlgebra, k: int) -> tuple[int, list[OqElement]]:
+    """Joint kernel of the left actions of E_1, ..., E_n on the degree-k part
+    of O_q, whose basis is the degree-k normal words of the FRT system (the
+    ordered u-words, see the `oq` docstring): (dimension, basis), the
+    annihilator of the images' normal coordinates over those words in
+    lexicographic order.
 
-    Returns (dimension, basis of representatives); the dimension is taken
-    in the quotient of the span by its subspace of functionally-zero
-    elements.
-
-    For the tangent space of any reduced word this is the joint kernel of
-    E_1, ..., E_n alone, which `qflag dbar-kernel` passes: every word
+    It is the kernel of the tangent space of every reduced word: every word
     tangent holds E_1, ..., E_n as its simple root vectors, each X_k lies in
     the algebra they generate, and `left_act` is an algebra action.
     """
-    n = t.n
-    words = list(dict.fromkeys(tuple(tuple(p) for p in w) for w in span_words))
-    if not words:
-        return 0, []
-    k = len(words[0])
-    if any(len(w) != k for w in words):
-        raise ValueError("span words must share one length")
-
-    def zero_conditions(images: list[OqElement]) -> list[dict]:
-        """Rows of the system <condition matrix> . x = 0 over word indices,
-        one per normal word of the FRT system."""
-        rows: dict = {}
-        for j, img in enumerate(images):
-            for w, c in _normal_coords(img).items():
-                rows.setdefault(w, {})[j] = c
-        return list(rows.values())
-
-    basis_elems = [OqElement(n, {w: ONE}) for w in words]
-    conditions: list[dict] = []
-    for x in t.basis:
-        conditions.extend(zero_conditions([left_act(x, e) for e in basis_elems]))
-    solutions = annihilator(conditions, list(range(len(words))))
-    # fold out the functionally-zero subspace of the input span
-    null_basis = annihilator(zero_conditions(basis_elems), list(range(len(words))))
-    ext = Span()
-    for v in null_basis:
-        ext.add(dict(v))
-    reps = []
-    for v in solutions:
-        if ext.add(dict(v)):
-            reps.append(OqElement(n, {words[j]: c for j, c in v.items()}))
-    return len(reps), reps
+    n, N = alg.n, alg.n + 1
+    words = [tuple((g // N + 1, g % N + 1) for g in w) for w in _frt_system(n).normal_words(k)]
+    rows: dict = {}
+    for i in range(1, n + 1):
+        e = alg.E(i)
+        for w in words:
+            for v, c in _normal_coords(left_act(e, OqElement(n, {w: ONE}))).items():
+                rows.setdefault((i, v), {})[w] = c
+    basis = [OqElement(n, v) for v in annihilator(list(rows.values()), words)]
+    return len(basis), basis
 
 
 # -- survey -------------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from qflag.scalars import RatQ
 from qflag.uqsl import UqAlgebra, coproduct, root_vectors
 
 USAGE_ERROR, EXPECT_ERROR = 2, 1
-_DBAR_MAX_WORDS = 4096  # dbar-kernel builds all (n+1)^(2*degree) u-words up front
+_DBAR_MAX_WORDS = 4096  # caps all (n+1)^(2*degree) u-words; the kernel runs on the ordered ones
 _KMAX_CAP = 64  # exterior --kmax; rank 6 needs d + 1 = 22
 
 
@@ -176,17 +176,14 @@ def cmd_grassmann(args):
 
 
 def cmd_dbar_kernel(args):
-    n = args.rank
+    n, k = args.rank, args.degree
     weyl.check_rank(n)
-    count = (n + 1) ** (2 * args.degree)
-    if count > _DBAR_MAX_WORDS:
-        raise ValueError(f"dbar-kernel would span {count} u-words (at most {_DBAR_MAX_WORDS})")
-    alg = UqAlgebra(n)
-    t = calculus.tangent_from_exprs(alg, [alg.E(i) for i in range(1, n + 1)])  # see dbar_kernel
-    words = [()]
-    for _ in range(args.degree):
-        words = [w + ((a, b),) for w in words for a in range(1, n + 2) for b in range(1, n + 2)]
-    dim, basis = calculus.dbar_kernel(words, t)
+    # (n+1)^(2k) >= 4^k is past the cap from degree 7 on, so from degree 33
+    # on the refusal names the power instead of computing it
+    span = f"{n + 1}^{2 * k}" if k > 32 else (n + 1) ** (2 * k)
+    if k > 32 or span > _DBAR_MAX_WORDS:
+        raise ValueError(f"dbar-kernel would span {span} u-words (at most {_DBAR_MAX_WORDS})")
+    dim, basis = calculus.dbar_kernel(UqAlgebra(n), k)
     basis = [b.render() for b in basis]
     lines = [f"dimension: {dim}"] + [f"  {b}" for b in basis]
     return {"degree": args.degree, "dimension": dim, "basis": basis}, lines

@@ -24,12 +24,14 @@ length-k combination does so exactly when it lies in the degree-k part of
 the ideal of the FRT relations, so equality is reduction to zero modulo
 `frt_relations`, one letter per u[a,b] (row-major).  In that deg-lex order
 the FRT relations are already a Groebner basis (every overlap of their
-length-2 leads resolves), so one uncompleted system per rank serves every
-length: the leads are the decreasing letter pairs and the normal words are
-the ordered monomials.  The determinant relation mixes lengths, so it never
-enters.  `_normal_coords` gives an element's coordinates on those normal
-words (`calculus.dbar_kernel` reads them); tests/oracles.py builds the
-per-length test `functional_is_zero` on it.
+length-2 leads resolves), so each is installed as it stands, with no
+overlap queued, and one settled system per rank serves every length: the
+leads are the decreasing letter pairs and the normal words are the ordered
+monomials, a basis of the degree-k part of O_q.  The determinant relation
+mixes lengths, so it never enters.  `_normal_coords` gives an element's
+coordinates on those normal words; `calculus.dbar_kernel` works on that
+basis, and tests/oracles.py builds the per-length test `functional_is_zero`
+on it.
 """
 
 from __future__ import annotations
@@ -45,7 +47,6 @@ from qflag.freealg import (
     _signed_sum,
     _Sum,
     _term,
-    complete_truncated,
 )
 from qflag.scalars import NU, ONE, RatQ, ZERO, qpow
 from qflag.uqsl import UqElement
@@ -185,16 +186,19 @@ def _letters(e: OqElement) -> FreeElement:
 
 @cache
 def _frt_system(n: int) -> TruncatedGB:
-    """The FRT relations as they stand, exact in every length (built once,
-    then only read); a letter weighs its row unit vector, then its column's."""
+    """The FRT relations as they stand, each reduced by the rules before it
+    and oriented, settled and exact in every length (built once, then only
+    read); a letter weighs its row unit vector, then its column's."""
     N = n + 1
     cells = [(a, b) for a in range(1, N + 1) for b in range(1, N + 1)]
     unit = lambda x: tuple(int(x == y) for y in range(1, N + 1))
     alphabet = Alphabet(
         tuple(f"u[{a},{b}]" for a, b in cells), tuple(unit(a) + unit(b) for a, b in cells)
     )
-    rels = [_letters(r) for r in frt_relations(n)]
-    return complete_truncated(rels, DegLex(size=N * N), 0, alphabet)
+    gb = TruncatedGB(alphabet, DegLex(size=N * N))
+    for r in frt_relations(n):
+        gb._orient(_letters(r))
+    return gb
 
 
 def _normal_coords(e: OqElement) -> dict:

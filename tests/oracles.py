@@ -19,6 +19,8 @@ definitions instead, each from its formula:
 * every reduced word of the longest element, by peeling right descents;
 * the right action of u[a,b] on the cotangent basis, through the pairing;
 * the functional equality test of O_q;
+* the antiholomorphic kernel on the free span of u-words, its functionally
+  zero subspace folded out;
 * evaluation of a Q(q) value at a rational point.
 """
 
@@ -26,10 +28,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
+from itertools import product
 from operator import mul
 
-from qflag.freealg import _acc
-from qflag.oq import OqElement, _normal_coords, pair
+from qflag.calculus import tangent_from_exprs
+from qflag.freealg import Span, _acc, annihilator
+from qflag.oq import OqElement, _normal_coords, left_act, pair
 from qflag.scalars import ONE, Q, QINV, RatQ, ZERO
 from qflag.uqsl import TensorSquare, UqAlgebra, UqElement, _cartan, qcomm
 
@@ -199,6 +203,59 @@ def functional_is_zero(e: OqElement, k: int) -> bool:
     if homogeneous_length(e) != k:
         raise ValueError("length mismatch")
     return not _normal_coords(e)
+
+
+def u_words(n: int, k: int) -> list[tuple]:
+    """All (n+1)^(2k) u-words of length k, in lexicographic order."""
+    return list(product([(a, b) for a in range(1, n + 2) for b in range(1, n + 2)], repeat=k))
+
+
+def dbar_kernel(span_words, t) -> tuple[int, list[OqElement]]:
+    """Joint kernel of the left actions of all basis vectors of the tangent
+    space t on the span of the given words, modulo functional equality in
+    O_q: (dimension, basis of representatives).  The dimension is taken in
+    the quotient of the span by its functionally-zero subspace."""
+    n = t.n
+    words = list(dict.fromkeys(tuple(tuple(p) for p in w) for w in span_words))
+    if not words:
+        return 0, []
+    k = len(words[0])
+    if any(len(w) != k for w in words):
+        raise ValueError("span words must share one length")
+
+    def zero_conditions(images: list[OqElement]) -> list[dict]:
+        """Rows of the system <condition matrix> . x = 0 over word indices,
+        one per normal word of the FRT system."""
+        rows: dict = {}
+        for j, img in enumerate(images):
+            for w, c in _normal_coords(img).items():
+                rows.setdefault(w, {})[j] = c
+        return list(rows.values())
+
+    basis_elems = [OqElement(n, {w: ONE}) for w in words]
+    conditions: list[dict] = []
+    for x in t.basis:
+        conditions.extend(zero_conditions([left_act(x, e) for e in basis_elems]))
+    solutions = annihilator(conditions, list(range(len(words))))
+    # fold out the functionally-zero subspace of the input span
+    null_basis = annihilator(zero_conditions(basis_elems), list(range(len(words))))
+    ext = Span()
+    for v in null_basis:
+        ext.add(dict(v))
+    reps = []
+    for v in solutions:
+        if ext.add(dict(v)):
+            reps.append(OqElement(n, {words[j]: c for j, c in v.items()}))
+    return len(reps), reps
+
+
+def simple_root_kernel(n: int, k: int) -> tuple[int, list[str]]:
+    """`dbar_kernel` of E_1, ..., E_n on all length-k u-words at rank n, with
+    its basis rendered: what `qflag dbar-kernel` printed before it worked on
+    the ordered u-words alone."""
+    A = UqAlgebra(n)
+    dim, basis = dbar_kernel(u_words(n, k), tangent_from_exprs(A, [A.E(i) for i in range(1, n + 1)]))
+    return dim, [b.render() for b in basis]
 
 
 # -- Q(q) at rational points --------------------------------------------------

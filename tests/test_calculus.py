@@ -6,12 +6,13 @@ import gc
 import json
 import random
 import weakref
-from itertools import product
+from itertools import combinations_with_replacement, product
 from math import comb
 from pathlib import Path
 
 import pytest
-from oracles import adjoint, build_Eji, cotangent_action
+from oracles import adjoint, build_Eji, cotangent_action, simple_root_kernel, u_words
+from oracles import dbar_kernel as oracle_dbar_kernel
 
 from qflag import calculus as C
 from qflag import cli
@@ -933,28 +934,26 @@ def test_levi_candidates_match_adjoint(n):
 
 def test_dbar_kernel_degree_one():
     for n in (1, 2):
-        t = nice_tangent(n)
-        words = [((a, b),) for a in range(1, n + 2) for b in range(1, n + 2)]
-        dim, basis = C.dbar_kernel(words, t)
+        dim, basis = C.dbar_kernel(UqAlgebra(n), 1)
         assert dim == n + 1
         got = {w for b in basis for w in b.terms}
         assert got == {((a, n + 2 - 1),) for a in range(1, n + 2)}
 
 
 def test_dbar_kernel_unit_word():
-    t = nice_tangent(2)
-    dim, basis = C.dbar_kernel([()], t)
+    dim, basis = C.dbar_kernel(UqAlgebra(2), 0)
     assert dim == 1 and basis[0].terms == {(): ONE}
 
 
 def test_dbar_kernel_degree_two_quotient():
-    # rank 1, all length-2 words: the span has a 6-dimensional functionally
-    # zero subspace that must be folded out; the kernel is the degree-2
-    # highest-weight space, of dimension 3 + 1
-    t = nice_tangent(1)
-    words = [((a, b), (c, d)) for a in (1, 2) for b in (1, 2) for c in (1, 2) for d in (1, 2)]
-    dim, basis = C.dbar_kernel(words, t)
+    # rank 1, degree 2: the 16 u-words span a 10-dimensional quotient (a
+    # 6-dimensional functionally zero subspace), whose basis is the 10
+    # ordered words; the kernel is the degree-2 highest-weight space, of
+    # dimension 3 + 1
+    dim, basis = C.dbar_kernel(UqAlgebra(1), 2)
     assert dim == 4
+    ordered = set(combinations_with_replacement([(1, 1), (1, 2), (2, 1), (2, 2)], 2))
+    assert {w for b in basis for w in b.terms} <= ordered
 
 
 def _partitions(k, parts, largest=None):
@@ -989,27 +988,37 @@ def test_dbar_kernel_borel_weil_dimensions(n, k, expect):
     # quantum Borel-Weil: the degree-k kernel is the sum of the irreducibles
     # V_lambda over lambda |- k with at most n + 1 rows, one copy each
     assert expect == sum(_weyl_dim(lam, n + 1) for lam in _partitions(k, n + 1))
-    words = list(product([(a, b) for a in range(1, n + 2) for b in range(1, n + 2)], repeat=k))
-    dim, basis = C.dbar_kernel(words, nice_tangent(n))
+    dim, basis = C.dbar_kernel(UqAlgebra(n), k)
     assert dim == len(basis) == expect
 
 
-def _rendered_kernel(words, t):
-    dim, basis = C.dbar_kernel(words, t)
+def _rendered_kernel(kernel):
+    dim, basis = kernel
     return dim, [b.render() for b in basis]
 
 
 def test_dbar_kernel_simple_generators_suffice():
-    """The kernel of every word tangent, dimension and rendered basis, is
-    the kernel of E_1, ..., E_n alone, which `qflag dbar-kernel` computes:
-    every class at rank 2 (degrees 2 and 3) and rank 3 (degree 2)."""
+    """The kernel of every word tangent on the free span (the oracle),
+    dimension and rendered basis, is the kernel of E_1, ..., E_n on the
+    ordered u-words, which `dbar_kernel` computes: every class at rank 2
+    (degrees 2 and 3) and rank 3 (degree 2)."""
     for n, k in ((2, 2), (3, 2), (2, 3)):
         A = UqAlgebra(n)
-        words = list(product([(a, b) for a in range(1, n + 2) for b in range(1, n + 2)], repeat=k))
-        want = _rendered_kernel(words, C.tangent_from_exprs(A, [A.E(i) for i in range(1, n + 1)]))
+        want = _rendered_kernel(C.dbar_kernel(A, k))
         assert want[0] == sum(_weyl_dim(lam, n + 1) for lam in _partitions(k, n + 1))
         for rep in commutation_classes(n).reps:
-            assert _rendered_kernel(words, C.tangent_from_word(A, rep)) == want, (n, k, rep)
+            got = _rendered_kernel(oracle_dbar_kernel(u_words(n, k), C.tangent_from_word(A, rep)))
+            assert got == want, (n, k, rep)
+
+
+# every (rank, degree) that `qflag dbar-kernel` accepts; the oracle takes
+# 1-3 s on (1, 6) and (3, 3), so CI compares those two through the command
+_DBAR_PAIRS = [(n, k) for n in range(1, 7) for k in range(7) if (n + 1) ** (2 * k) <= cli._DBAR_MAX_WORDS]
+
+
+@pytest.mark.parametrize("n,k", [p for p in _DBAR_PAIRS if p not in ((1, 6), (3, 3))])
+def test_dbar_kernel_matches_free_span_oracle(n, k):
+    assert _rendered_kernel(C.dbar_kernel(UqAlgebra(n), k)) == simple_root_kernel(n, k)
 
 
 def test_survey_rank2():

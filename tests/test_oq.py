@@ -310,7 +310,7 @@ def test_frt_relations_are_a_groebner_basis(n):
     pending, so by the diamond lemma the uncompleted system that
     `_normal_coords` reduces by is exact in every length."""
     gb, done = _frt_system(n), _completed_frt(n)
-    assert done.settled
+    assert gb.settled and done.settled
     assert list(done.rules.items()) == list(gb.rules.items())
     assert len(gb.rules) == len(frt_relations(n))
 
@@ -326,6 +326,9 @@ def test_frt_rewriting_matches_span_closure(n, k):
     gb = _frt_system(n)
     cells = [(a, b) for a in range(1, n + 2) for b in range(1, n + 2)]
     ordered = list(combinations_with_replacement(cells, k))
+    assert [[gb.alphabet.labels[g] for g in w] for w in gb.normal_words(k)] == [
+        [f"u[{a},{b}]" for a, b in m] for m in ordered
+    ]
     for m in ordered:
         [(w, c)] = _normal_coords(OqElement(n, {m: ONE})).items()
         assert c == ONE and [gb.alphabet.labels[g] for g in w] == [f"u[{a},{b}]" for a, b in m]
