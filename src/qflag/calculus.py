@@ -90,7 +90,8 @@ def tangent_from_word(algebra: UqAlgebra, word) -> TangentSpace:
 
 
 def tangent_from_exprs(algebra: UqAlgebra, elems) -> TangentSpace:
-    """Tangent space from explicit positive-part elements, at least one."""
+    """Tangent space from explicit positive-part elements, at least one, none
+    of weight 0: a tangent space lies in ker eps, and U+ in weight 0 is C1."""
     basis = list(elems)
     if not basis:
         raise ValueError("tangent basis is empty")
@@ -101,6 +102,8 @@ def tangent_from_exprs(algebra: UqAlgebra, elems) -> TangentSpace:
         if not x.is_positive_part():
             raise ValueError(f"not in the positive part: {x.render()}")
         weights.append(x.weight())  # raises if inhomogeneous
+        if x.terms and not any(weights[-1]):
+            raise ValueError(f"tangent element {x.render()} has weight 0, so it is a scalar outside ker eps")
     sp = Span()
     for x in basis:
         if not sp.add(dict(x.eword_coords())):
@@ -154,37 +157,72 @@ def coideal_check(t: TangentSpace) -> CoidealReport:
     dual, on the q-shuffle states (left, right) of Delta(X), right leg
     K^{wt left} right (`UqAlgebra.eword_coproduct`).  K factors are erased
     in the tested leg (restriction to the flag subalgebra sends K_i to the
-    counit); the other leg only groups terms."""
+    counit); the other leg only groups terms.
+
+    Every group and every row of span(T) + C1 has a single weight.
+    Reducing a weight-mu vector meets only pivots of weight mu, and adding
+    a row back-eliminates only rows holding its pivot, of its weight; so
+    the span of T's members of weight mu, in basis order, has exactly the
+    whole span's rows of that weight, and a group's residue against it is
+    the same dict.  A weight-0 group passes (U+ in weight 0 is C1).  A
+    word's tangent has one member per root weight, so there each block
+    test is a proportionality test.  Each element's groups, in sorted key
+    order, are memoised under its eword_id (`_coideal_memo`), and each
+    residue under (group id, member ids of its weight) (`_residue_memo`)."""
     alg = t.algebra
     zero = (0,) * alg.n
-    member = Span()
-    member.add({(): ONE})
-    for x in t.basis:
-        member.add(x.eword_coords())
+    coords = [x.eword_coords() for x in t.basis]
+    ids = [alg.eword_id(x) for x in coords]
+    blocks: dict = {}  # weight -> (member ids, member coordinates)
+    for w, i, x in zip(t.weights, ids, coords):
+        mids, xs = blocks.get(w, ((), ()))
+        blocks[w] = (mids + (i,), xs + (x,))
 
     witnesses: dict[str, CoidealWitness] = {}
-    for x, label in zip(t.basis, t.labels):
+    for x, i, label in zip(coords, ids, t.labels):
         if len(witnesses) == 2:  # later witnesses would never be reported
             break
-        right_groups, left_groups = {}, {}
-        for (left, right), c in alg.eword_coproduct(x.eword_coords()).items():
-            right_groups.setdefault(((), alg.word_weight(left), right), {})[left] = c
-            left_groups.setdefault(((), zero, left), {})[right] = c
-        for side, groups in (("right", right_groups), ("left", left_groups)):
+        groups = alg._coideal_memo.get(i)
+        if groups is None:
+            groups = alg._coideal_memo[i] = _coideal_groups(alg, x)
+        for side, side_groups in zip(("right", "left"), groups):
             if side in witnesses:
                 continue
-            for key, vec in sorted(groups.items()):
-                residue = member.reduce(vec)
+            for key, w, gid, vec in side_groups:
+                if w == zero:
+                    continue
+                mids, xs = blocks.get(w, ((), ()))
+                residue = alg._residue_memo.get((gid, mids))
+                if residue is None:
+                    block = Span()
+                    for m in xs:
+                        block.add(m)
+                    residue = alg._residue_memo[gid, mids] = block.reduce(vec)
                 if residue:
                     witnesses[side] = CoidealWitness(
                         basis_label=label,
                         group_monomial=_mono_str(key, alg.n),
-                        residue=UqElement(alg, {((), zero, w): c for w, c in residue.items()}).render(),
+                        residue=UqElement(alg, {((), zero, v): c for v, c in residue.items()}).render(),
                     )
                     break
     sides = tuple(sorted(witnesses))
     verdict = {(): "two_sided", ("right",): "left_only", ("left",): "right_only"}.get(sides, "neither")
     return CoidealReport(verdict, witnesses)
+
+
+def _coideal_groups(alg: UqAlgebra, x: dict) -> tuple:
+    """The right and the left side's groups of Delta(x) as (key, weight,
+    eword_id, vector) in sorted key order: left words by right leg, right
+    words by left leg."""
+    zero = (0,) * alg.n
+    right, left = {}, {}
+    for (l, r), c in alg.eword_coproduct(x).items():
+        right.setdefault(((), alg.word_weight(l), r), {})[l] = c
+        left.setdefault(((), zero, l), {})[r] = c
+    return tuple(
+        tuple((key, alg.word_weight(next(iter(vec))), alg.eword_id(vec), vec) for key, vec in sorted(g.items()))
+        for g in (right, left)
+    )
 
 
 # -- quadratic relations -------------------------------------------------------

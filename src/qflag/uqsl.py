@@ -58,10 +58,11 @@ from Delta(F_i) = F_i x 1 + K_i^{-1} x F_i, is a sum of w_S K^{-wt(S^c)} (x)
 w_{S^c}.  So Delta(f K^v e) = Delta(f) (K^v x K^v) Delta(e) is a sum of
 f_S K^{v - wt(f_{S^c})} e_T (x) f_{S^c} K^{v + wt(e_T)} e_{T^c}, both legs
 normal-ordered with no product taken.  A `UqAlgebra` memoises Serre normal
-forms, E-times-F straightenings, q-shuffles of U+ elements by id
-(`_shuffle_memo`), root vectors per id (`_root_memo`), small int ids of
-E-word coordinates (`_eword_ids`, see `eword_id`) and the degree-two
-relation blocks of `calculus.quadratic_relations` keyed by those ids
+forms, E-times-F straightenings, root vectors per id (`_root_memo`), small
+int ids of E-word coordinates (`_eword_ids`, see `eword_id`), and, keyed by
+those ids, the coideal groups of each U+ element's coproduct and their
+residues of `calculus.coideal_check` (`_coideal_memo`, `_residue_memo`) and
+the degree-two relation blocks of `calculus.quadratic_relations`
 (`_relation_memo`), all as plain tuples, dicts, ints and Q(q) scalars, never
 elements, which would point back at the algebra.
 """
@@ -110,8 +111,11 @@ class UqAlgebra:
         self.n = n
         self._word_nf_cache: dict[tuple, tuple] = {}
         self._straighten_cache: dict[tuple, dict] = {}
-        # eword_id of a U+ element -> its q-shuffle states (eword_coproduct)
-        self._shuffle_memo: dict[int, dict] = {}
+        # eword_id of a U+ element -> the (key, weight, id, vector) groups of
+        # each side of calculus.coideal_check
+        self._coideal_memo: dict[int, tuple] = {}
+        # (group id, ids of the tangent members of its weight) -> its residue
+        self._residue_memo: dict[tuple, dict] = {}
         # root-vector id (see root_vectors) -> normalised E-word coordinates
         self._root_memo: dict[tuple, dict] = {}
         # frozenset of E-word coordinates -> small int (eword_id)
@@ -305,15 +309,11 @@ class UqAlgebra:
 
     def eword_coproduct(self, coords: dict) -> dict:
         """Delta of a U+ element on E-word coordinates: its words'
-        `_shuffle` states summed, memoised by eword_id."""
-        key = self.eword_id(coords)
-        out = self._shuffle_memo.get(key)
-        if out is None:
-            out = {}
-            for e, c in coords.items():
-                for lr, cs in self._shuffle(e, -1).items():
-                    _acc(out, lr, c * cs)
-            self._shuffle_memo[key] = out
+        `_shuffle` states summed."""
+        out: dict = {}
+        for e, c in coords.items():
+            for lr, cs in self._shuffle(e, -1).items():
+                _acc(out, lr, c * cs)
         return out
 
 

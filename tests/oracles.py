@@ -16,6 +16,8 @@ definitions instead, each from its formula:
 * the iterated commutators E_ji and the adjoint action;
 * the counit and the product of U_q (x) U_q, with which the Hopf axioms of
   the coproduct are checked;
+* the coideal check against one global span of span(T) + C1, regrouping
+  every root vector's q-shuffle states on each call;
 * every reduced word of the longest element, by peeling right descents;
 * the right action of u[a,b] on the cotangent basis, through the pairing;
 * the functional equality test of O_q;
@@ -31,11 +33,11 @@ from functools import reduce
 from itertools import product
 from operator import mul
 
-from qflag.calculus import tangent_from_exprs
+from qflag.calculus import CoidealReport, CoidealWitness, TangentSpace, tangent_from_exprs
 from qflag.freealg import Span, _acc, annihilator
 from qflag.oq import OqElement, _normal_coords, left_act, pair
 from qflag.scalars import ONE, Q, QINV, RatQ, ZERO
-from qflag.uqsl import TensorSquare, UqAlgebra, UqElement, _cartan, qcomm
+from qflag.uqsl import TensorSquare, UqAlgebra, UqElement, _cartan, _mono_str, qcomm
 
 # -- braid operators, commutators, adjoint action -----------------------------
 
@@ -149,6 +151,47 @@ def apply_counit(t: TensorSquare, leg: int) -> UqElement:
         if counit_mono(legs[leg]):
             _acc(out, legs[1 - leg], c)
     return UqElement(t.algebra, out)
+
+
+# -- coideal check ------------------------------------------------------------
+
+
+def coideal_check(t: TangentSpace) -> CoidealReport:
+    """Decide on which sides span(T) + C1 is a coideal of the full-flag
+    dual, on the q-shuffle states (left, right) of Delta(X), right leg
+    K^{wt left} right (`UqAlgebra.eword_coproduct`).  K factors are erased
+    in the tested leg (restriction to the flag subalgebra sends K_i to the
+    counit); the other leg only groups terms."""
+    alg = t.algebra
+    zero = (0,) * alg.n
+    member = Span()
+    member.add({(): ONE})
+    for x in t.basis:
+        member.add(x.eword_coords())
+
+    witnesses: dict[str, CoidealWitness] = {}
+    for x, label in zip(t.basis, t.labels):
+        if len(witnesses) == 2:  # later witnesses would never be reported
+            break
+        right_groups, left_groups = {}, {}
+        for (left, right), c in alg.eword_coproduct(x.eword_coords()).items():
+            right_groups.setdefault(((), alg.word_weight(left), right), {})[left] = c
+            left_groups.setdefault(((), zero, left), {})[right] = c
+        for side, groups in (("right", right_groups), ("left", left_groups)):
+            if side in witnesses:
+                continue
+            for key, vec in sorted(groups.items()):
+                residue = member.reduce(vec)
+                if residue:
+                    witnesses[side] = CoidealWitness(
+                        basis_label=label,
+                        group_monomial=_mono_str(key, alg.n),
+                        residue=UqElement(alg, {((), zero, w): c for w, c in residue.items()}).render(),
+                    )
+                    break
+    sides = tuple(sorted(witnesses))
+    verdict = {(): "two_sided", ("right",): "left_only", ("left",): "right_only"}.get(sides, "neither")
+    return CoidealReport(verdict, witnesses)
 
 
 # -- reduced words ------------------------------------------------------------

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 from oracles import adjoint, build_Eji, cotangent_action, simple_root_kernel, u_words
+from oracles import coideal_check as oracle_coideal_check
 from oracles import dbar_kernel as oracle_dbar_kernel
 
 from qflag import calculus as C
@@ -85,6 +86,9 @@ def test_tangent_from_exprs_validation():
         C.tangent_from_exprs(A, [A.E(1) + A.E(2)])  # inhomogeneous
     with pytest.raises(ValueError):
         C.tangent_from_exprs(A, [A.F(1)])  # not positive part
+    for scalar in (A.one(), A.one().scale(Q)):
+        with pytest.raises(ValueError, match="weight 0"):
+            C.tangent_from_exprs(A, [A.E(1), scalar])  # outside ker eps
 
 
 def test_coideal_nice_two_sided():
@@ -174,6 +178,49 @@ def test_coideal_matches_coproduct_oracle(n):
         verdicts.add(got["verdict"])
     one_sided = {"two_sided", "left_only", "right_only"}
     assert verdicts == {2: {"two_sided"}, 3: one_sided, 4: one_sided | {"neither"}}[n]
+
+
+def _algebra_with_coproduct_memo(n):
+    """A fresh algebra whose eword_coproduct is memoised by eword_id, so
+    the oracle regroups the states of each root vector but shuffles its
+    words once."""
+    A = UqAlgebra(n)
+    memo, plain = {}, A.eword_coproduct
+
+    def coproduct(x):
+        key = A.eword_id(x)
+        if key not in memo:
+            memo[key] = plain(x)
+        return memo[key]
+
+    A.eword_coproduct = coproduct
+    return A
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_coideal_matches_global_span_oracle(n):
+    """The check against memoised per-weight blocks reports the verdict and
+    the witnesses of the check against one global span, byte for byte: on
+    every class of the rank, sharing one algebra as a survey does, on the
+    theta family, and on explicit tangents with several members of one
+    weight."""
+    A, B = UqAlgebra(n), _algebra_with_coproduct_memo(n)
+    pairs = [(C.tangent_from_word(A, rep), C.tangent_from_word(B, rep)) for rep in commutation_classes(n).reps]
+    explicit = {
+        2: lambda X: [X.E(1) * X.E(2), X.E(2) * X.E(1)],
+        3: lambda X: [X.E(1), X.E(2), X.E(3), X.E(1) * X.E(2), X.E(2) * X.E(1), X.E(2) * X.E(3)],
+    }
+    if n in explicit:
+        pairs.append(tuple(C.tangent_from_exprs(X, explicit[n](X)) for X in (A, B)))
+    if n == 2:
+        pairs += [(theta_tangent(theta), theta_tangent(theta)) for theta in (ONE, Q, QINV, Q**2, ZERO)]
+    verdicts = set()
+    for t, u in pairs:
+        got = C.coideal_check(t).as_json_dict()
+        assert got == oracle_coideal_check(u).as_json_dict(), (t.word, t.labels)
+        verdicts.add(got["verdict"])
+    one_sided = {"two_sided", "left_only", "right_only"}
+    assert verdicts == ({"two_sided", "neither"} if n == 2 else one_sided if n == 3 else one_sided | {"neither"})
 
 
 def test_relations_rank1():
@@ -1062,13 +1109,14 @@ def _holds_element(v):
 def test_algebra_is_freed_without_the_cycle_collector():
     """No memo or cache on a UqAlgebra points back at it, so dropping the
     last reference frees it at once, with the cyclic collector off.  After
-    a rank-3 survey the root-vector, id, relation-block and q-shuffle memos
-    are filled, and no element is among their keys and values."""
+    a rank-3 survey the root-vector, id, relation-block, coideal-group and
+    residue memos are filled, and no element is among their keys and
+    values."""
     gc.disable()
     try:
         A = UqAlgebra(3)
         C.survey_rows(A)
-        memos = (A._root_memo, A._eword_ids, A._relation_memo, A._shuffle_memo)
+        memos = (A._root_memo, A._eword_ids, A._relation_memo, A._coideal_memo, A._residue_memo)
         assert all(memos)
         assert not any(_holds_element(m) for m in memos)
         t = C.tangent_from_word(A, (1, 2, 1, 3, 2, 1))

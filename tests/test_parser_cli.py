@@ -138,6 +138,22 @@ def test_cli_malformed_input_messages(capsys, argv, err):
     assert (captured.out, captured.err) == ("", f"error: {err}\n")
 
 
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (["coideal", "--rank", "2", "--tangent", "1"], "tangent element 1 has weight 0"),
+        (["coideal", "--rank", "2", "--tangent", "q"], "tangent element q has weight 0"),
+        (["exterior", "--rank", "2", "--tangent", "E1; 1"], "tangent element 1 has weight 0"),
+    ],
+)
+def test_cli_refuses_a_weight_zero_tangent_element(capsys, argv, err):
+    # a tangent space lies in ker eps, and U+ in weight 0 is C1
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {err}")
+
+
 @pytest.mark.parametrize("command", ["coideal", "relations", "exterior"])
 @pytest.mark.parametrize("tangent", ["", ";", " ; ; "])
 def test_cli_refuses_an_empty_tangent_list(capsys, command, tangent):

@@ -19,7 +19,7 @@ from oracles import (
 )
 from serre_certificate import certify
 
-from qflag.calculus import tangent_from_exprs
+from qflag.calculus import coideal_check, tangent_from_exprs, tangent_from_word
 from qflag.freealg import FreeElement, TruncatedGB, _acc, complete_truncated
 from qflag.scalars import NU, ONE, Q, QINV, TWO_Q, qpow
 from qflag.uqsl import (
@@ -390,23 +390,32 @@ def test_root_vector_tie_between_least_width_pairs():
 
 
 def test_coproduct_memo_matches_fresh_algebra():
-    """eword_coproduct memoises the q-shuffle states of each U+ element
-    under its eword_id (`_shuffle_memo`): a second call is a memo hit, a
-    fresh algebra gets the same states, and `coproduct`, which keeps no
-    memo, is those states with K^{wt left} in front of the right word."""
+    """coideal_check memoises the coproduct groups of each root vector under
+    its eword_id (`_coideal_memo`) and each group's residue (`_residue_memo`):
+    a second check of every rank-3 class shuffles nothing and adds no memo
+    entry, and each report equals a cold algebra's.  `coproduct`, which
+    keeps no memo, is eword_coproduct's states with K^{wt left} in front of
+    the right word."""
     A = UqAlgebra(3)
     zero = (0,) * 3
-    vecs = {frozenset(v.terms.items()): v for w in reduced_words(3) for v in root_vectors(A, w)}
+    tangents = [tangent_from_word(A, w) for w in commutation_classes(3).reps]
+    first = [coideal_check(t) for t in tangents]
+    vecs = {frozenset(v.terms.items()): v for t in tangents for v in t.basis}
+    assert len(A._coideal_memo) == len(vecs)
+    assert all(type(k) is int and type(v) is tuple for k, v in A._coideal_memo.items())
+    memos = (dict(A._coideal_memo), dict(A._residue_memo))
+    A.eword_coproduct = None  # a memo miss would call it
+    assert [coideal_check(t) for t in tangents] == first
+    assert (A._coideal_memo, A._residue_memo) == memos
+    assert all(A._coideal_memo[k] is v for k, v in memos[0].items())
+    cold = [coideal_check(tangent_from_word(UqAlgebra(3), w)) for w in commutation_classes(3).reps]
+    assert cold == first
+    del A.eword_coproduct
     for v in vecs.values():
-        coords = v.eword_coords()
-        shared = A.eword_coproduct(coords)
-        assert A.eword_coproduct(coords) is shared
-        assert shared == UqAlgebra(3).eword_coproduct(coords)
         assert coproduct(v).terms == {
-            (((), zero, left), ((), A.word_weight(left), right)): c for (left, right), c in shared.items()
+            (((), zero, left), ((), A.word_weight(left), right)): c
+            for (left, right), c in A.eword_coproduct(v.eword_coords()).items()
         }
-    assert len(A._shuffle_memo) == len(vecs)
-    assert all(type(k) is int and type(v) is dict for k, v in A._shuffle_memo.items())
 
 
 def _coproduct_per_letter(x):
