@@ -44,18 +44,20 @@ from qflag.freealg import (
 )
 from qflag.oq import OqElement, _frt_system, _normal_coords, left_act
 from qflag.scalars import NU, ONE, RatQ, ZERO, qpow
-from qflag.uqsl import UqAlgebra, UqElement, _mono_str, _serre_system, root_vectors
+from qflag.uqsl import UqAlgebra, UqElement, _mono_str, _root_vectors, _serre_system
 from qflag.weyl import Root
 
 
 class TangentSpace(NamedTuple):
-    """Ordered basis of weight-homogeneous positive-part elements, tagged
-    with the Weyl word it came from, if any."""
+    """Ordered basis of weight-homogeneous positive-part elements, with their
+    E-word coordinates and `eword_id`s, tagged with its Weyl word, if any."""
 
     algebra: UqAlgebra
     basis: list[UqElement]
     weights: list[tuple[int, ...]]
     labels: list[str]
+    coords: list[dict]
+    ids: list[int]
     roots: list[Root] | None = None  # per-entry root when the weight is a root
     word: tuple[int, ...] | None = None
 
@@ -77,13 +79,15 @@ def tangent_from_word(algebra: UqAlgebra, word) -> TangentSpace:
     element, ordered by the word's convex order.  They are independent with
     no check: nonzero (root_vectors refuses a zero one), of distinct weights."""
     word = tuple(word)
-    basis = root_vectors(algebra, word)
+    basis, coords, ids = _root_vectors(algebra, word)
     betas = weyl.beta_sequence(word, algebra.n)
     return TangentSpace(
         algebra=algebra,
         basis=basis,
         weights=[b.weight(algebra.n) for b in betas],
         labels=[_root_label(b) for b in betas],
+        coords=coords,
+        ids=ids,
         roots=list(betas),
         word=word,
     )
@@ -104,9 +108,10 @@ def tangent_from_exprs(algebra: UqAlgebra, elems) -> TangentSpace:
         weights.append(x.weight())  # raises if inhomogeneous
         if x.terms and not any(weights[-1]):
             raise ValueError(f"tangent element {x.render()} has weight 0, so it is a scalar outside ker eps")
+    coords = [x.eword_coords() for x in basis]
     sp = Span()
-    for x in basis:
-        if not sp.add(dict(x.eword_coords())):
+    for x, c in zip(basis, coords):
+        if not sp.add(c):
             raise ValueError(f"tangent basis is linearly dependent at {x.render()}")
     n = algebra.n
     roots = [next((r for r in weyl.positive_roots(n) if r.weight(n) == w), None) for w in weights]
@@ -121,6 +126,8 @@ def tangent_from_exprs(algebra: UqAlgebra, elems) -> TangentSpace:
         basis=basis,
         weights=weights,
         labels=labels,
+        coords=coords,
+        ids=[algebra.eword_id(c) for c in coords],
         roots=list(roots) if have_roots else None,
     )
 
@@ -171,15 +178,13 @@ def coideal_check(t: TangentSpace) -> CoidealReport:
     residue under (group id, member ids of its weight) (`_residue_memo`)."""
     alg = t.algebra
     zero = (0,) * alg.n
-    coords = [x.eword_coords() for x in t.basis]
-    ids = [alg.eword_id(x) for x in coords]
     blocks: dict = {}  # weight -> (member ids, member coordinates)
-    for w, i, x in zip(t.weights, ids, coords):
+    for w, i, x in zip(t.weights, t.ids, t.coords):
         mids, xs = blocks.get(w, ((), ()))
         blocks[w] = (mids + (i,), xs + (x,))
 
     witnesses: dict[str, CoidealWitness] = {}
-    for x, i, label in zip(coords, ids, t.labels):
+    for x, i, label in zip(t.coords, t.ids, t.labels):
         if len(witnesses) == 2:  # later witnesses would never be reported
             break
         groups = alg._coideal_memo.get(i)
@@ -276,8 +281,6 @@ def quadratic_relations(t: TangentSpace) -> RelationSpace:
     classes of a survey share most blocks."""
     alg = t.algebra
     d = t.dim
-    coords = [x.eword_coords() for x in t.basis]
-    ids = [alg.eword_id(x) for x in coords]
     pair_weights: dict[tuple[int, ...], list[tuple[int, int]]] = {}
     for k in range(d):
         for l in range(d):
@@ -291,11 +294,11 @@ def quadratic_relations(t: TangentSpace) -> RelationSpace:
             by_weight[mu] = [FreeElement(qc(k, l) if k < l else {(k, k): ONE}) for k, l in pairs if k <= l]
             continue
         members = [m for m in range(d) if t.weights[m] == mu]
-        key = (tuple(ids[m] for m in members), tuple((ids[k], ids[l]) for k, l in pairs))
+        key = (tuple(t.ids[m] for m in members), tuple((t.ids[k], t.ids[l]) for k, l in pairs))
         rows = alg._relation_memo.get(key)
         if rows is None:
             rows = alg._relation_memo[key] = _relation_block(
-                alg, [coords[m] for m in members], [(coords[k], coords[l]) for k, l in pairs]
+                alg, [t.coords[m] for m in members], [(t.coords[k], t.coords[l]) for k, l in pairs]
             )
         if rows:
             by_weight[mu] = [FreeElement({pairs[p]: c for p, c in row}) for row in rows]
@@ -535,6 +538,8 @@ def grassmann_restriction(t: TangentSpace, r: int) -> tuple[TangentSpace, bool]:
         basis=[t.basis[k] for k in keep],
         weights=[t.weights[k] for k in keep],
         labels=[t.labels[k] for k in keep],
+        coords=[t.coords[k] for k in keep],
+        ids=[t.ids[k] for k in keep],
         roots=[t.roots[k] for k in keep],
         word=None,
     )

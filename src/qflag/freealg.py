@@ -13,7 +13,9 @@ extension).  Rules are named by their leads (see TruncatedGB), and a new
 lead's overlaps come from prefix and suffix indexes of the live leads.  An
 overlap abc of q-commuting letters (every pair among a, b, c a swap to the
 other order with one coefficient, or a square rewritten to zero) is
-resolvable by the diamond lemma and is dropped with no reduction.
+resolvable by the diamond lemma and is dropped with no reduction (each
+letter pair's verdict cached until the rules change).  A relation with no
+word holding a live lead is its own normal form and is installed unreduced.
 
 Exact linear algebra over Q(q) (echelon spans, annihilators, RREF) lives
 here too, since rank computations back both the dimension oracle and the
@@ -120,6 +122,8 @@ class DegLex:
         if precedence is None:
             precedence = tuple(range(size))
         self.precedence = tuple(precedence)
+        if self.precedence == tuple(range(len(self.precedence))):
+            self.key = lambda word: (len(word), word)  # each letter its own rank
 
     def key(self, word: Word):
         return (len(word), tuple(self.precedence[g] for g in word))
@@ -216,6 +220,8 @@ class FreeElement(_Sum):
         return max((len(w) for w in self.terms), default=0)
 
     def is_homogeneous(self, alphabet: Alphabet):
+        if len({tuple(sorted(w)) for w in self.terms}) <= 1:  # rearrangements of one word
+            return True
         degs = {len(w) for w in self.terms}
         wts = {alphabet.word_weight(w) for w in self.terms}
         return len(degs) <= 1 and len(wts) <= 1
@@ -258,7 +264,10 @@ class TruncatedGB:
     inversions, each swapped once.  Both sides of the overlap reach that
     multiple, so the ambiguity is resolvable (Bergman's diamond lemma,
     1978) and its generic resolution would install no rule: rules, their
-    order and counts are those of the generic completion."""
+    order and counts are those of the generic completion.  A pair's verdict
+    reads only the rules at xy and yx, so it is cached in `_pairs`, which
+    `_index` empties on every install and retirement.  `reduce` rewrites
+    only words holding a live lead, so `_orient` skips it when none does."""
 
     def __init__(self, alphabet: Alphabet, order: DegLex):
         self.alphabet = alphabet
@@ -269,14 +278,16 @@ class TruncatedGB:
         self._lengths: list[int] = []  # distinct lead lengths, ascending
         self._prefixes: dict[Word, set[Word]] = {}
         self._suffixes: dict[Word, set[Word]] = {}
+        self._pairs: dict[tuple[int, int], bool] = {}  # letters x, y -> do they carry a monomial rule
 
     def _index(self, lead: Word, live: bool):
-        """Add lead to (live) or drop it from the prefix and suffix indexes; refresh `_lengths`."""
+        """Add lead to (live) or drop it from the prefix/suffix indexes; update `_lengths`, empty `_pairs`."""
         op = set.add if live else set.discard
         for t in range(1, len(lead)):
             op(self._prefixes.setdefault(lead[:t], set()), lead)
             op(self._suffixes.setdefault(lead[-t:], set()), lead)
-        self._lengths = sorted({len(w) for w in self.rules})
+        self._lengths = sorted({*self._lengths, len(lead)} if live else {len(w) for w in self.rules})
+        self._pairs.clear()
 
     # -- reduction -----------------------------------------------------------
 
@@ -321,13 +332,17 @@ class TruncatedGB:
 
     def _orient(self, elem: FreeElement) -> Word | None:
         """Reduce elem and install it as the rule lead -> tail; its lead
-        (None if elem reduces to zero).  No overlap is queued."""
-        elem = self.reduce(elem)
+        (None if elem reduces to zero).  No overlap is queued.  An unreduced
+        elem is read in reverse, as reduce lists it, so the tail is the same."""
+        if any(map(self._find_redex, elem.terms)):
+            elem = self.reduce(elem)
+        else:
+            elem = elem._like(dict(reversed(elem.terms.items())))
         if not elem:
             return None
         lead = elem.lead(self.order)
         lc = elem.terms[lead]
-        tail = {w: -(c / lc) for w, c in elem.terms.items() if w != lead}
+        tail = {w: -(c if lc == ONE else c / lc) for w, c in elem.terms.items() if w != lead}
         # a unit coefficient is the shared ONE, whose products reduce skips
         self.rules[lead] = elem._like({w: ONE if c == ONE else c for w, c in tail.items()})
         self._index(lead, True)
@@ -376,11 +391,14 @@ class TruncatedGB:
         the live rules, so it resolves with no reduction (class docstring)."""
         if len(word) != 3:
             return False
-        rules = self.rules
+        rules, pairs = self.rules, self._pairs
         for x, y in ((word[0], word[1]), (word[1], word[2]), (word[0], word[2])):
-            lead, other = ((x, y), (y, x)) if (x, y) in rules else ((y, x), (x, y))
-            tail = rules.get(lead)  # a square's is empty, a swap's the other order alone
-            if tail is None or list(tail.terms) != ([] if x == y else [other]) or (x != y and other in rules):
+            if (ok := pairs.get((x, y))) is None:
+                lead, other = ((x, y), (y, x)) if (x, y) in rules else ((y, x), (x, y))
+                tail = rules.get(lead)  # a square's is empty, a swap's the other order alone
+                ok = pairs[x, y] = pairs[y, x] = tail is not None and (
+                    not tail if x == y else list(tail.terms) == [other] and other not in rules)
+            if not ok:
                 return False
         return True
 

@@ -43,12 +43,11 @@ nonzero multiple of X_k (Leclerc, Dual canonical bases, quantum shuffles
 and q-characters, 2004; McNamara, KLR algebras of finite type, 2015).  The
 pair of least width b - a (ties to the smaller a) is minimal, since a nested
 pair would be narrower.  X_k is a function of X_a and X_b alone, so a
-root vector's id is its letter i for beta_k = alpha_i, else the pair
-(id_a, id_b), and a `UqAlgebra` memoises X_k's coordinates under that id
-(`_root_memo`): words sharing a sub-pattern share its root vectors.  The
-anti-automorphism sigma of U+ fixing each E_i (the Serre relations are
-palindromic) maps X_k onto a nonzero multiple of X'_{N+1-k}, the root vector
-of the mirror word (i_N*, ..., i_1*), i* = n+1-i (proof in
+`UqAlgebra` memoises X_k's coordinates and `eword_id` under the eword_ids
+of X_a and X_b (`_root_memo`): words sharing a sub-pattern share its root
+vectors.  The anti-automorphism sigma of U+ fixing each E_i (the Serre
+relations are palindromic) maps X_k onto a nonzero multiple of X'_{N+1-k},
+the root vector of the mirror word (i_N*, ..., i_1*), i* = n+1-i (proof in
 `calculus.survey_rows`).
 
 The coproduct of an E-word is the q-shuffle expansion of the product of its
@@ -116,8 +115,8 @@ class UqAlgebra:
         self._coideal_memo: dict[int, tuple] = {}
         # (group id, ids of the tangent members of its weight) -> its residue
         self._residue_memo: dict[tuple, dict] = {}
-        # root-vector id (see root_vectors) -> normalised E-word coordinates
-        self._root_memo: dict[tuple, dict] = {}
+        # eword_ids of a minimal pair -> (its root vector's coordinates, their eword_id)
+        self._root_memo: dict[tuple, tuple] = {}
         # frozenset of E-word coordinates -> small int (eword_id)
         self._eword_ids: dict[frozenset, int] = {}
         # (member ids, ordered pair ids) of one weight block of
@@ -441,26 +440,34 @@ def root_vectors(algebra: UqAlgebra, word) -> list[UqElement]:
     """Normalized Lusztig root vectors for a reduced word of the longest
     element, each non-simple one from its least-width minimal pair; entry k
     is weight-homogeneous of weight beta_k."""
+    return _root_vectors(algebra, word)[0]
+
+
+def _root_vectors(algebra: UqAlgebra, word) -> tuple[list[UqElement], list[dict], list[int]]:
+    """root_vectors(algebra, word), their E-word coordinates and their
+    eword_ids; the last two are memoised in `_root_memo`."""
     word = tuple(word)
     betas = weyl.beta_sequence(word, algebra.n)  # validates the word
     pos = {b: k for k, b in enumerate(betas)}
     coords: list = [None] * len(betas)
-    ids: list = [None] * len(betas)  # letter i, or (id_a, id_b) of the minimal pair
+    ids: list = [None] * len(betas)  # eword_ids
     for k in sorted(range(len(betas)), key=lambda k: betas[k].j - betas[k].i):
         i, j = betas[k]
         if j == i + 1:
-            ids[k], coords[k] = i, {(i,): ONE}
+            coords[k] = {(i,): ONE}
+            ids[k] = algebra.eword_id(coords[k])
             continue
         pairs = (sorted((pos[weyl.Root(i, m)], pos[weyl.Root(m, j)])) for m in range(i + 1, j))
         a, b = min(pairs, key=lambda p: (p[1] - p[0], p[0]))
-        ids[k] = key = (ids[a], ids[b])
-        x = algebra._root_memo.get(key)
-        if x is None:
+        key = (ids[a], ids[b])
+        hit = algebra._root_memo.get(key)
+        if hit is None:
             x = algebra.eword_qcomm(coords[a], coords[b], QINV)
             if not x:
                 raise AssertionError(f"root vector {k + 1} of {word}: its minimal-pair commutator is zero")
             lc = x[max(x)]  # every word has length ht(beta_k), so this is deg-lex leading
-            x = algebra._root_memo[key] = {w: c / lc for w, c in x.items()}
-        coords[k] = x
+            x = {w: c / lc for w, c in x.items()}
+            hit = algebra._root_memo[key] = (x, algebra.eword_id(x))
+        coords[k], ids[k] = hit
     zero = (0,) * algebra.n
-    return [UqElement(algebra, {((), zero, w): c for w, c in x.items()}) for x in coords]
+    return [UqElement(algebra, {((), zero, w): c for w, c in x.items()}) for x in coords], coords, ids

@@ -18,6 +18,10 @@ definitions instead, each from its formula:
   the coproduct are checked;
 * the coideal check against one global span of span(T) + C1, regrouping
   every root vector's q-shuffle states on each call;
+* the generic completion, whose bookkeeping re-derives each fixed fact:
+  every install is reduced, leads are found by their precedence tuples,
+  the lead lengths are recomputed and each overlap re-reads its letter
+  pairs' rules;
 * every reduced word of the longest element, by peeling right descents;
 * the right action of u[a,b] on the cotangent basis, through the pairing;
 * the functional equality test of O_q;
@@ -34,7 +38,7 @@ from itertools import product
 from operator import mul
 
 from qflag.calculus import CoidealReport, CoidealWitness, TangentSpace, tangent_from_exprs
-from qflag.freealg import Span, _acc, annihilator
+from qflag.freealg import Span, TruncatedGB, _acc, annihilator
 from qflag.oq import OqElement, _normal_coords, left_act, pair
 from qflag.scalars import ONE, Q, QINV, RatQ, ZERO
 from qflag.uqsl import TensorSquare, UqAlgebra, UqElement, _cartan, _mono_str, qcomm
@@ -192,6 +196,47 @@ def coideal_check(t: TangentSpace) -> CoidealReport:
     sides = tuple(sorted(witnesses))
     verdict = {(): "two_sided", ("right",): "left_only", ("left",): "right_only"}.get(sides, "neither")
     return CoidealReport(verdict, witnesses)
+
+
+# -- generic completion ---------------------------------------------------------
+
+
+class GenericGB(TruncatedGB):
+    """TruncatedGB with the bookkeeping that reads the rules afresh each
+    time: `_orient` reduces every element and divides by any lead
+    coefficient, the lead is the word with the largest (length, precedence
+    tuple), `_index` recomputes the lead lengths, and `_commuting_overlap`
+    looks up the three letter pairs' rules on every call."""
+
+    def _index(self, lead, live):
+        op = set.add if live else set.discard
+        for t in range(1, len(lead)):
+            op(self._prefixes.setdefault(lead[:t], set()), lead)
+            op(self._suffixes.setdefault(lead[-t:], set()), lead)
+        self._lengths = sorted({len(w) for w in self.rules})
+
+    def _orient(self, elem):
+        elem = self.reduce(elem)
+        if not elem:
+            return None
+        prec = self.order.precedence
+        lead = max(elem.terms, key=lambda w: (len(w), tuple(prec[g] for g in w)))
+        lc = elem.terms[lead]
+        tail = {w: -(c / lc) for w, c in elem.terms.items() if w != lead}
+        self.rules[lead] = elem._like({w: ONE if c == ONE else c for w, c in tail.items()})
+        self._index(lead, True)
+        return lead
+
+    def _commuting_overlap(self, word):
+        if len(word) != 3:
+            return False
+        rules = self.rules
+        for x, y in ((word[0], word[1]), (word[1], word[2]), (word[0], word[2])):
+            lead, other = ((x, y), (y, x)) if (x, y) in rules else ((y, x), (x, y))
+            tail = rules.get(lead)
+            if tail is None or list(tail.terms) != ([] if x == y else [other]) or (x != y and other in rules):
+                return False
+        return True
 
 
 # -- reduced words ------------------------------------------------------------

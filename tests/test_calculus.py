@@ -489,6 +489,20 @@ def test_expression_tangents_take_the_product_path():
         assert len(A._relation_memo) == len(_pair_blocks(t))
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_tangent_spaces_carry_their_eword_ids(n):
+    """The E-word coordinates and ids a tangent space carries are those its
+    members give afresh, for every class's word, a --tangent space (one
+    member a q-commutator no word has) and a Grassmann space."""
+    A = UqAlgebra(n)
+    spaces = [C.tangent_from_word(A, w) for w in commutation_classes(n).reps]
+    spaces.append(C.tangent_from_exprs(A, [A.E(1), A.E(2), qcomm(A.E(2), A.E(1), Q)]))
+    spaces.append(C.grassmann_restriction(C.tangent_from_word(A, nice_word(n)), (n + 1) // 2)[0])
+    for t in spaces:
+        assert t.coords == [x.eword_coords() for x in t.basis], t.word
+        assert t.ids == [A.eword_id(x.eword_coords()) for x in t.basis], t.word
+
+
 def test_sl4_nested_relation_present():
     t = nice_tangent(3)
     rel = C.quadratic_relations(t)
@@ -1229,7 +1243,7 @@ def test_sigma_maps_root_vectors_to_the_mirror_word(n):
             images.append({w: c / lc for w, c in sx.items()})
         assert images[::-1] == [x.eword_coords() for x in root_vectors(A, mirror_word(rep, n))], rep
     assert A._root_memo
-    for x in A._root_memo.values():
+    for x, _id in A._root_memo.values():
         flipped = {}
         for (left, right), c in A.eword_coproduct(x).items():
             for l2, cl in A.word_nf(right[::-1]):

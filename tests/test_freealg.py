@@ -6,9 +6,10 @@ from collections import Counter
 from itertools import product
 
 import pytest
-from oracles import from_pairs
+from oracles import GenericGB, from_pairs
 
 from qflag import calculus as C
+from qflag import oq, uqsl
 from qflag.freealg import (
     Alphabet,
     DegLex,
@@ -367,6 +368,113 @@ def test_commuting_overlap_guard():
     for gb, word in refused:
         assert any(w == word for _deg, _la, _lb, w in gb._pending), word
         assert not gb._commuting_overlap(word) and _overlap_residue(gb, word), word
+
+
+def _assert_same_system(gb, generic, case):
+    """Same leads, tails (term order included) and rule order, same
+    valid_degree and settled."""
+    rules = lambda s: [(lead, list(tail.terms.items())) for lead, tail in s.rules.items()]
+    assert rules(gb) == rules(generic), case
+    assert (gb.valid_degree, gb.settled) == (generic.valid_degree, generic.settled), case
+
+
+def _complete_both(rels, order, alphabet, kmax, case):
+    """Complete rels as exterior_dims does, degree by degree to kmax, in the
+    library's system and in the generic one, comparing them and their
+    normal counts at each degree; the library's system."""
+    gb, generic = complete_truncated(rels, order, 0, alphabet), GenericGB(alphabet, order)
+    for r in rels:
+        generic._insert(r)
+    for k in range(kmax + 1):
+        gb.extend_to(k)
+        generic.extend_to(k)
+        _assert_same_system(gb, generic, case)
+        top = kmax if gb.settled else k
+        assert gb.normal_counts(top) == generic.normal_counts(top), case
+        if gb.settled:
+            break
+    return gb
+
+
+def survey_exteriors_match_generic(n: int) -> int:
+    """Complete the exterior of every rank-n class with a coideal verdict
+    other than neither, under the relation order and its reverse, in both
+    systems (`_complete_both`); the number of classes.  CI runs it at rank 5:
+
+        PYTHONPATH=src:tests python3 -c 'import test_freealg; test_freealg.survey_exteriors_match_generic(5)'
+    """
+    A, cases = UqAlgebra(n), 0
+    for rep in commutation_classes(n).reps:
+        t = C.tangent_from_word(A, rep)
+        if C.coideal_check(t).verdict == "neither":
+            continue
+        rel = C.quadratic_relations(t)
+        for order in (rel.order, rel.order.reversed()):
+            _complete_both(rel.all_relations(), order, rel.alphabet, t.dim + 1, (rep, order.precedence))
+        cases += 1
+    return cases
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_survey_completions_match_generic_bookkeeping(n):
+    """Installing without a reduce when no word holds a live lead, the
+    cached letter-pair verdicts, the incremental lead lengths, the unit
+    lead coefficient and the plain deg-lex key leave every survey exterior's
+    completion as the generic bookkeeping (tests/oracles.py) builds it."""
+    assert survey_exteriors_match_generic(n) == {2: 2, 3: 8, 4: 26}[n]
+
+
+def test_non_quadratic_completions_match_generic_bookkeeping():
+    """The rank-4 classes without a coideal whose completions grow longer
+    leads (22 of them, settling at degree 7, 8 or 9), completed to degree 9."""
+    A, cases = UqAlgebra(4), 0
+    for rep in commutation_classes(4).reps:
+        t = C.tangent_from_word(A, rep)
+        if C.coideal_check(t).verdict == "neither":
+            rel = C.quadratic_relations(t)
+            gb = _complete_both(rel.all_relations(), rel.order, rel.alphabet, 9, rep)
+            cases += max(map(len, gb.rules)) > 2
+    assert cases == 22
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_installed_systems_match_generic_bookkeeping(n, monkeypatch):
+    """The FRT system (ranks 1-4) and U+'s Serre system (ranks 1-5), each
+    installed rule by rule through _orient, are the systems the generic
+    bookkeeping installs."""
+    systems = [(uqsl, uqsl._serre_system)] + ([(oq, oq._frt_system)] if n <= 4 else [])
+    for module, build in systems:
+        gb = build(n)
+        monkeypatch.setattr(module, "TruncatedGB", GenericGB)
+        generic = build.__wrapped__(n)
+        monkeypatch.undo()
+        assert type(generic) is GenericGB
+        _assert_same_system(gb, generic, (build.__name__, n))
+
+
+def test_commuting_pair_cache_follows_rule_changes():
+    """The letter-pair verdicts cached by _commuting_overlap are dropped
+    whenever a rule is installed or retired: a pair with no rule turns
+    true once a swap is installed; a swap turns false once its reversed
+    word becomes a lead (an install that needs a reduce); a swap turns
+    false once a shorter lead inside it retires it.  _insert installs
+    before it retires, so the last case retires the rule by hand, as
+    _insert does."""
+    gb = _three_letter_gb({(2, 2): ONE}, {(2, 1): ONE, (1, 2): -Q})
+    assert not gb._commuting_overlap((2, 2, 0)) and gb._pairs[0, 2] is False
+    gb._insert(FreeElement({(2, 0): ONE, (0, 2): -QINV}))
+    assert gb._commuting_overlap((2, 2, 0))
+
+    gb._insert(FreeElement({(1, 0): ONE, (0, 1): -Q}))
+    assert gb._commuting_overlap((2, 1, 0)) and gb._pairs[0, 1] is True
+    gb._insert(FreeElement({(0, 1): ONE, (1, 0): -ONE}))  # reduces to (1 - q) x0x1
+    assert (0, 1) in gb.rules and not gb.rules[0, 1]
+    assert not gb._commuting_overlap((2, 1, 0))
+
+    assert gb._commuting_overlap((2, 2, 1)) and gb._pairs[1, 2] is True
+    tail = gb.rules.pop((2, 1))
+    gb._index((2, 1), False)
+    assert tail and not gb._commuting_overlap((2, 2, 1))
 
 
 def test_span_nullspace_annihilator():
