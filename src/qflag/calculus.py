@@ -439,28 +439,51 @@ class FrobeniusReport(NamedTuple):
         }
 
 
-_FROBENIUS_MAX_PRODUCTS = 200_000  # sum_k dims[k] dims[top - k]; rank 4 has C(20, 10)
+_FROBENIUS_MAX_PRODUCTS = 200_000  # weight-matched products u v; rank 4 has 2,794, rank 5 385,376
 
 
 def frobenius_report(t: TangentSpace) -> FrobeniusReport:
+    """Top degree and dimension of the exterior algebra and, when the top
+    dimension is one, the multiplication pairing of each complementary
+    degree pair and the Nakayama sign of each generator.
+
+    A pairing entry is reduced only for a product u v of the top word's
+    weight: the relations are weight-homogeneous (`complete_truncated`
+    refuses others), so `reduce` keeps a product's weight, and the one
+    normal word of degree top is `topword`, so a product of any other
+    weight reduces to 0.  The cap counts those weight-matched products
+    from the number of normal words of each degree and weight, before
+    any word is formed."""
     d = t.dim
     rel = quadratic_relations(t)
     # one completion to d + 1 serves the pairing: no word of length <= top meets a longer lead
     gb = complete_truncated(rel.all_relations(), rel.order, d + 1, rel.alphabet)
     dims = gb.normal_counts(d + 1)
-    nonzero = [k for k, x in enumerate(dims) if x]
     if dims[-1] != 0:
         return FrobeniusReport(len(dims) - 1, dims[-1], {}, {}, note="dimensions do not vanish")
-    top = max(nonzero)
-    products = sum(dims[k] * dims[top - k] for k in range(top + 1))
+    top = max(k for k, x in enumerate(dims) if x)
+    report = FrobeniusReport(top, dims[top], {}, {})
+    if dims[top] != 1:
+        return report._replace(note="top dimension is not one; Nakayama data skipped")
+    counts = gb.weight_counts(top)
+    (top_weight,) = counts[top]
+
+    def complement(mu):
+        return tuple(a - b for a, b in zip(top_weight, mu))
+
+    products = sum(
+        c * counts[top - k].get(complement(mu), 0) for k in range(top + 1) for mu, c in counts[k].items()
+    )
     if products > _FROBENIUS_MAX_PRODUCTS:
         raise ValueError(
             f"frobenius pairing would reduce {products} products (at most {_FROBENIUS_MAX_PRODUCTS})"
         )
-    report = FrobeniusReport(top, dims[top], {}, {})
-    if dims[top] != 1:
-        return report._replace(note="top dimension is not one; Nakayama data skipped")
-    topword = gb.normal_words(top)[0]
+    # the normal words of degrees 0..top, each extending a normal word of the degree below
+    words = [[()]]
+    for _ in range(top):
+        words.append([c for w in words[-1] for c in gb._extensions(w)])
+    (topword,) = words[top]
+    weight = rel.alphabet.word_weight
 
     def top_coeff(elem: FreeElement) -> RatQ:
         out = gb.reduce(elem)
@@ -471,20 +494,17 @@ def frobenius_report(t: TangentSpace) -> FrobeniusReport:
 
     # pairing nondegeneracy per complementary degree pair
     for k in range(top + 1):
-        rows_k = gb.normal_words(k)
-        rows_c = gb.normal_words(top - k)
+        rows_k, rows_c = words[k], words[top - k]
         if len(rows_k) != len(rows_c):
             report.pairing_nondegenerate[k] = False
             continue
-        mat = []
-        for u in rows_k:
-            mat.append(
-                {
-                    v: c
-                    for v in rows_c
-                    if (c := top_coeff(FreeElement.monomial(u + v)))
-                }
-            )
+        cols = {}
+        for v in rows_c:
+            cols.setdefault(weight(v), []).append(v)
+        mat = [
+            {v: c for v in cols.get(complement(weight(u)), ()) if (c := top_coeff(FreeElement.monomial(u + v)))}
+            for u in rows_k
+        ]
         report.pairing_nondegenerate[k] = rank(mat) == len(rows_k)
     # Nakayama sign on each generator
     for g in range(d):

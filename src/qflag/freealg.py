@@ -447,6 +447,29 @@ class TruncatedGB:
             out.append(sum(states.values()))
         return out
 
+    def weight_counts(self, k: int) -> list[dict[tuple[int, ...], int]]:
+        """Number of normal words of each weight in each degree 0..k, by the
+        DP of `normal_counts` with the weight carried in the state."""
+        self._check_degree(k)
+        m = max(self._lengths, default=1)
+        wts = self.alphabet.weights
+        zero = self.alphabet.word_weight(())
+        states, out, succ = {((), zero): 1}, [{zero: 1}], {}
+        for _ in range(k):
+            nxt: dict[tuple[Word, tuple[int, ...]], int] = {}
+            for (s, mu), c in states.items():
+                if (ts := succ.get(s)) is None:
+                    ts = succ[s] = [(cand[1:] if len(cand) == m else cand, wts[cand[-1]])
+                                    for cand in self._extensions(s)]
+                for t, w in ts:
+                    key = (t, tuple(a + b for a, b in zip(mu, w)))
+                    nxt[key] = nxt.get(key, 0) + c
+            states, by_weight = nxt, {}
+            for (_, mu), c in states.items():
+                by_weight[mu] = by_weight.get(mu, 0) + c
+            out.append(by_weight)
+        return out
+
 
 def complete_truncated(
     relations: list[FreeElement], order: DegLex, dmax: int, alphabet: Alphabet

@@ -22,6 +22,8 @@ definitions instead, each from its formula:
   every install is reduced, leads are found by their precedence tuples,
   the lead lengths are recomputed and each overlap re-reads its letter
   pairs' rules;
+* the Frobenius pairing with every product of complementary-degree normal
+  words reduced;
 * every reduced word of the longest element, by peeling right descents;
 * the right action of u[a,b] on the cotangent basis, through the pairing;
 * the functional equality test of O_q;
@@ -37,8 +39,16 @@ from functools import reduce
 from itertools import product
 from operator import mul
 
-from qflag.calculus import CoidealReport, CoidealWitness, TangentSpace, tangent_from_exprs
-from qflag.freealg import Span, TruncatedGB, _acc, annihilator
+from qflag.calculus import (
+    _FROBENIUS_MAX_PRODUCTS,
+    CoidealReport,
+    CoidealWitness,
+    FrobeniusReport,
+    TangentSpace,
+    quadratic_relations,
+    tangent_from_exprs,
+)
+from qflag.freealg import FreeElement, Span, TruncatedGB, _acc, annihilator, complete_truncated, rank
 from qflag.oq import OqElement, _normal_coords, left_act, pair
 from qflag.scalars import ONE, Q, QINV, RatQ, ZERO
 from qflag.uqsl import TensorSquare, UqAlgebra, UqElement, _cartan, _mono_str, qcomm
@@ -237,6 +247,69 @@ class GenericGB(TruncatedGB):
             if tail is None or list(tail.terms) != ([] if x == y else [other]) or (x != y and other in rules):
                 return False
         return True
+
+
+# -- Frobenius pairing -------------------------------------------------------------
+
+
+def frobenius_report(t: TangentSpace) -> FrobeniusReport:
+    """The Frobenius/Nakayama report with every product u v of
+    complementary-degree normal words reduced, each degree's normal words
+    enumerated afresh; its cap counts all those products."""
+    d = t.dim
+    rel = quadratic_relations(t)
+    # one completion to d + 1 serves the pairing: no word of length <= top meets a longer lead
+    gb = complete_truncated(rel.all_relations(), rel.order, d + 1, rel.alphabet)
+    dims = gb.normal_counts(d + 1)
+    nonzero = [k for k, x in enumerate(dims) if x]
+    if dims[-1] != 0:
+        return FrobeniusReport(len(dims) - 1, dims[-1], {}, {}, note="dimensions do not vanish")
+    top = max(nonzero)
+    products = sum(dims[k] * dims[top - k] for k in range(top + 1))
+    if products > _FROBENIUS_MAX_PRODUCTS:
+        raise ValueError(
+            f"frobenius pairing would reduce {products} products (at most {_FROBENIUS_MAX_PRODUCTS})"
+        )
+    report = FrobeniusReport(top, dims[top], {}, {})
+    if dims[top] != 1:
+        return report._replace(note="top dimension is not one; Nakayama data skipped")
+    topword = gb.normal_words(top)[0]
+
+    def top_coeff(elem: FreeElement) -> RatQ:
+        out = gb.reduce(elem)
+        if not out:
+            return ZERO
+        assert set(out.terms) == {topword}
+        return out.terms[topword]
+
+    # pairing nondegeneracy per complementary degree pair
+    for k in range(top + 1):
+        rows_k = gb.normal_words(k)
+        rows_c = gb.normal_words(top - k)
+        if len(rows_k) != len(rows_c):
+            report.pairing_nondegenerate[k] = False
+            continue
+        mat = []
+        for u in rows_k:
+            mat.append(
+                {
+                    v: c
+                    for v in rows_c
+                    if (c := top_coeff(FreeElement.monomial(u + v)))
+                }
+            )
+        report.pairing_nondegenerate[k] = rank(mat) == len(rows_k)
+    # Nakayama sign on each generator
+    for g in range(d):
+        others = tuple(x for x in range(d) if x != g)
+        c1 = top_coeff(FreeElement.monomial((g,) + others))
+        c2 = top_coeff(FreeElement.monomial(others + (g,)))
+        if not c1 or not c2:
+            report = report._replace(note="generator pairs trivially with its complement")
+            continue
+        ratio = c1 / c2
+        report.nakayama_sign[t.labels[g]] = 1 if ratio == ONE else (-1 if ratio == -ONE else 0)
+    return report
 
 
 # -- reduced words ------------------------------------------------------------

@@ -10,6 +10,7 @@ from itertools import combinations_with_replacement, product
 from math import comb
 from pathlib import Path
 
+import oracles
 import pytest
 from oracles import adjoint, build_Eji, cotangent_action, simple_root_kernel, u_words
 from oracles import coideal_check as oracle_coideal_check
@@ -98,19 +99,21 @@ def test_coideal_nice_two_sided():
         assert not rep.witnesses
 
 
+RANK3_VERDICTS = {
+    (3, 2, 1, 3, 2, 3): "two_sided",
+    (1, 2, 3, 1, 2, 1): "two_sided",
+    (3, 2, 1, 2, 3, 2): "left_only",
+    (1, 2, 3, 2, 1, 2): "left_only",
+    (2, 3, 1, 2, 1, 3): "left_only",
+    (2, 3, 2, 1, 2, 3): "right_only",
+    (2, 1, 2, 3, 2, 1): "right_only",
+    (3, 1, 2, 1, 3, 2): "right_only",
+}
+
+
 def test_coideal_all_rank3_verdicts():
     A = UqAlgebra(3)
-    expected = {
-        (3, 2, 1, 3, 2, 3): "two_sided",
-        (1, 2, 3, 1, 2, 1): "two_sided",
-        (3, 2, 1, 2, 3, 2): "left_only",
-        (1, 2, 3, 2, 1, 2): "left_only",
-        (2, 3, 1, 2, 1, 3): "left_only",
-        (2, 3, 2, 1, 2, 3): "right_only",
-        (2, 1, 2, 3, 2, 1): "right_only",
-        (3, 1, 2, 1, 3, 2): "right_only",
-    }
-    for w, v in expected.items():
+    for w, v in RANK3_VERDICTS.items():
         rep = C.coideal_check(C.tangent_from_word(A, w))
         assert rep.verdict == v, (w, rep.verdict)
         if v != "two_sided":
@@ -839,6 +842,69 @@ def test_frobenius_reports():
     assert set(r3.nakayama_sign.values()) == {-1}
     r1 = C.frobenius_report(nice_tangent(1))
     assert r1.top_degree == 1 and set(r1.nakayama_sign.values()) == {1}
+
+
+def _frobenius_cases():
+    """Nice words at ranks 1-3, the six one-sided rank-3 classes (all reach
+    the pairing), and --tangent spaces: two generators of equal weight
+    (with and without a third), a degenerate pairing, a top dimension of
+    two and dimensions that do not vanish."""
+    cases = [nice_tangent(n) for n in (1, 2, 3)]
+    A3 = UqAlgebra(3)
+    cases += [C.tangent_from_word(A3, w) for w, v in RANK3_VERDICTS.items() if v != "two_sided"]
+    A = UqAlgebra(2)
+    E1, E2 = A.E(1), A.E(2)
+    for exprs in ([E1 * E2, E2 * E1], [E1 * E2, E2 * E1, E1], [E1, E2, E1 * E2], [E1, E2], [E1, E1 * E1]):
+        cases.append(C.tangent_from_exprs(A, exprs))
+    return cases
+
+
+def _report_and_pairings(module, frobenius_report, t):
+    """The report and the matrices it hands to `rank`, one per degree pair."""
+    mats, real = [], module.rank
+    module.rank = lambda rows: mats.append(rows) or real(rows)
+    try:
+        return frobenius_report(t), mats
+    finally:
+        module.rank = real
+
+
+def test_frobenius_matches_the_all_pairs_pairing():
+    notes = set()
+    for t in _frobenius_cases():
+        got, got_mats = _report_and_pairings(C, C.frobenius_report, t)
+        want, want_mats = _report_and_pairings(oracles, oracles.frobenius_report, t)
+        assert got == want
+        assert got_mats == want_mats  # row by row, entry by entry
+        notes.add(got.note)
+    assert notes == {
+        None,
+        "dimensions do not vanish",
+        "top dimension is not one; Nakayama data skipped",
+        "generator pairs trivially with its complement",
+    }
+
+
+@pytest.mark.parametrize("n,products", [(1, 2), (2, 8), (3, 80), (4, 2794)])
+def test_frobenius_cap_counts_the_products_it_reduces(n, products, monkeypatch):
+    t = nice_tangent(n)
+    monkeypatch.setattr(C, "_FROBENIUS_MAX_PRODUCTS", products - 1)
+    with pytest.raises(ValueError, match=f"would reduce {products} products "):
+        C.frobenius_report(t)
+    monkeypatch.setattr(C, "_FROBENIUS_MAX_PRODUCTS", products)
+    complete, reduced = C.complete_truncated, []
+
+    def counted(*args):
+        gb = complete(*args)
+        real = gb.reduce
+        gb.reduce = lambda elem: reduced.append(elem) or real(elem)
+        return gb
+
+    monkeypatch.setattr(C, "complete_truncated", counted)
+    report = C.frobenius_report(t)
+    # every degree pair is square, so the pairing reduces every counted product; Nakayama two per generator
+    assert all(report.pairing_nondegenerate.values())
+    assert len(reduced) == products + 2 * t.dim
 
 
 def test_line_decomposition_rank2():

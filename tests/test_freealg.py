@@ -81,9 +81,35 @@ def test_normal_counts_on_serre_systems():
             assert gb.normal_words(k) == oracle
     truncated = complete_truncated(rels, DegLex(size=2), 3, alph)
     assert not truncated.settled and truncated.normal_counts(3) == [1, 2, 4, 6]
-    for query in (truncated.normal_counts, truncated.normal_words):
+    for query in (truncated.normal_counts, truncated.normal_words, truncated.weight_counts):
         with pytest.raises(ValueError):
             query(4)
+
+
+def _exterior_gb(t):
+    rel = C.quadratic_relations(t)
+    return complete_truncated(rel.all_relations(), rel.order, t.dim + 1, rel.alphabet)
+
+
+def test_weight_counts_group_the_normal_words():
+    """Per degree, the weight counts are the normal words grouped by weight:
+    on Serre and FRT systems (leads of lengths 2-5) and on exterior
+    algebras, one of them spanned by two generators of equal weight."""
+    alph, rels = _serre_sl3()
+    A2 = UqAlgebra(2)
+    systems = [
+        (complete_truncated(rels, DegLex(size=2), 8, alph), 7),
+        (_serre_system(3), 7),
+        (oq._frt_system(2), 5),
+        (_exterior_gb(C.tangent_from_exprs(A2, [A2.E(1) * A2.E(2), A2.E(2) * A2.E(1), A2.E(1)])), 4),
+    ]
+    systems += [(_exterior_gb(C.tangent_from_word(UqAlgebra(n), nice_word(n))), n * (n + 1) // 2 + 1)
+                for n in (1, 2, 3)]
+    for gb, kmax in systems:
+        weight = gb.alphabet.word_weight
+        assert gb.weight_counts(kmax) == [
+            dict(Counter(weight(w) for w in gb.normal_words(k))) for k in range(kmax + 1)
+        ]
 
 
 def test_serre_reduce_single_step():

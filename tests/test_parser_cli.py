@@ -370,23 +370,25 @@ def test_cli_exterior_caps_kmax(capsys):
 
 
 def test_cli_frobenius_refuses_rank_5(capsys):
-    # the dims C(15, k) are counted first; the pairing would reduce C(30, 15) products
+    # the normal words are counted by degree and weight; the pairing would reduce the
+    # 385,376 products of the top word's weight (of C(30, 15) in all)
     assert run(["frobenius", "--rank", "5"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "frobenius pairing would reduce 155117520 products (at most 200000)" in captured.err
+    assert "frobenius pairing would reduce 385376 products (at most 200000)" in captured.err
 
 
 def test_cli_frobenius_pairing_cap_boundary(capsys, monkeypatch):
-    # rank 2 has dims 1 3 3 1, so its pairing reduces 1 + 9 + 9 + 1 = 20 products
-    monkeypatch.setattr(calculus, "_FROBENIUS_MAX_PRODUCTS", 20)
+    # rank 2 has dims 1 3 3 1 and distinct weights in each degree, so each normal word
+    # meets one of the complementary weight: the pairing reduces 1 + 3 + 3 + 1 = 8 products
+    monkeypatch.setattr(calculus, "_FROBENIUS_MAX_PRODUCTS", 8)
     code, out = _out(capsys, ["frobenius", "--rank", "2"])
     assert code == 0 and out.startswith("top degree: 3  top dimension: 1\n")
-    monkeypatch.setattr(calculus, "_FROBENIUS_MAX_PRODUCTS", 19)
+    monkeypatch.setattr(calculus, "_FROBENIUS_MAX_PRODUCTS", 7)
     assert run(["frobenius", "--rank", "2"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "frobenius pairing would reduce 20 products (at most 19)" in captured.err
+    assert "frobenius pairing would reduce 8 products (at most 7)" in captured.err
 
 
 def test_cli_classes_refuses_rank_6(capsys):
