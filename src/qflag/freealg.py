@@ -41,12 +41,13 @@ Word = tuple  # tuple[int, ...]
 
 
 def _acc(d: dict, key, c: RatQ):
-    """d[key] += c, keeping only nonzero coefficients."""
-    if not c:
+    """d[key] += c, keeping only nonzero coefficients.  c is a RatQ at every
+    call site, so a zero is an empty numerator tuple."""
+    if not c.num:
         return
     s = d.get(key)
     s = c if s is None else s + c
-    if s:
+    if s.num:
         d[key] = s
     else:
         del d[key]
@@ -292,12 +293,13 @@ class TruncatedGB:
     # -- reduction -----------------------------------------------------------
 
     def _find_redex(self, word: Word):
-        """Return (pos, lead) of the first lead found in a window of word, or None."""
-        rules, n = self.rules, len(word)
+        """Return (pos, length, tail) of the first lead found in a window of
+        word, one rule lookup per window, or None."""
+        get, n = self.rules.get, len(word)
         for L in self._lengths:
             for p in range(n - L + 1):
-                if word[p : p + L] in rules:
-                    return (p, word[p : p + L])
+                if (tail := get(word[p : p + L])) is not None:
+                    return p, L, tail
         return None
 
     def reduce(self, elem: FreeElement) -> FreeElement:
@@ -310,9 +312,9 @@ class TruncatedGB:
             if hit is None:
                 _acc(out, word, coeff)
                 continue
-            p, lead = hit
-            pre, post = word[:p], word[p + len(lead) :]
-            for tw, tc in self.rules[lead].terms.items():
+            p, L, tail = hit
+            pre, post = word[:p], word[p + L :]
+            for tw, tc in tail.terms.items():
                 c = tc if coeff is ONE else coeff if tc is ONE else coeff * tc
                 work.append((pre + tw + post, c))
         return elem._like(out)

@@ -16,10 +16,11 @@ pair is shifted down by m instead.  A sum or product of values with den
 q^m, or a quotient by a unit +-q^k, has den q^m too and skips `_canonical`:
 q^m has content 1, so `_laurent` need only strip the q^k common to both.
 A product with an integer constant c (den 1, one constant term) makes no
-polynomial product at all: c = 1 returns the other operand, c = 0 ZERO,
-and any other c scales the numerator, dividing out the factor c shares
-with the denominator's content (`_scaled`).  The hot loops of freealg,
-uqsl and oq go further and skip the call when a factor is the shared ONE.
+polynomial product at all: c = 1 returns the other operand, c = -1 its
+negation, c = 0 ZERO, and any other c scales the numerator, dividing out
+the factor c shares with the denominator's content (`_scaled`).  The hot
+loops of freealg, uqsl and oq go further and skip the call when a factor
+is the shared ONE.
 
 Canonical form makes equality and hashing structural: two values are equal
 iff their tuples coincide.  q is treated as transcendental and never
@@ -28,10 +29,13 @@ values at rational points through their own oracle, tests/oracles.py).
 
 Sums, and products past the integer path, are memoised by operand value,
 which is exact for the same reason: the process-global `_SUMS` and
-`_PRODUCTS` map (num, den, num, den) of the two operands to the result,
-computed by `_add` or `_mul` on a miss.  Operands with more than
-`_MEMO_GATE` tuple entries in all skip the tables: large values rarely
-recur, and a long computation would fill memory with them.
+`_PRODUCTS` map (num, den, num, den) of the two operands to the result.
+The table is probed first; on a miss `_add` or `_mul` computes the result,
+which is stored only when the operands have at most `_MEMO_GATE` tuple
+entries in all: large values rarely recur, and a long computation would
+fill memory with them, so they are never stored.  A value under the same
+gate caches its negation in its `_neg` slot on first use (the negation
+holds no link back, so no reference cycle forms).
 
 Negative powers of q live in the denominator, e.g. q^-1 is 1/q and
 nu = q - q^-1 is (q^2 - 1)/q.
@@ -77,7 +81,7 @@ def _padd(a, b):
 
 
 def _pneg(a):
-    return tuple(-x for x in a)
+    return tuple([-x for x in a])
 
 
 def _pmul(a, b):
@@ -186,12 +190,12 @@ def _pstr(a) -> str:
 class RatQ:
     """An element of Q(q) in canonical form.  Immutable and hashable."""
 
-    __slots__ = ("num", "den", "_hash")
+    __slots__ = ("num", "den", "_hash", "_neg")
 
     def __init__(self, num=0, den=None):
         if isinstance(num, RatQ):
             self.num, self.den = num.num, num.den
-            self._hash = num._hash
+            self._hash, self._neg = num._hash, None
             return
         if isinstance(num, int):
             num = (num,) if num else _ZPOL
@@ -200,7 +204,7 @@ class RatQ:
         elif isinstance(den, int):
             den = (den,) if den else _ZPOL
         self.num, self.den = _canonical(tuple(num), tuple(den))
-        self._hash = None
+        self._hash = self._neg = None
 
     # -- constructors -------------------------------------------------------
 
@@ -222,11 +226,11 @@ class RatQ:
             if other is NotImplemented:
                 return NotImplemented
         key = (self.num, self.den, other.num, other.den)
-        if len(key[0]) + len(key[1]) + len(key[2]) + len(key[3]) > _MEMO_GATE:
-            return _add(self, other)
         out = _SUMS.get(key)
         if out is None:
-            out = _SUMS[key] = _add(self, other)
+            out = _add(self, other)
+            if len(key[0]) + len(key[1]) + len(key[2]) + len(key[3]) <= _MEMO_GATE:
+                _SUMS[key] = out
         return out
 
     __radd__ = __add__
@@ -242,7 +246,12 @@ class RatQ:
         return NotImplemented if other is NotImplemented else other - self
 
     def __neg__(self):
-        return _mk(_pneg(self.num), self.den)
+        out = self._neg
+        if out is None:
+            out = _mk(_pneg(self.num), self.den)
+            if len(self.num) + len(self.den) <= _MEMO_GATE:
+                self._neg = out
+        return out
 
     def __mul__(self, other):
         if type(other) is not RatQ:
@@ -254,11 +263,11 @@ class RatQ:
         if len(self.num) < 2 and self.den == _ONEPOL:
             return _scaled(other, self.num)
         key = (self.num, self.den, other.num, other.den)
-        if len(key[0]) + len(key[1]) + len(key[2]) + len(key[3]) > _MEMO_GATE:
-            return _mul(self, other)
         out = _PRODUCTS.get(key)
         if out is None:
-            out = _PRODUCTS[key] = _mul(self, other)
+            out = _mul(self, other)
+            if len(key[0]) + len(key[1]) + len(key[2]) + len(key[3]) <= _MEMO_GATE:
+                _PRODUCTS[key] = out
         return out
 
     __rmul__ = __mul__
@@ -373,7 +382,7 @@ def _mk(num, den) -> RatQ:
     """Build a RatQ from tuples already known to be canonical."""
     out = RatQ.__new__(RatQ)
     out.num, out.den = num, den
-    out._hash = None
+    out._hash = out._neg = None
     return out
 
 
@@ -389,18 +398,20 @@ def _laurent(num, m: int) -> RatQ:
 
 def _scaled(x: RatQ, c) -> RatQ:
     """x times the integer whose polynomial is c (() or (c,)): x itself for
-    1, ZERO for 0, else num times c over den, both divided by g = gcd(c,
-    content of den), so that the contents stay coprime."""
+    1, -x for -1, ZERO for 0, else num times c over den, both divided by
+    g = gcd(c, content of den), so that the contents stay coprime."""
     if not c:
         return ZERO
     c, den = c[0], x.den
     if c == 1:
         return x
+    if c == -1:
+        return -x
     g = 1 if den[-1] == 1 else math.gcd(c, _content(den))
     if g == 1:
-        return _mk(tuple(c * v for v in x.num), den)
+        return _mk(tuple([c * v for v in x.num]), den)
     c //= g
-    return _mk(tuple(c * v for v in x.num), tuple(v // g for v in den))
+    return _mk(tuple([c * v for v in x.num]), tuple([v // g for v in den]))
 
 
 def _add(x: RatQ, y: RatQ) -> RatQ:
@@ -427,7 +438,7 @@ def _mul(x: RatQ, y: RatQ) -> RatQ:
 def _make_canonical(num, den) -> RatQ:
     out = RatQ.__new__(RatQ)
     out.num, out.den = _canonical(num, den)
-    out._hash = None
+    out._hash = out._neg = None
     return out
 
 

@@ -175,9 +175,8 @@ class UqAlgebra:
                 if hit is None:
                     cache[w] = ((w, ONE),)
                     continue
-                p, lead = hit
-                new = [(w[:p] + tuple(g + 1 for g in tw) + w[p + len(lead) :], tc)
-                       for tw, tc in gb.rules[lead].terms.items()]
+                p, L, tail = hit
+                new = [(w[:p] + tuple(g + 1 for g in tw) + w[p + L :], tc) for tw, tc in tail.terms.items()]
                 stack += [(w, new)] + [(v, None) for v, _ in new if v not in cache]
         return cache[word]
 

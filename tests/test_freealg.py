@@ -668,10 +668,41 @@ def test_acc_stores_adds_and_prunes():
     assert d == {"b": ONE}
     _acc(d, "b", -ONE)
     assert d == {}
+    _acc(d, "a", NU - NU)  # a zero that is not the shared ZERO is a no-op too
+    assert d == {}
     rng = random.Random(11)
+    want = {}
     for _ in range(500):
-        _acc(d, rng.randrange(4), rng.choice((ZERO, ONE, -ONE, Q, -Q, NU, -NU)))
+        k, c = rng.randrange(4), rng.choice((ZERO, ONE, -ONE, Q, -Q, NU, -NU, Q - Q))
+        _acc(d, k, c)
+        want[k] = want.get(k, ZERO) + c
         assert all(d.values())  # no ZERO-valued entry is ever left
+        assert d == {k: c for k, c in want.items() if c}
+
+
+def test_find_redex_returns_the_first_window_with_its_own_tail():
+    """The redex search against a scan of every window, shortest lead first,
+    then leftmost: the same position and length, and the tail installed for
+    that very window.  The first system is installed by hand, with no
+    reduction, the second is the rank-3 Serre system."""
+
+    def check(gb):
+        for k in range(7):
+            for w in product(range(3), repeat=k):
+                want = next(((p, L) for L in gb._lengths for p in range(k - L + 1) if w[p : p + L] in gb.rules), None)
+                hit = gb._find_redex(w)
+                if want is None:
+                    assert hit is None, w
+                else:
+                    p, L = want
+                    assert hit[:2] == want and hit[2] is gb.rules[w[p : p + L]], w
+
+    gb = TruncatedGB(_simple_alphabet(3), DegLex(size=3))
+    for i, lead in enumerate([(1, 0), (2, 2, 1), (2, 1, 1), (0, 2, 2, 0)]):
+        gb.rules[lead] = FreeElement.monomial(sorted(lead), qpow(i))
+        gb._index(lead, True)
+    check(gb)
+    check(_serre_system(3))
 
 
 class _ProductBuiltGB(TruncatedGB):

@@ -358,6 +358,33 @@ def test_cli_dbar_kernel_accepts_the_word_cap(capsys):
     assert capsys.readouterr().out.startswith("dimension: 44\n")
 
 
+@pytest.mark.parametrize(
+    "argv, exponent",
+    [
+        (["coproduct", "--rank", "1", "--expr", "E1^100000"], 100000),
+        (["coproduct", "--rank", "1", "--expr", "q^-100000000*E1"], 100000000),
+        (["pair", "--rank", "1", "--expr", "K1^100000000", "--with-word", "u[1,1]"], 100000000),
+        (["coproduct", "--rank", "2", "--expr", "F2^33"], 33),
+        (["pair", "--rank", "1", "--expr", "K1^-33", "--with-word", "u[1,1]"], 33),
+    ],
+)
+def test_cli_refuses_an_oversized_exponent(capsys, argv, exponent):
+    # refused as it is read, before any product or dense q-power is built
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: exponent {exponent} exceeds the cap of 32\n"
+
+
+def test_exponent_cap_itself_is_accepted():
+    A = UqAlgebra(1)
+    assert parse_scalar("q^-32") == QINV**32 and parse_scalar("q^32") == Q**32
+    assert parse_uq("K1^-32", A) == A.K(1, -32)
+    assert parse_uq("E1^32", A) == parse_uq("E1^16", A) * parse_uq("E1^16", A)
+    with pytest.raises(ParseError, match="exponent 33 exceeds the cap of 32"):
+        parse_scalar("(q + 1)^33")
+
+
 def test_cli_exterior_caps_kmax(capsys):
     # refused before the tangent space is built; the cap itself is accepted
     assert run(["exterior", "--rank", "3", "--word", "nice", "--kmax", "100000"]) == 2

@@ -265,14 +265,14 @@ def _assert_canonical(v):
 
 def test_constant_fast_path_matches_gcd():
     """A product with an integer constant skips the polynomial product: 1
-    gives the other operand back, 0 gives ZERO, c scales the numerator and
-    divides out any factor c shares with the denominator's content.  Every
-    result of every operation with a constant on either side must equal the
-    gcd path's and be canonical."""
+    gives the other operand back, -1 its negation, 0 gives ZERO, c scales
+    the numerator and divides out any factor c shares with the
+    denominator's content.  Every result of every operation with a
+    constant on either side must equal the gcd path's and be canonical."""
     ops = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
     rng = random.Random(4247)
     others = [ZERO, ONE, -ONE, Q, QINV, NU, RatQ(1, 2), RatQ((1,), (2, 2)), RatQ((3, 0, 3), (4, 0, 2))]
-    others += [_random_laurent(rng) for _ in range(30)] + [_random_ratq(rng) for _ in range(30)]
+    others += [_random_laurent(rng) for _ in range(30)] + [_random_ratq(rng) for _ in range(30)] + _memo_grid()
     for a in others:
         for c in _constants():
             for x, y in ((a, c), (c, a)):
@@ -328,8 +328,9 @@ def _size(x, y):
 def test_memo_matches_polynomial_arithmetic():
     """Memoised + and * against `_add` and `_mul` over a grid, three rounds
     so that later rounds hit the tables: every result canonical and equal
-    to the oracle's; operands within the gate, and only those, are keyed;
-    a product by 1 is the other operand itself."""
+    to the oracle's; operands within the gate, and only those, are keyed,
+    and operands past it leave the table's size as it was; a product by 1
+    is the other operand itself."""
     grid = _memo_grid()
     for _ in range(3):
         for x in grid:
@@ -339,6 +340,7 @@ def test_memo_matches_polynomial_arithmetic():
                     (operator.add, _add, scalars._SUMS),
                     (operator.mul, _mul, scalars._PRODUCTS),
                 ):
+                    size = len(table)
                     got, want = op(x, y), oracle(x, y)
                     assert (got.num, got.den) == (want.num, want.den), (x, op, y)
                     _assert_canonical(got)
@@ -347,6 +349,7 @@ def test_memo_matches_polynomial_arithmetic():
                     )
                     if not integer:
                         assert (key in table) == (_size(x, y) <= scalars._MEMO_GATE), (x, op, y)
+                        assert _size(x, y) <= scalars._MEMO_GATE or len(table) == size, (x, op, y)
             assert x * ONE is x
             assert ONE * x is x or (len(x.num) < 2 and x.den == (1,))  # x first in ONE * x
 
@@ -360,3 +363,20 @@ def test_memo_tables_stay_small_after_long_coproduct(capsys):
     assert run(["coproduct", "--rank", "2", "--expr", " ".join(["E1 E2"] * 8)]) == 0
     assert capsys.readouterr().out.count("(x)") > 100
     assert len(scalars._SUMS) + len(scalars._PRODUCTS) - before < 5000
+
+
+def test_negation_matches_gcd_and_is_cached_under_the_gate():
+    """-x against the oracle twice, so the second call reads the cached
+    negation: canonical, an involution, cached only for values within the
+    memo gate, and holding no link back to x."""
+    rng = random.Random(4248)
+    for x in _memo_grid() + [_random_laurent(rng) for _ in range(40)] + [_random_ratq(rng) for _ in range(40)]:
+        for _ in range(2):
+            n = -x
+            assert (n.num, n.den) == _canonical_by_gcd(tuple(-c for c in x.num), x.den), x
+            _assert_canonical(n)
+            assert -n == x and x + n == ZERO
+        assert (x._neg is n) == (len(x.num) + len(x.den) <= scalars._MEMO_GATE), x
+        assert n._neg is not x
+    assert -ZERO == ZERO and not -ZERO and (-ZERO).num == ()
+
