@@ -633,8 +633,9 @@ def _levi_candidates(alg: UqAlgebra, x: UqElement, gens_s: list[int]):
 
 def _normal_ewords(alg: UqAlgebra, nu: list[int]) -> list[tuple[int, ...]]:
     """The Serre-normal E-words of weight nu (none if an entry is negative)."""
-    gb = _serre_system(alg.n)
-    words = [()] if min(nu) >= 0 else []
+    if min(nu) < 0:
+        return []
+    gb, words = _serre_system(alg.n, sum(nu)), [()]
     for _ in range(sum(nu)):
         words = [c for w in words for c in gb._extensions(w) if c.count(c[-1]) <= nu[c[-1]]]
     return [tuple(g + 1 for g in w) for w in words]

@@ -217,9 +217,6 @@ class FreeElement(_Sum):
     def lead(self, order: DegLex) -> Word:
         return max(self.terms, key=order.key)
 
-    def max_degree(self) -> int:
-        return max((len(w) for w in self.terms), default=0)
-
     def is_homogeneous(self, alphabet: Alphabet):
         if len({tuple(sorted(w)) for w in self.terms}) <= 1:  # rearrangements of one word
             return True

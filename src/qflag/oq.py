@@ -22,12 +22,13 @@ Equality of O_q elements is decided functionally: e1 = e2 iff e1 - e2
 kills every rho_k image.  By quantum Schur-Weyl duality (Jimbo 1986) a
 length-k combination does so exactly when it lies in the degree-k part of
 the ideal of the FRT relations, so equality is reduction to zero modulo
-`frt_relations`, one letter per u[a,b] (row-major).  In that deg-lex order
-the FRT relations are already a Groebner basis (every overlap of their
-length-2 leads resolves), so each is installed as it stands, with no
-overlap queued, and one settled system per rank serves every length: the
-leads are the decreasing letter pairs and the normal words are the ordered
-monomials, a basis of the degree-k part of O_q.  The determinant relation
+them, one letter per u[a,b] (row-major).  In that deg-lex order the FRT
+relations are already a Groebner basis (every overlap of their length-2
+leads resolves), so `_frt_system` writes each as a rule in closed form,
+with no product, reduction or overlap, and one settled system per rank
+serves every length: the leads are the decreasing letter pairs and the
+normal words are the ordered monomials, a basis of the degree-k part of
+O_q.  The determinant relation
 mixes lengths, so it never enters.  `_normal_coords` gives an element's
 coordinates on those normal words; `calculus.dbar_kernel` works on that
 basis, and tests/oracles.py builds the per-length test `functional_is_zero`
@@ -37,6 +38,7 @@ on it.
 from __future__ import annotations
 
 from functools import cache
+from itertools import combinations, product
 
 from qflag.freealg import (
     Alphabet,
@@ -48,7 +50,7 @@ from qflag.freealg import (
     _Sum,
     _term,
 )
-from qflag.scalars import NU, ONE, RatQ, ZERO, qpow
+from qflag.scalars import NU, ONE, QINV, RatQ, ZERO, qpow
 from qflag.uqsl import UqElement
 
 OqWord = tuple  # tuple[(row, col), ...]
@@ -186,9 +188,14 @@ def _letters(e: OqElement) -> FreeElement:
 
 @cache
 def _frt_system(n: int) -> TruncatedGB:
-    """The FRT relations as they stand, each reduced by the rules before it
-    and oriented, settled and exact in every length (built once, then only
-    read); a letter weighs its row unit vector, then its column's."""
+    """The FRT relations as rules, settled and exact in every length (built
+    once, then only read); a letter weighs its row unit vector, then its
+    column's.  For i < k, j < l (letters u[a,b] row-major, the larger pair
+    leading) they are, for each i, u_kj u_ij -> q^-1 u_ij u_kj, then
+    u_il u_ij -> q^-1 u_ij u_il, and then for each (i, k, j, l),
+    u_kj u_il -> u_il u_kj and u_kl u_ij -> -nu u_il u_kj + u_ij u_kl: no
+    tail word is a lead, so orienting the relations in that order installs
+    exactly these rules, tails in this term order (tests/oracles.py)."""
     N = n + 1
     cells = [(a, b) for a in range(1, N + 1) for b in range(1, N + 1)]
     unit = lambda x: tuple(int(x == y) for y in range(1, N + 1))
@@ -196,8 +203,18 @@ def _frt_system(n: int) -> TruncatedGB:
         tuple(f"u[{a},{b}]" for a, b in cells), tuple(unit(a) + unit(b) for a, b in cells)
     )
     gb = TruncatedGB(alphabet, DegLex(size=N * N))
-    for r in frt_relations(n):
-        gb._orient(_letters(r))
+    u = lambda a, b: a * N + b  # 0-based
+    pairs = list(combinations(range(N), 2))
+    rules = []
+    for i in range(N):
+        rules += [((u(k, j), u(i, j)), {(u(i, j), u(k, j)): QINV}) for k in range(i + 1, N) for j in range(N)]
+        rules += [((u(i, l), u(i, j)), {(u(i, j), u(i, l)): QINV}) for j, l in pairs]
+    for (i, k), (j, l) in product(pairs, pairs):
+        rules += [((u(k, j), u(i, l)), {(u(i, l), u(k, j)): ONE}),
+                  ((u(k, l), u(i, j)), {(u(i, l), u(k, j)): -NU, (u(i, j), u(k, l)): ONE})]
+    for lead, tail in rules:
+        gb.rules[lead] = FreeElement(tail)
+        gb._index(lead, True)
     return gb
 
 
@@ -205,32 +222,3 @@ def _normal_coords(e: OqElement) -> dict:
     """Coordinates of an element on the normal words of the FRT system;
     empty iff each of its length components is zero in O_q."""
     return _frt_system(e.n).reduce(_letters(e)).terms
-
-
-def frt_relations(n: int):
-    """The FRT relation instances (lhs - rhs, length 2) of the coordinate
-    algebra, one element per index pattern; all are functionally zero."""
-    out = []
-    u = lambda a, b: OqElement.u(n, a, b)
-    for i in range(1, n + 2):
-        for ip in range(i + 1, n + 2):
-            for j in range(1, n + 2):
-                # same column: u_ij u_i'j = q u_i'j u_ij
-                out.append(u(i, j) * u(ip, j) - u(ip, j) * u(i, j) * qpow(1))
-        for j in range(1, n + 2):
-            for jp in range(j + 1, n + 2):
-                # same row: u_ij u_ij' = q u_ij' u_ij
-                out.append(u(i, j) * u(i, jp) - u(i, jp) * u(i, j) * qpow(1))
-    for i in range(1, n + 2):
-        for ip in range(i + 1, n + 2):
-            for j in range(1, n + 2):
-                for jp in range(j + 1, n + 2):
-                    # antidiagonal pairs commute
-                    out.append(u(i, jp) * u(ip, j) - u(ip, j) * u(i, jp))
-                    # diagonal pairs: u_ij u_i'j' = u_i'j' u_ij + nu u_ij' u_i'j
-                    out.append(
-                        u(i, j) * u(ip, jp)
-                        - u(ip, jp) * u(i, j)
-                        - u(i, jp) * u(ip, j) * NU
-                    )
-    return out

@@ -26,8 +26,9 @@ _TOKEN = re.compile(
 
 
 # |exponent| of scalar ^, K^, E^ and F^; the costliest command one exponent
-# drives, the rank-1 coproduct of E1^k, takes about 0.9 s CPU at k = 32
-# (4.5 s at 40, 10 s at 48), and q^k builds a dense tuple of k + 1 entries
+# drives, the rank-1 coproduct of E1^k, takes about 0.2 s CPU at k = 32
+# (0.3 s at 48, 0.6 s at 64, written out), and q^k builds a dense tuple of
+# k + 1 entries
 _EXPONENT_CAP = 32
 
 

@@ -13,8 +13,9 @@ canonical form:
 den have two or more terms.  When either is a single term c*q^k, the gcd
 over Q is q^m with m the lower of the two lowest powers present, so the
 pair is shifted down by m instead.  A sum or product of values with den
-q^m, or a quotient by a unit +-q^k, has den q^m too and skips `_canonical`:
-q^m has content 1, so `_laurent` need only strip the q^k common to both.
+q^m (told by its shape, m zeros and a 1, for every m), or a quotient by a
+unit +-q^k, has den q^m too and skips `_canonical`: q^m has content 1, so
+`_laurent` need only strip the q^k common to both.
 A product with an integer constant c (den 1, one constant term) makes no
 polynomial product at all: c = 1 returns the other operand, c = -1 its
 negation, c = 0 ZERO, and any other c scales the numerator, dividing out
@@ -280,7 +281,7 @@ class RatQ:
         if not n:
             raise ZeroDivisionError("division by zero in Q(q)")
         k, j = len(n) - 1, len(d) - 1
-        if n[-1] in (1, -1) and n.count(0) == k and j < _NQ and d == _QDEN[j]:
+        if n[-1] in (1, -1) and n.count(0) == k and d[-1] == 1 and d.count(0) == j:
             # other = +-q^k/q^j is a unit: multiply by +-q^j/q^k instead
             return self * _mk(d if n[-1] > 0 else _pneg(d), _qden(k))
         return _make_canonical(_pmul(self.num, d), _pmul(self.den, n))
@@ -418,7 +419,7 @@ def _add(x: RatQ, y: RatQ) -> RatQ:
     """x + y by polynomial arithmetic, without the memo."""
     d1, d2 = x.den, y.den
     m1, m2 = len(d1) - 1, len(d2) - 1
-    if m1 < _NQ and m2 < _NQ and d1 == _QDEN[m1] and d2 == _QDEN[m2]:
+    if d1[-1] == d2[-1] == 1 and d1.count(0) == m1 and d2.count(0) == m2:  # both q^m
         m = max(m1, m2)
         return _laurent(_padd((0,) * (m - m1) + x.num, (0,) * (m - m2) + y.num), m)
     if d1 == d2:
@@ -430,7 +431,7 @@ def _mul(x: RatQ, y: RatQ) -> RatQ:
     """x * y by polynomial arithmetic, without the memo or the integer path."""
     d1, d2 = x.den, y.den
     m1, m2 = len(d1) - 1, len(d2) - 1
-    if m1 < _NQ and m2 < _NQ and d1 == _QDEN[m1] and d2 == _QDEN[m2]:
+    if d1[-1] == d2[-1] == 1 and d1.count(0) == m1 and d2.count(0) == m2:  # both q^m
         return _laurent(_pmul(x.num, y.num), m1 + m2)
     return _make_canonical(_pmul(x.num, y.num), _pmul(d1, d2))
 

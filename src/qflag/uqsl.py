@@ -12,8 +12,9 @@ antipode S(E_i) = -E_i K_i^{-1}, S(F_i) = -K_i F_i, S(K_i) = K_i^{-1}.
 
 Every element is held in triangular normal form: a sparse sum of monomials
 (F-word, K-exponent vector, E-word), the E- and F-words reduced modulo U+'s
-Serre rewriting system under deg-lex order.  It is installed in closed form
-once per rank (`_serre_system`).  With [x, y]_c = xy - c yx and X(a, b) =
+Serre rewriting system under deg-lex order, one system per rank written
+in closed form, each degree's rules installed when a word of that degree
+first needs them (`_serre_system`).  With [x, y]_c = xy - c yx and X(a, b) =
 [E_a, [E_{a-1}, ... [E_{b+1}, E_b]_{q^-1} ...]_{q^-1}]_{q^-1}, the root vector
 of the descending run D(a, b) = a a-1 ... b, its rules are [E_i, E_j] for
 i > j + 1, [X(a, a-1), E_{a-1}]_q, [X(a, b), E_{a-1}] for a - b >= 2, and
@@ -68,7 +69,7 @@ elements, which would point back at the algebra.
 
 from __future__ import annotations
 
-from functools import cache, reduce
+from functools import reduce
 
 from qflag import weyl
 from qflag.freealg import Alphabet, DegLex, FreeElement, TruncatedGB, _acc, _signed_sum, _Sum, _term
@@ -83,22 +84,55 @@ def _cartan(i: int, j: int) -> int:
     return -1 if abs(i - j) == 1 else 0
 
 
-@cache
-def _serre_system(n: int) -> TruncatedGB:
-    """U+'s Serre system at rank n, letter g for E_{g+1}, built on first use,
-    then only read: the four families in degree order, each reduced by the
-    rules before it and oriented.  No tail then meets a later lead (the
-    certificate checks it), so the rules are already fully reduced."""
-    gb = TruncatedGB(Alphabet(tuple(f"x{i}" for i in range(1, n + 1)),
-                              tuple(tuple(int(a == i) for a in range(n)) for i in range(n))), DegLex(size=n))
-    E = lambda a: FreeElement.monomial((a - 1,))
-    br = lambda x, y, c=ONE: x * y - (y * x).scale(c)  # [x, y]_c
-    X = lambda a, b: reduce(lambda x, m: br(E(m), x, QINV), range(b + 1, a + 1), E(b))
-    rels = [br(E(i), E(j)) for i in range(3, n + 1) for j in range(1, i - 1)]
-    rels += [br(X(a, b), E(a - 1), Q if a - b == 1 else ONE) for a in range(2, n + 1) for b in range(1, a)]
-    rels += [br(X(a, b), X(a, b - 1), Q) for a in range(2, n + 1) for b in range(2, a + 1)]
-    for r in sorted(rels, key=FreeElement.max_degree):
-        gb._orient(r)
+class _SerreSystem(TruncatedGB):
+    """U+'s Serre system at rank n, letter g for E_{g+1}: the four families
+    in degree order, each reduced by the rules before it and oriented once
+    `install` asks for its degree.  A rule reads only rules of its degree or
+    lower, and a word of degree d meets only leads of length <= d, so up to
+    `degree` the system answers as the full one.  No tail meets a later lead
+    (the certificate checks it), so the rules are already fully reduced."""
+
+    def __init__(self, n: int):
+        super().__init__(Alphabet(tuple(f"x{i}" for i in range(1, n + 1)),
+                                  tuple(tuple(int(a == i) for a in range(n)) for i in range(n))), DegLex(size=n))
+        E = lambda a: FreeElement.monomial((a - 1,))
+        br = lambda x, y, c=ONE: x * y - (y * x).scale(c)  # [x, y]_c
+        X = lambda a, b: reduce(lambda x, m: br(E(m), x, QINV), range(b + 1, a + 1), E(b))
+        # (degree, function building it), each family in loop order, stably sorted by degree
+        rels = [(2, lambda i=i, j=j: br(E(i), E(j))) for i in range(3, n + 1) for j in range(1, i - 1)]
+        rels += [(a - b + 2, lambda a=a, b=b: br(X(a, b), E(a - 1), Q if a - b == 1 else ONE))
+                 for a in range(2, n + 1) for b in range(1, a)]
+        rels += [(2 * (a - b) + 3, lambda a=a, b=b: br(X(a, b), X(a, b - 1), Q))
+                 for a in range(2, n + 1) for b in range(2, a + 1)]
+        self._todo = sorted(rels, key=lambda r: r[0])[::-1]  # popped from the end
+        self.degree = 0  # every rule of degree <= degree is installed
+
+    def install(self, d: int | None = None):
+        """Install every rule of degree <= d, or every rule when d is None."""
+        todo = self._todo
+        while todo and (d is None or todo[-1][0] <= d):
+            self._orient(todo.pop()[1]())
+        if d is not None and d > self.degree:
+            self.degree = d
+
+    @property
+    def settled(self) -> bool:
+        return not self._todo and super().settled
+
+    def _check_degree(self, k: int):
+        if k > self.degree and self._todo:
+            raise ValueError(f"degree {k} above installed degree {self.degree}")
+
+
+_SERRE: dict[int, _SerreSystem] = {}  # rank -> its Serre system, extended in place
+
+
+def _serre_system(n: int, degree: int | None = None) -> _SerreSystem:
+    """The rank's Serre system with every rule of degree <= degree installed
+    (every rule when degree is None)."""
+    gb = _SERRE.get(n) or _SERRE.setdefault(n, _SerreSystem(n))
+    if degree is None or degree > gb.degree:
+        gb.install(degree)
     return gb
 
 
@@ -160,7 +194,7 @@ class UqAlgebra:
         hit = cache.get(word)
         if hit is not None:
             return hit
-        gb = _serre_system(self.n)
+        gb = _serre_system(self.n, len(word))  # rewriting keeps the length
         stack: list = [(word, None)]  # (word, its rewritten words once expanded)
         while stack:
             w, new = stack.pop()

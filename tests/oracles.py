@@ -26,7 +26,8 @@ definitions instead, each from its formula:
   words reduced;
 * every reduced word of the longest element, by peeling right descents;
 * the right action of u[a,b] on the cotangent basis, through the pairing;
-* the functional equality test of O_q;
+* the FRT relations of O_q, as products of u-generators, and its
+  functional equality test;
 * the antiholomorphic kernel on the free span of u-words, its functionally
   zero subspace folded out;
 * evaluation of a Q(q) value at a rational point.
@@ -50,7 +51,7 @@ from qflag.calculus import (
 )
 from qflag.freealg import FreeElement, Span, TruncatedGB, _acc, annihilator, complete_truncated, rank
 from qflag.oq import OqElement, _normal_coords, left_act, pair
-from qflag.scalars import ONE, Q, QINV, RatQ, ZERO
+from qflag.scalars import NU, ONE, Q, QINV, RatQ, ZERO, qpow
 from qflag.uqsl import TensorSquare, UqAlgebra, UqElement, _cartan, _mono_str, qcomm
 
 # -- braid operators, commutators, adjoint action -----------------------------
@@ -354,6 +355,32 @@ def homogeneous_length(e: OqElement) -> int:
     if len(ls) != 1:
         raise ValueError(f"element mixes word lengths {sorted(ls)}")
     return ls.pop()
+
+
+def frt_relations(n: int) -> list[OqElement]:
+    """The FRT relation instances (lhs - rhs, length 2) of the coordinate
+    algebra, one element per index pattern, in the order `oq._frt_system`
+    writes their rules; all are functionally zero."""
+    out = []
+    u = lambda a, b: OqElement.u(n, a, b)
+    for i in range(1, n + 2):
+        for ip in range(i + 1, n + 2):
+            for j in range(1, n + 2):
+                # same column: u_ij u_i'j = q u_i'j u_ij
+                out.append(u(i, j) * u(ip, j) - u(ip, j) * u(i, j) * qpow(1))
+        for j in range(1, n + 2):
+            for jp in range(j + 1, n + 2):
+                # same row: u_ij u_ij' = q u_ij' u_ij
+                out.append(u(i, j) * u(i, jp) - u(i, jp) * u(i, j) * qpow(1))
+    for i in range(1, n + 2):
+        for ip in range(i + 1, n + 2):
+            for j in range(1, n + 2):
+                for jp in range(j + 1, n + 2):
+                    # antidiagonal pairs commute
+                    out.append(u(i, jp) * u(ip, j) - u(ip, j) * u(i, jp))
+                    # diagonal pairs: u_ij u_i'j' = u_i'j' u_ij + nu u_ij' u_i'j
+                    out.append(u(i, j) * u(ip, jp) - u(ip, jp) * u(i, j) - u(i, jp) * u(ip, j) * NU)
+    return out
 
 
 def functional_is_zero(e: OqElement, k: int) -> bool:

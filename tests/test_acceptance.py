@@ -19,6 +19,7 @@ from oracles import (
     build_Eji,
     cotangent_action,
     from_pairs,
+    frt_relations,
     functional_is_zero,
     reduced_words,
     tensor_mul,
@@ -29,7 +30,7 @@ from oracles import dbar_kernel as oracle_dbar_kernel
 from qflag import calculus as C
 from qflag import weyl
 from qflag.freealg import Alphabet, DegLex, FreeElement, Span, complete_truncated, rank
-from qflag.oq import OqElement, frt_relations, pair
+from qflag.oq import OqElement, pair
 from qflag.scalars import NU, ONE, Q, QINV, ZERO, qpow
 from qflag.uqsl import UqAlgebra, UqElement, coproduct, qcomm, root_vectors
 from qflag.weyl import Root, nice_word

@@ -6,7 +6,7 @@ from collections import Counter
 from itertools import product
 
 import pytest
-from oracles import GenericGB, from_pairs
+from oracles import GenericGB, from_pairs, frt_relations
 
 from qflag import calculus as C
 from qflag import oq, uqsl
@@ -223,7 +223,7 @@ def test_dims_against_bruteforce_linear_algebra():
             # span of u * r * v over all words u, v with |u|+|v| = k - deg(r)
             rows = []
             for r in rels:
-                pad = k - r.max_degree()
+                pad = k - max(map(len, r.terms))
                 for lp in range(pad + 1):
                     for u in product(range(m), repeat=lp):
                         for v in product(range(m), repeat=pad - lp):
@@ -463,19 +463,25 @@ def test_non_quadratic_completions_match_generic_bookkeeping():
     assert cases == 22
 
 
+class _GenericSerre(GenericGB, uqsl._SerreSystem):
+    """U+'s Serre system installed through the generic bookkeeping."""
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-def test_installed_systems_match_generic_bookkeeping(n, monkeypatch):
-    """The FRT system (ranks 1-4) and U+'s Serre system (ranks 1-5), each
-    installed rule by rule through _orient, are the systems the generic
-    bookkeeping installs."""
-    systems = [(uqsl, uqsl._serre_system)] + ([(oq, oq._frt_system)] if n <= 4 else [])
-    for module, build in systems:
-        gb = build(n)
-        monkeypatch.setattr(module, "TruncatedGB", GenericGB)
-        generic = build.__wrapped__(n)
-        monkeypatch.undo()
-        assert type(generic) is GenericGB
-        _assert_same_system(gb, generic, (build.__name__, n))
+def test_installed_systems_match_generic_bookkeeping(n):
+    """U+'s Serre system (ranks 1-5), installed rule by rule through
+    _orient, and the FRT system (ranks 1-4), written in closed form, are
+    the systems the generic bookkeeping installs from the same relations."""
+    generic = _GenericSerre(n)
+    generic.install()
+    assert isinstance(generic, GenericGB)
+    _assert_same_system(_serre_system(n), generic, ("serre", n))
+    if n <= 4:
+        gb = oq._frt_system(n)
+        generic = GenericGB(gb.alphabet, gb.order)
+        for r in frt_relations(n):
+            generic._orient(oq._letters(r))
+        _assert_same_system(gb, generic, ("frt", n))
 
 
 def test_commuting_pair_cache_follows_rule_changes():

@@ -7,16 +7,16 @@ from math import comb
 from operator import mul
 
 import pytest
-from oracles import build_Eji, counit, functional_is_zero
+from oracles import build_Eji, counit, frt_relations, functional_is_zero
 
-from qflag.freealg import FreeElement, Span, _acc, annihilator, complete_truncated
+from qflag.freealg import FreeElement, Span, TruncatedGB, _acc, annihilator, complete_truncated
 from qflag.oq import (
     OqElement,
     _apply_mono,
     _apply_token,
     _frt_system,
+    _letters,
     _normal_coords,
-    frt_relations,
     left_act,
     pair,
 )
@@ -313,6 +313,20 @@ def test_frt_relations_are_a_groebner_basis(n):
     assert gb.settled and done.settled
     assert list(done.rules.items()) == list(gb.rules.items())
     assert len(gb.rules) == len(frt_relations(n))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_frt_rules_in_closed_form_match_the_oriented_relations(n):
+    """The rules written in closed form are the FRT relations reduced and
+    oriented one by one: the same leads, tails with their term order, rule
+    order and lead indexes."""
+    gb = _frt_system(n)
+    oriented = TruncatedGB(gb.alphabet, gb.order)
+    for r in frt_relations(n):
+        oriented._orient(_letters(r))
+    rules = lambda s: [(lead, list(tail.terms.items())) for lead, tail in s.rules.items()]
+    assert rules(gb) == rules(oriented)
+    assert (gb._lengths, gb._prefixes, gb._suffixes) == (oriented._lengths, oriented._prefixes, oriented._suffixes)
 
 
 _FRT_CASES = [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3), (3, 2)]

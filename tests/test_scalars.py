@@ -243,6 +243,44 @@ def test_laurent_fast_path_matches_gcd():
                 assert (got.num, got.den) == _expected(x, y, op), (x, op, y)
 
 
+def test_laurent_path_told_by_denominator_shape(monkeypatch):
+    """Sums, products and unit quotients of values whose denominators are
+    q^m with m >= 64 take the Laurent path, with no `_canonical` call, and
+    agree with `_canonical` of the polynomial arithmetic.  A denominator
+    q^m with one stray lower term is not q^m: values over it agree too."""
+    rng = random.Random(4264)
+
+    def value(m, stray):
+        num = (rng.choice((-2, -1, 1, 3)),) + tuple(rng.randint(-3, 3) for _ in range(rng.randint(0, 3)))
+        den = [0] * m + [1]
+        if stray:
+            den[rng.randrange(1, m)] = rng.choice((-3, -1, 1, 2))
+        return RatQ(num, tuple(den))
+
+    calls, strays = [], 0
+    canonical = scalars._canonical
+    monkeypatch.setattr(scalars, "_canonical", lambda num, den: calls.append(den) or canonical(num, den))
+    for _ in range(150):
+        x, m = value(rng.randint(64, 80), False), rng.randint(2, 80)
+        assert len(x.den) > 64
+        for y in (value(m, False), value(m, True)):
+            stray = y.den.count(0) < len(y.den) - 1  # the gcd may cancel the stray term
+            strays += stray
+            for op, got, num, den in (
+                ("+", lambda: x + y, _padd(_pmul(x.num, y.den), _pmul(y.num, x.den)), _pmul(x.den, y.den)),
+                ("*", lambda: x * y, _pmul(x.num, y.num), _pmul(x.den, y.den)),
+            ):
+                calls.clear()
+                z = got()
+                assert (z.num, z.den) == canonical(num, den), (x, op, y)
+                assert bool(calls) == stray, (x, op, y)
+        unit = rng.choice((1, -1)) * qpow(-rng.randint(64, 80))
+        calls.clear()
+        z = x / unit
+        assert (z.num, z.den) == canonical(_pmul(x.num, unit.den), _pmul(x.den, unit.num)) and not calls
+    assert strays > 100
+
+
 def test_laurent_fast_path_rendering():
     assert str(QINV * QINV) == "q^-2"
     assert str(ONE / (Q * Q)) == "q^-2"

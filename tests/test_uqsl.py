@@ -19,7 +19,8 @@ from oracles import (
 )
 from serre_certificate import certify
 
-from qflag.calculus import coideal_check, tangent_from_exprs, tangent_from_word
+from qflag import uqsl
+from qflag.calculus import coideal_check, survey_rows, tangent_from_exprs, tangent_from_word
 from qflag.freealg import FreeElement, TruncatedGB, _acc, complete_truncated
 from qflag.scalars import NU, ONE, Q, QINV, TWO_Q, qpow
 from qflag.uqsl import (
@@ -115,7 +116,7 @@ def test_word_nf_never_extends_a_system(monkeypatch):
 
     monkeypatch.setattr(TruncatedGB, "extend_to", refuse)
     monkeypatch.setattr(TruncatedGB, "_insert", refuse)
-    _serre_system.cache_clear()
+    monkeypatch.setattr(uqsl, "_SERRE", {})  # no rank's system built yet
     A = UqAlgebra(4)
     vecs = root_vectors(A, nice_word(4))
     _assert_eword_mul_matches_product(A, vecs[:4])
@@ -146,6 +147,69 @@ def test_word_nf_reduces_each_word_once(monkeypatch):
     A = UqAlgebra(2)
     A.word_nf((2,) * 5 + (1,) * 5)
     assert len(searches) == len(set(searches)) == len(A._word_nf_cache)
+
+
+def _rule_list(gb):
+    """Leads with their tails' terms in order, in insertion order."""
+    return [(lead, list(tail.terms.items())) for lead, tail in gb.rules.items()]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_serre_system_installed_by_degree_is_a_prefix_of_the_full_one(n):
+    """Installed one degree at a time, the system holds at each cut d
+    exactly the full system's first rules, those of degree <= d: leads,
+    tails with their term order, and insertion order."""
+    full = _rule_list(_serre_system(n))
+    top = max((len(lead) for lead, _tail in full), default=0)
+    gb = uqsl._SerreSystem(n)
+    for d in range(top + 2):
+        gb.install(d)
+        got = _rule_list(gb)
+        assert got == full[: len(got)] == [r for r in full if len(r[0]) <= d], (n, d)
+        assert (gb.degree, gb.settled) == (d, d >= top), (n, d)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_word_nf_installs_only_the_word_degree(n, monkeypatch):
+    """From a cold start, word_nf on random words of rising degree, one past
+    the top rule's, installs no rule longer than the word and agrees with
+    reduction modulo the full system."""
+    full = _serre_system(n)
+    monkeypatch.setattr(uqsl, "_SERRE", {})
+    A, rng = UqAlgebra(n), random.Random(33 + n)
+    for d in range(max(map(len, full.rules), default=0) + 2):
+        for _ in range(4):
+            word = tuple(rng.randint(1, n) for _ in range(d))
+            nf = full.reduce(FreeElement.monomial(tuple(g - 1 for g in word)))
+            expect = tuple((tuple(g + 1 for g in w), c) for w, c in sorted(nf.terms.items()))
+            assert A.word_nf(word) == expect, word
+        gb = uqsl._SERRE[n]
+        assert gb.degree == d and all(len(lead) <= d for lead in gb.rules), (n, d)
+
+
+def test_partial_serre_system_refuses_higher_degrees():
+    """With nothing pending, a system installed to degree 3 would pass the
+    generic `settled` test, yet it answers normal-word queries only up to
+    degree 3, there as the full system does."""
+    gb, full = uqsl._SerreSystem(4), _serre_system(4)
+    gb.install(3)
+    assert not gb._pending and TruncatedGB.settled.fget(gb) and not gb.settled
+    assert gb.normal_words(3) == full.normal_words(3)
+    assert gb.normal_counts(3) == full.normal_counts(3)
+    assert gb.weight_counts(3) == full.weight_counts(3)
+    for query in (gb.normal_words, gb.normal_counts, gb.weight_counts):
+        with pytest.raises(ValueError, match="degree 4 above installed degree 3"):
+            query(4)
+
+
+def test_cold_rank4_survey_installs_no_degree7_rule(monkeypatch):
+    """The rank-4 survey reads no word longer than 6 letters, so a cold
+    run leaves the rank's one degree-7 rule, [X(4,2), X(4,1)]_q, unbuilt."""
+    monkeypatch.setattr(uqsl, "_SERRE", {})
+    survey_rows(UqAlgebra(4))
+    gb = uqsl._SERRE[4]
+    assert max(map(len, gb.rules)) == 5 and len(gb.rules) == 14
+    assert [d for d, _build in gb._todo] == [7]
 
 
 def test_coproduct_of_a_long_word_finishes():
@@ -534,7 +598,7 @@ def test_eword_mul_matches_general_product(n):
         _assert_eword_mul_matches_product(A, root_vectors(A, w))
 
 
-def test_eword_mul_rational_coefficient_and_fresh_algebra():
+def test_eword_mul_rational_coefficient_and_fresh_algebra(monkeypatch):
     A = UqAlgebra(2)
     t = (Q + ONE).inverse()
     basis = tangent_from_exprs(A, [A.E(1), A.E(2), qcomm(A.E(2), A.E(1), t)]).basis
@@ -542,12 +606,12 @@ def test_eword_mul_rational_coefficient_and_fresh_algebra():
     # a fresh algebra builds no Serre system: its first word_nf installs the
     # rank's system, which every algebra of the rank then reads as it is
     vecs = root_vectors(UqAlgebra(3), nice_word(3))  # highest root has degree 3
-    _serre_system.cache_clear()
+    monkeypatch.setattr(uqsl, "_SERRE", {})  # no rank's system built yet
     fresh = UqAlgebra(3)
-    assert _serre_system.cache_info().currsize == 0
+    assert uqsl._SERRE == {}
     assert not any(isinstance(v, TruncatedGB) for v in vars(fresh).values())
     _assert_eword_mul_matches_product(fresh, vecs)  # products up to degree 6
-    assert _serre_system.cache_info().currsize == 1
+    assert list(uqsl._SERRE) == [3]
     assert _serre_system(3).settled
 
 
