@@ -278,22 +278,28 @@ def quadratic_relations(t: TangentSpace) -> RelationSpace:
     A_mu depends only on the members of weight mu and on the ordered pairs
     (X_k, X_l), so each other block's RREF is memoised on the algebra under
     their `eword_id`s, as rows over pair positions (`_relation_memo`);
-    classes of a survey share most blocks."""
+    classes of a survey share most blocks.
+
+    Blocks are keyed and split-tested on packed weights (`_packed`): the
+    entries (>= 0 in U+) big-endian in fields of b + 1 bits, b the bit length
+    of twice the largest entry, so int order is tuple order; a guard bit tops
+    each field, so w <= r entrywise iff (r | G) - w & G == G (a field with
+    w_i > r_i borrows its guard, and no borrow crosses a field)."""
     alg = t.algebra
     d = t.dim
-    pair_weights: dict[tuple[int, ...], list[tuple[int, int]]] = {}
+    packed, guard = _packed(t.weights)
+    pair_weights: dict[int, list[tuple[int, int]]] = {}
     for k in range(d):
         for l in range(d):
-            mu = tuple(a + b for a, b in zip(t.weights[k], t.weights[l]))
-            pair_weights.setdefault(mu, []).append((k, l))
+            pair_weights.setdefault(packed[k] + packed[l], []).append((k, l))
     by_weight = {}
-    for mu in sorted(pair_weights):
-        pairs = pair_weights[mu]
-        if t.word is not None and not any(_splits(mu, t.weights[k + 1 : l]) for k, l in pairs if k < l):
+    for p, pairs in sorted(pair_weights.items()):
+        mu = tuple(a + b for a, b in zip(t.weights[pairs[0][0]], t.weights[pairs[0][1]]))
+        if t.word is not None and not any(_splits(p, packed[k + 1 : l], guard) for k, l in pairs if k < l):
             qc = lambda k, l: {(k, l): ONE, (l, k): qpow(-weyl.root_pairing(t.roots[k], t.roots[l]))}
             by_weight[mu] = [FreeElement(qc(k, l) if k < l else {(k, k): ONE}) for k, l in pairs if k <= l]
             continue
-        members = [m for m in range(d) if t.weights[m] == mu]
+        members = [m for m in range(d) if packed[m] == p]
         key = (tuple(t.ids[m] for m in members), tuple((t.ids[k], t.ids[l]) for k, l in pairs))
         rows = alg._relation_memo.get(key)
         if rows is None:
@@ -301,16 +307,22 @@ def quadratic_relations(t: TangentSpace) -> RelationSpace:
                 alg, [t.coords[m] for m in members], [(t.coords[k], t.coords[l]) for k, l in pairs]
             )
         if rows:
-            by_weight[mu] = [FreeElement({pairs[p]: c for p, c in row}) for row in rows]
+            by_weight[mu] = [FreeElement({pairs[i]: c for i, c in row}) for row in rows]
     return RelationSpace(cotangent_alphabet(t), DegLex(size=d), by_weight)
 
 
-def _splits(mu: tuple[int, ...], weights: list[tuple[int, ...]], start: int = 0) -> bool:
-    """Whether mu is a sum of one or more of weights[start:] (all nonzero),
-    repeats allowed; each multiset is tried once, in non-decreasing index."""
+def _packed(weights: list[tuple[int, ...]]) -> tuple[list[int], int]:
+    """The weights packed for `quadratic_relations`, and the guard mask G."""
+    width = (2 * max(map(max, weights))).bit_length() + 1
+    pack = lambda w: sum(x << width * f for f, x in enumerate(reversed(w)))
+    return [pack(w) for w in weights], pack([1 << width - 1] * len(weights[0]))
+
+
+def _splits(mu: int, weights: list[int], guard: int, start: int = 0) -> bool:
+    """Whether mu is a sum of one or more of weights[start:] (packed, all
+    nonzero), repeats allowed; each multiset is tried once, in non-decreasing index."""
     return any(
-        all(a <= b for a, b in zip(w, mu))
-        and (w == mu or _splits(tuple(b - a for a, b in zip(w, mu)), weights, i))
+        (mu | guard) - w & guard == guard and (w == mu or _splits(mu - w, weights, guard, i))
         for i, w in enumerate(weights[start:], start)
     )
 

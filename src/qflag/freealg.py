@@ -12,9 +12,9 @@ over their last m-1 letters (m the longest lead length; they decide every
 extension).  Rules are named by their leads (see TruncatedGB), and a new
 lead's overlaps come from prefix and suffix indexes of the live leads.  An
 overlap abc of q-commuting letters (every pair among a, b, c a swap to the
-other order with one coefficient, or a square rewritten to zero) is
-resolvable by the diamond lemma and is dropped with no reduction (each
-letter pair's verdict cached until the rules change).  A relation with no
+other order with one coefficient, or a square rewritten to zero), or whose
+end letter moves past the other lead and its tail by swaps, is resolvable
+by the diamond lemma and is dropped with no reduction.  A relation with no
 word holding a live lead is its own normal form and is installed unreduced.
 
 Exact linear algebra over Q(q) (echelon spans, annihilators, RREF) lives
@@ -35,7 +35,7 @@ from __future__ import annotations
 import heapq
 from typing import NamedTuple
 
-from qflag.scalars import ONE, RatQ
+from qflag.scalars import ONE, ZERO, RatQ
 
 Word = tuple  # tuple[int, ...]
 
@@ -249,23 +249,23 @@ class TruncatedGB:
     degrees the live leads are the ideal's minimal leading words whatever
     order the overlaps resolve in, so normal forms and counts do not move.
 
-    An overlap of two length-2 leads spelling abc is dropped unreduced when
-    each of the pairs {a,b}, {b,c}, {a,c} carries a monomial rule: for
-    x != y exactly one of xy, yx is a live lead and its tail is the single
-    term c*(the other order); for x = y, xx is a live lead with an empty
-    tail (`_commuting_overlap`).  Tails lie below leads, so a swap puts the
-    smaller letter first, and live leads contain none of each other, so a
-    length-3 word over a, b, c holding a swap or square lead has no other
-    redex.  Each such word with a repeated letter holds one (xx, or xy
-    beside yx), so it reduces along any path to 0; one with distinct
-    letters, to its sorted arrangement times the swap coefficients of its
-    inversions, each swapped once.  Both sides of the overlap reach that
-    multiple, so the ambiguity is resolvable (Bergman's diamond lemma,
-    1978) and its generic resolution would install no rule: rules, their
-    order and counts are those of the generic completion.  A pair's verdict
-    reads only the rules at xy and yx, so it is cached in `_pairs`, which
-    `_index` empties on every install and retirement.  `reduce` rewrites
-    only words holding a live lead, so `_orient` skips it when none does."""
+    An overlap abc of two length-2 leads is dropped unreduced
+    (`_commuting_overlap`) when (1) every pair among a, b, c has a swap rule
+    xy -> c yx (yx no lead) or a square xx -> 0: live leads contain none of
+    each other, so a word over a, b, c reduces along any path to 0 or to its
+    sorted arrangement times its inversions' coefficients; or (2) an end
+    letter is q-central for the other lead (`_central`).  Case A: z moves
+    left past x, y and both letters of each tail word uv of xy by swaps
+    wz -> l_w zw, no tail word is a lead, and l_u l_v = l_x l_y.  `reduce`
+    rewrites the first window holding a lead, so sum t_uv uvz goes through
+    uzv to sum t_uv l_u l_v zuv, and x l_y zy to l_x l_y zxy, whose first
+    window zx is no lead, then to l_x l_y sum t_uv zuv.  Case B mirrors it:
+    x moves right past y, z and the letters of yz's tail words.  Both sides
+    agree, so the ambiguity is resolvable (Bergman's diamond lemma, 1978)
+    and would install no rule: rules, order and counts are the generic
+    completion's.  The swap table `_swaps` is built on the first overlap and
+    dropped on every install and retirement.  `reduce` rewrites only words
+    holding a live lead, so `_orient` skips it when none does."""
 
     def __init__(self, alphabet: Alphabet, order: DegLex):
         self.alphabet = alphabet
@@ -276,16 +276,16 @@ class TruncatedGB:
         self._lengths: list[int] = []  # distinct lead lengths, ascending
         self._prefixes: dict[Word, set[Word]] = {}
         self._suffixes: dict[Word, set[Word]] = {}
-        self._pairs: dict[tuple[int, int], bool] = {}  # letters x, y -> do they carry a monomial rule
+        self._swaps: dict[tuple[int, int], RatQ] | None = None  # built by _commuting_overlap
 
     def _index(self, lead: Word, live: bool):
-        """Add lead to (live) or drop it from the prefix/suffix indexes; update `_lengths`, empty `_pairs`."""
+        """Add lead to (live) or drop it from the prefix/suffix indexes; update `_lengths`, empty `_swaps`."""
         op = set.add if live else set.discard
         for t in range(1, len(lead)):
             op(self._prefixes.setdefault(lead[:t], set()), lead)
             op(self._suffixes.setdefault(lead[-t:], set()), lead)
         self._lengths = sorted({*self._lengths, len(lead)} if live else {len(w) for w in self.rules})
-        self._pairs.clear()
+        self._swaps = None
 
     # -- reduction -----------------------------------------------------------
 
@@ -386,20 +386,28 @@ class TruncatedGB:
         self.valid_degree = max(self.valid_degree, dmax)
 
     def _commuting_overlap(self, word: Word) -> bool:
-        """Whether the overlap word = abc of two length-2 leads q-commutes in
-        the live rules, so it resolves with no reduction (class docstring)."""
+        """Whether the overlap word = abc of two length-2 leads q-commutes or has
+        a q-central end letter, so it resolves with no reduction (class docstring)."""
         if len(word) != 3:
             return False
-        rules, pairs = self.rules, self._pairs
-        for x, y in ((word[0], word[1]), (word[1], word[2]), (word[0], word[2])):
-            if (ok := pairs.get((x, y))) is None:
-                lead, other = ((x, y), (y, x)) if (x, y) in rules else ((y, x), (x, y))
-                tail = rules.get(lead)  # a square's is empty, a swap's the other order alone
-                ok = pairs[x, y] = pairs[y, x] = tail is not None and (
-                    not tail if x == y else list(tail.terms) == [other] and other not in rules)
-            if not ok:
-                return False
-        return True
+        if (sw := self._swaps) is None:  # c of each rule ab -> c*ba, ba no lead (0 for a square)
+            sw = self._swaps = {
+                lead: tail.terms.get(rev, ZERO) for lead, tail in self.rules.items()
+                if len(lead) == 2 and list(tail.terms) == ([] if (rev := lead[::-1]) == lead else [rev])
+                and (rev == lead or rev not in self.rules)}
+        x, y, z = word
+        if ((x, y) in sw or (y, x) in sw) and ((y, z) in sw or (z, y) in sw) and ((x, z) in sw or (z, x) in sw):
+            return True
+        return self._central((x, y), lambda w: sw.get((w, z))) or self._central((y, z), lambda w: sw.get((x, w)))
+
+    def _central(self, lead: Word, swap) -> bool:
+        """Whether swap(w) = l_w is a swap's, for both letters of lead xy and of
+        each tail word uv, none a lead, with l_u l_v = l_x l_y (case A or B)."""
+        lx, ly, tail = swap(lead[0]), swap(lead[1]), self.rules.get(lead)
+        lxy = lx and ly and tail is not None and lx * ly
+        return bool(lxy) and all(
+            w not in self.rules and (lu := swap(w[0])) and (lv := swap(w[1])) and lu * lv == lxy
+            for w in tail.terms)
 
     # -- queries ---------------------------------------------------------------
 

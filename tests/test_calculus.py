@@ -30,6 +30,7 @@ from qflag.freealg import (
     rank,
     rref,
 )
+from qflag.parser import parse_tangent_exprs
 from qflag.scalars import NU, ONE, Q, QINV, ZERO, RatQ, qpow
 from qflag.uqsl import (
     UqAlgebra,
@@ -449,13 +450,45 @@ def test_closed_form_relations_match_relation_block():
 
 
 def test_splits_matches_partial_sum_search():
-    for n in (2, 3, 4):
-        for w in commutation_classes(n).reps:
-            t = C.tangent_from_word(UqAlgebra(n), w)
-            for mu, pairs in _pair_blocks(t).items():
-                for k, l in pairs:
-                    between = t.weights[k + 1 : l]
-                    assert C._splits(mu, between) == (mu in _sums_below(mu, between)), (w, k, l)
+    """The split test on packed weights (`_packed`, as quadratic_relations
+    runs it) agrees with the search over tuple partial sums for every pair
+    of every class at ranks 2-4 and of the rank-5 slice."""
+    algebras = {}
+    for w in _closed_form_cases():
+        t = C.tangent_from_word(algebras.setdefault(max(w), UqAlgebra(max(w))), w)
+        packed, guard = C._packed(t.weights)
+        for mu, pairs in _pair_blocks(t).items():
+            for k, l in pairs:
+                between = t.weights[k + 1 : l]
+                split = C._splits(packed[k] + packed[l], packed[k + 1 : l], guard)
+                assert split == (mu in _sums_below(mu, between)), (w, k, l)
+
+
+@pytest.mark.parametrize("tangent", ["E1^4; E2", "E1; E2; E2^5"])
+def test_large_tangent_weights_match_tuple_blocks(capsys, tangent):
+    """A `--tangent` space's weights are unbounded: E1^4 squares to weight
+    8*a1, past a 3-bit field, and with E2^5 the weight 10*a2 would pack
+    above a1+a2 in 3-bit fields.  The relations are, block by block and in
+    weight order, `_relation_block` on the pairs grouped by tuple weight,
+    and `relations` and `exterior` print those blocks and the dimensions of
+    their completion."""
+    A = UqAlgebra(2)
+    t = C.tangent_from_exprs(A, parse_tangent_exprs(tangent, A))
+    blocks = {}
+    for mu, pairs in sorted(_pair_blocks(t).items()):
+        members = [t.coords[m] for m in range(t.dim) if t.weights[m] == mu]
+        rows = C._relation_block(A, members, [(t.coords[k], t.coords[l]) for k, l in pairs])
+        if rows:
+            blocks[mu] = [FreeElement({pairs[p]: c for p, c in row}) for row in rows]
+    rel = C.quadratic_relations(t)
+    assert list(rel.by_weight.items()) == list(blocks.items())
+    expect = C.RelationSpace(rel.alphabet, rel.order, blocks)
+    argv = ["--rank", "2", "--tangent", tangent, "--format", "json"]
+    assert cli.run(["relations", *argv]) == 0
+    assert json.loads(capsys.readouterr().out) == {"relations": cli._rendered_by_weight(expect), "total": expect.total_dim()}
+    dims = complete_truncated(expect.all_relations(), rel.order, t.dim + 1, rel.alphabet).normal_counts(t.dim + 1)
+    assert cli.run(["exterior", *argv]) == 0
+    assert json.loads(capsys.readouterr().out) == DimensionTable(dims, C.classical_verdict(dims, t.dim)).as_json_dict()
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

@@ -256,26 +256,50 @@ def _overlap_residue(gb, word, la=None, lb=None):
     return gb.reduce(left - FreeElement.monomial(word[: len(word) - len(lb)]) * gb.rules[lb])
 
 
-class _CheckedGB(TruncatedGB):
-    """A completion that checks its overlap bookkeeping against the oracle.
-    Each push queues the all-pairs scan's overlaps.  After each insert the
-    pending set is the live rules' overlaps not yet resolved, the indexes
-    hold exactly the live leads' proper prefixes and suffixes, and every
-    lead retired so far is out of `rules` and still reducible.  Every
-    overlap the commuting-letter criterion resolves without reduction
-    reduces to zero the generic way."""
+def _skip_case(gb, word):
+    """Which criterion lets gb drop the overlap word unreduced: 'commuting'
+    (every letter pair monomial), 'A' or 'B' (a q-central end letter), or None."""
+    if GenericGB._commuting_overlap(gb, word):
+        return "commuting"
+    if TruncatedGB._commuting_overlap(gb, word):  # builds gb._swaps
+        x, y, z = word
+        if gb._central((x, y), lambda w: gb._swaps.get((w, z))):
+            return "A"
+        if gb._central((y, z), lambda w: gb._swaps.get((x, w))):
+            return "B"
+    return None
+
+
+class _ZeroSkipGB(TruncatedGB):
+    """A completion that reduces each overlap the commuting-letter or
+    q-central criterion drops unreduced and checks that it comes to zero
+    the generic way; `skipped` counts them by case (`_skip_case`)."""
+
+    def __init__(self, alphabet, order):
+        super().__init__(alphabet, order)
+        self.skipped = Counter()
+
+    def _commuting_overlap(self, word):
+        skip = super()._commuting_overlap(word)
+        case = _skip_case(self, word)
+        assert skip == (case is not None), word
+        if skip:
+            assert not _overlap_residue(self, word), word
+            self.skipped[case] += 1
+        return skip
+
+
+class _CheckedGB(_ZeroSkipGB):
+    """A completion that checks its overlap bookkeeping against the oracle,
+    and its dropped overlaps as _ZeroSkipGB does.  Each push queues the
+    all-pairs scan's overlaps.  After each insert the pending set is the
+    live rules' overlaps not yet resolved, the indexes hold exactly the live
+    leads' proper prefixes and suffixes, and every lead retired so far is
+    out of `rules` and still reducible."""
 
     def __init__(self, alphabet, order):
         super().__init__(alphabet, order)
         self.depth, self.seen, self.resolved, self.retired = 0, set(), set(), set()
-        self.skipped = 0
-
-    def _commuting_overlap(self, word):
-        skip = super()._commuting_overlap(word)
-        if skip:
-            assert not _overlap_residue(self, word), word
-            self.skipped += 1
-        return skip
 
     def _push_overlaps(self, lead):
         before = Counter(self._pending)
@@ -315,6 +339,36 @@ def _checked_completion(rels, order, alphabet, dmax):
     return gb
 
 
+def survey_skips_resolve(n: int) -> Counter:
+    """Complete the exterior of every rank-n class with a coideal verdict
+    other than neither to degree d + 1, under the relation order and its
+    reverse, by complete_truncated's steps on a _ZeroSkipGB, so every overlap
+    dropped unreduced is checked to have a zero residue; the drops by case.
+    CI runs it at rank 5:
+
+        PYTHONPATH=src:tests python3 -c 'import test_freealg; print(test_freealg.survey_skips_resolve(5))'
+    """
+    A, skipped = UqAlgebra(n), Counter()
+    for rep in commutation_classes(n).reps:
+        t = C.tangent_from_word(A, rep)
+        if C.coideal_check(t).verdict == "neither":
+            continue
+        rel = C.quadratic_relations(t)
+        for order in (rel.order, rel.order.reversed()):
+            gb = _ZeroSkipGB(rel.alphabet, order)
+            for r in rel.all_relations():
+                gb._insert(r)
+            gb.extend_to(t.dim + 1)
+            skipped += gb.skipped
+    return skipped
+
+
+def test_survey_skips_resolve():
+    """Every overlap the rank-4 survey exteriors drop unreduced, completed in
+    full under both orders, has a zero residue; each case drops some."""
+    assert survey_skips_resolve(4) == {"commuting": 9740, "A": 392, "B": 392}
+
+
 def test_overlap_indexes_match_all_pairs_scan():
     """The indexed overlap search queues what the all-pairs scan queued, on
     the installed rank-3 Serre system completed again from its own rules
@@ -324,12 +378,13 @@ def test_overlap_indexes_match_all_pairs_scan():
     rank 4 the nice word and a class without a coideal whose completion
     grows leads up to length 7 before it settles at degree 8.  On the same
     completions every overlap of q-commuting letters that extend_to resolves
-    without reduction reduces to zero (_CheckedGB)."""
+    without reduction, through each of the three cases, reduces to zero
+    (_CheckedGB)."""
     serre = _serre_system(3)
     rels = [FreeElement.monomial(lead) - tail for lead, tail in serre.rules.items()]
     gb = _checked_completion(rels, serre.order, serre.alphabet, 6)
     assert gb.settled and list(gb.rules.items()) == list(serre.rules.items())
-    skipped = 0
+    skipped = Counter()
     for n in (2, 3, 4):
         A = UqAlgebra(n)
         reps = commutation_classes(n).reps if n < 4 else [nice_word(4), (1, 2, 1, 3, 4, 3, 2, 1, 3, 2)]
@@ -339,7 +394,24 @@ def test_overlap_indexes_match_all_pairs_scan():
                 gb = _checked_completion(rel.all_relations(), order, rel.alphabet, 8)
                 assert gb.settled
                 skipped += gb.skipped
-    assert skipped > 0
+    assert set(skipped) == {"commuting", "A", "B"}, skipped
+
+
+@pytest.mark.parametrize("n, popped, rewritten", [(4, 1610, 192), (5, 15290, 2253)])
+def test_survey_overlap_counts(monkeypatch, n, popped, rewritten):
+    """The overlaps the rank-4 and rank-5 surveys' completions pop, and those
+    they rewrite, which the README cites; the criteria drop the rest (the
+    commuting letters alone left 300 and 3,859 rewritten)."""
+    counts = Counter()
+    verdict = TruncatedGB._commuting_overlap
+
+    def counted(self, word):
+        counts[skip := verdict(self, word)] += 1
+        return skip
+
+    monkeypatch.setattr(TruncatedGB, "_commuting_overlap", counted)
+    C.survey_rows(UqAlgebra(n))
+    assert (counts[True] + counts[False], counts[False]) == (popped, rewritten)
 
 
 def test_retired_rules_leave_the_heap_and_indexes():
@@ -394,6 +466,46 @@ def test_commuting_overlap_guard():
     for gb, word in refused:
         assert any(w == word for _deg, _la, _lb, w in gb._pending), word
         assert not gb._commuting_overlap(word) and _overlap_residue(gb, word), word
+
+
+def test_q_central_overlap_guard():
+    """The q-central criterion accepts the overlap x2 x1 x0 of x2x1 and x1x0
+    when x0 moves left past x2, x1 and the letters of x2x1's tail by swaps
+    with l_u l_v = l_2 l_1 for each tail word uv (case A), or x2 moves right
+    past x1, x0 and the letters of x1x0's tail (case B); each accepted
+    overlap has a zero residue, and the commuting-letter criterion refuses
+    it.  Each refused case has a nonzero residue, so skipping it would lose
+    a rule."""
+    lam, mu = QINV, Q  # the swap coefficients of x1x0 (or x2x1) and x2x0
+    swaps = [{(1, 0): ONE, (0, 1): -lam}, {(2, 0): ONE, (0, 2): -mu}]
+    word = (2, 1, 0)
+    accepted = [
+        # x2x1 -> q x1x2 + x1x1 with l_1 l_1 = l_1 l_2
+        (_three_letter_gb({(2, 1): ONE, (1, 2): -Q, (1, 1): -ONE}, {(1, 0): ONE, (0, 1): -lam},
+                          {(2, 0): ONE, (0, 2): -lam}), "A"),
+        # x1x0 -> q x0x1 + x0x0, x2 swapping right past x1 and x0 alike
+        (_three_letter_gb({(1, 0): ONE, (0, 1): -Q, (0, 0): -ONE}, {(2, 1): ONE, (1, 2): -mu}, swaps[1]), "B"),
+    ]
+    for gb, case in accepted:
+        assert _skip_case(gb, word) == case and gb._commuting_overlap(word), case
+        assert not _overlap_residue(gb, word), case
+    four = TruncatedGB(Alphabet(("x0", "x1", "x2", "x3"), ((1,),) * 4), DegLex(size=4))
+    for r in ({(3, 2): ONE, (3, 1): -ONE}, {(3, 0): ONE, (0, 3): -mu}, {(2, 0): ONE, (0, 2): -lam}):
+        four._insert(FreeElement(r))
+    refused = [
+        # the tail word x1x2 of x2x1 is a live lead
+        (_three_letter_gb({(2, 1): ONE, (1, 2): -ONE}, {(1, 2): ONE, (1, 1): -Q}, *swaps), word),
+        # the tail letter x1 of x3x2 -> x3x1 has no swap with x0
+        (four, (3, 2, 0)),
+        # x2x1 -> q x1x2 + x1x1 with l_1 l_1 != l_1 l_2
+        (_three_letter_gb({(2, 1): ONE, (1, 2): -Q, (1, 1): -ONE}, *swaps), word),
+        # the tail letter x0 of x2x1 -> x0x1 is x0 itself: a square where a swap is needed
+        (_three_letter_gb({(2, 1): ONE, (0, 1): -ONE}, *swaps), word),
+    ]
+    for gb, w in refused:
+        assert any(e[3] == w for e in gb._pending), w
+        assert _skip_case(gb, w) is None and not gb._commuting_overlap(w), w
+        assert _overlap_residue(gb, w), w
 
 
 def _assert_same_system(gb, generic, case):
@@ -485,28 +597,27 @@ def test_installed_systems_match_generic_bookkeeping(n):
 
 
 def test_commuting_pair_cache_follows_rule_changes():
-    """The letter-pair verdicts cached by _commuting_overlap are dropped
-    whenever a rule is installed or retired: a pair with no rule turns
-    true once a swap is installed; a swap turns false once its reversed
-    word becomes a lead (an install that needs a reduce); a swap turns
-    false once a shorter lead inside it retires it.  _insert installs
-    before it retires, so the last case retires the rule by hand, as
-    _insert does."""
+    """The table of swap coefficients that _commuting_overlap builds is
+    dropped whenever a rule is installed or retired: a pair with no rule
+    turns into a swap once one is installed; a swap leaves the table once
+    its reversed word becomes a lead (an install that needs a reduce) or
+    once a shorter lead inside it retires it.  _insert installs before it
+    retires, so the last case retires the rule by hand, as _insert does."""
     gb = _three_letter_gb({(2, 2): ONE}, {(2, 1): ONE, (1, 2): -Q})
-    assert not gb._commuting_overlap((2, 2, 0)) and gb._pairs[0, 2] is False
+    assert not gb._commuting_overlap((2, 2, 0)) and gb._swaps == {(2, 2): ZERO, (2, 1): Q}
     gb._insert(FreeElement({(2, 0): ONE, (0, 2): -QINV}))
-    assert gb._commuting_overlap((2, 2, 0))
+    assert gb._swaps is None and gb._commuting_overlap((2, 2, 0))
 
     gb._insert(FreeElement({(1, 0): ONE, (0, 1): -Q}))
-    assert gb._commuting_overlap((2, 1, 0)) and gb._pairs[0, 1] is True
+    assert gb._commuting_overlap((2, 1, 0)) and gb._swaps[1, 0] == Q
     gb._insert(FreeElement({(0, 1): ONE, (1, 0): -ONE}))  # reduces to (1 - q) x0x1
     assert (0, 1) in gb.rules and not gb.rules[0, 1]
-    assert not gb._commuting_overlap((2, 1, 0))
+    assert not gb._commuting_overlap((2, 1, 0)) and (1, 0) not in gb._swaps
 
-    assert gb._commuting_overlap((2, 2, 1)) and gb._pairs[1, 2] is True
+    assert gb._commuting_overlap((2, 2, 1)) and gb._swaps[2, 1] == Q
     tail = gb.rules.pop((2, 1))
     gb._index((2, 1), False)
-    assert tail and not gb._commuting_overlap((2, 2, 1))
+    assert gb._swaps is None and tail and not gb._commuting_overlap((2, 2, 1)) and (2, 1) not in gb._swaps
 
 
 def test_span_nullspace_annihilator():
