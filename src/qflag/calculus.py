@@ -49,11 +49,10 @@ from qflag.weyl import Root
 
 
 class TangentSpace(NamedTuple):
-    """Ordered basis of weight-homogeneous positive-part elements, with their
-    E-word coordinates and `eword_id`s, tagged with its Weyl word, if any."""
+    """Ordered basis of weight-homogeneous U+ elements, as E-word coordinates
+    and `eword_id`s, tagged with its Weyl word, if any."""
 
     algebra: UqAlgebra
-    basis: list[UqElement]
     weights: list[tuple[int, ...]]
     labels: list[str]
     coords: list[dict]
@@ -67,7 +66,7 @@ class TangentSpace(NamedTuple):
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.coords)
 
 
 def _root_label(r: Root) -> str:
@@ -77,13 +76,12 @@ def _root_label(r: Root) -> str:
 def tangent_from_word(algebra: UqAlgebra, word) -> TangentSpace:
     """Span of the Lusztig root vectors of a reduced word of the longest
     element, ordered by the word's convex order.  They are independent with
-    no check: nonzero (root_vectors refuses a zero one), of distinct weights."""
+    no check: nonzero (_root_vectors refuses a zero one), of distinct weights."""
     word = tuple(word)
-    basis, coords, ids = _root_vectors(algebra, word)
-    betas = weyl.beta_sequence(word, algebra.n)
+    betas = weyl.beta_sequence(word, algebra.n)  # validates the word
+    coords, ids = _root_vectors(algebra, betas)
     return TangentSpace(
         algebra=algebra,
-        basis=basis,
         weights=[b.weight(algebra.n) for b in betas],
         labels=[_root_label(b) for b in betas],
         coords=coords,
@@ -123,7 +121,6 @@ def tangent_from_exprs(algebra: UqAlgebra, elems) -> TangentSpace:
     )
     return TangentSpace(
         algebra=algebra,
-        basis=basis,
         weights=weights,
         labels=labels,
         coords=coords,
@@ -207,7 +204,7 @@ def coideal_check(t: TangentSpace) -> CoidealReport:
                     witnesses[side] = CoidealWitness(
                         basis_label=label,
                         group_monomial=_mono_str(key, alg.n),
-                        residue=UqElement(alg, {((), zero, v): c for v, c in residue.items()}).render(),
+                        residue=alg.eword_element(residue).render(),
                     )
                     break
     sides = tuple(sorted(witnesses))
@@ -567,7 +564,6 @@ def grassmann_restriction(t: TangentSpace, r: int) -> tuple[TangentSpace, bool]:
     keep = [k for k, root in enumerate(t.roots) if root.i <= r < root.j]
     sub = TangentSpace(
         algebra=alg,
-        basis=[t.basis[k] for k in keep],
         weights=[t.weights[k] for k in keep],
         labels=[t.labels[k] for k in keep],
         coords=[t.coords[k] for k in keep],
@@ -575,14 +571,14 @@ def grassmann_restriction(t: TangentSpace, r: int) -> tuple[TangentSpace, bool]:
         roots=[t.roots[k] for k in keep],
         word=None,
     )
-    return sub, _levi_closed(alg, sub.basis, r)
+    return sub, _levi_closed(alg, sub.coords, sub.weights, r)
 
 
-def _levi_closed(alg: UqAlgebra, basis: list[UqElement], r: int) -> bool:
-    """Whether span(T), T weight-homogeneous in U+, is closed under the
-    right adjoint action of K_i^{+-1} and of E_j, F_j (j in S = Pi minus
-    alpha_r) in the Grassmannian's restricted dual, which kills the right
-    multiples X E_j, X F_j (j in S) and X (K_i^{+-1} - 1).
+def _levi_closed(alg: UqAlgebra, coords: list[dict], weights: list[tuple[int, ...]], r: int) -> bool:
+    """Whether span(T), T weight-homogeneous in U+ (coords and weights), is
+    closed under the right adjoint action of K_i^{+-1} and of E_j, F_j (j in
+    S = Pi minus alpha_r) in the Grassmannian's restricted dual, which kills
+    the right multiples X E_j, X F_j (j in S) and X (K_i^{+-1} - 1).
 
     ad(K_i^{+-1})x is a multiple of x, so it lies in span(T) untested.
     Modulo the right multiples X (K^v - 1) a K may move to the right end
@@ -606,16 +602,16 @@ def _levi_closed(alg: UqAlgebra, basis: list[UqElement], r: int) -> bool:
     n = alg.n
     gens_s = [j for j in range(1, n + 1) if j != r]
     members: dict[tuple[int, ...], Span] = {}
-    for x in basis:
+    for x in coords:
         for y in _levi_candidates(alg, x, gens_s):
             if not y:
                 continue
             mu = alg.word_weight(next(iter(y)))
             if mu not in members:
                 members[mu] = sp = Span()
-                for z in basis:
-                    if z.weight() == mu:
-                        sp.add(z.eword_coords())
+                for z, w in zip(coords, weights):
+                    if w == mu:
+                        sp.add(z)
                 for s in gens_s:
                     for w in _normal_ewords(alg, [m - (a == s - 1) for a, m in enumerate(mu)]):
                         sp.add(dict(alg.word_nf(w + (s,))))
@@ -624,11 +620,10 @@ def _levi_closed(alg: UqAlgebra, basis: list[UqElement], r: int) -> bool:
     return True
 
 
-def _levi_candidates(alg: UqAlgebra, x: UqElement, gens_s: list[int]):
+def _levi_candidates(alg: UqAlgebra, xc: dict, gens_s: list[int]):
     """E-word coordinates of ad(E_j)x and ad(F_j)x, j in gens_s, in that
-    order, modulo the right multiples X (K^v - 1): a twisted commutator and
-    a skew-derivation sum (see `_levi_closed`)."""
-    xc = x.eword_coords()
+    order, x in U+ of E-word coordinates xc, modulo the right multiples
+    X (K^v - 1): a twisted commutator and a skew-derivation sum (`_levi_closed`)."""
     for j in gens_s:
         ej = tuple(int(a == j - 1) for a in range(alg.n))
         ph = alg._ad_sum(ej, next(iter(xc)))

@@ -22,7 +22,7 @@ import sys
 from qflag import calculus, oq, weyl
 from qflag.parser import ParseError, parse_oq, parse_scalar, parse_tangent_exprs, parse_uq, parse_word
 from qflag.scalars import RatQ
-from qflag.uqsl import UqAlgebra, coproduct, root_vectors
+from qflag.uqsl import UqAlgebra, coproduct
 
 USAGE_ERROR, EXPECT_ERROR = 2, 1
 _DBAR_MAX_WORDS = 4096  # caps all (n+1)^(2*degree) u-words; the kernel runs on the ordered ones
@@ -84,15 +84,13 @@ def _non_negative(text: str) -> int:
 
 def cmd_roots(args):
     alg = UqAlgebra(args.rank)
-    word = parse_word(args.word or "nice", args.rank)
-    betas = weyl.beta_sequence(word, args.rank)
-    vecs = root_vectors(alg, word)
+    t = calculus.tangent_from_word(alg, parse_word(args.word or "nice", args.rank))
     rows = [
-        {"k": k + 1, "root": str(b), "weight": list(b.weight(args.rank)), "vector": v.render()}
-        for k, (b, v) in enumerate(zip(betas, vecs))
+        {"k": k + 1, "root": str(b), "weight": list(w), "vector": alg.eword_element(x).render()}
+        for k, (b, w, x) in enumerate(zip(t.roots, t.weights, t.coords))
     ]
     lines = [f"beta_{r['k']} = {r['root']}  {r['vector']}" for r in rows]
-    return {"word": weyl.word_str(word), "roots": rows}, lines
+    return {"word": weyl.word_str(t.word), "roots": rows}, lines
 
 
 def cmd_coproduct(args):
@@ -169,7 +167,7 @@ def cmd_lines(args):
 def cmd_grassmann(args):
     t = calculus.tangent_from_word(UqAlgebra(args.rank), weyl.nice_word(args.rank))
     sub, closed = calculus.grassmann_restriction(t, args.r)
-    basis = [x.render() for x in sub.basis]
+    basis = [sub.algebra.eword_element(x).render() for x in sub.coords]
     lines = [f"size: {sub.dim}  ad-closed: {'yes' if closed else 'no'}"]
     lines += [f"  {lab}: {x}" for lab, x in zip(sub.labels, basis)]
     return {"r": args.r, "basis": basis, "size": sub.dim, "ad_closed": closed}, lines

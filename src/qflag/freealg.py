@@ -9,8 +9,9 @@ homogeneous two-sided ideals; with no live overlap pending it is complete
 in every degree by Bergman's diamond lemma), and graded dimension counting:
 normal words are paths in Ufnarovski's graph of the leads, counted by DP
 over their last m-1 letters (m the longest lead length; they decide every
-extension).  Rules are named by their leads (see TruncatedGB), and a new
-lead's overlaps come from prefix and suffix indexes of the live leads.  An
+extension).  Leads are installed in nondecreasing length, so no new lead
+lies inside an old one and each names its rule for good (see TruncatedGB);
+a new lead's overlaps come from prefix and suffix indexes of the leads.  An
 overlap abc of q-commuting letters (every pair among a, b, c a swap to the
 other order with one coefficient, or a square rewritten to zero), or whose
 end letter moves past the other lead and its tail by swaps, is resolvable
@@ -239,15 +240,17 @@ class TruncatedGB:
     degrees <= valid_degree.  Extendable on demand, and complete in every
     degree once `settled`, when its queries answer at every degree.
 
-    `rules` maps each live lead to its tail, in insertion order.  A lead
-    names its rule for good: a rule retires only when a shorter new lead
-    lies inside its lead, and that one retires only for a still shorter
-    lead inside it, so a retired lead stays reducible and never returns;
-    `_insert` reduces before it installs, so no two live rules share a
-    lead.  Pending overlaps are (degree, lead, lead, word), found through
-    indexes of the live leads' proper prefixes and suffixes.  In the valid
-    degrees the live leads are the ideal's minimal leading words whatever
-    order the overlaps resolve in, so normal forms and counts do not move.
+    `rules` maps each lead to its tail, in insertion order.  Leads are
+    installed in nondecreasing length (`_index` refuses a shorter one):
+    `complete_truncated` installs its relations by degree, resolving the
+    overlaps below each first, and an overlap, popped in degree order,
+    yields a lead of its degree.  `_insert` reduces before it installs, so
+    a new lead holds no lead, and being no shorter it lies inside none: no
+    inclusion ambiguity arises, and a lead names its rule for good.
+    Pending overlaps are (degree, lead, lead, word), found through indexes
+    of the leads' proper prefixes and suffixes.  In the valid degrees the
+    leads are the ideal's minimal leading words whatever order the
+    overlaps resolve in, so normal forms and counts do not move.
 
     An overlap abc of two length-2 leads is dropped unreduced
     (`_commuting_overlap`) when (1) every pair among a, b, c has a swap rule
@@ -263,9 +266,10 @@ class TruncatedGB:
     x moves right past y, z and the letters of yz's tail words.  Both sides
     agree, so the ambiguity is resolvable (Bergman's diamond lemma, 1978)
     and would install no rule: rules, order and counts are the generic
-    completion's.  The swap table `_swaps` is built on the first overlap and
-    dropped on every install and retirement.  `reduce` rewrites only words
-    holding a live lead, so `_orient` skips it when none does."""
+    completion's.  The swap table `_swaps` reads only length-2 rules, so it
+    is built on the first overlap and dropped only by a length-2 install.
+    `reduce` rewrites only words holding a live lead, so `_orient` skips it
+    when none does."""
 
     def __init__(self, alphabet: Alphabet, order: DegLex):
         self.alphabet = alphabet
@@ -278,14 +282,19 @@ class TruncatedGB:
         self._suffixes: dict[Word, set[Word]] = {}
         self._swaps: dict[tuple[int, int], RatQ] | None = None  # built by _commuting_overlap
 
-    def _index(self, lead: Word, live: bool):
-        """Add lead to (live) or drop it from the prefix/suffix indexes; update `_lengths`, empty `_swaps`."""
-        op = set.add if live else set.discard
-        for t in range(1, len(lead)):
-            op(self._prefixes.setdefault(lead[:t], set()), lead)
-            op(self._suffixes.setdefault(lead[-t:], set()), lead)
-        self._lengths = sorted({*self._lengths, len(lead)} if live else {len(w) for w in self.rules})
-        self._swaps = None
+    def _index(self, lead: Word):
+        """Add lead to the prefix/suffix indexes and `_lengths`, refusing one
+        shorter than a live lead; a length-2 lead empties `_swaps`."""
+        n, top = len(lead), (self._lengths or [0])[-1]
+        if n < top:
+            raise ValueError(f"lead of length {n} installed after one of length {top}")
+        for t in range(1, n):
+            self._prefixes.setdefault(lead[:t], set()).add(lead)
+            self._suffixes.setdefault(lead[-t:], set()).add(lead)
+        if n > top:
+            self._lengths.append(n)
+        if n == 2:
+            self._swaps = None
 
     # -- reduction -----------------------------------------------------------
 
@@ -342,30 +351,15 @@ class TruncatedGB:
         lead = elem.lead(self.order)
         lc = elem.terms[lead]
         tail = {w: -(c if lc == ONE else c / lc) for w, c in elem.terms.items() if w != lead}
+        self._index(lead)
         # a unit coefficient is the shared ONE, whose products reduce skips
         self.rules[lead] = elem._like({w: ONE if c == ONE else c for w, c in tail.items()})
-        self._index(lead, True)
         return lead
 
     def _insert(self, elem: FreeElement):
-        """Reduce, orient, and install a new rule; retire rules whose lead
-        becomes reducible, with their pending overlaps."""
-        if (lead := self._orient(elem)) is None:
-            return
-        # inclusion ambiguities: a lead containing the irreducible new lead is
-        # longer; with no longer live lead there is nothing to scan
-        n = len(lead)
-        stale = [other for other in self.rules
-                 if len(other) > n and any(other[p : p + n] == lead for p in range(len(other) - n + 1))
-                 ] if self._lengths[-1] > n else []
-        if stale:
-            self._pending = [e for e in self._pending if e[1] not in stale and e[2] not in stale]
-            heapq.heapify(self._pending)
-        for other in stale:
-            tail = self.rules.pop(other)
-            self._index(other, False)
-            self._insert(FreeElement.monomial(other) - tail)
-        self._push_overlaps(lead)
+        """Reduce, orient, and install a new rule, queueing its overlaps."""
+        if (lead := self._orient(elem)) is not None:
+            self._push_overlaps(lead)
 
     def extend_to(self, dmax: int):
         """Resolve all pending overlap ambiguities of degree <= dmax."""
@@ -481,13 +475,14 @@ class TruncatedGB:
 def complete_truncated(
     relations: list[FreeElement], order: DegLex, dmax: int, alphabet: Alphabet
 ) -> TruncatedGB:
-    """Degree-truncated two-sided completion of a homogeneous relation set."""
+    """Degree-truncated two-sided completion of homogeneous relations, installed by degree."""
+    rels = [r for r in relations if r]
+    if not all(r.is_homogeneous(alphabet) for r in rels):
+        raise ValueError("relations must be homogeneous in degree and weight")
     gb = TruncatedGB(alphabet, order)
-    for r in relations:
-        if not r:
-            continue
-        if not r.is_homogeneous(alphabet):
-            raise ValueError("relations must be homogeneous in degree and weight")
+    for r in sorted(rels, key=lambda r: len(next(iter(r.terms)))):
+        if gb._pending and gb._pending[0][0] < (d := len(next(iter(r.terms)))):
+            gb.extend_to(d - 1)  # every lead shorter than r's comes first
         gb._insert(r)
     gb.extend_to(dmax)
     return gb

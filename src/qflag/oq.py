@@ -113,7 +113,7 @@ def _kdiag_exp(i: int, b: int) -> int:
     return (1 if b == i + 1 else 0) - (1 if b == i else 0)
 
 
-def _apply_token(n: int, token, vec: dict) -> dict:
+def _apply_token(token, vec: dict) -> dict:
     """Apply one generator to a sparse vector over column multi-indices."""
     kind, i = token[0], token[1]
     out: dict = {}
@@ -144,27 +144,26 @@ def _apply_token(n: int, token, vec: dict) -> dict:
     raise ValueError(f"unknown token {token!r}")
 
 
-def _apply_mono(n: int, mono, vec: dict) -> dict:
+def _apply_mono(mono, vec: dict) -> dict:
     """Apply a normal monomial (F-word, K-vec, E-word), rightmost factor first."""
     f, kv, e = mono
     ks = [("K", i, v) for i, v in enumerate(kv, 1) if v]
     for token in [("E", l) for l in reversed(e)] + ks + [("F", l) for l in reversed(f)]:
         if not vec:
             break
-        vec = _apply_token(n, token, vec)
+        vec = _apply_token(token, vec)
     return vec
 
 
 def left_act(x: UqElement, e: OqElement) -> OqElement:
     """Left action X |> a = a_(1) <X, a_(2)>: rows stay, columns move."""
-    n = x.algebra.n
     out: dict = {}
     for w, wc in e.terms.items():
         rows = tuple(a for a, _ in w)
         cols = tuple(b for _, b in w)
         for m, c in x.terms.items():
             cw = c if wc is ONE else wc if c is ONE else wc * c
-            for newcols, cc in _apply_mono(n, m, {cols: ONE}).items():
+            for newcols, cc in _apply_mono(m, {cols: ONE}).items():
                 _acc(out, tuple(zip(rows, newcols)), cw if cc is ONE else cw * cc)
     return e._like(out)
 
@@ -214,7 +213,7 @@ def _frt_system(n: int) -> TruncatedGB:
                   ((u(k, l), u(i, j)), {(u(i, l), u(k, j)): -NU, (u(i, j), u(k, l)): ONE})]
     for lead, tail in rules:
         gb.rules[lead] = FreeElement(tail)
-        gb._index(lead, True)
+        gb._index(lead)
     return gb
 
 

@@ -34,10 +34,10 @@ The root vectors of a reduced word i_1 ... i_N of the longest element are
 X_k = T_{i_1} ... T_{i_{k-1}}(E_{i_k}) in U+, of weight beta_k, with T_i
 Lusztig's braid operators, rescaled so the deg-lex-leading monomial has
 coefficient one (tests/oracles.py builds the T_i, and the tests check the
-root vectors of every class at ranks 2-4 against them).  `root_vectors`
-builds them in U+ in height order: E_i for beta_k = alpha_i, else from a
-minimal pair a < k < b, beta_a + beta_b = beta_k, one with no other such
-pair c, d nested as a < c < k < d < b.  By
+root vectors of every class at ranks 2-4 against them).  `_root_vectors`
+builds their E-word coordinates in height order: E_i for beta_k = alpha_i,
+else from a minimal pair a < k < b, beta_a + beta_b = beta_k, one with no
+other such pair c, d nested as a < c < k < d < b.  By
 Levendorskii-Soibelman convexity, X_a X_b - q^{-1} X_b X_a lies in the span
 of ordered monomials in X_{a+1}, ..., X_{b-1}; for a minimal pair it is a
 nonzero multiple of X_k (Leclerc, Dual canonical bases, quantum shuffles
@@ -294,6 +294,10 @@ class UqAlgebra:
             _acc(out, w, -(c * x))
         return out
 
+    def eword_element(self, coords: dict) -> "UqElement":
+        """The U+ element with these E-word coordinates (inverts `UqElement.eword_coords`)."""
+        return UqElement(self, {((), (0,) * self.n, w): c for w, c in coords.items()})
+
     def eword_id(self, coords: dict) -> int:
         """Small int naming a U+ element of this algebra by its E-word
         coordinates: equal elements get equal ids."""
@@ -469,18 +473,11 @@ def qcomm(x: UqElement, y: UqElement, c) -> UqElement:
     return x * y - (y * x).scale(c)
 
 
-def root_vectors(algebra: UqAlgebra, word) -> list[UqElement]:
-    """Normalized Lusztig root vectors for a reduced word of the longest
-    element, each non-simple one from its least-width minimal pair; entry k
-    is weight-homogeneous of weight beta_k."""
-    return _root_vectors(algebra, word)[0]
-
-
-def _root_vectors(algebra: UqAlgebra, word) -> tuple[list[UqElement], list[dict], list[int]]:
-    """root_vectors(algebra, word), their E-word coordinates and their
-    eword_ids; the last two are memoised in `_root_memo`."""
-    word = tuple(word)
-    betas = weyl.beta_sequence(word, algebra.n)  # validates the word
+def _root_vectors(algebra: UqAlgebra, betas: list[weyl.Root]) -> tuple[list[dict], list[int]]:
+    """E-word coordinates and eword_ids of the normalized Lusztig root
+    vectors of a reduced word of the longest element, given its beta
+    sequence, each non-simple one from its least-width minimal pair; entry
+    k has weight beta_k.  Memoised in `_root_memo`."""
     pos = {b: k for k, b in enumerate(betas)}
     coords: list = [None] * len(betas)
     ids: list = [None] * len(betas)  # eword_ids
@@ -497,10 +494,9 @@ def _root_vectors(algebra: UqAlgebra, word) -> tuple[list[UqElement], list[dict]
         if hit is None:
             x = algebra.eword_qcomm(coords[a], coords[b], QINV)
             if not x:
-                raise AssertionError(f"root vector {k + 1} of {word}: its minimal-pair commutator is zero")
+                raise AssertionError(f"root vector {k + 1} ({betas[k]}): its minimal-pair commutator is zero")
             lc = x[max(x)]  # every word has length ht(beta_k), so this is deg-lex leading
             x = {w: c / lc for w, c in x.items()}
             hit = algebra._root_memo[key] = (x, algebra.eword_id(x))
         coords[k], ids[k] = hit
-    zero = (0,) * algebra.n
-    return [UqElement(algebra, {((), zero, w): c for w, c in x.items()}) for x in coords], coords, ids
+    return coords, ids

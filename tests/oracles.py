@@ -48,11 +48,26 @@ from qflag.calculus import (
     TangentSpace,
     quadratic_relations,
     tangent_from_exprs,
+    tangent_from_word,
 )
 from qflag.freealg import FreeElement, Span, TruncatedGB, _acc, annihilator, complete_truncated, rank
 from qflag.oq import OqElement, _normal_coords, left_act, pair
 from qflag.scalars import NU, ONE, Q, QINV, RatQ, ZERO, qpow
 from qflag.uqsl import TensorSquare, UqAlgebra, UqElement, _cartan, _mono_str, qcomm
+
+# -- tangent members as elements ------------------------------------------------
+
+
+def tangent_basis(t: TangentSpace) -> list[UqElement]:
+    """The members of a tangent space as U+ elements, in its order."""
+    return [t.algebra.eword_element(x) for x in t.coords]
+
+
+def root_vectors(algebra: UqAlgebra, word) -> list[UqElement]:
+    """The normalized Lusztig root vectors of a reduced word of the longest
+    element as U+ elements, in its convex order."""
+    return tangent_basis(tangent_from_word(algebra, word))
+
 
 # -- braid operators, commutators, adjoint action -----------------------------
 
@@ -181,11 +196,11 @@ def coideal_check(t: TangentSpace) -> CoidealReport:
     zero = (0,) * alg.n
     member = Span()
     member.add({(): ONE})
-    for x in t.basis:
+    for x in tangent_basis(t):
         member.add(x.eword_coords())
 
     witnesses: dict[str, CoidealWitness] = {}
-    for x, label in zip(t.basis, t.labels):
+    for x, label in zip(tangent_basis(t), t.labels):
         if len(witnesses) == 2:  # later witnesses would never be reported
             break
         right_groups, left_groups = {}, {}
@@ -201,7 +216,7 @@ def coideal_check(t: TangentSpace) -> CoidealReport:
                     witnesses[side] = CoidealWitness(
                         basis_label=label,
                         group_monomial=_mono_str(key, alg.n),
-                        residue=UqElement(alg, {((), zero, w): c for w, c in residue.items()}).render(),
+                        residue=alg.eword_element(residue).render(),
                     )
                     break
     sides = tuple(sorted(witnesses))
@@ -219,11 +234,10 @@ class GenericGB(TruncatedGB):
     tuple), `_index` recomputes the lead lengths, and `_commuting_overlap`
     looks up the three letter pairs' rules on every call."""
 
-    def _index(self, lead, live):
-        op = set.add if live else set.discard
+    def _index(self, lead):
         for t in range(1, len(lead)):
-            op(self._prefixes.setdefault(lead[:t], set()), lead)
-            op(self._suffixes.setdefault(lead[-t:], set()), lead)
+            self._prefixes.setdefault(lead[:t], set()).add(lead)
+            self._suffixes.setdefault(lead[-t:], set()).add(lead)
         self._lengths = sorted({len(w) for w in self.rules})
 
     def _orient(self, elem):
@@ -235,7 +249,7 @@ class GenericGB(TruncatedGB):
         lc = elem.terms[lead]
         tail = {w: -(c / lc) for w, c in elem.terms.items() if w != lead}
         self.rules[lead] = elem._like({w: ONE if c == ONE else c for w, c in tail.items()})
-        self._index(lead, True)
+        self._index(lead)
         return lead
 
     def _commuting_overlap(self, word):
@@ -347,7 +361,7 @@ def cotangent_action(t, a: int, b: int) -> list[list[RatQ]]:
     <X_m, u_gamma u_ab> over the basis order."""
     if t.roots is None:
         raise ValueError("cotangent_action needs a root-labelled tangent space")
-    return [[pair(x, ((r.j, r.i), (a, b))) for x in t.basis] for r in t.roots]
+    return [[pair(x, ((r.j, r.i), (a, b))) for x in tangent_basis(t)] for r in t.roots]
 
 
 def homogeneous_length(e: OqElement) -> int:
@@ -422,7 +436,7 @@ def dbar_kernel(span_words, t) -> tuple[int, list[OqElement]]:
 
     basis_elems = [OqElement(n, {w: ONE}) for w in words]
     conditions: list[dict] = []
-    for x in t.basis:
+    for x in tangent_basis(t):
         conditions.extend(zero_conditions([left_act(x, e) for e in basis_elems]))
     solutions = annihilator(conditions, list(range(len(words))))
     # fold out the functionally-zero subspace of the input span

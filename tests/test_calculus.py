@@ -12,7 +12,7 @@ from pathlib import Path
 
 import oracles
 import pytest
-from oracles import adjoint, build_Eji, cotangent_action, simple_root_kernel, u_words
+from oracles import adjoint, build_Eji, cotangent_action, root_vectors, simple_root_kernel, tangent_basis, u_words
 from oracles import coideal_check as oracle_coideal_check
 from oracles import dbar_kernel as oracle_dbar_kernel
 
@@ -39,7 +39,6 @@ from qflag.uqsl import (
     _serre_system,
     coproduct,
     qcomm,
-    root_vectors,
 )
 from qflag.weyl import (
     Root,
@@ -65,7 +64,7 @@ def test_tangent_from_word_rank2():
     t = nice_tangent(2)
     assert t.labels == ["e[3,2]", "e[3,1]", "e[2,1]"]
     assert t.weights == [(0, 1), (1, 1), (1, 0)]
-    assert t.basis[1] == build_Eji(t.algebra, 1, 3)
+    assert tangent_basis(t)[1] == build_Eji(t.algebra, 1, 3)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -76,8 +75,8 @@ def test_word_tangents_are_independent(n):
     A = UqAlgebra(n)
     for rep in commutation_classes(n).reps:
         t = C.tangent_from_word(A, rep)
-        assert all(t.basis) and len(set(t.weights)) == t.dim == n * (n + 1) // 2, rep
-        assert rank([x.eword_coords() for x in t.basis]) == t.dim, rep
+        assert all(tangent_basis(t)) and len(set(t.weights)) == t.dim == n * (n + 1) // 2, rep
+        assert rank([x.eword_coords() for x in tangent_basis(t)]) == t.dim, rep
 
 
 def test_tangent_from_exprs_validation():
@@ -139,10 +138,10 @@ def _coideal_by_coproduct(t):
     alg = t.algebra
     member = Span()
     member.add({((), (0,) * alg.n, ()): ONE})
-    for x in t.basis:
+    for x in tangent_basis(t):
         member.add(dict(x.terms))
     witnesses = {}
-    for x, label in zip(t.basis, t.labels):
+    for x, label in zip(tangent_basis(t), t.labels):
         right_groups, left_groups = {}, {}
         for (m1, m2), c in coproduct(x).terms.items():
             _acc(right_groups.setdefault(m2, {}), _strip_k(m1), c)
@@ -262,13 +261,13 @@ def test_relations_dimension_identity():
                 for l in range(d)
                 if tuple(a + b for a, b in zip(t.weights[k], t.weights[l])) == mu
             ]
-            members = [t.basis[m].eword_coords() for m in range(d) if t.weights[m] == mu]
+            members = [tangent_basis(t)[m].eword_coords() for m in range(d) if t.weights[m] == mu]
             sp = Span()
             for m in members:
                 sp.add(dict(m))
             quot_rank = 0
             for (k, l) in pairs:
-                v = sp.reduce(dict((t.basis[k] * t.basis[l]).eword_coords()))
+                v = sp.reduce(dict((tangent_basis(t)[k] * tangent_basis(t)[l]).eword_coords()))
                 if v and Span.add(sp, v):
                     quot_rank += 1
             c_dim = len(pairs) - quot_rank
@@ -287,8 +286,8 @@ def _relations_via_nullspace(t):
             pair_weights.setdefault(mu, []).append((k, l))
     by_weight = {}
     for mu, pairs in pair_weights.items():
-        rows = [(t.basis[k] * t.basis[l]).eword_coords() for k, l in pairs]
-        rows += [t.basis[m].eword_coords() for m in range(d) if t.weights[m] == mu]
+        rows = [(tangent_basis(t)[k] * tangent_basis(t)[l]).eword_coords() for k, l in pairs]
+        rows += [tangent_basis(t)[m].eword_coords() for m in range(d) if t.weights[m] == mu]
         columns = {}
         for i, row in enumerate(rows):
             for w, c in row.items():
@@ -314,7 +313,7 @@ def test_relations_match_nullspace_route():
     for t in _differential_tangents():
         rel = C.quadratic_relations(t)
         got = {mu: [r.terms for r in rels] for mu, rels in rel.by_weight.items()}
-        assert got == _relations_via_nullspace(t), t.word or [x.render() for x in t.basis]
+        assert got == _relations_via_nullspace(t), t.word or [x.render() for x in tangent_basis(t)]
 
 
 def _memo_cases(rank):
@@ -343,7 +342,7 @@ def _memo_case_result(A, rep, kind, theta):
             basis[k] = qcomm(A.E(2), A.E(1), theta)
         t = C.tangent_from_exprs(A, basis)
     rel = C.quadratic_relations(t)
-    return [x.terms for x in t.basis], {mu: [r.terms for r in rels] for mu, rels in rel.by_weight.items()}
+    return [x.terms for x in tangent_basis(t)], {mu: [r.terms for r in rels] for mu, rels in rel.by_weight.items()}
 
 
 @pytest.mark.parametrize("rank", [2, 3, 4])
@@ -430,7 +429,7 @@ def test_closed_form_relations_match_relation_block():
         A._relation_memo.clear()
         t = C.tangent_from_word(A, w)
         rel = C.quadratic_relations(t)
-        coords = [x.eword_coords() for x in t.basis]
+        coords = [x.eword_coords() for x in tangent_basis(t)]
         free = 0
         for mu, pairs in _pair_blocks(t).items():
             members = [coords[m] for m in range(t.dim) if t.weights[m] == mu]
@@ -498,7 +497,7 @@ def test_split_free_pairs_q_commute(n):
     A, seen = UqAlgebra(n), set()
     for w in commutation_classes(n).reps:
         t = C.tangent_from_word(A, w)
-        coords = [x.eword_coords() for x in t.basis]
+        coords = [x.eword_coords() for x in tangent_basis(t)]
         for mu, pairs in _pair_blocks(t).items():
             if not _split_free(t, mu, pairs):
                 continue
@@ -529,14 +528,27 @@ def test_expression_tangents_take_the_product_path():
 def test_tangent_spaces_carry_their_eword_ids(n):
     """The E-word coordinates and ids a tangent space carries are those its
     members give afresh, for every class's word, a --tangent space (one
-    member a q-commutator no word has) and a Grassmann space."""
+    member a q-commutator no word has) and a Grassmann space; the members
+    of the --tangent space are the elements it was given back."""
     A = UqAlgebra(n)
     spaces = [C.tangent_from_word(A, w) for w in commutation_classes(n).reps]
-    spaces.append(C.tangent_from_exprs(A, [A.E(1), A.E(2), qcomm(A.E(2), A.E(1), Q)]))
+    given = [A.E(1), A.E(2), qcomm(A.E(2), A.E(1), Q)]
+    spaces.append(C.tangent_from_exprs(A, given))
     spaces.append(C.grassmann_restriction(C.tangent_from_word(A, nice_word(n)), (n + 1) // 2)[0])
     for t in spaces:
-        assert t.coords == [x.eword_coords() for x in t.basis], t.word
-        assert t.ids == [A.eword_id(x.eword_coords()) for x in t.basis], t.word
+        assert t.coords == [x.eword_coords() for x in tangent_basis(t)], t.word
+        assert t.ids == [A.eword_id(x.eword_coords()) for x in tangent_basis(t)], t.word
+    assert tangent_basis(spaces[-2]) == given
+
+
+def test_tangent_from_word_computes_one_beta_sequence(monkeypatch):
+    """tangent_from_word validates the word by its beta sequence and hands
+    that sequence to `_root_vectors`, so it is computed once."""
+    calls = []
+    beta_sequence = C.weyl.beta_sequence
+    monkeypatch.setattr(C.weyl, "beta_sequence", lambda *args: calls.append(args) or beta_sequence(*args))
+    t = C.tangent_from_word(UqAlgebra(3), nice_word(3))
+    assert calls == [(nice_word(3), 3)] and t.roots == beta_sequence(nice_word(3), 3)
 
 
 def test_sl4_nested_relation_present():
@@ -1062,7 +1074,7 @@ def test_levi_closure_matches_search_oracle(n):
     for word, r, keep in _levi_cases(n):
         vecs = root_vectors(alg, word)
         basis = [vecs[k] for k in keep]
-        got = C._levi_closed(alg, basis, r)
+        got = C._levi_closed(alg, [x.eword_coords() for x in basis], [x.weight() for x in basis], r)
         assert got == _levi_closed_by_search(alg, basis, r, ad), (word, r, keep)
         verdicts.append(got)
     assert set(verdicts) == {True, False}
@@ -1080,7 +1092,7 @@ def test_levi_candidates_match_adjoint(n):
         for x in root_vectors(alg, rep):
             vecs.setdefault(alg.eword_id(x.eword_coords()), x)
     for x in vecs.values():
-        ys = iter(C._levi_candidates(alg, x, range(1, n + 1)))
+        ys = iter(C._levi_candidates(alg, x.eword_coords(), range(1, n + 1)))
         for j in range(1, n + 1):
             for kind in "EF":
                 y = _strip_k_phased(alg, adjoint(alg, (kind, j), x).terms)

@@ -220,18 +220,21 @@ def test_dims_against_bruteforce_linear_algebra():
         rels = _q_commutation_relations(alph, coeffs)
         gb = complete_truncated(rels, DegLex(size=m), 4, alph)
         for k in (2, 3):
-            # span of u * r * v over all words u, v with |u|+|v| = k - deg(r)
-            rows = []
-            for r in rels:
-                pad = k - max(map(len, r.terms))
-                for lp in range(pad + 1):
-                    for u in product(range(m), repeat=lp):
-                        for v in product(range(m), repeat=pad - lp):
-                            rows.append(
-                                {u + w + v: c for w, c in r.terms.items()}
-                            )
-            expected = m**k - rank(rows)
-            assert len(gb.normal_words(k)) == expected
+            assert len(gb.normal_words(k)) == _quotient_dim(rels, m, k)
+
+
+def _quotient_dim(rels, m, k):
+    """Dimension of the degree-k part of the free algebra on m letters modulo
+    the homogeneous rels: m^k minus the rank of the span of u * r * v over
+    all words u, v with |u| + |v| = k - deg(r)."""
+    rows = []
+    for r in rels:
+        pad = k - max(map(len, r.terms))
+        for lp in range(pad + 1):
+            for u in product(range(m), repeat=lp):
+                for v in product(range(m), repeat=pad - lp):
+                    rows.append({u + w + v: c for w, c in r.terms.items()})
+    return m**k - rank(rows)
 
 
 def _all_pairs_overlaps(gb, lead):
@@ -293,13 +296,12 @@ class _CheckedGB(_ZeroSkipGB):
     """A completion that checks its overlap bookkeeping against the oracle,
     and its dropped overlaps as _ZeroSkipGB does.  Each push queues the
     all-pairs scan's overlaps.  After each insert the pending set is the
-    live rules' overlaps not yet resolved, the indexes hold exactly the live
-    leads' proper prefixes and suffixes, and every lead retired so far is
-    out of `rules` and still reducible."""
+    rules' overlaps not yet resolved and the indexes hold exactly the
+    leads' proper prefixes and suffixes."""
 
     def __init__(self, alphabet, order):
         super().__init__(alphabet, order)
-        self.depth, self.seen, self.resolved, self.retired = 0, set(), set(), set()
+        self.seen, self.resolved = set(), set()
 
     def _push_overlaps(self, lead):
         before = Counter(self._pending)
@@ -308,27 +310,19 @@ class _CheckedGB(_ZeroSkipGB):
         assert pushed == Counter(_all_pairs_overlaps(self, lead))
 
     def _insert(self, elem):
-        if self.depth == 0:  # only pops ran since the last insert
-            self.resolved |= self.seen - set(self._pending)
-        self.depth += 1
-        before = set(self.rules)
+        self.resolved |= self.seen - set(self._pending)  # only pops ran since the last insert
         super()._insert(elem)
-        self.retired |= before - set(self.rules)
-        self.depth -= 1
-        if self.depth == 0:
-            self.seen = set(self._pending)
-            live = set(self.rules)
-            oracle = {o for lead in live for o in _all_pairs_overlaps(self, lead)}
-            assert all(la in live and lb in live for _deg, la, lb, _w in self.seen)
-            assert self.seen == oracle - self.resolved
-            for index, cut in ((self._prefixes, lambda w, t: w[:t]), (self._suffixes, lambda w, t: w[-t:])):
-                want = {}
-                for lead in live:
-                    for t in range(1, len(lead)):
-                        want.setdefault(cut(lead, t), set()).add(lead)
-                assert {k: leads for k, leads in index.items() if leads} == want
-            for lead in self.retired:
-                assert lead not in live and self._find_redex(lead) is not None
+        self.seen = set(self._pending)
+        live = set(self.rules)
+        oracle = {o for lead in live for o in _all_pairs_overlaps(self, lead)}
+        assert all(la in live and lb in live for _deg, la, lb, _w in self.seen)
+        assert self.seen == oracle - self.resolved
+        for index, cut in ((self._prefixes, lambda w, t: w[:t]), (self._suffixes, lambda w, t: w[-t:])):
+            want = {}
+            for lead in live:
+                for t in range(1, len(lead)):
+                    want.setdefault(cut(lead, t), set()).add(lead)
+            assert {k: leads for k, leads in index.items() if leads} == want
 
 
 def _checked_completion(rels, order, alphabet, dmax):
@@ -372,8 +366,8 @@ def test_survey_skips_resolve():
 def test_overlap_indexes_match_all_pairs_scan():
     """The indexed overlap search queues what the all-pairs scan queued, on
     the installed rank-3 Serre system completed again from its own rules
-    (it settles at degree 6, its largest overlap, with no rule added, retired
-    or reordered) and on relation completions under
+    (it settles at degree 6, its largest overlap, with no rule added or
+    reordered) and on relation completions under
     the relation order and its reverse: every class at ranks 2 and 3, and at
     rank 4 the nice word and a class without a coideal whose completion
     grows leads up to length 7 before it settles at degree 8.  On the same
@@ -414,20 +408,32 @@ def test_survey_overlap_counts(monkeypatch, n, popped, rewritten):
     assert (counts[True] + counts[False], counts[False]) == (popped, rewritten)
 
 
-def test_retired_rules_leave_the_heap_and_indexes():
-    """A quadratic lead inside a cubic one retires the cubic rule, whose
-    self-overlaps were pending; _CheckedGB checks each insert up to degree 6."""
+def test_relations_install_by_degree():
+    """complete_truncated installs a relation listed before a shorter one
+    after it: the quadratic lead x1x1 lies inside the cubic's x1x1x1, and
+    the overlap x1x1x1 of x1x1 - x0x0 installs the cubic lead x1x0x0,
+    which must come before the quartic's.  Either listing gives the same
+    rules and the counts of the quotient by linear algebra over all words,
+    to degree 6.  _index refuses a lead shorter than a live one, before the
+    rule is stored."""
     alph = Alphabet(("x0", "x1"), ((1,), (1,)))
     cubic = FreeElement({(1, 1, 1): ONE, (0, 0, 0): -ONE})
-    gb = _CheckedGB(alph, DegLex(size=2))
+    square = FreeElement({(1, 1): ONE, (0, 1): -Q})
+    quartic = FreeElement({(1, 0, 1, 0): ONE, (0, 1, 0, 1): -Q})
+    square_of_x0 = FreeElement({(1, 1): ONE, (0, 0): -ONE})
+    for longer, shorter, cubic_lead in ((cubic, square, None), (quartic, square_of_x0, (1, 0, 0))):
+        pairs = ([longer, shorter], [shorter, longer])
+        systems = [complete_truncated(rels, DegLex(size=2), 6, alph) for rels in pairs]
+        rules = [[(lead, list(tail.terms.items())) for lead, tail in gb.rules.items()] for gb in systems]
+        assert rules[0] == rules[1] and (1, 1) in systems[0].rules
+        assert cubic_lead is None or cubic_lead in systems[0].rules
+        want = [_quotient_dim(pairs[0], 2, k) for k in range(7)]
+        assert [gb.normal_counts(6) for gb in systems] == [want, want]
+    gb = TruncatedGB(alph, DegLex(size=2))
     gb._insert(cubic)
-    x3 = (1, 1, 1)
-    assert set(gb._pending) == {(4, x3, x3, (1,) * 4), (5, x3, x3, (1,) * 5)}
-    gb._insert(FreeElement({(1, 1): ONE, (0, 1): -Q}))
-    assert x3 not in gb.rules and x3 in gb.retired
-    assert all(x3 not in (la, lb) for _deg, la, lb, _w in set(gb._pending))
-    assert not any(x3 in leads for index in (gb._prefixes, gb._suffixes) for leads in index.values())
-    gb.extend_to(6)
+    with pytest.raises(ValueError, match="length 2 installed after one of length 3"):
+        gb._insert(square)
+    assert list(gb.rules) == [(1, 1, 1)] and gb._lengths == [3]
 
 
 def _three_letter_gb(*relations):
@@ -596,13 +602,14 @@ def test_installed_systems_match_generic_bookkeeping(n):
         _assert_same_system(gb, generic, ("frt", n))
 
 
-def test_commuting_pair_cache_follows_rule_changes():
-    """The table of swap coefficients that _commuting_overlap builds is
-    dropped whenever a rule is installed or retired: a pair with no rule
-    turns into a swap once one is installed; a swap leaves the table once
-    its reversed word becomes a lead (an install that needs a reduce) or
-    once a shorter lead inside it retires it.  _insert installs before it
-    retires, so the last case retires the rule by hand, as _insert does."""
+def test_commuting_pair_cache_follows_rule_changes(monkeypatch):
+    """The table of swap coefficients that _commuting_overlap builds reads
+    only length-2 rules, so a length-2 install drops it and a longer one
+    keeps it: a pair with no rule turns into a swap once one is installed;
+    a swap leaves the table once its reversed word becomes a lead (an
+    install that needs a reduce).  So each completion builds it once: the
+    exteriors of the 36 rank-4 classes without a coideal, under both
+    orders, build it 72 times, and the rank-4 survey 7 times."""
     gb = _three_letter_gb({(2, 2): ONE}, {(2, 1): ONE, (1, 2): -Q})
     assert not gb._commuting_overlap((2, 2, 0)) and gb._swaps == {(2, 2): ZERO, (2, 1): Q}
     gb._insert(FreeElement({(2, 0): ONE, (0, 2): -QINV}))
@@ -615,9 +622,28 @@ def test_commuting_pair_cache_follows_rule_changes():
     assert not gb._commuting_overlap((2, 1, 0)) and (1, 0) not in gb._swaps
 
     assert gb._commuting_overlap((2, 2, 1)) and gb._swaps[2, 1] == Q
-    tail = gb.rules.pop((2, 1))
-    gb._index((2, 1), False)
-    assert gb._swaps is None and tail and not gb._commuting_overlap((2, 2, 1)) and (2, 1) not in gb._swaps
+    table = gb._swaps
+    gb._insert(FreeElement({(1, 1, 1): ONE}))
+    assert (1, 1, 1) in gb.rules and gb._swaps is table
+
+    builds = Counter()
+    verdict = TruncatedGB._commuting_overlap
+
+    def counted(self, word):
+        builds[len(word) == 3 and self._swaps is None] += 1
+        return verdict(self, word)
+
+    monkeypatch.setattr(TruncatedGB, "_commuting_overlap", counted)
+    A = UqAlgebra(4)
+    tangents = [C.tangent_from_word(A, rep) for rep in commutation_classes(4).reps]
+    neither = [t for t in tangents if C.coideal_check(t).verdict == "neither"]
+    for t in neither:
+        C.exterior_dims(t)
+        C.exterior_dims(t, reverse_order=True)
+    assert (len(neither), builds[True]) == (36, 72)
+    builds.clear()
+    C.survey_rows(UqAlgebra(4))
+    assert builds[True] == 7
 
 
 def test_span_nullspace_annihilator():
@@ -817,7 +843,7 @@ def test_find_redex_returns_the_first_window_with_its_own_tail():
     gb = TruncatedGB(_simple_alphabet(3), DegLex(size=3))
     for i, lead in enumerate([(1, 0), (2, 2, 1), (2, 1, 1), (0, 2, 2, 0)]):
         gb.rules[lead] = FreeElement.monomial(sorted(lead), qpow(i))
-        gb._index(lead, True)
+        gb._index(lead)
     check(gb)
     check(_serre_system(3))
 

@@ -84,14 +84,13 @@ def _random_word(n, rng, k):
 def _pair_by_rows(x, e):
     """<x, e> word by word and monomial by monomial: the (rows, columns)
     entry of each monomial's tensor-power matrix."""
-    n = x.algebra.n
     words = e.terms.items() if isinstance(e, OqElement) else [(tuple(e), ONE)]
     total = ZERO
     for w, wc in words:
         rows = tuple(a for a, _ in w)
         cols = tuple(b for _, b in w)
         for m, c in x.terms.items():
-            hit = _apply_mono(n, m, {cols: ONE}).get(rows)
+            hit = _apply_mono(m, {cols: ONE}).get(rows)
             if hit:
                 total = total + wc * c * hit
     return total
@@ -248,7 +247,7 @@ def rep_span(n: int, k: int) -> list[dict]:
         for (a, b), c in mat.items():
             bycol.setdefault(b, {})[a] = c
         for b, col in bycol.items():
-            for a, c in _apply_token(n, token, col).items():
+            for a, c in _apply_token(token, col).items():
                 _acc(out, (a, b), c)
         return out
 
