@@ -32,7 +32,6 @@ from typing import NamedTuple
 from qflag import weyl
 from qflag.freealg import (
     Alphabet,
-    DegLex,
     DimensionTable,
     FreeElement,
     Span,
@@ -235,7 +234,6 @@ class RelationSpace(NamedTuple):
     alphabet dual to the tangent basis."""
 
     alphabet: Alphabet
-    order: DegLex
     by_weight: dict[tuple[int, ...], list[FreeElement]]
 
     def all_relations(self) -> list[FreeElement]:
@@ -305,7 +303,7 @@ def quadratic_relations(t: TangentSpace) -> RelationSpace:
             )
         if rows:
             by_weight[mu] = [FreeElement({pairs[i]: c for i, c in row}) for row in rows]
-    return RelationSpace(cotangent_alphabet(t), DegLex(size=d), by_weight)
+    return RelationSpace(cotangent_alphabet(t), by_weight)
 
 
 def _packed(weights: list[tuple[int, ...]]) -> tuple[list[int], int]:
@@ -360,14 +358,19 @@ def exterior_dims(
     With early_stop, the table ends at the first degree whose dimension
     differs from the classical binomial (the per-degree loop stops counting
     there); it is marked non-classical and truncated_at records that degree.
-    reverse_order completes under the reversed order, giving the same dims.
+    reverse_order renames letter g to d-1-g, labels and weights included:
+    the one monomial order on the new letters is the reversed precedence on
+    the old, so the completion differs and the dims do not.
     """
     d = t.dim
     if kmax is None:
         kmax = d + 1
     rel = quadratic_relations(t)
-    order = rel.order.reversed() if reverse_order else rel.order
-    gb = complete_truncated(rel.all_relations(), order, 0, rel.alphabet)
+    rels, alphabet = rel.all_relations(), rel.alphabet
+    if reverse_order:
+        rels = [r._like({tuple(d - 1 - g for g in w): c for w, c in r.terms.items()}) for r in rels]
+        alphabet = Alphabet(alphabet.labels[::-1], alphabet.weights[::-1])
+    gb = complete_truncated(rels, 0, alphabet)
     dims = []
     for k in range(kmax + 1):
         gb.extend_to(k)
@@ -425,7 +428,7 @@ def gr_leading_relations(t: TangentSpace) -> RelationSpace:
         by_weight[mu] = [
             FreeElement(r) for r in rref([dict(l.terms) for l in leads], lead_coords)
         ]
-    return RelationSpace(rel.alphabet, rel.order, by_weight)
+    return RelationSpace(rel.alphabet, by_weight)
 
 
 # -- Frobenius data ----------------------------------------------------------------
@@ -466,7 +469,7 @@ def frobenius_report(t: TangentSpace) -> FrobeniusReport:
     d = t.dim
     rel = quadratic_relations(t)
     # one completion to d + 1 serves the pairing: no word of length <= top meets a longer lead
-    gb = complete_truncated(rel.all_relations(), rel.order, d + 1, rel.alphabet)
+    gb = complete_truncated(rel.all_relations(), d + 1, rel.alphabet)
     dims = gb.normal_counts(d + 1)
     if dims[-1] != 0:
         return FrobeniusReport(len(dims) - 1, dims[-1], {}, {}, note="dimensions do not vanish")

@@ -66,7 +66,7 @@ def _weight_str(w) -> str:
 
 def _rendered_by_weight(rel: calculus.RelationSpace) -> dict[str, list[str]]:
     return {
-        _weight_str(wt): [r.render(rel.alphabet, rel.order) for r in rels]
+        _weight_str(wt): [r.render(rel.alphabet) for r in rels]
         for wt, rels in sorted(rel.by_weight.items())
     }
 

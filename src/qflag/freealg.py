@@ -2,7 +2,8 @@
 
 Words are tuples of letter ids (indices into an Alphabet); a FreeElement is
 a sparse map word -> RatQ with zero coefficients pruned.  The engine
-supplies degree-lexicographic monomial orders, reduction modulo a rewrite
+has one monomial order, longer words above shorter and equal lengths by
+their letter tuples (`_deglex`), and supplies reduction modulo a rewrite
 system, degree-truncated completion of homogeneous relation systems
 (overlap ambiguities resolved up to a validity degree, which is sound for
 homogeneous two-sided ideals; with no live overlap pending it is complete
@@ -83,7 +84,7 @@ def _signed_sum(terms) -> str:
 
 
 class Alphabet:
-    """Ordered generator set; position in `labels` is the default precedence.
+    """Ordered generator set; position in `labels` is the letter id.
 
     Each generator carries a weight vector (the root-lattice grading) and
     total degree 1.
@@ -115,24 +116,9 @@ class Alphabet:
         return "".join(self.labels[g] for g in word) if word else "1"
 
 
-class DegLex:
-    """Degree-lexicographic order; ties broken by letter precedence,
-    first letter dominant.  `precedence[g]` is the rank of letter g
-    (higher rank = bigger letter)."""
-
-    def __init__(self, precedence=None, size: int | None = None):
-        if precedence is None:
-            precedence = tuple(range(size))
-        self.precedence = tuple(precedence)
-        if self.precedence == tuple(range(len(self.precedence))):
-            self.key = lambda word: (len(word), word)  # each letter its own rank
-
-    def key(self, word: Word):
-        return (len(word), tuple(self.precedence[g] for g in word))
-
-    def reversed(self) -> "DegLex":
-        m = max(self.precedence)
-        return DegLex(tuple(m - p for p in self.precedence))
+def _deglex(word: Word):
+    """The one monomial order's key: length, then the letter tuple (letter g below g + 1)."""
+    return len(word), word
 
 
 class _Sum:
@@ -215,8 +201,8 @@ class FreeElement(_Sum):
                 _acc(out, w1 + w2, c1 * c2)
         return self._like(out)
 
-    def lead(self, order: DegLex) -> Word:
-        return max(self.terms, key=order.key)
+    def lead(self) -> Word:
+        return max(self.terms, key=_deglex)
 
     def is_homogeneous(self, alphabet: Alphabet):
         if len({tuple(sorted(w)) for w in self.terms}) <= 1:  # rearrangements of one word
@@ -225,8 +211,8 @@ class FreeElement(_Sum):
         wts = {alphabet.word_weight(w) for w in self.terms}
         return len(degs) <= 1 and len(wts) <= 1
 
-    def render(self, alphabet: Alphabet, order: DegLex | None = None) -> str:
-        words = sorted(self.terms, key=(order or DegLex(size=alphabet.size)).key, reverse=True)
+    def render(self, alphabet: Alphabet) -> str:
+        words = sorted(self.terms, key=_deglex, reverse=True)
         return _signed_sum(_term(self.terms[w], alphabet.word_str(w)) for w in words)
 
     def __repr__(self):
@@ -271,9 +257,8 @@ class TruncatedGB:
     `reduce` rewrites only words holding a live lead, so `_orient` skips it
     when none does."""
 
-    def __init__(self, alphabet: Alphabet, order: DegLex):
+    def __init__(self, alphabet: Alphabet):
         self.alphabet = alphabet
-        self.order = order
         self.rules: dict[Word, FreeElement] = {}  # lead -> tail, every tail word below the lead
         self._pending: list[tuple[int, Word, Word, Word]] = []
         self.valid_degree = 0
@@ -348,7 +333,7 @@ class TruncatedGB:
             elem = elem._like(dict(reversed(elem.terms.items())))
         if not elem:
             return None
-        lead = elem.lead(self.order)
+        lead = elem.lead()
         lc = elem.terms[lead]
         tail = {w: -(c if lc == ONE else c / lc) for w, c in elem.terms.items() if w != lead}
         self._index(lead)
@@ -472,14 +457,12 @@ class TruncatedGB:
         return out
 
 
-def complete_truncated(
-    relations: list[FreeElement], order: DegLex, dmax: int, alphabet: Alphabet
-) -> TruncatedGB:
+def complete_truncated(relations: list[FreeElement], dmax: int, alphabet: Alphabet) -> TruncatedGB:
     """Degree-truncated two-sided completion of homogeneous relations, installed by degree."""
     rels = [r for r in relations if r]
     if not all(r.is_homogeneous(alphabet) for r in rels):
         raise ValueError("relations must be homogeneous in degree and weight")
-    gb = TruncatedGB(alphabet, order)
+    gb = TruncatedGB(alphabet)
     for r in sorted(rels, key=lambda r: len(next(iter(r.terms)))):
         if gb._pending and gb._pending[0][0] < (d := len(next(iter(r.terms)))):
             gb.extend_to(d - 1)  # every lead shorter than r's comes first

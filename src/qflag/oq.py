@@ -42,7 +42,6 @@ from itertools import combinations, product
 
 from qflag.freealg import (
     Alphabet,
-    DegLex,
     FreeElement,
     TruncatedGB,
     _acc,
@@ -75,16 +74,6 @@ class OqElement(_Sum):
         e = OqElement(self.n)
         e.terms = terms
         return e
-
-    @staticmethod
-    def unit(n: int) -> "OqElement":
-        return OqElement(n, {(): ONE})
-
-    @staticmethod
-    def u(n: int, a: int, b: int) -> "OqElement":
-        if not (1 <= a <= n + 1 and 1 <= b <= n + 1):
-            raise ValueError(f"matrix indices must lie in 1..{n + 1}")
-        return OqElement(n, {((a, b),): ONE})
 
     def __mul__(self, other):
         if isinstance(other, (RatQ, int)):
@@ -201,7 +190,7 @@ def _frt_system(n: int) -> TruncatedGB:
     alphabet = Alphabet(
         tuple(f"u[{a},{b}]" for a, b in cells), tuple(unit(a) + unit(b) for a, b in cells)
     )
-    gb = TruncatedGB(alphabet, DegLex(size=N * N))
+    gb = TruncatedGB(alphabet)
     u = lambda a, b: a * N + b  # 0-based
     pairs = list(combinations(range(N), 2))
     rules = []

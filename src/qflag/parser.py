@@ -320,8 +320,7 @@ def parse_word(text: str, n: int) -> tuple[int, ...]:
         return weyl.nice_word(n)
     if t in ("nice-op", "niceop", "nice_op"):
         return weyl.opposite_word(weyl.nice_word(n), n)
-    if "," in t:
-        return tuple(int(x) for x in t.split(","))
-    if not t.isdigit():
+    fields = [x.strip() for x in t.split(",")] if "," in t else list(t)
+    if not fields or not all(x.isdecimal() for x in fields):
         raise ParseError(f"cannot parse word {text!r}")
-    return tuple(int(c) for c in t)
+    return tuple(int(x) for x in fields)

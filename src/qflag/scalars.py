@@ -458,7 +458,6 @@ ONE = _mk(_ONEPOL, _ONEPOL)
 Q = _mk((0, 1), _ONEPOL)
 QINV = _mk(_ONEPOL, (0, 1))
 NU = _mk((-1, 0, 1), (0, 1))  # q - q^-1
-TWO_Q = _mk((1, 0, 1), (0, 1))  # [2]_q = q + q^-1
 
 
 def qpow(k: int) -> RatQ:

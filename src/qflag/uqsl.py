@@ -72,7 +72,7 @@ from __future__ import annotations
 from functools import reduce
 
 from qflag import weyl
-from qflag.freealg import Alphabet, DegLex, FreeElement, TruncatedGB, _acc, _signed_sum, _Sum, _term
+from qflag.freealg import Alphabet, FreeElement, TruncatedGB, _acc, _signed_sum, _Sum, _term
 from qflag.scalars import NU, ONE, Q, QINV, RatQ, qpow
 
 Mono = tuple  # (fword, kvec, eword)
@@ -89,12 +89,13 @@ class _SerreSystem(TruncatedGB):
     in degree order, each reduced by the rules before it and oriented once
     `install` asks for its degree.  A rule reads only rules of its degree or
     lower, and a word of degree d meets only leads of length <= d, so up to
-    `degree` the system answers as the full one.  No tail meets a later lead
-    (the certificate checks it), so the rules are already fully reduced."""
+    `degree` the system answers as the full one; every reader installs the
+    degree it reads first.  No tail meets a later lead (the certificate
+    checks it), so the rules are already fully reduced."""
 
     def __init__(self, n: int):
         super().__init__(Alphabet(tuple(f"x{i}" for i in range(1, n + 1)),
-                                  tuple(tuple(int(a == i) for a in range(n)) for i in range(n))), DegLex(size=n))
+                                  tuple(tuple(int(a == i) for a in range(n)) for i in range(n))))
         E = lambda a: FreeElement.monomial((a - 1,))
         br = lambda x, y, c=ONE: x * y - (y * x).scale(c)  # [x, y]_c
         X = lambda a, b: reduce(lambda x, m: br(E(m), x, QINV), range(b + 1, a + 1), E(b))
@@ -114,14 +115,6 @@ class _SerreSystem(TruncatedGB):
             self._orient(todo.pop()[1]())
         if d is not None and d > self.degree:
             self.degree = d
-
-    @property
-    def settled(self) -> bool:
-        return not self._todo and super().settled
-
-    def _check_degree(self, k: int):
-        if k > self.degree and self._todo:
-            raise ValueError(f"degree {k} above installed degree {self.degree}")
 
 
 _SERRE: dict[int, _SerreSystem] = {}  # rank -> its Serre system, extended in place
@@ -158,9 +151,6 @@ class UqAlgebra:
         self._relation_memo: dict[tuple, tuple] = {}
 
     # -- generators ------------------------------------------------------------
-
-    def zero(self) -> "UqElement":
-        return UqElement(self, {})
 
     def one(self) -> "UqElement":
         return UqElement(self, {((), (0,) * self.n, ()): ONE})

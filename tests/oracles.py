@@ -19,9 +19,11 @@ definitions instead, each from its formula:
 * the coideal check against one global span of span(T) + C1, regrouping
   every root vector's q-shuffle states on each call;
 * the generic completion, whose bookkeeping re-derives each fixed fact:
-  every install is reduced, leads are found by their precedence tuples,
-  the lead lengths are recomputed and each overlap re-reads its letter
-  pairs' rules;
+  every install is reduced, leads are found by their precedence tuples
+  (the precedence its own, the library's by default), the lead lengths
+  are recomputed and each overlap re-reads its letter pairs' rules; and
+  the renaming of letter g to d-1-g, under which the library's one order
+  is the reversed precedence;
 * the Frobenius pairing with every product of complementary-degree normal
   words reduced;
 * every reduced word of the longest element, by peeling right descents;
@@ -30,7 +32,8 @@ definitions instead, each from its formula:
   functional equality test;
 * the antiholomorphic kernel on the free span of u-words, its functionally
   zero subspace folded out;
-* evaluation of a Q(q) value at a rational point.
+* evaluation of a Q(q) value at a rational point;
+* the scalar [2]_q, the unit and generators of O_q, built from their terms.
 """
 
 from __future__ import annotations
@@ -50,10 +53,25 @@ from qflag.calculus import (
     tangent_from_exprs,
     tangent_from_word,
 )
-from qflag.freealg import FreeElement, Span, TruncatedGB, _acc, annihilator, complete_truncated, rank
+from qflag.freealg import Alphabet, FreeElement, Span, TruncatedGB, _acc, annihilator, complete_truncated, rank
 from qflag.oq import OqElement, _normal_coords, left_act, pair
 from qflag.scalars import NU, ONE, Q, QINV, RatQ, ZERO, qpow
 from qflag.uqsl import TensorSquare, UqAlgebra, UqElement, _cartan, _mono_str, qcomm
+
+# -- scalars and generators -------------------------------------------------------
+
+TWO_Q = Q + QINV  # [2]_q
+
+
+def oq_unit(n: int) -> OqElement:
+    """The unit of O_q at rank n."""
+    return OqElement(n, {(): ONE})
+
+
+def oq_u(n: int, a: int, b: int) -> OqElement:
+    """The generator u[a,b] of O_q at rank n."""
+    return OqElement(n, {((a, b),): ONE})
+
 
 # -- tangent members as elements ------------------------------------------------
 
@@ -232,7 +250,13 @@ class GenericGB(TruncatedGB):
     time: `_orient` reduces every element and divides by any lead
     coefficient, the lead is the word with the largest (length, precedence
     tuple), `_index` recomputes the lead lengths, and `_commuting_overlap`
-    looks up the three letter pairs' rules on every call."""
+    looks up the three letter pairs' rules on every call.  `precedence[g]`
+    is the rank of letter g (higher is bigger), the identity by default,
+    which is the library's order."""
+
+    def __init__(self, *args, precedence=None):
+        super().__init__(*args)
+        self.precedence = precedence or tuple(range(self.alphabet.size))
 
     def _index(self, lead):
         for t in range(1, len(lead)):
@@ -244,7 +268,7 @@ class GenericGB(TruncatedGB):
         elem = self.reduce(elem)
         if not elem:
             return None
-        prec = self.order.precedence
+        prec = self.precedence
         lead = max(elem.terms, key=lambda w: (len(w), tuple(prec[g] for g in w)))
         lc = elem.terms[lead]
         tail = {w: -(c / lc) for w, c in elem.terms.items() if w != lead}
@@ -264,6 +288,15 @@ class GenericGB(TruncatedGB):
         return True
 
 
+def reversed_letters(rels: list[FreeElement], alphabet: Alphabet) -> tuple[list[FreeElement], Alphabet]:
+    """rels and alphabet with letter g renamed d-1-g, d the alphabet size,
+    labels and weights following their letters: the library's order on the
+    new letters is the reversed precedence on the old."""
+    d = alphabet.size
+    flip = lambda r: FreeElement({tuple(d - 1 - g for g in w): c for w, c in r.terms.items()})
+    return [flip(r) for r in rels], Alphabet(alphabet.labels[::-1], alphabet.weights[::-1])
+
+
 # -- Frobenius pairing -------------------------------------------------------------
 
 
@@ -274,7 +307,7 @@ def frobenius_report(t: TangentSpace) -> FrobeniusReport:
     d = t.dim
     rel = quadratic_relations(t)
     # one completion to d + 1 serves the pairing: no word of length <= top meets a longer lead
-    gb = complete_truncated(rel.all_relations(), rel.order, d + 1, rel.alphabet)
+    gb = complete_truncated(rel.all_relations(), d + 1, rel.alphabet)
     dims = gb.normal_counts(d + 1)
     nonzero = [k for k, x in enumerate(dims) if x]
     if dims[-1] != 0:
@@ -376,7 +409,7 @@ def frt_relations(n: int) -> list[OqElement]:
     algebra, one element per index pattern, in the order `oq._frt_system`
     writes their rules; all are functionally zero."""
     out = []
-    u = lambda a, b: OqElement.u(n, a, b)
+    u = lambda a, b: oq_u(n, a, b)
     for i in range(1, n + 2):
         for ip in range(i + 1, n + 2):
             for j in range(1, n + 2):

@@ -12,7 +12,16 @@ from pathlib import Path
 
 import oracles
 import pytest
-from oracles import adjoint, build_Eji, cotangent_action, root_vectors, simple_root_kernel, tangent_basis, u_words
+from oracles import (
+    adjoint,
+    build_Eji,
+    cotangent_action,
+    reversed_letters,
+    root_vectors,
+    simple_root_kernel,
+    tangent_basis,
+    u_words,
+)
 from oracles import coideal_check as oracle_coideal_check
 from oracles import dbar_kernel as oracle_dbar_kernel
 
@@ -481,11 +490,11 @@ def test_large_tangent_weights_match_tuple_blocks(capsys, tangent):
             blocks[mu] = [FreeElement({pairs[p]: c for p, c in row}) for row in rows]
     rel = C.quadratic_relations(t)
     assert list(rel.by_weight.items()) == list(blocks.items())
-    expect = C.RelationSpace(rel.alphabet, rel.order, blocks)
+    expect = C.RelationSpace(rel.alphabet, blocks)
     argv = ["--rank", "2", "--tangent", tangent, "--format", "json"]
     assert cli.run(["relations", *argv]) == 0
     assert json.loads(capsys.readouterr().out) == {"relations": cli._rendered_by_weight(expect), "total": expect.total_dim()}
-    dims = complete_truncated(expect.all_relations(), rel.order, t.dim + 1, rel.alphabet).normal_counts(t.dim + 1)
+    dims = complete_truncated(expect.all_relations(), t.dim + 1, rel.alphabet).normal_counts(t.dim + 1)
     assert cli.run(["exterior", *argv]) == 0
     assert json.loads(capsys.readouterr().out) == DimensionTable(dims, C.classical_verdict(dims, t.dim)).as_json_dict()
 
@@ -592,14 +601,15 @@ def _avoids_leads(word, leads):
 
 
 def test_normal_counts_match_enumeration():
-    """Counting normal words agrees with listing them, under the relation
-    order and its reverse; the listing agrees with an oracle that keeps the
-    words with no lead as a factor, in lexicographic order."""
+    """Counting normal words agrees with listing them, with the letters as
+    given and renamed (the reversed precedence); the listing agrees with an
+    oracle that keeps the words with no lead as a factor, in lexicographic
+    order."""
     for t in _differential_tangents():
         rel = C.quadratic_relations(t)
-        kmax = t.dim + 1
-        for order in (rel.order, rel.order.reversed()):
-            gb = complete_truncated(rel.all_relations(), order, kmax, rel.alphabet)
+        kmax, rels = t.dim + 1, rel.all_relations()
+        for rels, alphabet in ((rels, rel.alphabet), reversed_letters(rels, rel.alphabet)):
+            gb = complete_truncated(rels, kmax, alphabet)
             counts = gb.normal_counts(kmax)
             assert counts == [len(gb.normal_words(k)) for k in range(kmax + 1)]
             leads = set(gb.rules)
@@ -641,9 +651,10 @@ def test_window_redex_matches_random_strategy(reduce_randomly):
     rng = random.Random(3)
     t = C.tangent_from_word(UqAlgebra(3), (2, 3, 1, 2, 1, 3))
     rel = C.quadratic_relations(t)
+    rels, alphabet = reversed_letters(rel.all_relations(), rel.alphabet)
     systems = [  # each with the largest degree of its random words
         (_serre_system(3), 6),
-        (complete_truncated(rel.all_relations(), rel.order.reversed(), 5, rel.alphabet), 5),
+        (complete_truncated(rels, 5, alphabet), 5),
     ]
     for gb, dmax in systems:
         size, leads = gb.alphabet.size, set(gb.rules)
@@ -666,10 +677,10 @@ def test_exterior_early_stop():
     assert t.dims == [1, 3, 1]
 
 
-def _exterior_dims_per_degree(rel, d, kmax, early_stop):
+def _exterior_dims_per_degree(rels, alphabet, d, kmax, early_stop):
     """The per-degree loop that counting once replaced, kept as the oracle:
     extend to each degree k, then count degrees 0..k again."""
-    gb = complete_truncated(rel.all_relations(), rel.order, 0, rel.alphabet)
+    gb = complete_truncated(rels, 0, alphabet)
     dims, truncated = [], None
     for k in range(kmax + 1):
         gb.extend_to(k)
@@ -684,34 +695,39 @@ def _exterior_dims_per_degree(rel, d, kmax, early_stop):
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_count_once_matches_per_degree_loop(n):
     """Counting once after the completion settles gives the per-degree
-    loop's dims, classical flag and truncation point, for every class under
-    the relation order and (reverse_order) its reverse, with early stop on
+    loop's dims, classical flag and truncation point, for every class with
+    the letters as given and (reverse_order) renamed, with early stop on
     and off."""
     A = UqAlgebra(n)
     kmax = 64 if n == 2 else None
     for rep in commutation_classes(n).reps:
         t = C.tangent_from_word(A, rep)
         rel = C.quadratic_relations(t)
-        for reverse, r in ((False, rel), (True, rel._replace(order=rel.order.reversed()))):
+        rels = rel.all_relations()
+        for reverse, (rels, alphabet) in zip((False, True), ((rels, rel.alphabet), reversed_letters(rels, rel.alphabet))):
             for early_stop in (False, True):
-                want = _exterior_dims_per_degree(r, t.dim, kmax or t.dim + 1, early_stop)
+                want = _exterior_dims_per_degree(rels, alphabet, t.dim, kmax or t.dim + 1, early_stop)
                 got = C.exterior_dims(t, kmax=kmax, early_stop=early_stop, reverse_order=reverse)
                 assert got == want, rep
 
 
 def test_exterior_reverse_order_completes_under_the_reversed_order(monkeypatch, capsys):
-    """`exterior --reverse-order` reaches the completion as the reversed
-    relation order through `exterior_dims`, the one exterior count path."""
-    rel, orders = C.quadratic_relations(nice_tangent(3)), []
+    """`exterior --reverse-order` reaches the completion through
+    `exterior_dims`, the one exterior count path, with letter g renamed d-1-g
+    in the relations and the alphabet's labels and weights reversed
+    (oracles.reversed_letters): the one order on the renamed letters is the
+    reversed precedence on the given ones."""
+    rel, calls = C.quadratic_relations(nice_tangent(3)), []
 
-    def complete(rels, order, *args):
-        orders.append(order.precedence)
-        return complete_truncated(rels, order, *args)
+    def complete(rels, dmax, alphabet):
+        calls.append((rels, alphabet.labels, alphabet.weights))
+        return complete_truncated(rels, dmax, alphabet)
 
     monkeypatch.setattr(C, "complete_truncated", complete)
     for extra in ([], ["--reverse-order"]):
         assert cli.run(["exterior", "--rank", "3", "--word", "nice", *extra]) == 0
-    assert orders == [rel.order.precedence, rel.order.reversed().precedence]
+    given = (rel.all_relations(), rel.alphabet)
+    assert calls == [(rels, a.labels, a.weights) for rels, a in (given, reversed_letters(*given))]
     assert capsys.readouterr().out == "dims: 1 6 15 20 15 6 1 0  classical: yes\n" * 2
 
 
@@ -739,7 +755,8 @@ def test_count_once_applies_early_stop_per_degree(monkeypatch, count_calls):
                 count_calls.clear()
                 got = C.exterior_dims(t, kmax=kmax, early_stop=early_stop)
                 assert count_calls == [kmax or t.dim + 1]
-                assert got == _exterior_dims_per_degree(r, t.dim, kmax or t.dim + 1, early_stop)
+                want = _exterior_dims_per_degree(r.all_relations(), r.alphabet, t.dim, kmax or t.dim + 1, early_stop)
+                assert got == want
                 assert got.truncated_at == (2 if early_stop else None)
 
 
@@ -755,7 +772,8 @@ def test_count_once_falls_back_while_overlaps_are_pending(count_calls):
             got = C.exterior_dims(t, kmax=kmax, early_stop=early_stop)
             # early stop: the dims leave the binomials at degree 2 (44 < 45)
             assert count_calls == ([0, 1, 2] if early_stop else want_calls)
-            assert got == _exterior_dims_per_degree(rel, t.dim, kmax or t.dim + 1, early_stop)
+            want = _exterior_dims_per_degree(rel.all_relations(), rel.alphabet, t.dim, kmax or t.dim + 1, early_stop)
+            assert got == want
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -782,7 +800,7 @@ def test_survey_exteriors_are_quadratic(n, monkeypatch, count_calls, per_class_r
     assert len(tangents) == {3: 5, 4: 13}[n]
     for t in tangents:
         rel = C.quadratic_relations(t)
-        gb = complete_truncated(rel.all_relations(), rel.order, 2, rel.alphabet)
+        gb = complete_truncated(rel.all_relations(), 2, rel.alphabet)
         assert not gb.settled
         gb.extend_to(3)
         assert gb.settled and {len(lead) for lead in gb.rules} == {2}

@@ -6,13 +6,12 @@ from collections import Counter
 from itertools import product
 
 import pytest
-from oracles import GenericGB, from_pairs, frt_relations
+from oracles import TWO_Q, GenericGB, from_pairs, frt_relations, oq_u, oq_unit, reversed_letters
 
 from qflag import calculus as C
 from qflag import oq, uqsl
 from qflag.freealg import (
     Alphabet,
-    DegLex,
     FreeElement,
     Span,
     TruncatedGB,
@@ -23,7 +22,7 @@ from qflag.freealg import (
     rank,
 )
 from qflag.oq import OqElement
-from qflag.scalars import NU, ONE, Q, QINV, TWO_Q, ZERO, qpow
+from qflag.scalars import NU, ONE, Q, QINV, ZERO, qpow
 from qflag.uqsl import TensorSquare, UqAlgebra, UqElement, _serre_system, coproduct
 from qflag.weyl import commutation_classes, nice_word
 
@@ -47,8 +46,7 @@ def _serre_sl3():
 
 def test_serre_sl3_completion_and_degree4_count():
     alph, rels = _serre_sl3()
-    order = DegLex(size=2)  # E2 (index 1) greater than E1 (index 0)
-    gb = complete_truncated(rels, order, 6, alph)
+    gb = complete_truncated(rels, 6, alph)  # E2 (index 1) greater than E1 (index 0)
     assert len(gb.rules) == 2  # the two input cubics complete already
     # independent oracle: length-4 words over {E1,E2} avoiding the lead factors
     leads = set(gb.rules)
@@ -68,7 +66,7 @@ def test_normal_counts_on_serre_systems():
     A settled system answers at every degree; an unsettled truncated
     completion refuses the degrees above its valid_degree."""
     alph, rels = _serre_sl3()
-    for gb in (complete_truncated(rels, DegLex(size=2), 8, alph), _serre_system(3)):
+    for gb in (complete_truncated(rels, 8, alph), _serre_system(3)):
         assert gb.settled
         leads = set(gb.rules)
         assert gb.normal_counts(9) == [len(gb.normal_words(k)) for k in range(10)]
@@ -79,7 +77,7 @@ def test_normal_counts_on_serre_systems():
                 if not any(w[i:j] in leads for i in range(k) for j in range(i + 1, k + 1))
             ]
             assert gb.normal_words(k) == oracle
-    truncated = complete_truncated(rels, DegLex(size=2), 3, alph)
+    truncated = complete_truncated(rels, 3, alph)
     assert not truncated.settled and truncated.normal_counts(3) == [1, 2, 4, 6]
     for query in (truncated.normal_counts, truncated.normal_words, truncated.weight_counts):
         with pytest.raises(ValueError):
@@ -88,7 +86,7 @@ def test_normal_counts_on_serre_systems():
 
 def _exterior_gb(t):
     rel = C.quadratic_relations(t)
-    return complete_truncated(rel.all_relations(), rel.order, t.dim + 1, rel.alphabet)
+    return complete_truncated(rel.all_relations(), t.dim + 1, rel.alphabet)
 
 
 def test_weight_counts_group_the_normal_words():
@@ -98,7 +96,7 @@ def test_weight_counts_group_the_normal_words():
     alph, rels = _serre_sl3()
     A2 = UqAlgebra(2)
     systems = [
-        (complete_truncated(rels, DegLex(size=2), 8, alph), 7),
+        (complete_truncated(rels, 8, alph), 7),
         (_serre_system(3), 7),
         (oq._frt_system(2), 5),
         (_exterior_gb(C.tangent_from_exprs(A2, [A2.E(1) * A2.E(2), A2.E(2) * A2.E(1), A2.E(1)])), 4),
@@ -114,7 +112,7 @@ def test_weight_counts_group_the_normal_words():
 
 def test_serre_reduce_single_step():
     alph, rels = _serre_sl3()
-    gb = complete_truncated(rels, DegLex(size=2), 4, alph)
+    gb = complete_truncated(rels, 4, alph)
     # E2 E2 E1 -> [2] E2 E1 E2 - E1 E2 E2
     out = gb.reduce(FreeElement.monomial((1, 1, 0)))
     assert out == FreeElement({(1, 0, 1): TWO_Q, (0, 1, 1): -ONE})
@@ -122,14 +120,14 @@ def test_serre_reduce_single_step():
 
 def test_reduce_normal_word_is_identity():
     alph, rels = _serre_sl3()
-    gb = complete_truncated(rels, DegLex(size=2), 4, alph)
+    gb = complete_truncated(rels, 4, alph)
     w = FreeElement.monomial((0, 1, 0), Q)
     assert gb.reduce(w) == w
 
 
 def test_degree_guard():
     alph, rels = _serre_sl3()
-    gb = complete_truncated(rels, DegLex(size=2), 3, alph)
+    gb = complete_truncated(rels, 3, alph)
     with pytest.raises(ValueError):
         gb.normal_counts(10)
     # resolving the one overlap (degree 4) settles it: every degree is valid
@@ -142,14 +140,14 @@ def test_degree_guard():
 
 def test_empty_relations_free_algebra():
     alph = _simple_alphabet(2)
-    assert complete_truncated([], DegLex(size=2), 6, alph).normal_counts(5) == [1, 2, 4, 8, 16, 32]
+    assert complete_truncated([], 6, alph).normal_counts(5) == [1, 2, 4, 8, 16, 32]
 
 
 def test_inhomogeneous_rejected():
     alph = _simple_alphabet(2)
     bad = FreeElement({(0, 1): ONE, (0,): ONE})
     with pytest.raises(ValueError):
-        complete_truncated([bad], DegLex(size=2), 3, alph)
+        complete_truncated([bad], 3, alph)
 
 
 def _q_commutation_relations(alph, coeffs):
@@ -173,7 +171,7 @@ def _nice_sl3_exterior():
 
 def test_exterior_sl3_confluent_at_degree_two():
     alph, rels = _nice_sl3_exterior()
-    gb = complete_truncated(rels, DegLex(size=3), 4, alph)
+    gb = complete_truncated(rels, 4, alph)
     assert len(gb.rules) == len(rels) == 6
 
 
@@ -181,20 +179,23 @@ def test_exterior_sl4_binomial_dims():
     # six generators, squares zero, all pairs q-commute: dims C(6,k)
     alph = _simple_alphabet(6)
     coeffs = {(a, b): qpow((a * b) % 3 - 1) for a in range(6) for b in range(a + 1, 6)}
-    gb = complete_truncated(_q_commutation_relations(alph, coeffs), DegLex(size=6), 8, alph)
+    gb = complete_truncated(_q_commutation_relations(alph, coeffs), 8, alph)
     assert gb.normal_counts(7) == [1, 6, 15, 20, 15, 6, 1, 0]
 
 
 def test_dims_order_invariant():
+    """The counts agree with the letters renamed, so under the reversed
+    precedence (oracles.reversed_letters)."""
     alph, rels = _nice_sl3_exterior()
-    t1 = complete_truncated(rels, DegLex(size=3), 5, alph).normal_counts(4)
-    t2 = complete_truncated(rels, DegLex(size=3).reversed(), 5, alph).normal_counts(4)
+    flipped, flipped_alph = reversed_letters(rels, alph)
+    t1 = complete_truncated(rels, 5, alph).normal_counts(4)
+    t2 = complete_truncated(flipped, 5, flipped_alph).normal_counts(4)
     assert t1 == t2
 
 
 def test_nf_strategy_independence(reduce_randomly):
     alph, rels = _serre_sl3()
-    gb = complete_truncated(rels, DegLex(size=2), 8, alph)
+    gb = complete_truncated(rels, 8, alph)
     rng = random.Random(5)
     elem = FreeElement(
         {
@@ -218,7 +219,7 @@ def test_dims_against_bruteforce_linear_algebra():
             (a, b): qpow(rng.randint(-2, 2)) for a in range(m) for b in range(a + 1, m)
         }
         rels = _q_commutation_relations(alph, coeffs)
-        gb = complete_truncated(rels, DegLex(size=m), 4, alph)
+        gb = complete_truncated(rels, 4, alph)
         for k in (2, 3):
             assert len(gb.normal_words(k)) == _quotient_dim(rels, m, k)
 
@@ -278,8 +279,8 @@ class _ZeroSkipGB(TruncatedGB):
     q-central criterion drops unreduced and checks that it comes to zero
     the generic way; `skipped` counts them by case (`_skip_case`)."""
 
-    def __init__(self, alphabet, order):
-        super().__init__(alphabet, order)
+    def __init__(self, alphabet):
+        super().__init__(alphabet)
         self.skipped = Counter()
 
     def _commuting_overlap(self, word):
@@ -299,8 +300,8 @@ class _CheckedGB(_ZeroSkipGB):
     rules' overlaps not yet resolved and the indexes hold exactly the
     leads' proper prefixes and suffixes."""
 
-    def __init__(self, alphabet, order):
-        super().__init__(alphabet, order)
+    def __init__(self, alphabet):
+        super().__init__(alphabet)
         self.seen, self.resolved = set(), set()
 
     def _push_overlaps(self, lead):
@@ -325,8 +326,8 @@ class _CheckedGB(_ZeroSkipGB):
             assert {k: leads for k, leads in index.items() if leads} == want
 
 
-def _checked_completion(rels, order, alphabet, dmax):
-    gb = _CheckedGB(alphabet, order)
+def _checked_completion(rels, alphabet, dmax):
+    gb = _CheckedGB(alphabet)
     for r in rels:
         gb._insert(r)
     gb.extend_to(dmax)
@@ -335,8 +336,9 @@ def _checked_completion(rels, order, alphabet, dmax):
 
 def survey_skips_resolve(n: int) -> Counter:
     """Complete the exterior of every rank-n class with a coideal verdict
-    other than neither to degree d + 1, under the relation order and its
-    reverse, by complete_truncated's steps on a _ZeroSkipGB, so every overlap
+    other than neither to degree d + 1, as given and with its letters
+    renamed (oracles.reversed_letters, as exterior --reverse-order does),
+    by complete_truncated's steps on a _ZeroSkipGB, so every overlap
     dropped unreduced is checked to have a zero residue; the drops by case.
     CI runs it at rank 5:
 
@@ -348,9 +350,10 @@ def survey_skips_resolve(n: int) -> Counter:
         if C.coideal_check(t).verdict == "neither":
             continue
         rel = C.quadratic_relations(t)
-        for order in (rel.order, rel.order.reversed()):
-            gb = _ZeroSkipGB(rel.alphabet, order)
-            for r in rel.all_relations():
+        rels = rel.all_relations()
+        for rels, alphabet in ((rels, rel.alphabet), reversed_letters(rels, rel.alphabet)):
+            gb = _ZeroSkipGB(alphabet)
+            for r in rels:
                 gb._insert(r)
             gb.extend_to(t.dim + 1)
             skipped += gb.skipped
@@ -359,7 +362,7 @@ def survey_skips_resolve(n: int) -> Counter:
 
 def test_survey_skips_resolve():
     """Every overlap the rank-4 survey exteriors drop unreduced, completed in
-    full under both orders, has a zero residue; each case drops some."""
+    full as given and renamed, has a zero residue; each case drops some."""
     assert survey_skips_resolve(4) == {"commuting": 9740, "A": 392, "B": 392}
 
 
@@ -367,8 +370,8 @@ def test_overlap_indexes_match_all_pairs_scan():
     """The indexed overlap search queues what the all-pairs scan queued, on
     the installed rank-3 Serre system completed again from its own rules
     (it settles at degree 6, its largest overlap, with no rule added or
-    reordered) and on relation completions under
-    the relation order and its reverse: every class at ranks 2 and 3, and at
+    reordered) and on relation completions as given and with the letters
+    renamed (the reversed precedence): every class at ranks 2 and 3, and at
     rank 4 the nice word and a class without a coideal whose completion
     grows leads up to length 7 before it settles at degree 8.  On the same
     completions every overlap of q-commuting letters that extend_to resolves
@@ -376,7 +379,7 @@ def test_overlap_indexes_match_all_pairs_scan():
     (_CheckedGB)."""
     serre = _serre_system(3)
     rels = [FreeElement.monomial(lead) - tail for lead, tail in serre.rules.items()]
-    gb = _checked_completion(rels, serre.order, serre.alphabet, 6)
+    gb = _checked_completion(rels, serre.alphabet, 6)
     assert gb.settled and list(gb.rules.items()) == list(serre.rules.items())
     skipped = Counter()
     for n in (2, 3, 4):
@@ -384,8 +387,9 @@ def test_overlap_indexes_match_all_pairs_scan():
         reps = commutation_classes(n).reps if n < 4 else [nice_word(4), (1, 2, 1, 3, 4, 3, 2, 1, 3, 2)]
         for rep in reps:
             rel = C.quadratic_relations(C.tangent_from_word(A, rep))
-            for order in (rel.order, rel.order.reversed()):
-                gb = _checked_completion(rel.all_relations(), order, rel.alphabet, 8)
+            rels = rel.all_relations()
+            for rels, alphabet in ((rels, rel.alphabet), reversed_letters(rels, rel.alphabet)):
+                gb = _checked_completion(rels, alphabet, 8)
                 assert gb.settled
                 skipped += gb.skipped
     assert set(skipped) == {"commuting", "A", "B"}, skipped
@@ -423,13 +427,13 @@ def test_relations_install_by_degree():
     square_of_x0 = FreeElement({(1, 1): ONE, (0, 0): -ONE})
     for longer, shorter, cubic_lead in ((cubic, square, None), (quartic, square_of_x0, (1, 0, 0))):
         pairs = ([longer, shorter], [shorter, longer])
-        systems = [complete_truncated(rels, DegLex(size=2), 6, alph) for rels in pairs]
+        systems = [complete_truncated(rels, 6, alph) for rels in pairs]
         rules = [[(lead, list(tail.terms.items())) for lead, tail in gb.rules.items()] for gb in systems]
         assert rules[0] == rules[1] and (1, 1) in systems[0].rules
         assert cubic_lead is None or cubic_lead in systems[0].rules
         want = [_quotient_dim(pairs[0], 2, k) for k in range(7)]
         assert [gb.normal_counts(6) for gb in systems] == [want, want]
-    gb = TruncatedGB(alph, DegLex(size=2))
+    gb = TruncatedGB(alph)
     gb._insert(cubic)
     with pytest.raises(ValueError, match="length 2 installed after one of length 3"):
         gb._insert(square)
@@ -439,7 +443,7 @@ def test_relations_install_by_degree():
 def _three_letter_gb(*relations):
     """A rewriting system on x0 < x1 < x2 (one grading) with the given
     relations installed in order and no overlap resolved."""
-    gb = TruncatedGB(Alphabet(("x0", "x1", "x2"), ((1,), (1,), (1,))), DegLex(size=3))
+    gb = TruncatedGB(Alphabet(("x0", "x1", "x2"), ((1,), (1,), (1,))))
     for r in relations:
         gb._insert(FreeElement(r))
     return gb
@@ -495,7 +499,7 @@ def test_q_central_overlap_guard():
     for gb, case in accepted:
         assert _skip_case(gb, word) == case and gb._commuting_overlap(word), case
         assert not _overlap_residue(gb, word), case
-    four = TruncatedGB(Alphabet(("x0", "x1", "x2", "x3"), ((1,),) * 4), DegLex(size=4))
+    four = TruncatedGB(Alphabet(("x0", "x1", "x2", "x3"), ((1,),) * 4))
     for r in ({(3, 2): ONE, (3, 1): -ONE}, {(3, 0): ONE, (0, 3): -mu}, {(2, 0): ONE, (0, 2): -lam}):
         four._insert(FreeElement(r))
     refused = [
@@ -522,11 +526,11 @@ def _assert_same_system(gb, generic, case):
     assert (gb.valid_degree, gb.settled) == (generic.valid_degree, generic.settled), case
 
 
-def _complete_both(rels, order, alphabet, kmax, case):
+def _complete_both(rels, alphabet, kmax, case):
     """Complete rels as exterior_dims does, degree by degree to kmax, in the
     library's system and in the generic one, comparing them and their
     normal counts at each degree; the library's system."""
-    gb, generic = complete_truncated(rels, order, 0, alphabet), GenericGB(alphabet, order)
+    gb, generic = complete_truncated(rels, 0, alphabet), GenericGB(alphabet)
     for r in rels:
         generic._insert(r)
     for k in range(kmax + 1):
@@ -542,7 +546,8 @@ def _complete_both(rels, order, alphabet, kmax, case):
 
 def survey_exteriors_match_generic(n: int) -> int:
     """Complete the exterior of every rank-n class with a coideal verdict
-    other than neither, under the relation order and its reverse, in both
+    other than neither, as given and with its letters renamed
+    (oracles.reversed_letters, as exterior --reverse-order does), in both
     systems (`_complete_both`); the number of classes.  CI runs it at rank 5:
 
         PYTHONPATH=src:tests python3 -c 'import test_freealg; test_freealg.survey_exteriors_match_generic(5)'
@@ -553,8 +558,9 @@ def survey_exteriors_match_generic(n: int) -> int:
         if C.coideal_check(t).verdict == "neither":
             continue
         rel = C.quadratic_relations(t)
-        for order in (rel.order, rel.order.reversed()):
-            _complete_both(rel.all_relations(), order, rel.alphabet, t.dim + 1, (rep, order.precedence))
+        rels = rel.all_relations()
+        for renamed, (rels, alphabet) in enumerate(((rels, rel.alphabet), reversed_letters(rels, rel.alphabet))):
+            _complete_both(rels, alphabet, t.dim + 1, (rep, renamed))
         cases += 1
     return cases
 
@@ -568,6 +574,27 @@ def test_survey_completions_match_generic_bookkeeping(n):
     assert survey_exteriors_match_generic(n) == {2: 2, 3: 8, 4: 26}[n]
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_renamed_letters_complete_as_the_reversed_precedence(n):
+    """Every rank-n class's relations with letter g renamed d-1-g
+    (oracles.reversed_letters, as exterior --reverse-order renames them),
+    completed to degree d + 1, have the leads, mapped back, and the normal
+    counts of the generic completion under the reversed precedence.  Tails
+    and rule order may differ: the overlaps pop in another order."""
+    A = UqAlgebra(n)
+    for rep in commutation_classes(n).reps:
+        t = C.tangent_from_word(A, rep)
+        rel, d = C.quadratic_relations(t), t.dim
+        rels, alphabet = reversed_letters(rel.all_relations(), rel.alphabet)
+        gb = complete_truncated(rels, d + 1, alphabet)
+        generic = GenericGB(rel.alphabet, precedence=tuple(range(d - 1, -1, -1)))
+        for r in rel.all_relations():
+            generic._insert(r)
+        generic.extend_to(d + 1)
+        assert {tuple(d - 1 - g for g in lead) for lead in gb.rules} == set(generic.rules), rep
+        assert gb.normal_counts(d + 1) == generic.normal_counts(d + 1), rep
+
+
 def test_non_quadratic_completions_match_generic_bookkeeping():
     """The rank-4 classes without a coideal whose completions grow longer
     leads (22 of them, settling at degree 7, 8 or 9), completed to degree 9."""
@@ -576,7 +603,7 @@ def test_non_quadratic_completions_match_generic_bookkeeping():
         t = C.tangent_from_word(A, rep)
         if C.coideal_check(t).verdict == "neither":
             rel = C.quadratic_relations(t)
-            gb = _complete_both(rel.all_relations(), rel.order, rel.alphabet, 9, rep)
+            gb = _complete_both(rel.all_relations(), rel.alphabet, 9, rep)
             cases += max(map(len, gb.rules)) > 2
     assert cases == 22
 
@@ -596,7 +623,7 @@ def test_installed_systems_match_generic_bookkeeping(n):
     _assert_same_system(_serre_system(n), generic, ("serre", n))
     if n <= 4:
         gb = oq._frt_system(n)
-        generic = GenericGB(gb.alphabet, gb.order)
+        generic = GenericGB(gb.alphabet)
         for r in frt_relations(n):
             generic._orient(oq._letters(r))
         _assert_same_system(gb, generic, ("frt", n))
@@ -710,7 +737,7 @@ def test_render_rules():
     frac = ONE / (Q + 1)
     x = A.E(1) - A.F(2) * A.K(1, -1) + A.one().scale(Q + 1) + A.E(2).scale(qpow(-2))
     x = x - A.E(1) * A.E(2) * frac
-    assert A.zero().render() == "0"
+    assert UqElement(A, {}).render() == "0"
     assert x.render() == "q + 1 + E1 + (q^-2)*E2 - F2 K1^-1 + (-1/(q + 1))*E1 E2"
     assert (-A.E(1) + A.E(2).scale(-2 * Q)).render() == "-E1 - 2*q*E2"
     assert A.one().scale(-1).render() == "-1"
@@ -725,7 +752,7 @@ def test_render_rules():
     )
     assert OqElement(1).render() == "0"
     assert o.render() == "q + 1 - u[1,1] + (q^-3)*u[1,2]u[2,1] + u[2,1] + (1/(q + 1))*u[2,2]"
-    assert OqElement.unit(1).scale(-ONE).render() == "-1"
+    assert oq_unit(1).scale(-ONE).render() == "-1"
 
     one = A.one()
     t = from_pairs(
@@ -763,8 +790,8 @@ def _tensor_pair():
 
 
 def _oq_pair():
-    u = lambda a, b: OqElement.u(2, a, b)
-    return u(1, 2) + u(2, 1) * u(3, 3), u(1, 2).scale(-Q) + OqElement.unit(2)
+    u = lambda a, b: oq_u(2, a, b)
+    return u(1, 2) + u(2, 1) * u(3, 3), u(1, 2).scale(-Q) + oq_unit(2)
 
 
 @pytest.mark.parametrize("pair", [_free_pair, _uq_pair, _tensor_pair, _oq_pair])
@@ -789,11 +816,11 @@ def test_sum_equality_compares_context():
     A, B = UqAlgebra(2), UqAlgebra(2)
     assert A.E(1) == A.E(1) and A.E(1) != B.E(1)
     assert coproduct(A.E(1)) == coproduct(A.E(1)) and coproduct(A.E(1)) != coproduct(B.E(1))
-    assert OqElement.u(1, 1, 1) != OqElement.u(2, 1, 1)
+    assert oq_u(1, 1, 1) != oq_u(2, 1, 1)
     f = FreeElement.monomial(())  # the same terms as each sum it is compared with
-    assert f.terms == OqElement.unit(1).terms == UqElement(A, {(): ONE}).terms
+    assert f.terms == oq_unit(1).terms == UqElement(A, {(): ONE}).terms
     assert f != UqElement(A, {(): ONE}) and UqElement(A, {(): ONE}) != f
-    assert f != OqElement.unit(1) and OqElement.unit(1) != f
+    assert f != oq_unit(1) and oq_unit(1) != f
 
 
 def test_acc_stores_adds_and_prunes():
@@ -840,7 +867,7 @@ def test_find_redex_returns_the_first_window_with_its_own_tail():
                     p, L = want
                     assert hit[:2] == want and hit[2] is gb.rules[w[p : p + L]], w
 
-    gb = TruncatedGB(_simple_alphabet(3), DegLex(size=3))
+    gb = TruncatedGB(_simple_alphabet(3))
     for i, lead in enumerate([(1, 0), (2, 2, 1), (2, 1, 1), (0, 2, 2, 0)]):
         gb.rules[lead] = FreeElement.monomial(sorted(lead), qpow(i))
         gb._index(lead)
@@ -874,7 +901,7 @@ def test_overlap_difference_by_concatenation_matches_products(n):
         if C.coideal_check(t).verdict == "neither":
             continue
         rel = C.quadratic_relations(t)
-        gb, oracle = (cls(rel.alphabet, rel.order) for cls in (TruncatedGB, _ProductBuiltGB))
+        gb, oracle = (cls(rel.alphabet) for cls in (TruncatedGB, _ProductBuiltGB))
         for r in rel.all_relations():
             gb._insert(r)
             oracle._insert(r)

@@ -62,8 +62,10 @@ def test_parse_word():
     assert parse_word("nice", 2) == (2, 1, 2)
     assert parse_word("nice-op", 3) == (1, 2, 3, 1, 2, 1)
     assert parse_word("10,1,2", 10) == (10, 1, 2)
-    with pytest.raises(ParseError):
-        parse_word("abc", 2)
+    assert parse_word(" 10, 1, 2 ", 10) == (10, 1, 2)
+    for text in ("abc", "", "121,", ",121", "1,,2", "1,a,2", "1²", "1,²", "1 2"):
+        with pytest.raises(ParseError, match="cannot parse word"):
+            parse_word(text, 3)
 
 
 def _out(capsys, argv):
@@ -129,6 +131,7 @@ def test_cli_parse_error_exit_code(capsys):
     [
         ("roots --rank 3 --word 12", "beta_sequence requires a reduced word of the longest element"),
         ("roots --rank 3 --word 0", "letter 0 out of range 1..3"),
+        ("roots --rank 3 --word 121,", "cannot parse word '121,'"),
         ("coideal --rank 2 --tangent E1;E1", "tangent basis is linearly dependent at E1"),
     ],
 )

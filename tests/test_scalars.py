@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from oracles import evaluate
+from oracles import TWO_Q, evaluate
 
 from qflag import scalars
 from qflag.scalars import (
@@ -15,7 +15,6 @@ from qflag.scalars import (
     Q,
     QINV,
     RatQ,
-    TWO_Q,
     ZERO,
     _add,
     _canonical,

@@ -2,10 +2,12 @@
 
 An AST walk over the package.  The roots are `cli.main`, the `cmd_*`
 handlers and all module-level code, class bodies included; a function,
-class or method is reached when a reached body names it, as a bare name or
-as an attribute.  Names are matched across modules, so the walk
-over-approximates the call graph: a definition it misses is unused.  Dunder
-methods are left out, since the language calls them."""
+class or method is reached when a reached body names it: a module-level
+function or class as a bare name or as an attribute, a method only as an
+attribute (a bare local of the same name is no call of it).  Names are
+matched across modules, so the walk over-approximates the call graph: a
+definition it misses is unused.  Dunder methods are left out, since the
+language calls them."""
 
 import ast
 from pathlib import Path
@@ -34,15 +36,19 @@ def _package():
 
 
 def _names(node) -> set:
-    return {n.id if isinstance(n, ast.Name) else n.attr
+    """(name, is_attribute) of every bare name and attribute in node."""
+    return {(n.id, False) if isinstance(n, ast.Name) else (n.attr, True)
             for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))}
 
 
 def unreached() -> list[str]:
     defs, top = _package()
-    by_name: dict = {}
+    by_name: dict = {}  # (name, is_attribute) -> the definitions it reaches
     for module, qual in defs:
-        by_name.setdefault(qual.rsplit(".", 1)[-1], []).append((module, qual))
+        name = qual.rsplit(".", 1)[-1]
+        by_name.setdefault((name, True), []).append((module, qual))
+        if "." not in qual:
+            by_name.setdefault((name, False), []).append((module, qual))
     todo = [(m, q) for m, q in defs if m == "cli" and (q == "main" or q.startswith("cmd_"))]
     for node in top:
         for name in _names(node):
