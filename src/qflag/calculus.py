@@ -195,10 +195,7 @@ def coideal_check(t: TangentSpace) -> CoidealReport:
                 mids, xs = blocks.get(w, ((), ()))
                 residue = alg._residue_memo.get((gid, mids))
                 if residue is None:
-                    block = Span()
-                    for m in xs:
-                        block.add(m)
-                    residue = alg._residue_memo[gid, mids] = block.reduce(vec)
+                    residue = alg._residue_memo[gid, mids] = Span(xs).reduce(vec)
                 if residue:
                     witnesses[side] = CoidealWitness(
                         basis_label=label,
@@ -326,9 +323,7 @@ def _relation_block(alg: UqAlgebra, members: list[dict], products: list[tuple[di
     """RREF of the residue rows of one weight block, as rows of
     (position in products, coefficient) pairs sorted by position, so a row
     lists its terms in the same order whatever the memos held before."""
-    member = Span()
-    for x in members:
-        member.add(x)
+    member = Span(members)
     residue_rows: dict = {}  # E-word coordinate -> row of A_mu over positions
     for p, (x, y) in enumerate(products):
         for w, c in member.reduce(alg.eword_mul(x, y)).items():
@@ -611,13 +606,9 @@ def _levi_closed(alg: UqAlgebra, coords: list[dict], weights: list[tuple[int, ..
                 continue
             mu = alg.word_weight(next(iter(y)))
             if mu not in members:
-                members[mu] = sp = Span()
-                for z, w in zip(coords, weights):
-                    if w == mu:
-                        sp.add(z)
-                for s in gens_s:
-                    for w in _normal_ewords(alg, [m - (a == s - 1) for a, m in enumerate(mu)]):
-                        sp.add(dict(alg.word_nf(w + (s,))))
+                members[mu] = Span([z for z, w in zip(coords, weights) if w == mu] + [
+                    dict(alg.word_nf(w + (s,))) for s in gens_s
+                    for w in _normal_ewords(alg, [m - (a == s - 1) for a, m in enumerate(mu)])])
             if not members[mu].contains(y):
                 return False
     return True
@@ -630,12 +621,12 @@ def _levi_candidates(alg: UqAlgebra, xc: dict, gens_s: list[int]):
     for j in gens_s:
         ej = tuple(int(a == j - 1) for a in range(alg.n))
         ph = alg._ad_sum(ej, next(iter(xc)))
-        yield alg.eword_qcomm(xc, {(j,): ONE}, RatQ.q_power(-ph))
+        yield alg.eword_qcomm(xc, {(j,): ONE}, qpow(-ph))
         y: dict = {}
         for w, c in xc.items():
             for t in [t for t, l in enumerate(w) if l == j]:
                 a, b = alg._ad_sum(ej, w[:t]), alg._ad_sum(ej, w[t + 1 :])
-                ct = c * (RatQ.q_power(a + 2 * b) - RatQ.q_power(a)) / NU
+                ct = c * (qpow(a + 2 * b) - qpow(a)) / NU
                 for v, cv in alg.word_nf(w[:t] + w[t + 1 :]):
                     _acc(y, v, ct * cv)
         yield y

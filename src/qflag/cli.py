@@ -83,10 +83,9 @@ def _non_negative(text: str) -> int:
 
 
 def cmd_roots(args):
-    alg = UqAlgebra(args.rank)
-    t = calculus.tangent_from_word(alg, parse_word(args.word or "nice", args.rank))
+    t = _tangent(args)
     rows = [
-        {"k": k + 1, "root": str(b), "weight": list(w), "vector": alg.eword_element(x).render()}
+        {"k": k + 1, "root": str(b), "weight": list(w), "vector": t.algebra.eword_element(x).render()}
         for k, (b, w, x) in enumerate(zip(t.roots, t.weights, t.coords))
     ]
     lines = [f"beta_{r['k']} = {r['root']}  {r['vector']}" for r in rows]
@@ -192,7 +191,7 @@ def cmd_classes(args):
     classes = [{"word": weyl.word_str(rep), "size": weyl.class_size(rep)} for rep in g.reps]
     involution = weyl.involution_on_classes(g) if args.involution else None
     if args.format == "dot":
-        lines = weyl.class_graph_dot(g, involution=args.involution).splitlines()
+        lines = weyl.class_graph_dot(g, involution).splitlines()
     else:
         lines = [f"classes: {g.num_classes}"]
         lines += [f"  C{c}: {d['word']} ({d['size']} words)" for c, d in enumerate(classes)]

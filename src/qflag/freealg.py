@@ -24,12 +24,12 @@ here too, since rank computations back both the dimension oracle and the
 relation-space calculus.
 
 So does the sparse-sum arithmetic every combination type shares.  `_Sum`
-holds the term dict and the linear structure (sum, difference, negation,
-scaling, equality, hashing) of FreeElement here, UqElement and TensorSquare
-in uqsl and OqElement in oq; each subclass adds its product and rendering.
-`_acc` adds a term to a coefficient dict and prunes zeros, and `_term` and
-`_signed_sum` print one (UqElement and OqElement as FreeElement does;
-TensorSquare joins its `_term`s with '  +  ').
+holds the term dict, its context and the linear structure (sum, difference,
+negation, scaling, equality, hashing) of FreeElement here, UqElement and
+TensorSquare in uqsl and OqElement in oq; each adds its product and
+rendering.  `_acc` adds a term to a coefficient dict and prunes zeros, and
+`_term` and `_signed_sum` print one (UqElement and OqElement as FreeElement
+does; TensorSquare joins its `_term`s with '  +  ').
 """
 
 from __future__ import annotations
@@ -124,13 +124,20 @@ def _deglex(word: Word):
 class _Sum:
     """Sparse linear combination: `terms` maps a key to a nonzero RatQ.
 
-    Subclasses rebuild a sum in their own context (an algebra, a rank, or
-    none) through `_like(terms)`, whose terms are already pruned, and name
-    in `_compared` the context attributes that equality checks besides the
-    terms."""
+    Subclasses name in `_context` the attributes that place a sum (an
+    algebra, a rank, or none): `_like(terms)` copies them onto a new sum of
+    the same type with those terms, already pruned, and equality compares
+    them besides the terms."""
 
     __slots__ = ("terms",)
-    _compared: tuple[str, ...] = ()
+    _context: tuple[str, ...] = ()
+
+    def _like(self, terms: dict):
+        out = object.__new__(type(self))
+        for a in self._context:
+            setattr(out, a, getattr(self, a))
+        out.terms = terms
+        return out
 
     def __bool__(self):
         return bool(self.terms)
@@ -138,7 +145,7 @@ class _Sum:
     def __eq__(self, other):
         return (
             type(other) is type(self)
-            and all(getattr(self, a) == getattr(other, a) for a in self._compared)
+            and all(getattr(self, a) == getattr(other, a) for a in self._context)
             and self.terms == other.terms
         )
 
@@ -181,11 +188,6 @@ class FreeElement(_Sum):
             for w, c in dict(terms).items():
                 if c:
                     self.terms[tuple(w)] = c
-
-    def _like(self, terms: dict) -> "FreeElement":
-        e = FreeElement()
-        e.terms = terms
-        return e
 
     @staticmethod
     def monomial(word: Word, coeff: RatQ = ONE) -> "FreeElement":
@@ -493,11 +495,13 @@ class DimensionTable(NamedTuple):
 
 
 class Span:
-    """Row-echelon span of sparse vectors, kept fully reduced (no row's
-    support meets another row's pivot); supports rank and membership."""
+    """Row-echelon span of the vectors given, added in order, kept fully reduced
+    (no row's support meets another row's pivot); supports rank and membership."""
 
-    def __init__(self):
+    def __init__(self, vectors=()):
         self.pivots: dict = {}  # pivot coord -> vector (pivot coeff 1)
+        for vec in vectors:
+            self.add(vec)
 
     def reduce(self, vec: dict) -> dict:
         """Residue of vec modulo the span (zero iff vec is in the span)."""
@@ -541,17 +545,11 @@ class Span:
 def _span_over(rows: list[dict], coords: list) -> Span:
     """Span of rows with each coordinate renamed to its position in `coords`."""
     cindex = {k: i for i, k in enumerate(coords)}
-    sp = Span()
-    for r in rows:
-        sp.add({cindex[k]: c for k, c in r.items() if c})
-    return sp
+    return Span({cindex[k]: c for k, c in r.items() if c} for r in rows)
 
 
 def rank(rows: list[dict]) -> int:
-    sp = Span()
-    for r in rows:
-        sp.add(dict(r))
-    return sp.dim
+    return Span(rows).dim
 
 
 def annihilator(rows: list[dict], coords: list) -> list[dict]:

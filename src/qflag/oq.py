@@ -60,7 +60,7 @@ class OqElement(_Sum):
     and `_normal_coords` reduces each length component on its own."""
 
     __slots__ = ("n",)
-    _compared = ("n",)
+    _context = ("n",)
 
     def __init__(self, n: int, terms=None):
         self.n = n
@@ -69,11 +69,6 @@ class OqElement(_Sum):
             for w, c in dict(terms).items():
                 if c:
                     self.terms[tuple(tuple(p) for p in w)] = c
-
-    def _like(self, terms: dict) -> "OqElement":
-        e = OqElement(self.n)
-        e.terms = terms
-        return e
 
     def __mul__(self, other):
         if isinstance(other, (RatQ, int)):

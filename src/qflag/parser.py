@@ -46,16 +46,8 @@ def tokenize(text: str):
                 raise ParseError(f"unexpected input at: {text[pos:][:20]!r}")
             break
         pos = m.end()
-        if m.lastgroup == "gen":
-            out.append(("gen", m.group("gen")))
-        elif m.lastgroup == "u":
-            out.append(("u", "u"))
-        elif m.lastgroup == "name":
-            out.append(("name", m.group("name")))
-        elif m.lastgroup == "int":
-            out.append(("int", int(m.group("int"))))
-        else:
-            out.append(("sym", m.group("sym")))
+        kind, value = m.lastgroup, m.group(m.lastgroup)
+        out.append((kind, int(value) if kind == "int" else value))
     return out
 
 

@@ -210,12 +210,6 @@ class RatQ:
     # -- constructors -------------------------------------------------------
 
     @staticmethod
-    def q_power(k: int) -> "RatQ":
-        if k >= 0:
-            return _mk(_qden(k), _ONEPOL)
-        return _mk(_ONEPOL, _qden(-k))
-
-    @staticmethod
     def from_fraction(x: Fraction) -> "RatQ":
         return _mk((x.numerator,) if x else _ZPOL, (x.denominator,))
 
@@ -461,4 +455,7 @@ NU = _mk((-1, 0, 1), (0, 1))  # q - q^-1
 
 
 def qpow(k: int) -> RatQ:
-    return RatQ.q_power(k)
+    """q^k, for any integer k."""
+    if k >= 0:
+        return _mk(_qden(k), _ONEPOL)
+    return _mk(_ONEPOL, _qden(-k))

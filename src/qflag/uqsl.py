@@ -89,32 +89,36 @@ class _SerreSystem(TruncatedGB):
     in degree order, each reduced by the rules before it and oriented once
     `install` asks for its degree.  A rule reads only rules of its degree or
     lower, and a word of degree d meets only leads of length <= d, so up to
-    `degree` the system answers as the full one; every reader installs the
-    degree it reads first.  No tail meets a later lead (the certificate
+    `valid_degree` the system answers as the full one, and above it refuses
+    a count until `settled` (every rule installed); every reader installs
+    the degree it reads first.  No tail meets a later lead (the certificate
     checks it), so the rules are already fully reduced."""
 
     def __init__(self, n: int):
         super().__init__(Alphabet(tuple(f"x{i}" for i in range(1, n + 1)),
                                   tuple(tuple(int(a == i) for a in range(n)) for i in range(n))))
         E = lambda a: FreeElement.monomial((a - 1,))
-        br = lambda x, y, c=ONE: x * y - (y * x).scale(c)  # [x, y]_c
-        X = lambda a, b: reduce(lambda x, m: br(E(m), x, QINV), range(b + 1, a + 1), E(b))
+        X = lambda a, b: reduce(lambda x, m: qcomm(E(m), x, QINV), range(b + 1, a + 1), E(b))
         # (degree, function building it), each family in loop order, stably sorted by degree
-        rels = [(2, lambda i=i, j=j: br(E(i), E(j))) for i in range(3, n + 1) for j in range(1, i - 1)]
-        rels += [(a - b + 2, lambda a=a, b=b: br(X(a, b), E(a - 1), Q if a - b == 1 else ONE))
+        rels = [(2, lambda i=i, j=j: qcomm(E(i), E(j), ONE)) for i in range(3, n + 1) for j in range(1, i - 1)]
+        rels += [(a - b + 2, lambda a=a, b=b: qcomm(X(a, b), E(a - 1), Q if a - b == 1 else ONE))
                  for a in range(2, n + 1) for b in range(1, a)]
-        rels += [(2 * (a - b) + 3, lambda a=a, b=b: br(X(a, b), X(a, b - 1), Q))
+        rels += [(2 * (a - b) + 3, lambda a=a, b=b: qcomm(X(a, b), X(a, b - 1), Q))
                  for a in range(2, n + 1) for b in range(2, a + 1)]
         self._todo = sorted(rels, key=lambda r: r[0])[::-1]  # popped from the end
-        self.degree = 0  # every rule of degree <= degree is installed
+
+    @property
+    def settled(self) -> bool:
+        """Every rule installed: complete in every degree (the certificate)."""
+        return not self._todo
 
     def install(self, d: int | None = None):
-        """Install every rule of degree <= d, or every rule when d is None."""
+        """Install every rule of degree <= d (valid_degree d), or every rule when d is None."""
         todo = self._todo
         while todo and (d is None or todo[-1][0] <= d):
             self._orient(todo.pop()[1]())
-        if d is not None and d > self.degree:
-            self.degree = d
+        if d is not None:
+            self.valid_degree = max(self.valid_degree, d)
 
 
 _SERRE: dict[int, _SerreSystem] = {}  # rank -> its Serre system, extended in place
@@ -124,7 +128,7 @@ def _serre_system(n: int, degree: int | None = None) -> _SerreSystem:
     """The rank's Serre system with every rule of degree <= degree installed
     (every rule when degree is None)."""
     gb = _SERRE.get(n) or _SERRE.setdefault(n, _SerreSystem(n))
-    if degree is None or degree > gb.degree:
+    if degree is None or degree > gb.valid_degree:
         gb.install(degree)
     return gb
 
@@ -295,20 +299,6 @@ class UqAlgebra:
 
     # -- structure maps -----------------------------------------------------------
 
-    def coproduct_mono(self, m: Mono) -> "TensorSquare":
-        """Delta(f K^v e) = Delta(f) (K^v x K^v) Delta(e): each F-state
-        (fl, fr) and E-state (el, er) of the q-shuffles gives the term
-        fl K^{v - wt fr} el (x) fr K^{v + wt el} er, both legs normal-ordered."""
-        f, kv, e = m
-        fstates = [(fl, fr, tuple(k - w for k, w in zip(kv, self.word_weight(fr))), cf)
-                   for (fl, fr), cf in self._shuffle(f, 1).items()]
-        out: dict = {}
-        for (el, er), ce in self._shuffle(e, -1).items():
-            kr = tuple(k + w for k, w in zip(kv, self.word_weight(el)))
-            for fl, fr, kl, cf in fstates:
-                out[(fl, kl, el), (fr, kr, er)] = cf * ce
-        return TensorSquare(self, out)
-
     def word_weight(self, word: tuple) -> tuple[int, ...]:
         """Letter counts of a word: the weight of an E-word."""
         return tuple(word.count(i) for i in range(1, self.n + 1))
@@ -347,16 +337,11 @@ class UqElement(_Sum):
     """Sparse linear combination of normal monomials (F-word, K-vec, E-word)."""
 
     __slots__ = ("algebra",)
-    _compared = ("algebra",)  # by identity: UqAlgebra has no __eq__
+    _context = ("algebra",)  # compared by identity: UqAlgebra has no __eq__
 
     def __init__(self, algebra: UqAlgebra, terms: dict):
         self.algebra = algebra
         self.terms = {m: c for m, c in terms.items() if c}
-
-    def _like(self, terms: dict) -> "UqElement":
-        e = UqElement(self.algebra, {})
-        e.terms = terms
-        return e
 
     def __mul__(self, other):
         if isinstance(other, (RatQ, int)):
@@ -421,16 +406,11 @@ class TensorSquare(_Sum):
     each leg in canonical form."""
 
     __slots__ = ("algebra",)
-    _compared = ("algebra",)
+    _context = ("algebra",)
 
     def __init__(self, algebra: UqAlgebra, terms: dict):
         self.algebra = algebra
         self.terms = {m: c for m, c in terms.items() if c}
-
-    def _like(self, terms: dict) -> "TensorSquare":
-        e = TensorSquare(self.algebra, {})
-        e.terms = terms
-        return e
 
     def render(self) -> str:
         """Terms joined by '  +  ', each sign kept with its coefficient."""
@@ -450,16 +430,22 @@ class TensorSquare(_Sum):
 
 
 def coproduct(x: UqElement) -> TensorSquare:
-    out: dict = {}
-    for m, c in x.terms.items():
-        for legs, cm in x.algebra.coproduct_mono(m).terms.items():
-            _acc(out, legs, c * cm)
-    return TensorSquare(x.algebra, out)
+    """Delta(f K^v e) = Delta(f) (K^v x K^v) Delta(e) on each monomial: each
+    F-state (fl, fr) and E-state (el, er) of the q-shuffles gives the term
+    fl K^{v - wt fr} el (x) fr K^{v + wt el} er, both legs normal-ordered."""
+    alg, out = x.algebra, {}
+    for (f, kv, e), c in x.terms.items():
+        fstates = [(fl, fr, tuple(k - w for k, w in zip(kv, alg.word_weight(fr))), cf)
+                   for (fl, fr), cf in alg._shuffle(f, 1).items()]
+        for (el, er), ce in alg._shuffle(e, -1).items():
+            kr = tuple(k + w for k, w in zip(kv, alg.word_weight(el)))
+            for fl, fr, kl, cf in fstates:
+                _acc(out, ((fl, kl, el), (fr, kr, er)), c * (cf * ce))
+    return TensorSquare(alg, out)
 
 
-def qcomm(x: UqElement, y: UqElement, c) -> UqElement:
-    """Twisted commutator [x, y]_c = xy - c yx."""
-    c = c if isinstance(c, RatQ) else RatQ(c)
+def qcomm(x, y, c):
+    """Twisted commutator [x, y]_c = xy - c yx of two sums of one type (UqElement, FreeElement)."""
     return x * y - (y * x).scale(c)
 
 

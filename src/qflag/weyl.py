@@ -249,14 +249,15 @@ def word_str(w) -> str:
     return ",".join(str(i) for i in w)
 
 
-def class_graph_dot(graph: ClassGraph, involution: bool = False) -> str:
+def class_graph_dot(graph: ClassGraph, involution: list[int] | None = None) -> str:
+    """The class graph in DOT, with the involution's pairs (`involution_on_classes`) dashed when given."""
     lines = ["graph commutation_classes {"]
     for c, rep in enumerate(graph.reps):
         lines.append(f'  c{c} [label="{word_str(rep)}"];')
     for a, b in graph.edges:
         lines.append(f"  c{a} -- c{b};")
-    if involution:
-        for c, d in enumerate(involution_on_classes(graph)):
+    if involution is not None:
+        for c, d in enumerate(involution):
             if c <= d:  # each pair once, from its smaller end
                 lines.append(f"  c{c} -- c{d} [color=blue, style=dashed];")
     lines.append("}")

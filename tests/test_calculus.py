@@ -1015,7 +1015,7 @@ def _strip_k_phased(alg, terms):
     out = {}
     for (f, kv, e), c in terms.items():
         if any(kv):
-            c = c * RatQ.q_power(alg._ad_sum(kv, e))
+            c = c * qpow(alg._ad_sum(kv, e))
         _acc(out, (f, zero, e), c)
     return out
 

@@ -616,11 +616,14 @@ class _GenericSerre(GenericGB, uqsl._SerreSystem):
 def test_installed_systems_match_generic_bookkeeping(n):
     """U+'s Serre system (ranks 1-5), installed rule by rule through
     _orient, and the FRT system (ranks 1-4), written in closed form, are
-    the systems the generic bookkeeping installs from the same relations."""
-    generic = _GenericSerre(n)
+    the systems the generic bookkeeping installs from the same relations.
+    Both Serre systems are fresh: the shared one's valid_degree is the
+    highest degree a reader has asked for."""
+    gb, generic = uqsl._SerreSystem(n), _GenericSerre(n)
+    gb.install()
     generic.install()
     assert isinstance(generic, GenericGB)
-    _assert_same_system(_serre_system(n), generic, ("serre", n))
+    _assert_same_system(gb, generic, ("serre", n))
     if n <= 4:
         gb = oq._frt_system(n)
         generic = GenericGB(gb.alphabet)

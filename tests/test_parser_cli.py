@@ -3,7 +3,9 @@
 import io
 import json
 import os
+import shlex
 import sys
+from pathlib import Path
 
 import pytest
 from oracles import build_Eji
@@ -133,12 +135,35 @@ def test_cli_parse_error_exit_code(capsys):
         ("roots --rank 3 --word 0", "letter 0 out of range 1..3"),
         ("roots --rank 3 --word 121,", "cannot parse word '121,'"),
         ("coideal --rank 2 --tangent E1;E1", "tangent basis is linearly dependent at E1"),
+        ("pair --rank 2 --expr E1 --with-word u[4,1]", "matrix indices must lie in 1..3"),
+        ("pair --rank 2 --expr E1 --with-word u[0,2]", "matrix indices must lie in 1..3"),
+        ("pair --rank 2 --expr E1 --with-word u[x,1]", "expected row index"),
+        ("pair --rank 2 --expr E1 --with-word u[1,x]", "expected column index"),
+        ("pair --rank 2 --expr E1 --with-word +", "empty term in word expression"),
+        ("coproduct --rank 2 --expr t*E1", "unknown scalar name 't'"),
+        ("coproduct --rank 2 --expr q^x*E1", "expected integer exponent, got 'x'"),
+        ("coproduct --rank 2 --expr E1)", "trailing input after expression: ')'"),
+        ("coproduct --rank 2 --expr E1^-1", "negative powers of E1 are not invertible"),
+        ("coproduct --rank 2 --expr E1+@", "unexpected input at: '@'"),
     ],
 )
 def test_cli_malformed_input_messages(capsys, argv, err):
     assert run(argv.split()) == 2
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", f"error: {err}\n")
+
+
+def test_readme_command_lines_run(capsys):
+    """Every `qflag` line of the README's sh blocks exits 0 through cli.run,
+    and a line's `# ->` text appears in its stdout."""
+    text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = [b.split("```", 1)[0] for b in text.split("```sh\n")[1:]]
+    lines = [line for b in blocks for line in b.splitlines() if line.startswith("qflag ")]
+    assert len(lines) == 14
+    for line in lines:
+        expect = line.partition("# ->")[2].strip()
+        code, out = _out(capsys, shlex.split(line, comments=True)[1:])
+        assert code == 0 and expect in out, line
 
 
 @pytest.mark.parametrize(

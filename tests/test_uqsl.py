@@ -122,7 +122,8 @@ def test_word_nf_never_extends_a_system(monkeypatch):
     A = UqAlgebra(4)
     vecs = root_vectors(A, nice_word(4))
     _assert_eword_mul_matches_product(A, vecs[:4])
-    assert _serre_system(4).valid_degree == 0 and _serre_system(4).settled
+    gb = uqsl._SERRE[4]
+    assert (gb.valid_degree, gb.settled, gb._pending) == (8, True, [])  # products of length 8
 
 
 def test_word_nf_matches_serre_reduce():
@@ -168,7 +169,7 @@ def test_serre_system_installed_by_degree_is_a_prefix_of_the_full_one(n):
         gb.install(d)
         got = _rule_list(gb)
         assert got == full[: len(got)] == [r for r in full if len(r[0]) <= d], (n, d)
-        assert (gb.degree, not gb._todo) == (d, d >= top), (n, d)
+        assert (gb.valid_degree, gb.settled) == (d, d >= top), (n, d)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
@@ -186,18 +187,22 @@ def test_word_nf_installs_only_the_word_degree(n, monkeypatch):
             expect = tuple((tuple(g + 1 for g in w), c) for w, c in sorted(nf.terms.items()))
             assert A.word_nf(word) == expect, word
         gb = uqsl._SERRE[n]
-        assert gb.degree == d and all(len(lead) <= d for lead in gb.rules), (n, d)
+        assert gb.valid_degree == d and all(len(lead) <= d for lead in gb.rules), (n, d)
 
 
 def test_partial_serre_system_answers_as_the_full_one_to_its_degree():
     """A system installed to degree 3 answers normal-word queries up to
-    degree 3 as the full system does; every reader installs the degree it
-    reads first."""
+    degree 3 as the full system does, and refuses degree 4, where rank 4's
+    degree-4 rule is missing (82 words against the full system's 80)."""
     gb, full = uqsl._SerreSystem(4), _serre_system(4)
     gb.install(3)
     assert gb.normal_words(3) == full.normal_words(3)
     assert gb.normal_counts(3) == full.normal_counts(3)
     assert gb.weight_counts(3) == full.weight_counts(3)
+    for query in (gb.normal_counts, gb.normal_words, gb.weight_counts):
+        with pytest.raises(ValueError, match="degree 4 above valid_degree 3"):
+            query(4)
+    assert full.normal_counts(4)[4] == 80
 
 
 def test_cold_rank4_survey_installs_no_degree7_rule(monkeypatch):

@@ -160,7 +160,7 @@ def test_class_cap_error_mentions_count():
 
 def test_dot_output():
     g = commutation_classes(3)
-    dot = class_graph_dot(g, involution=True)
+    dot = class_graph_dot(g, involution_on_classes(g))
     assert dot.startswith("graph commutation_classes {")
     assert dot.count("--") >= len(g.edges)
     assert dot.count('[label="') == 8
