@@ -12,12 +12,13 @@ normal words are paths in Ufnarovski's graph of the leads, counted by DP
 over their last m-1 letters (m the longest lead length; they decide every
 extension).  Leads are installed in nondecreasing length, so no new lead
 lies inside an old one and each names its rule for good (see TruncatedGB);
-a new lead's overlaps come from prefix and suffix indexes of the leads.  An
-overlap abc of q-commuting letters (every pair among a, b, c a swap to the
-other order with one coefficient, or a square rewritten to zero), or whose
-end letter moves past the other lead and its tail by swaps, is resolvable
-by the diamond lemma and is dropped with no reduction.  A relation with no
-word holding a live lead is its own normal form and is installed unreduced.
+a new lead's overlaps come from prefix and suffix indexes of the leads, and
+those of two length-2 leads are listed once they are final.  Of those, one
+of q-commuting letters (each pair a swap to the other order with one
+coefficient, or a square rewritten to zero) is never queued, and one whose
+end letter moves past the other lead and its tail by swaps is dropped
+unreduced: both resolve by the diamond lemma.  A relation with no word
+holding a live lead is its own normal form and is installed unreduced.
 
 Exact linear algebra over Q(q) (echelon spans, annihilators, RREF) lives
 here too, since rank computations back both the dimension oracle and the
@@ -236,28 +237,31 @@ class TruncatedGB:
     a new lead holds no lead, and being no shorter it lies inside none: no
     inclusion ambiguity arises, and a lead names its rule for good.
     Pending overlaps are (degree, lead, lead, word), found through indexes
-    of the leads' proper prefixes and suffixes.  In the valid degrees the
-    leads are the ideal's minimal leading words whatever order the
-    overlaps resolve in, so normal forms and counts do not move.
+    of the leads' proper prefixes and suffixes, each pair once.  In the
+    valid degrees the leads are the ideal's minimal leading words whatever
+    order the overlaps resolve in, so normal forms and counts do not move.
 
-    An overlap abc of two length-2 leads is dropped unreduced
-    (`_commuting_overlap`) when (1) every pair among a, b, c has a swap rule
-    xy -> c yx (yx no lead) or a square xx -> 0: live leads contain none of
-    each other, so a word over a, b, c reduces along any path to 0 or to its
-    sorted arrangement times its inversions' coefficients; or (2) an end
-    letter is q-central for the other lead (`_central`).  Case A: z moves
-    left past x, y and both letters of each tail word uv of xy by swaps
-    wz -> l_w zw, no tail word is a lead, and l_u l_v = l_x l_y.  `reduce`
-    rewrites the first window holding a lead, so sum t_uv uvz goes through
-    uzv to sum t_uv l_u l_v zuv, and x l_y zy to l_x l_y zxy, whose first
-    window zx is no lead, then to l_x l_y sum t_uv zuv.  Case B mirrors it:
-    x moves right past y, z and the letters of yz's tail words.  Both sides
-    agree, so the ambiguity is resolvable (Bergman's diamond lemma, 1978)
-    and would install no rule: rules, order and counts are the generic
-    completion's.  The swap table `_swaps` reads only length-2 rules, so it
-    is built on the first overlap and dropped only by a length-2 install.
-    `reduce` rewrites only words holding a live lead, so `_orient` skips it
-    when none does."""
+    Every degree-3 overlap joins two length-2 leads.  An install queues
+    none of them: the first `extend_to`, `settled` query or longer install
+    lists them once (`_list_degree3`).  The length-2 rules are final by
+    then, as a popped overlap yields a lead of length >= 3, which bars a
+    shorter one; a length-2 lead a caller installs later queues its own.
+    An overlap abc of two length-2 leads resolves with no reduction
+    (Bergman's diamond lemma, 1978) when (1) every pair among a, b, c has a
+    swap rule xy -> c yx (yx no lead) or a square xx -> 0: live leads
+    contain none of each other, so a word over a, b, c reduces along any
+    path to 0 or to its sorted arrangement times its inversions'
+    coefficients; `_queue` never pushes such a swap triangle.  Or (2) an end
+    letter is q-central for the other lead (`_central`), tested as it pops
+    (`_commuting_overlap`).  Case A: z moves left past x, y and both letters
+    of each tail word uv of xy by swaps wz -> l_w zw, no tail word is a
+    lead, and l_u l_v = l_x l_y.  `reduce` rewrites the first window holding
+    a lead, so sum t_uv uvz goes through uzv to sum t_uv l_u l_v zuv, and x
+    l_y zy to l_x l_y zxy, whose first window zx is no lead, then to l_x l_y
+    sum t_uv zuv.  Case B mirrors it: x moves right past y, z and the
+    letters of yz's tail words.  The swap table `_swaps` reads only length-2
+    rules, so a length-2 install drops it.  `reduce` rewrites only words
+    holding a live lead, so `_orient` skips it when none does."""
 
     def __init__(self, alphabet: Alphabet):
         self.alphabet = alphabet
@@ -267,14 +271,17 @@ class TruncatedGB:
         self._lengths: list[int] = []  # distinct lead lengths, ascending
         self._prefixes: dict[Word, set[Word]] = {}
         self._suffixes: dict[Word, set[Word]] = {}
-        self._swaps: dict[tuple[int, int], RatQ] | None = None  # built by _commuting_overlap
+        self._swaps: dict[tuple[int, int], RatQ] | None = None  # built by _swap_table
+        self._deferred: bool | None = False  # a length-2 lead awaits the pass; None once it ran
 
     def _index(self, lead: Word):
-        """Add lead to the prefix/suffix indexes and `_lengths`, refusing one
-        shorter than a live lead; a length-2 lead empties `_swaps`."""
+        """Add lead to the prefix/suffix indexes and `_lengths`, refusing one shorter
+        than a live lead; a longer one runs the pass first, a length-2 one empties `_swaps`."""
         n, top = len(lead), (self._lengths or [0])[-1]
         if n < top:
             raise ValueError(f"lead of length {n} installed after one of length {top}")
+        if n > 2:
+            self._list_degree3()
         for t in range(1, n):
             self._prefixes.setdefault(lead[:t], set()).add(lead)
             self._suffixes.setdefault(lead[-t:], set()).add(lead)
@@ -315,15 +322,32 @@ class TruncatedGB:
     # -- completion ----------------------------------------------------------
 
     def _push_overlaps(self, lead: Word):
-        """Queue every overlap of lead with a live lead (itself included, once
-        from each side): a proper suffix of the first lead equal to a proper
-        prefix of the second."""
+        """Queue each overlap of lead with a live lead, itself once (a proper suffix of the
+        first is a proper prefix of the second); a length-2 lead leaves them to the pass until it ran."""
+        if len(lead) == 2 and self._deferred is not None:
+            self._deferred = True
+            return
         for t in range(1, len(lead)):
             pairs = [(lead, other) for other in self._prefixes.get(lead[-t:], ())]
-            pairs += [(other, lead) for other in self._suffixes.get(lead[:t], ())]
+            pairs += [(other, lead) for other in self._suffixes.get(lead[:t], ()) if other != lead]
             for la, lb in pairs:
-                w = la + lb[t:]
-                heapq.heappush(self._pending, (len(w), la, lb, w))
+                self._queue(la + lb[t:], la, lb)
+
+    def _list_degree3(self):
+        """The pass: queue each overlap of two live leads, all of length <= 2, once."""
+        if self._deferred:
+            self._deferred = None
+            for la in self.rules:
+                for lb in self._prefixes.get(la[1:], ()):
+                    self._queue(la + lb[1:], la, lb)
+
+    def _queue(self, word: Word, la: Word, lb: Word):
+        """Push the overlap word of la and lb unless it is a swap triangle."""
+        if len(word) == 3:
+            sw = self._swap_table()
+            if la in sw and lb in sw and ((word[0], word[2]) in sw or (word[2], word[0]) in sw):
+                return
+        heapq.heappush(self._pending, (len(word), la, lb, word))
 
     def _orient(self, elem: FreeElement) -> Word | None:
         """Reduce elem and install it as the rule lead -> tail; its lead
@@ -350,9 +374,10 @@ class TruncatedGB:
 
     def extend_to(self, dmax: int):
         """Resolve all pending overlap ambiguities of degree <= dmax."""
+        self._list_degree3()
         while self._pending and self._pending[0][0] <= dmax:
             _deg, la, lb, word = heapq.heappop(self._pending)
-            if self._commuting_overlap(word):
+            if len(word) == 3 and self._commuting_overlap(word):
                 continue
             # word = la s = p lb, la glued with lb over a proper overlap; the
             # difference is tail(la) s - p tail(lb), built by concatenation
@@ -366,19 +391,19 @@ class TruncatedGB:
                 self._insert(diff)
         self.valid_degree = max(self.valid_degree, dmax)
 
-    def _commuting_overlap(self, word: Word) -> bool:
-        """Whether the overlap word = abc of two length-2 leads q-commutes or has
-        a q-central end letter, so it resolves with no reduction (class docstring)."""
-        if len(word) != 3:
-            return False
-        if (sw := self._swaps) is None:  # c of each rule ab -> c*ba, ba no lead (0 for a square)
-            sw = self._swaps = {
+    def _swap_table(self) -> dict[tuple[int, int], RatQ]:
+        """c of each rule ab -> c*ba, ba no lead (0 for a square aa -> 0)."""
+        if self._swaps is None:
+            self._swaps = {
                 lead: tail.terms.get(rev, ZERO) for lead, tail in self.rules.items()
                 if len(lead) == 2 and list(tail.terms) == ([] if (rev := lead[::-1]) == lead else [rev])
                 and (rev == lead or rev not in self.rules)}
-        x, y, z = word
-        if ((x, y) in sw or (y, x) in sw) and ((y, z) in sw or (z, y) in sw) and ((x, z) in sw or (z, x) in sw):
-            return True
+        return self._swaps
+
+    def _commuting_overlap(self, word: Word) -> bool:
+        """Whether the popped overlap word = xyz of two length-2 leads has a
+        q-central end letter, so it resolves with no reduction (class docstring)."""
+        sw, (x, y, z) = self._swap_table(), word
         return self._central((x, y), lambda w: sw.get((w, z))) or self._central((y, z), lambda w: sw.get((x, w)))
 
     def _central(self, lead: Word, swap) -> bool:
@@ -395,6 +420,7 @@ class TruncatedGB:
     @property
     def settled(self) -> bool:
         """No live overlap pending: complete in every degree (diamond lemma)."""
+        self._list_degree3()
         return not self._pending
 
     def _check_degree(self, k: int):
@@ -466,8 +492,8 @@ def complete_truncated(relations: list[FreeElement], dmax: int, alphabet: Alphab
         raise ValueError("relations must be homogeneous in degree and weight")
     gb = TruncatedGB(alphabet)
     for r in sorted(rels, key=lambda r: len(next(iter(r.terms)))):
-        if gb._pending and gb._pending[0][0] < (d := len(next(iter(r.terms)))):
-            gb.extend_to(d - 1)  # every lead shorter than r's comes first
+        if (d := len(next(iter(r.terms)))) > 2 and not gb.settled and gb._pending[0][0] < d:
+            gb.extend_to(d - 1)  # every lead shorter than r's comes first; no pass before the longer ones
         gb._insert(r)
     gb.extend_to(dmax)
     return gb
@@ -567,7 +593,4 @@ def annihilator(rows: list[dict], coords: list) -> list[dict]:
 def rref(rows: list[dict], coords: list) -> list[dict]:
     """Canonical reduced row-echelon form with columns ordered by `coords`."""
     sp = _span_over(rows, coords)
-    out = []
-    for p in sorted(sp.pivots):
-        out.append({coords[i]: c for i, c in sp.pivots[p].items()})
-    return out
+    return [{coords[i]: c for i, c in sp.pivots[p].items()} for p in sorted(sp.pivots)]

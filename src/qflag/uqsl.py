@@ -333,8 +333,8 @@ class UqAlgebra:
         return out
 
 
-class UqElement(_Sum):
-    """Sparse linear combination of normal monomials (F-word, K-vec, E-word)."""
+class _UqSum(_Sum):
+    """A sum over one UqAlgebra's monomials: UqElement, TensorSquare."""
 
     __slots__ = ("algebra",)
     _context = ("algebra",)  # compared by identity: UqAlgebra has no __eq__
@@ -342,6 +342,12 @@ class UqElement(_Sum):
     def __init__(self, algebra: UqAlgebra, terms: dict):
         self.algebra = algebra
         self.terms = {m: c for m, c in terms.items() if c}
+
+
+class UqElement(_UqSum):
+    """Sparse linear combination of normal monomials (F-word, K-vec, E-word)."""
+
+    __slots__ = ()
 
     def __mul__(self, other):
         if isinstance(other, (RatQ, int)):
@@ -401,16 +407,11 @@ def _mono_str(m: Mono, n: int) -> str:
     return " ".join(out) if out else "1"
 
 
-class TensorSquare(_Sum):
+class TensorSquare(_UqSum):
     """Element of Uq x Uq: sparse map (monomial, monomial) -> coefficient,
     each leg in canonical form."""
 
-    __slots__ = ("algebra",)
-    _context = ("algebra",)
-
-    def __init__(self, algebra: UqAlgebra, terms: dict):
-        self.algebra = algebra
-        self.terms = {m: c for m, c in terms.items() if c}
+    __slots__ = ()
 
     def render(self) -> str:
         """Terms joined by '  +  ', each sign kept with its coefficient."""

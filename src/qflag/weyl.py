@@ -25,7 +25,6 @@ least a + 2 exceeds the letter after it by 2 or more.
 
 from __future__ import annotations
 
-import math
 import os
 from bisect import bisect_left
 from functools import cached_property
@@ -44,15 +43,8 @@ class Root(NamedTuple):
         return tuple(1 if self.i <= a < self.j else 0 for a in range(1, n + 1))
 
 
-DEFAULT_RANK_CAP = 6
-
-
-def rank_cap() -> int:
-    return int(os.environ.get("QFLAG_RANK_CAP", DEFAULT_RANK_CAP))
-
-
 def check_rank(n: int):
-    cap = rank_cap()
+    cap = int(os.environ.get("QFLAG_RANK_CAP", 6))
     if not 1 <= n <= cap:
         raise ValueError(f"rank must satisfy 1 <= n <= {cap} (got {n})")
 
@@ -108,23 +100,11 @@ def beta_sequence(w, n: int) -> list[Root]:
     return out
 
 
-# -- reduced words of the longest element ------------------------------------
+# -- commutation classes of the longest element -------------------------------
 
 
-def reduced_word_count(n: int) -> int:
-    """Hook length formula on the staircase shape (n, n-1, ..., 1)."""
-    shape = list(range(n, 0, -1))
-    total = n * (n + 1) // 2
-    hooks = 1
-    for r, row in enumerate(shape):
-        for c in range(row):
-            arm = row - c - 1
-            leg = sum(1 for rr in range(r + 1, len(shape)) if shape[rr] > c)
-            hooks *= arm + leg + 1
-    return math.factorial(total) // hooks
-
-
-_MAX_REDUCED_WORDS = 10**6  # rank 5 has 292,864 reduced words, rank 6 1,100,742,656
+_CLASS_COUNTS = (1, 2, 8, 62, 908, 24698, 1232944)  # their number at ranks 1, 2, ... (OEIS A006245)
+_MAX_CLASSES = 30000  # admits rank 6's 24,698 classes
 
 
 def canonical_word(w) -> tuple[int, ...]:
@@ -226,16 +206,14 @@ class ClassGraph:
 
 def commutation_classes(n: int) -> ClassGraph:
     """The class graph, found from the canonical words alone; no class is
-    listed member by member.  Ranks with more than _MAX_REDUCED_WORDS
-    reduced words (rank 6 and up) are refused: no survey there has been
-    measured."""
+    listed member by member.  Ranks with more than _MAX_CLASSES classes
+    (rank 7 and up) are refused before any is enumerated."""
     check_rank(n)
-    count = reduced_word_count(n)
-    if count > _MAX_REDUCED_WORDS:
-        raise ValueError(
-            f"class enumeration at rank {n} is refused until its survey is measured: "
-            f"its classes would list {count} reduced words (at most {_MAX_REDUCED_WORDS})"
-        )
+    count = _CLASS_COUNTS[min(n, len(_CLASS_COUNTS)) - 1]
+    if count > _MAX_CLASSES:
+        more = "more than " if n > len(_CLASS_COUNTS) else ""  # the counts grow with the rank
+        raise ValueError(f"class enumeration at rank {n} is refused: it has {more}{count:,} "
+                         f"commutation classes (at most {_MAX_CLASSES:,})")
     return ClassGraph(n, _class_reps(n))
 
 
@@ -256,9 +234,7 @@ def class_graph_dot(graph: ClassGraph, involution: list[int] | None = None) -> s
         lines.append(f'  c{c} [label="{word_str(rep)}"];')
     for a, b in graph.edges:
         lines.append(f"  c{a} -- c{b};")
-    if involution is not None:
-        for c, d in enumerate(involution):
-            if c <= d:  # each pair once, from its smaller end
-                lines.append(f"  c{c} -- c{d} [color=blue, style=dashed];")
+    # each involution pair once, from its smaller end
+    lines += [f"  c{c} -- c{d} [color=blue, style=dashed];" for c, d in enumerate(involution or ()) if c <= d]
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -19,14 +19,16 @@ definitions instead, each from its formula:
 * the coideal check against one global span of span(T) + C1, regrouping
   every root vector's q-shuffle states on each call;
 * the generic completion, whose bookkeeping re-derives each fixed fact:
-  every install is reduced, leads are found by their precedence tuples
-  (the precedence its own, the library's by default), the lead lengths
-  are recomputed and each overlap re-reads its letter pairs' rules; and
+  every install is reduced and queues all of its overlaps at once, leads
+  are found by their precedence tuples (the precedence its own, the
+  library's by default), the lead lengths are recomputed and each popped
+  overlap re-reads its letter pairs' rules; and
   the renaming of letter g to d-1-g, under which the library's one order
   is the reversed precedence;
 * the Frobenius pairing with every product of complementary-degree normal
   words reduced;
-* every reduced word of the longest element, by peeling right descents;
+* every reduced word of the longest element, by peeling right descents,
+  and their number by the hook length formula;
 * the right action of u[a,b] on the cotangent basis, through the pairing;
 * the FRT relations of O_q, as products of u-generators, and its
   functional equality test;
@@ -38,6 +40,8 @@ definitions instead, each from its formula:
 
 from __future__ import annotations
 
+import heapq
+import math
 from fractions import Fraction
 from functools import reduce
 from itertools import product
@@ -247,12 +251,14 @@ def coideal_check(t: TangentSpace) -> CoidealReport:
 
 class GenericGB(TruncatedGB):
     """TruncatedGB with the bookkeeping that reads the rules afresh each
-    time: `_orient` reduces every element and divides by any lead
-    coefficient, the lead is the word with the largest (length, precedence
-    tuple), `_index` recomputes the lead lengths, and `_commuting_overlap`
-    looks up the three letter pairs' rules on every call.  `precedence[g]`
-    is the rank of letter g (higher is bigger), the identity by default,
-    which is the library's order."""
+    time: an install queues every overlap of its lead with a live lead
+    (self-overlaps once from each side) with no listing pass and no filter,
+    `_orient` reduces every element and divides by any lead coefficient,
+    the lead is the word with the largest (length, precedence tuple),
+    `_index` recomputes the lead lengths, and `_commuting_overlap` looks up
+    the three letter pairs' rules of each popped overlap (the swap-triangle
+    criterion alone).  `precedence[g]` is the rank of letter g (higher is
+    bigger), the identity by default, which is the library's order."""
 
     def __init__(self, *args, precedence=None):
         super().__init__(*args)
@@ -263,6 +269,14 @@ class GenericGB(TruncatedGB):
             self._prefixes.setdefault(lead[:t], set()).add(lead)
             self._suffixes.setdefault(lead[-t:], set()).add(lead)
         self._lengths = sorted({len(w) for w in self.rules})
+
+    def _push_overlaps(self, lead):
+        for t in range(1, len(lead)):
+            pairs = [(lead, other) for other in self._prefixes.get(lead[-t:], ())]
+            pairs += [(other, lead) for other in self._suffixes.get(lead[:t], ())]
+            for la, lb in pairs:
+                w = la + lb[t:]
+                heapq.heappush(self._pending, (len(w), la, lb, w))
 
     def _orient(self, elem):
         elem = self.reduce(elem)
@@ -383,6 +397,19 @@ def reduced_words(n: int) -> list[tuple[int, ...]]:
 
     rec(tuple(range(n + 1, 0, -1)))
     return out
+
+
+def reduced_word_count(n: int) -> int:
+    """Hook length formula on the staircase shape (n, n-1, ..., 1)."""
+    shape = list(range(n, 0, -1))
+    total = n * (n + 1) // 2
+    hooks = 1
+    for r, row in enumerate(shape):
+        for c in range(row):
+            arm = row - c - 1
+            leg = sum(1 for rr in range(r + 1, len(shape)) if shape[rr] > c)
+            hooks *= arm + leg + 1
+    return math.factorial(total) // hooks
 
 
 # -- the coordinate-algebra side ----------------------------------------------

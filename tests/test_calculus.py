@@ -6,6 +6,7 @@ import gc
 import json
 import random
 import weakref
+from collections import Counter
 from itertools import combinations_with_replacement, product
 from math import comb
 from pathlib import Path
@@ -56,6 +57,7 @@ from qflag.weyl import (
     involution_on_classes,
     mirror_word,
     nice_word,
+    opposite_word,
     root_pairing,
 )
 
@@ -1272,12 +1274,13 @@ def test_algebra_is_freed_without_the_cycle_collector():
         gc.enable()
 
 
-def _per_class_rows(n):
+def _per_class_rows(n, max_classes=None):
     """The survey without the orbit shortcut, kept as the oracle: every
-    class goes through tangent, coideal, relations and counting."""
+    class (the first max_classes when given) goes through tangent, coideal,
+    relations and counting."""
     A = UqAlgebra(n)
     rows = []
-    for rep in commutation_classes(n).reps:
+    for rep in commutation_classes(n).reps[:max_classes]:
         t = C.tangent_from_word(A, rep)
         verdict = C.coideal_check(t).verdict
         if verdict == "neither":
@@ -1317,6 +1320,27 @@ def test_orbit_survey_max_classes_is_a_prefix(per_class_rows):
     A = UqAlgebra(4)
     for k in (0, 1, 20, 31, 32, 50):
         assert C.survey_rows(A, max_classes=k) == (per_class_rows[4][:k], 62)
+
+
+def test_rank6_survey_head_matches_per_class_pipeline(capsys):
+    """Rank 6 passes the class cap: `survey --rank 6 --max-classes 200`
+    prints the per-class pipeline's rows for its first 200 classes."""
+    assert cli.run(["survey", "--rank", "6", "--max-classes", "200", "--format", "json"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    oracle = _per_class_rows(6, 200)
+    assert out["total_classes"] == 24698
+    assert out["rows"] == [row.as_json_dict() for row in oracle]
+    assert Counter(row.verdict for row in oracle) == {"neither": 182, "left_only": 13, "right_only": 4, "two_sided": 1}
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_two_sided_classes_are_nice_and_nice_op(n, per_class_rows):
+    """The two-sided classes at ranks 3-5 are exactly the classes of the
+    nice word and of its opposite (rank 5 read from results/survey-r5.json)."""
+    g = commutation_classes(n)
+    rows = per_class_rows[n] if n < 5 else _survey_r5_rows()
+    nice = {g.class_index(w) for w in (nice_word(n), opposite_word(nice_word(n), n))}
+    assert {c for c, row in enumerate(rows) if row.verdict == "two_sided"} == nice and len(nice) == 2
 
 
 def _survey_r5_rows():

@@ -241,10 +241,10 @@ def _quotient_dim(rels, m, k):
 def _all_pairs_overlaps(gb, lead):
     """The all-pairs scan the prefix/suffix indexes replaced, kept as the
     oracle: (degree, leads, word) of each overlap of lead with a live lead,
-    self-overlaps once from each side."""
+    a self-overlap once."""
     out = []
     for other in gb.rules:
-        for a, b in ((lead, other), (other, lead)):
+        for a, b in {(lead, other), (other, lead)}:
             for t in range(1, min(len(a), len(b))):
                 if a[-t:] == b[:t]:
                     out.append((len(a) + len(b) - t, a, b, a + b[t:]))
@@ -262,31 +262,44 @@ def _overlap_residue(gb, word, la=None, lb=None):
 
 def _skip_case(gb, word):
     """Which criterion lets gb drop the overlap word unreduced: 'commuting'
-    (every letter pair monomial), 'A' or 'B' (a q-central end letter), or None."""
+    (every letter pair monomial, read afresh from the rules), 'A' or 'B' (a
+    q-central end letter), or None."""
     if GenericGB._commuting_overlap(gb, word):
         return "commuting"
-    if TruncatedGB._commuting_overlap(gb, word):  # builds gb._swaps
-        x, y, z = word
-        if gb._central((x, y), lambda w: gb._swaps.get((w, z))):
-            return "A"
-        if gb._central((y, z), lambda w: gb._swaps.get((x, w))):
-            return "B"
+    sw, (x, y, z) = gb._swap_table(), word
+    if gb._central((x, y), lambda w: sw.get((w, z))):
+        return "A"
+    if gb._central((y, z), lambda w: sw.get((x, w))):
+        return "B"
     return None
 
 
 class _ZeroSkipGB(TruncatedGB):
-    """A completion that reduces each overlap the commuting-letter or
-    q-central criterion drops unreduced and checks that it comes to zero
-    the generic way; `skipped` counts them by case (`_skip_case`)."""
+    """A completion that reduces each overlap it drops unreduced and checks
+    that it comes to zero the generic way: the swap triangles `_queue`
+    never pushes, each checked against the rules as they are listed, and
+    the overlaps with a q-central end letter that `_commuting_overlap`
+    drops as they pop.  The listing drops exactly the overlaps whose three
+    letter pairs the generic criterion accepts, and no popped overlap is
+    one; `skipped` counts the drops by case (`_skip_case`)."""
 
     def __init__(self, alphabet):
         super().__init__(alphabet)
         self.skipped = Counter()
 
+    def _queue(self, word, la, lb):
+        before = len(self._pending)
+        super()._queue(word, la, lb)
+        dropped = len(self._pending) == before
+        assert dropped == (len(word) == 3 and GenericGB._commuting_overlap(self, word)), word
+        if dropped:
+            assert not _overlap_residue(self, word), word
+            self.skipped["commuting"] += 1
+
     def _commuting_overlap(self, word):
         skip = super()._commuting_overlap(word)
         case = _skip_case(self, word)
-        assert skip == (case is not None), word
+        assert case != "commuting" and skip == (case is not None), word
         if skip:
             assert not _overlap_residue(self, word), word
             self.skipped[case] += 1
@@ -295,29 +308,50 @@ class _ZeroSkipGB(TruncatedGB):
 
 class _CheckedGB(_ZeroSkipGB):
     """A completion that checks its overlap bookkeeping against the oracle,
-    and its dropped overlaps as _ZeroSkipGB does.  Each push queues the
-    all-pairs scan's overlaps.  After each insert the pending set is the
-    rules' overlaps not yet resolved and the indexes hold exactly the
+    and its dropped overlaps as _ZeroSkipGB does.  Each push lists the
+    all-pairs scan's overlaps, none of them before the pass if lead has
+    length 2, and no overlap is listed twice.  After each insert and each
+    pass the listed overlaps are the rules' overlaps, but for those of two
+    length-2 leads while the pass has not run; the pending ones are those
+    listed, neither dropped nor resolved; and the indexes hold exactly the
     leads' proper prefixes and suffixes."""
 
     def __init__(self, alphabet):
         super().__init__(alphabet)
-        self.seen, self.resolved = set(), set()
+        self.seen, self.resolved, self.listed, self.dropped = set(), set(), Counter(), set()
+
+    def _queue(self, word, la, lb):
+        before = len(self._pending)
+        super()._queue(word, la, lb)
+        self.listed[len(word), la, lb, word] += 1
+        if len(self._pending) == before:
+            self.dropped.add((len(word), la, lb, word))
 
     def _push_overlaps(self, lead):
-        before = Counter(self._pending)
+        before = self.listed.copy()
         super()._push_overlaps(lead)
-        pushed = Counter(self._pending) - before
-        assert pushed == Counter(_all_pairs_overlaps(self, lead))
+        want = [] if len(lead) == 2 and self._deferred else _all_pairs_overlaps(self, lead)
+        assert self.listed - before == Counter(want)
 
     def _insert(self, elem):
-        self.resolved |= self.seen - set(self._pending)  # only pops ran since the last insert
+        self.resolved |= self.seen - set(self._pending)  # only pops ran since the last check
         super()._insert(elem)
+        self._check()
+
+    def _list_degree3(self):
+        self.resolved |= self.seen - set(self._pending)
+        super()._list_degree3()
+        self._check()
+
+    def _check(self):
         self.seen = set(self._pending)
         live = set(self.rules)
         oracle = {o for lead in live for o in _all_pairs_overlaps(self, lead)}
+        if self._deferred is not None:
+            oracle = {o for o in oracle if (len(o[1]), len(o[2])) != (2, 2)}
         assert all(la in live and lb in live for _deg, la, lb, _w in self.seen)
-        assert self.seen == oracle - self.resolved
+        assert set(self.listed) == oracle and set(self.listed.values()) <= {1}
+        assert self.seen == oracle - self.dropped - self.resolved
         for index, cut in ((self._prefixes, lambda w, t: w[:t]), (self._suffixes, lambda w, t: w[-t:])):
             want = {}
             for lead in live:
@@ -339,8 +373,8 @@ def survey_skips_resolve(n: int) -> Counter:
     other than neither to degree d + 1, as given and with its letters
     renamed (oracles.reversed_letters, as exterior --reverse-order does),
     by complete_truncated's steps on a _ZeroSkipGB, so every overlap
-    dropped unreduced is checked to have a zero residue; the drops by case.
-    CI runs it at rank 5:
+    dropped unreduced, swap triangles included, is checked to have a zero
+    residue; the drops by case.  CI runs it at rank 5:
 
         PYTHONPATH=src:tests python3 -c 'import test_freealg; print(test_freealg.survey_skips_resolve(5))'
     """
@@ -362,8 +396,10 @@ def survey_skips_resolve(n: int) -> Counter:
 
 def test_survey_skips_resolve():
     """Every overlap the rank-4 survey exteriors drop unreduced, completed in
-    full as given and renamed, has a zero residue; each case drops some."""
-    assert survey_skips_resolve(4) == {"commuting": 9740, "A": 392, "B": 392}
+    full as given and renamed, has a zero residue; each case drops some.
+    (The eager listing, with each square's self-overlap twice, dropped
+    9,740 swap triangles.)"""
+    assert survey_skips_resolve(4) == {"commuting": 9220, "A": 392, "B": 392}
 
 
 def test_overlap_indexes_match_all_pairs_scan():
@@ -373,10 +409,10 @@ def test_overlap_indexes_match_all_pairs_scan():
     reordered) and on relation completions as given and with the letters
     renamed (the reversed precedence): every class at ranks 2 and 3, and at
     rank 4 the nice word and a class without a coideal whose completion
-    grows leads up to length 7 before it settles at degree 8.  On the same
-    completions every overlap of q-commuting letters that extend_to resolves
-    without reduction, through each of the three cases, reduces to zero
-    (_CheckedGB)."""
+    grows leads up to length 7 before it settles at degree 8, each pair of
+    leads once and the overlaps of two length-2 leads from the pass.  On the
+    same completions every overlap dropped without reduction, through each
+    of the three cases, reduces to zero (_CheckedGB)."""
     serre = _serre_system(3)
     rels = [FreeElement.monomial(lead) - tail for lead, tail in serre.rules.items()]
     gb = _checked_completion(rels, serre.alphabet, 6)
@@ -395,11 +431,12 @@ def test_overlap_indexes_match_all_pairs_scan():
     assert set(skipped) == {"commuting", "A", "B"}, skipped
 
 
-@pytest.mark.parametrize("n, popped, rewritten", [(4, 1610, 192), (5, 15290, 2253)])
+@pytest.mark.parametrize("n, popped, rewritten", [(4, 300, 192), (5, 3859, 2253)])
 def test_survey_overlap_counts(monkeypatch, n, popped, rewritten):
     """The overlaps the rank-4 and rank-5 surveys' completions pop, and those
-    they rewrite, which the README cites; the criteria drop the rest (the
-    commuting letters alone left 300 and 3,859 rewritten)."""
+    they rewrite, which the README cites: the listing never queues a swap
+    triangle, and the q-central criterion drops the rest as they pop.
+    (Queued at install, swap triangles included, 1,610 and 15,290 popped.)"""
     counts = Counter()
     verdict = TruncatedGB._commuting_overlap
 
@@ -450,16 +487,18 @@ def _three_letter_gb(*relations):
 
 
 def test_commuting_overlap_guard():
-    """The criterion accepts an overlap only when all three letter pairs
-    carry monomial rules: a swap to the other order with one coefficient,
-    or a square with an empty tail.  Each refused case below has an overlap
+    """The listing drops an overlap only when all three letter pairs carry
+    monomial rules: a swap to the other order with one coefficient, or a
+    square with an empty tail.  Each refused case below has an overlap
     whose generic resolution leaves a nonzero residue, so skipping it would
-    lose a rule."""
+    lose a rule; the q-central criterion refuses it as it pops."""
     swaps = [{(2, 1): ONE, (1, 2): -Q}, {(1, 0): ONE, (0, 1): -QINV}, {(2, 0): ONE, (0, 2): -QINV}]
     gb = _three_letter_gb({(2, 2): ONE}, *swaps)
+    assert gb.settled  # the pass drops all four overlaps
     for word in ((2, 1, 0), (2, 2, 1), (2, 2, 0), (2, 2, 2)):
-        assert gb._commuting_overlap(word) and not _overlap_residue(gb, word), word
-    assert not gb._commuting_overlap((1, 1, 0))  # x1x1 carries no rule
+        assert not _overlap_residue(gb, word), word
+    gb._queue((1, 1, 0), (1, 1), (1, 0))  # x1x1 carries no rule
+    assert gb._pending == [(3, (1, 1), (1, 0), (1, 1, 0))]
     refused = [
         # the third pair {x0, x2} has no rule
         (_three_letter_gb(*swaps[:2]), (2, 1, 0)),
@@ -474,7 +513,7 @@ def test_commuting_overlap_guard():
         (_three_letter_gb({(1, 1): ONE, (0, 2): -ONE}, swaps[1]), (1, 1, 0)),
     ]
     for gb, word in refused:
-        assert any(w == word for _deg, _la, _lb, w in gb._pending), word
+        assert not gb.settled and any(w == word for _deg, _la, _lb, w in gb._pending), word
         assert not gb._commuting_overlap(word) and _overlap_residue(gb, word), word
 
 
@@ -513,23 +552,115 @@ def test_q_central_overlap_guard():
         (_three_letter_gb({(2, 1): ONE, (0, 1): -ONE}, *swaps), word),
     ]
     for gb, w in refused:
-        assert any(e[3] == w for e in gb._pending), w
+        assert not gb.settled and any(e[3] == w for e in gb._pending), w
         assert _skip_case(gb, w) is None and not gb._commuting_overlap(w), w
         assert _overlap_residue(gb, w), w
 
 
+class _RewriteLogGB(TruncatedGB):
+    """A completion that records the overlaps extend_to rewrites: those it
+    pops and does not drop."""
+
+    def __init__(self, alphabet):
+        super().__init__(alphabet)
+        self.rewritten = set()
+
+    def _commuting_overlap(self, word):
+        skip = super()._commuting_overlap(word)
+        if not skip:
+            self.rewritten.add(word)
+        return skip
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_unrewritten_degree3_overlaps_resolve(n):
+    """Brute force over every rank-n exterior with a coideal, as given and
+    with its letters renamed (oracles.reversed_letters), completed to
+    degree d + 1: every letter triple xyz whose xy and yz are final leads
+    and that extend_to never rewrote (the listing dropped it as a swap
+    triangle, or it popped with a q-central end letter) has a zero residue,
+    and the rules, tails and rule order are the generic completion's."""
+    A, checked = UqAlgebra(n), Counter()
+    for rep in commutation_classes(n).reps:
+        t = C.tangent_from_word(A, rep)
+        if C.coideal_check(t).verdict == "neither":
+            continue
+        rel = C.quadratic_relations(t)
+        rels = rel.all_relations()
+        for rels, alphabet in ((rels, rel.alphabet), reversed_letters(rels, rel.alphabet)):
+            gb, generic = _RewriteLogGB(alphabet), GenericGB(alphabet)
+            for system in (gb, generic):
+                for r in rels:
+                    system._insert(r)
+                system.extend_to(t.dim + 1)
+            assert _rules(gb) == _rules(generic), rep
+            for word in product(range(t.dim), repeat=3):
+                if word[:2] in gb.rules and word[1:] in gb.rules:
+                    rewritten = word in gb.rewritten
+                    assert rewritten or not _overlap_residue(gb, word), (rep, word)
+                    checked[rewritten] += 1
+    assert checked == {2: {False: 40}, 3: {False: 824, True: 72}, 4: {False: 10004, True: 1436}}[n], checked
+
+
+def test_settled_runs_the_pending_pass():
+    """Installs queue no overlap of two length-2 leads; a `settled` query
+    lists them first (the pass), so a system whose one such overlap, x2x1x0,
+    is no swap triangle (the pair x2, x0 has no rule) is not settled.
+    complete_truncated asks before it installs a relation of length 4 or
+    more, so it resolves that overlap, installing x2x0x1 -> x1x2x0, before
+    it reduces the quartic x2x0x1x1 - x1x1x1x1 to x1x1x2x0 - x1x1x1x1."""
+    swaps = [{(2, 1): ONE, (1, 2): -Q}, {(1, 0): ONE, (0, 1): -Q}]
+    gb = _three_letter_gb(*swaps)
+    assert gb._pending == [] and gb._deferred
+    assert not gb.settled and gb._pending == [(3, (2, 1), (1, 0), (2, 1, 0))]
+    quartic = FreeElement({(2, 0, 1, 1): ONE, (1, 1, 1, 1): -ONE})
+    done = complete_truncated([quartic] + [FreeElement(r) for r in swaps], 4, gb.alphabet)
+    assert _rules(done)[2:4] == [((2, 0, 1), [((1, 2, 0), ONE)]), ((1, 1, 2, 0), [((1, 1, 1, 1), ONE)])]
+
+
+def test_late_length2_lead_queues_its_overlaps():
+    """A length-2 lead installed after the pass queues its own overlaps
+    through the same filter: x1x1 -> x0x2 after three swaps whose one
+    overlap, a swap triangle, the pass dropped.  Its overlap x2x1x1 installs
+    a cubic rule, and the completion, its bookkeeping checked (_CheckedGB),
+    is the generic one fed the same steps."""
+    swaps = [{(2, 1): ONE, (1, 2): -Q}, {(1, 0): ONE, (0, 1): -Q}, {(2, 0): ONE, (0, 2): -Q}]
+    alphabet = Alphabet(("x0", "x1", "x2"), ((1,), (1,), (1,)))
+    gb, generic = _CheckedGB(alphabet), GenericGB(alphabet)
+    for system in (gb, generic):
+        for r in swaps:
+            system._insert(FreeElement(r))
+        system.extend_to(3)
+        assert system.settled
+        system._insert(FreeElement({(1, 1): ONE, (0, 2): -ONE}))
+        assert not system.settled
+        system.extend_to(4)
+    _assert_same_system(gb, generic, "late")
+    assert gb._deferred is None and (0, 2, 2) in gb.rules
+
+
+def _rules(gb):
+    """Leads with their tails' terms in order, in insertion order."""
+    return [(lead, list(tail.terms.items())) for lead, tail in gb.rules.items()]
+
+
 def _assert_same_system(gb, generic, case):
-    """Same leads, tails (term order included) and rule order, same
-    valid_degree and settled."""
-    rules = lambda s: [(lead, list(tail.terms.items())) for lead, tail in s.rules.items()]
-    assert rules(gb) == rules(generic), case
-    assert (gb.valid_degree, gb.settled) == (generic.valid_degree, generic.settled), case
+    """Same leads, tails (term order included) and rule order, and same
+    valid_degree; gb is settled when the generic system is, or when every
+    overlap the generic system has pending is a swap triangle, which the
+    library never queues."""
+    assert _rules(gb) == _rules(generic), case
+    triangles = bool(generic._pending) and all(
+        len(w) == 3 and GenericGB._commuting_overlap(generic, w) for *_, w in generic._pending)
+    assert (gb.valid_degree, gb.settled) == (generic.valid_degree, generic.settled or triangles), case
 
 
 def _complete_both(rels, alphabet, kmax, case):
     """Complete rels as exterior_dims does, degree by degree to kmax, in the
     library's system and in the generic one, comparing them and their
-    normal counts at each degree; the library's system."""
+    normal counts at each degree until the library's system settles, and
+    then its counts to kmax with the generic system's, extended to kmax;
+    the library's system."""
     gb, generic = complete_truncated(rels, 0, alphabet), GenericGB(alphabet)
     for r in rels:
         generic._insert(r)
@@ -537,10 +668,12 @@ def _complete_both(rels, alphabet, kmax, case):
         gb.extend_to(k)
         generic.extend_to(k)
         _assert_same_system(gb, generic, case)
-        top = kmax if gb.settled else k
-        assert gb.normal_counts(top) == generic.normal_counts(top), case
         if gb.settled:
+            generic.extend_to(kmax)  # the swap triangles it still holds install no rule
+            assert generic.settled and _rules(gb) == _rules(generic), case
+            assert gb.normal_counts(kmax) == generic.normal_counts(kmax), case
             break
+        assert gb.normal_counts(k) == generic.normal_counts(k), case
     return gb
 
 
@@ -633,37 +766,36 @@ def test_installed_systems_match_generic_bookkeeping(n):
 
 
 def test_commuting_pair_cache_follows_rule_changes(monkeypatch):
-    """The table of swap coefficients that _commuting_overlap builds reads
-    only length-2 rules, so a length-2 install drops it and a longer one
-    keeps it: a pair with no rule turns into a swap once one is installed;
-    a swap leaves the table once its reversed word becomes a lead (an
-    install that needs a reduce).  So each completion builds it once: the
-    exteriors of the 36 rank-4 classes without a coideal, under both
-    orders, build it 72 times, and the rank-4 survey 7 times."""
+    """The table of swap coefficients that the listing and the q-central
+    criterion read holds only length-2 rules, so a length-2 install drops
+    it and a longer one keeps it: a pair with no rule turns into a swap
+    once one is installed; a swap leaves the table once its reversed word
+    becomes a lead (an install that needs a reduce).  So each completion
+    builds it once: the exteriors of the 36 rank-4 classes without a
+    coideal, under both orders, build it 72 times, and the rank-4 survey 7
+    times."""
     gb = _three_letter_gb({(2, 2): ONE}, {(2, 1): ONE, (1, 2): -Q})
-    assert not gb._commuting_overlap((2, 2, 0)) and gb._swaps == {(2, 2): ZERO, (2, 1): Q}
+    assert gb._swap_table() == {(2, 2): ZERO, (2, 1): Q}
     gb._insert(FreeElement({(2, 0): ONE, (0, 2): -QINV}))
-    assert gb._swaps is None and gb._commuting_overlap((2, 2, 0))
+    assert gb._swaps is None and gb._swap_table()[2, 0] == QINV
 
     gb._insert(FreeElement({(1, 0): ONE, (0, 1): -Q}))
-    assert gb._commuting_overlap((2, 1, 0)) and gb._swaps[1, 0] == Q
+    assert gb._swap_table()[1, 0] == Q
     gb._insert(FreeElement({(0, 1): ONE, (1, 0): -ONE}))  # reduces to (1 - q) x0x1
     assert (0, 1) in gb.rules and not gb.rules[0, 1]
-    assert not gb._commuting_overlap((2, 1, 0)) and (1, 0) not in gb._swaps
-
-    assert gb._commuting_overlap((2, 2, 1)) and gb._swaps[2, 1] == Q
+    assert (1, 0) not in gb._swap_table() and gb._swaps[2, 1] == Q
     table = gb._swaps
-    gb._insert(FreeElement({(1, 1, 1): ONE}))
-    assert (1, 1, 1) in gb.rules and gb._swaps is table
+    gb._insert(FreeElement({(1, 1, 1): ONE}))  # runs the pass, which reads the table
+    assert (1, 1, 1) in gb.rules and gb._deferred is None and gb._swaps is table
 
     builds = Counter()
-    verdict = TruncatedGB._commuting_overlap
+    swap_table = TruncatedGB._swap_table
 
-    def counted(self, word):
-        builds[len(word) == 3 and self._swaps is None] += 1
-        return verdict(self, word)
+    def counted(self):
+        builds[self._swaps is None] += 1
+        return swap_table(self)
 
-    monkeypatch.setattr(TruncatedGB, "_commuting_overlap", counted)
+    monkeypatch.setattr(TruncatedGB, "_swap_table", counted)
     A = UqAlgebra(4)
     tangents = [C.tangent_from_word(A, rep) for rep in commutation_classes(4).reps]
     neither = [t for t in tangents if C.coideal_check(t).verdict == "neither"]
@@ -881,9 +1013,14 @@ def test_find_redex_returns_the_first_window_with_its_own_tail():
 class _ProductBuiltGB(TruncatedGB):
     """Oracle: extend_to with each overlap difference built as products by
     monomials, rules[la] * s - p * rules[lb], multiplying every coefficient
-    by 1."""
+    by 1, for every overlap listed: none is dropped, at the listing or as
+    it pops."""
+
+    def _queue(self, word, la, lb):
+        heapq.heappush(self._pending, (len(word), la, lb, word))
 
     def extend_to(self, dmax: int):
+        self._list_degree3()
         while self._pending and self._pending[0][0] <= dmax:
             _deg, la, lb, word = heapq.heappop(self._pending)
             diff = _overlap_residue(self, word, la, lb)

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from oracles import build_Eji
 
-from qflag import calculus, cli
+from qflag import calculus, cli, weyl
 from qflag.cli import main, run
 from qflag.oq import OqElement
 from qflag.parser import ParseError, parse_oq, parse_scalar, parse_uq, parse_word
@@ -446,20 +446,16 @@ def test_cli_frobenius_pairing_cap_boundary(capsys, monkeypatch):
     assert "frobenius pairing would reduce 8 products (at most 7)" in captured.err
 
 
-def test_cli_classes_refuses_rank_6(capsys):
-    # rank 6 passes the default rank cap; its reduced words are refused by count
-    assert run(["classes", "--rank", "6"]) == 2
+@pytest.mark.parametrize("command", ["classes", "survey"])
+def test_cli_refuses_rank_7_by_its_class_count(capsys, monkeypatch, command):
+    """Rank 7 passes the rank cap 7; its 1,232,944 commutation classes
+    (OEIS A006245) are refused by count before any is enumerated."""
+    monkeypatch.setenv("QFLAG_RANK_CAP", "7")
+    monkeypatch.setattr(weyl, "_class_reps", lambda n: pytest.fail("classes enumerated"))
+    assert run([command, "--rank", "7"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "would list 1100742656 reduced words (at most 1000000)" in captured.err
-
-
-def test_cli_survey_refuses_rank_6(capsys):
-    # refused by the reduced-word count before any class or Serre completion work
-    assert run(["survey", "--rank", "6"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "1100742656" in captured.err
+    assert "rank 7 is refused: it has 1,232,944 commutation classes (at most 30,000)" in captured.err
 
 
 def test_cli_rank_cap_env(capsys, monkeypatch):

@@ -1,8 +1,9 @@
 """Root-system and reduced-word combinatorics."""
 
 import pytest
-from oracles import reduced_words
+from oracles import reduced_word_count, reduced_words
 
+from qflag import weyl
 from qflag.weyl import (
     Root,
     _class_reps,
@@ -15,7 +16,6 @@ from qflag.weyl import (
     nice_word,
     opposite_word,
     positive_roots,
-    reduced_word_count,
     root_pairing,
 )
 
@@ -152,10 +152,15 @@ def test_involution_on_classes_is_an_involution(n):
     assert all(inv[inv[c]] == c for c in range(g.num_classes))
 
 
-def test_class_cap_error_mentions_count():
-    with pytest.raises(ValueError) as e:
-        commutation_classes(6)
-    assert "1100742656" in str(e.value)
+def test_class_cap_error_mentions_count(monkeypatch):
+    """Rank 7 (admitted by the rank cap 7) is refused by its class count
+    (OEIS A006245) before any class is enumerated; rank 8 by a bound."""
+    monkeypatch.setenv("QFLAG_RANK_CAP", "8")
+    monkeypatch.setattr(weyl, "_class_reps", lambda n: pytest.fail("classes enumerated"))
+    with pytest.raises(ValueError, match="at rank 7 is refused: it has 1,232,944 commutation classes"):
+        commutation_classes(7)
+    with pytest.raises(ValueError, match="at rank 8 is refused: it has more than 1,232,944 commutation"):
+        commutation_classes(8)
 
 
 def test_dot_output():
@@ -219,10 +224,13 @@ def test_class_layer_matches_flood_fill(n):
 
 
 def test_class_layer_rank5_and_rank6_counts():
+    """The class counts the cap reads (OEIS A006245) are the enumerated ones
+    at ranks 1-6, and rank 6, with 24,698 classes, passes the cap."""
     g = commutation_classes(5)
     assert g.num_classes == 908 and len(g.edges) == 2144
     assert sum(map(class_size, g.reps)) == reduced_word_count(5)
-    assert len(_class_reps(6)) == 24698  # OEIS A006245
+    assert [len(_class_reps(n)) for n in range(1, 6)] == list(weyl._CLASS_COUNTS[:5])
+    assert commutation_classes(6).num_classes == weyl._CLASS_COUNTS[5] == 24698 <= weyl._MAX_CLASSES
 
 
 @pytest.mark.parametrize(
